@@ -2,91 +2,18 @@
 eps**2 u'' - u + u**p = 0 with no-flux ends. The closed-form profile and a
 phase-plane shooting solver live side by side so each can check the other."""
 
-from .analytic import (
-    AnsatzConstants,
-    ProblemParams,
-    SpikeKind,
-    derive_ansatz_constants,
-    eval_ansatz,
-    eval_spike_derivative,
-    eval_spike_rho,
-    eval_spike_second_derivative,
-    eval_spike_x,
-    spike_amplitude,
-)
-from .ode import (
-    EVENT_LOCATION_TOL,
-    PROPAGATING_ORDER,
-    IntegratorConfig,
-    State,
-    TerminalEvent,
-    Trajectory,
-    default_integrator_config,
-    hamiltonian,
-    integrate,
-    rhs,
-)
-from .shooting import (
-    DEFAULT_RHO_L,
-    NoBracketError,
-    ScanResult,
-    ShootingConfig,
-    ShootingError,
-    ShootingResult,
-    Verdict,
-    classify,
-    eval_profile,
-    scan,
-    shoot,
-)
-from .verify import (
-    ComparisonReport,
-    check_first_integral,
-    compare,
-    fd_residual,
-    fd_second_derivative,
-    ode_residual,
-)
+from . import analytic, ode, shooting, verify
+from .analytic import *  # noqa: F401,F403
+from .ode import *  # noqa: F401,F403
+from .shooting import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzConstants",
-    "ProblemParams",
-    "SpikeKind",
-    "derive_ansatz_constants",
-    "eval_ansatz",
-    "eval_spike_derivative",
-    "eval_spike_rho",
-    "eval_spike_second_derivative",
-    "eval_spike_x",
-    "spike_amplitude",
-    "EVENT_LOCATION_TOL",
-    "PROPAGATING_ORDER",
-    "IntegratorConfig",
-    "State",
-    "TerminalEvent",
-    "Trajectory",
-    "default_integrator_config",
-    "hamiltonian",
-    "integrate",
-    "rhs",
-    "DEFAULT_RHO_L",
-    "NoBracketError",
-    "ScanResult",
-    "ShootingConfig",
-    "ShootingError",
-    "ShootingResult",
-    "Verdict",
-    "classify",
-    "eval_profile",
-    "scan",
-    "shoot",
-    "ComparisonReport",
-    "check_first_integral",
-    "compare",
-    "fd_residual",
-    "fd_second_derivative",
-    "ode_residual",
+    *analytic.__all__,
+    *ode.__all__,
+    *shooting.__all__,
+    *verify.__all__,
     "__version__",
 ]

@@ -15,7 +15,8 @@ commands; columns a command does not produce stay empty, and ``residual``
 reports |residual| in the abs_error column) or a JSON document embedding
 the full configuration echo.  Floats are written with 17 significant
 digits, '.' decimal separator, and '\\n' line endings, so identical inputs
-produce byte-identical files.  No environment variables are consulted.
+produce byte-identical files.  Status lines go to stderr, so stdout carries
+only the data.  No environment variables are consulted.
 
 Exit status: 0 on success with all cases converged, 1 on solver failure or
 non-convergence, 2 on usage errors.
@@ -25,10 +26,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +41,7 @@ from .analytic import (
     spike_amplitude,
 )
 from .ode import IntegratorConfig, default_integrator_config
-from .shooting import ShootingConfig, ShootingError, ShootingResult, shoot
+from .shooting import ShootingConfig, ShootingError, ShootingResult, config_echo, shoot
 from .verify import ComparisonReport, compare, ode_residual
 
 __all__ = ["RunConfig", "run", "main", "run_config_from_dict"]
@@ -69,29 +69,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "command": self.command,
-            "params": {
-                "p": self.params.p,
-                "epsilon": self.params.epsilon,
-                "half_length": self.params.half_length,
-                "peak_rho": self.params.peak_rho,
-                "kind": self.params.kind.value,
-            },
-            "shooting": {
-                "delta": self.shooting.delta,
-                "eta": self.shooting.eta,
-                "rho_l": self.shooting.rho_l,
-                "scan_points": self.shooting.scan_points,
-                "refine_tol": self.shooting.refine_tol,
-                "max_bisections": self.shooting.max_bisections,
-            },
-            "integrator": {
-                "rel_tol": self.integrator.rel_tol,
-                "abs_tol": self.integrator.abs_tol,
-                "h_init": self.integrator.h_init,
-                "h_min": self.integrator.h_min,
-                "h_max": self.integrator.h_max,
-                "u_cap": self.integrator.u_cap,
-            },
+            **config_echo(self.params, self.shooting, self.integrator),
             "grid": list(self.grid) if self.grid is not None else None,
             "format": self.fmt,
         }
@@ -99,24 +77,16 @@ class RunConfig:
 
 def run_config_from_dict(data: dict) -> RunConfig:
     """Rebuild a RunConfig from a JSON report's configuration echo."""
-    params = ProblemParams(
-        p=data["params"]["p"],
-        epsilon=data["params"]["epsilon"],
-        half_length=data["params"]["half_length"],
-        peak_rho=data["params"]["peak_rho"],
-        kind=SpikeKind(data["params"]["kind"]),
-    )
+    params = ProblemParams(**{**data["params"], "kind": SpikeKind(data["params"]["kind"])})
     shooting = ShootingConfig(**data["shooting"])
     integrator = IntegratorConfig(**data["integrator"])
-    grid = tuple(data["grid"]) if data.get("grid") is not None else None
-    if grid is not None:
-        grid = (float(grid[0]), float(grid[1]), int(grid[2]))
+    grid = data.get("grid")
     return RunConfig(
         command=data["command"],
         params=params,
         shooting=shooting,
         integrator=integrator,
-        grid=grid,
+        grid=None if grid is None else (float(grid[0]), float(grid[1]), int(grid[2])),
         out=data.get("out"),
         fmt=data.get("format", "csv"),
     )
@@ -125,6 +95,11 @@ def run_config_from_dict(data: dict) -> RunConfig:
 def _fmt(value: float) -> str:
     # +0.0 collapses negative zero so reruns cannot differ in sign of zero.
     return format(value + 0.0, ".17g")
+
+
+def _status(text: str) -> None:
+    # Status goes to stderr so stdout carries nothing but the artifact.
+    print(text, file=sys.stderr)
 
 
 def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
@@ -159,22 +134,19 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _comparison_rows(report: ComparisonReport):
-    return list(report.rows())
+def _emit_report(config: RunConfig, rows, result) -> None:
+    """Write ``rows`` as CSV, or ``result`` under the config echo as JSON."""
+    if config.fmt == "csv":
+        _emit(_csv_text(rows), config.out)
+    else:
+        _emit(_json_text({"config": config.to_dict(), "result": result}), config.out)
 
 
 def _run_analytic(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
     values = [eval_spike_rho(config.params, rho) for rho in grid]
-    if config.fmt == "csv":
-        rows = [(rho, u, None, None, None) for rho, u in zip(grid, values)]
-        _emit(_csv_text(rows), config.out)
-    else:
-        payload = {
-            "config": config.to_dict(),
-            "result": {"rho": grid, "u_analytic": values},
-        }
-        _emit(_json_text(payload), config.out)
+    rows = ((rho, u, None, None, None) for rho, u in zip(grid, values))
+    _emit_report(config, rows, {"rho": grid, "u_analytic": values})
     return 0
 
 
@@ -182,54 +154,43 @@ def _run_residual(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
     residuals = ode_residual(config.params, grid)
     max_residual = max(abs(r) for r in residuals)
-    if config.fmt == "csv":
-        rows = [
-            (rho, eval_spike_rho(config.params, rho), None, None, abs(r))
-            for rho, r in zip(grid, residuals)
-        ]
-        _emit(_csv_text(rows), config.out)
-    else:
-        payload = {
-            "config": config.to_dict(),
-            "result": {"rho": grid, "residual": residuals, "max_abs_residual": max_residual},
-        }
-        _emit(_json_text(payload), config.out)
-    print(f"max |residual| = {_fmt(max_residual)}")
+    rows = (
+        (rho, eval_spike_rho(config.params, rho), None, None, abs(r))
+        for rho, r in zip(grid, residuals)
+    )
+    result = {"rho": grid, "residual": residuals, "max_abs_residual": max_residual}
+    _emit_report(config, rows, result)
+    _status(f"max |residual| = {_fmt(max_residual)}")
     return 0
 
 
-def _shoot_payload(config: RunConfig, result: ShootingResult) -> dict:
+def _shoot_result(result: ShootingResult) -> dict:
     return {
-        "config": config.to_dict(),
-        "result": {
-            "a_star": result.a_star,
-            "amplitude_closed_form": spike_amplitude(config.params.p),
-            "bc_residual": result.bc_residual,
-            "signed_bc_residual": result.signed_bc_residual,
-            "converged": result.converged,
-            "classifications": len(result.classifications),
-            "accepted_steps": result.trajectory.accepted_steps,
-            "rejected_steps": result.trajectory.rejected_steps,
-            "terminal_event": result.trajectory.terminal_event.value,
-        },
+        "a_star": result.a_star,
+        "amplitude_closed_form": spike_amplitude(result.params.p),
+        "bc_residual": result.bc_residual,
+        "signed_bc_residual": result.signed_bc_residual,
+        "converged": result.converged,
+        "classifications": len(result.classifications),
+        "accepted_steps": result.trajectory.accepted_steps,
+        "rejected_steps": result.trajectory.rejected_steps,
+        "terminal_event": result.trajectory.terminal_event.value,
     }
+
+
+def _shoot_rows(params: ProblemParams, result: ShootingResult):
+    for tau, state in result.trajectory.samples:
+        ua = eval_spike_rho(params, params.peak_rho + tau)
+        yield tau, ua, state.u, state.v, abs(ua - state.u)
 
 
 def _run_shoot(config: RunConfig) -> int:
     result = shoot(config.params, config.shooting, config.integrator)
-    print(
+    _status(
         f"a_star = {_fmt(result.a_star)}  bc_residual = {_fmt(result.bc_residual)}  "
         f"converged = {str(result.converged).lower()}"
     )
-    if config.fmt == "csv":
-        peak = config.params.peak_rho
-        rows = []
-        for tau, state in result.trajectory.samples:
-            ua = eval_spike_rho(config.params, peak + tau)
-            rows.append((tau, ua, state.u, state.v, abs(ua - state.u)))
-        _emit(_csv_text(rows), config.out)
-    else:
-        _emit(_json_text(_shoot_payload(config, result)), config.out)
+    _emit_report(config, _shoot_rows(config.params, result), _shoot_result(result))
     return 0 if result.converged else 1
 
 
@@ -239,124 +200,98 @@ def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
     return (-_SWEEP_SPAN, _SWEEP_SPAN, _SWEEP_GRID_POINTS)
 
 
-def _run_compare(config: RunConfig) -> int:
+def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport]:
+    """Shoot, compare on the configured grid, and write the report.  An
+    unconverged shoot is a solver failure, reported through :func:`run`'s
+    diagnostic path."""
     result = shoot(config.params, config.shooting, config.integrator)
-    grid = _make_grid(config.grid if config.grid is not None else _default_grid(config.params))
-    report = compare(config.params, result, grid)
-    print(
+    if not result.converged:
+        raise ShootingError(
+            f"{config.params.kind.value} spike at p={config.params.p!r}: shooting did not "
+            f"converge (bc_residual={result.bc_residual!r} exceeds eta={config.shooting.eta!r})"
+        )
+    grid = config.grid if config.grid is not None else _default_grid(config.params)
+    report = compare(config.params, result, _make_grid(grid))
+    comparison = {
+        "grid": report.grid,
+        "analytic": report.analytic,
+        "numeric": report.numeric,
+        "numeric_v": report.numeric_v,
+        "max_abs_err": report.max_abs_err,
+        "l2_err": report.l2_err,
+    }
+    _emit_report(config, report.rows(), {**_shoot_result(result), "comparison": comparison})
+    return result, report
+
+
+def _run_compare(config: RunConfig) -> int:
+    result, report = _run_comparison(config)
+    _status(
         f"a_star = {_fmt(result.a_star)}  max_abs_err = {_fmt(report.max_abs_err)}  "
         f"l2_err = {_fmt(report.l2_err)}"
     )
-    if config.fmt == "csv":
-        _emit(_csv_text(_comparison_rows(report)), config.out)
-    else:
-        payload = _shoot_payload(config, result)
-        payload["result"]["comparison"] = {
-            "grid": list(report.grid),
-            "analytic": list(report.analytic),
-            "numeric": list(report.numeric),
-            "numeric_v": list(report.numeric_v),
-            "max_abs_err": report.max_abs_err,
-            "l2_err": report.l2_err,
-        }
-        _emit(_json_text(payload), config.out)
-    return 0 if result.converged else 1
+    return 0
+
+
+def _summary_row(result: ShootingResult, report: ComparisonReport) -> dict:
+    """One case of the sweep summary; its keys are the CSV columns."""
+    p = result.params.p
+    amplitude = spike_amplitude(p)
+    return {
+        "p": p,
+        "kind": result.params.kind.value,
+        "a_star": result.a_star,
+        "amplitude": amplitude,
+        "amp_abs_err": abs(result.a_star - amplitude),
+        "bc_residual": result.bc_residual,
+        "signed_bc_residual": result.signed_bc_residual,
+        "max_abs_err": report.max_abs_err,
+        "l2_err": report.l2_err,
+        "converged": result.converged,
+    }
+
+
+def _summary_cell(value: float | str | bool) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else _fmt(value)
 
 
 def _run_sweep(config: RunConfig) -> int:
     out_dir = Path(config.out if config.out is not None else "sweep_out")
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Every case shares the tolerances; only the runaway cap follows p.
+    tolerances = asdict(config.integrator)
+    del tolerances["u_cap"]
     summary_rows = []
-    all_converged = True
     for p in _SWEEP_EXPONENTS:
         for kind in _SWEEP_KINDS:
-            if kind is SpikeKind.INNER:
-                params = ProblemParams.inner(p, config.params.epsilon, config.params.half_length)
-            else:
-                params = ProblemParams.boundary(p, config.params.epsilon, config.params.half_length)
-            shooting = config.shooting
-            integrator = default_integrator_config(
-                p,
-                rel_tol=config.integrator.rel_tol,
-                abs_tol=config.integrator.abs_tol,
-                h_init=config.integrator.h_init,
-                h_min=config.integrator.h_min,
-                h_max=config.integrator.h_max,
+            factory = ProblemParams.inner if kind is SpikeKind.INNER else ProblemParams.boundary
+            params = factory(p, config.params.epsilon, config.params.half_length)
+            case = RunConfig(
+                command="compare",
+                params=params,
+                shooting=config.shooting,
+                integrator=default_integrator_config(p, **tolerances),
+                grid=_default_grid(params),
+                out=str(out_dir / f"compare_p{p:g}_{kind.value}.{config.fmt}"),
+                fmt=config.fmt,
             )
-            result = shoot(params, shooting, integrator)
-            grid = _make_grid(_default_grid(params))
-            report = compare(params, result, grid)
-            all_converged = all_converged and result.converged
-            name = f"compare_p{p:g}_{kind.value}"
-            if config.fmt == "csv":
-                _emit(_csv_text(_comparison_rows(report)), str(out_dir / f"{name}.csv"))
-            else:
-                case_config = RunConfig(
-                    command="compare",
-                    params=params,
-                    shooting=shooting,
-                    integrator=integrator,
-                    grid=_default_grid(params),
-                    out=None,
-                    fmt="json",
-                )
-                payload = _shoot_payload(case_config, result)
-                payload["result"]["comparison"] = {
-                    "grid": list(report.grid),
-                    "analytic": list(report.analytic),
-                    "numeric": list(report.numeric),
-                    "numeric_v": list(report.numeric_v),
-                    "max_abs_err": report.max_abs_err,
-                    "l2_err": report.l2_err,
-                }
-                _emit(_json_text(payload), str(out_dir / f"{name}.json"))
-            summary_rows.append(
-                {
-                    "p": p,
-                    "kind": kind.value,
-                    "a_star": result.a_star,
-                    "amplitude": spike_amplitude(p),
-                    "amp_abs_err": abs(result.a_star - spike_amplitude(p)),
-                    "bc_residual": result.bc_residual,
-                    "signed_bc_residual": result.signed_bc_residual,
-                    "max_abs_err": report.max_abs_err,
-                    "l2_err": report.l2_err,
-                    "converged": result.converged,
-                }
-            )
-            print(
+            result, report = _run_comparison(case)
+            summary_rows.append(_summary_row(result, report))
+            _status(
                 f"p={p:g} {kind.value}: a_star={_fmt(result.a_star)} "
                 f"max_abs_err={_fmt(report.max_abs_err)} "
                 f"converged={str(result.converged).lower()}"
             )
 
-    header = (
-        "p,kind,a_star,amplitude,amp_abs_err,bc_residual,"
-        "signed_bc_residual,max_abs_err,l2_err,converged"
-    )
-    lines = [header]
-    for row in summary_rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row["p"]),
-                    row["kind"],
-                    _fmt(row["a_star"]),
-                    _fmt(row["amplitude"]),
-                    _fmt(row["amp_abs_err"]),
-                    _fmt(row["bc_residual"]),
-                    _fmt(row["signed_bc_residual"]),
-                    _fmt(row["max_abs_err"]),
-                    _fmt(row["l2_err"]),
-                    str(row["converged"]).lower(),
-                ]
-            )
-        )
     if config.fmt == "csv":
+        lines = [",".join(summary_rows[0])]
+        lines += [",".join(_summary_cell(cell) for cell in row.values()) for row in summary_rows]
         _emit("\n".join(lines) + "\n", str(out_dir / "summary.csv"))
     else:
         _emit(_json_text({"config": config.to_dict(), "result": summary_rows}), str(out_dir / "summary.json"))
-    return 0 if all_converged else 1
+    return 0
 
 
 _RUNNERS = {
@@ -379,7 +314,7 @@ def run(config: RunConfig) -> int:
         diagnostic = {"config": config.to_dict(), "error": str(exc)}
         if config.out is not None and config.command != "sweep":
             _emit(_json_text(diagnostic), config.out)
-        print(f"solver failure: {exc}")
+        _status(f"solver failure: {exc}")
         return 1
 
 
@@ -415,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--p", type=float, default=2.0, help=f"exponent in [{P_MIN}, {P_MAX}]")
         cmd.add_argument("--epsilon", type=float, default=0.1, help="length-scale ratio in (0, 1)")
-        cmd.add_argument("--L", type=float, default=1.0, dest="half_length", help="half-domain length")
+        cmd.add_argument("--L", type=float, default=1.0, help="half-domain length")
         cmd.add_argument(
             "--spike",
             choices=["inner", "boundary"],
@@ -440,9 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.spike == "boundary" and args.command != "sweep":
-        params = ProblemParams.boundary(args.p, args.epsilon, args.half_length)
+        params = ProblemParams.boundary(args.p, args.epsilon, args.L)
     else:
-        params = ProblemParams.inner(args.p, args.epsilon, args.half_length)
+        params = ProblemParams.inner(args.p, args.epsilon, args.L)
     shooting_kwargs = {"delta": args.delta, "eta": args.eta}
     if args.rho_l is not None:
         shooting_kwargs["rho_l"] = args.rho_l

@@ -32,6 +32,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .analytic import spike_amplitude
 
@@ -42,7 +43,6 @@ __all__ = [
     "DenseSegment",
     "Trajectory",
     "default_integrator_config",
-    "rhs",
     "hamiltonian",
     "integrate",
     "EVENT_LOCATION_TOL",
@@ -154,65 +154,55 @@ class DenseSegment:
 class Trajectory:
     """Result of one integration run.
 
-    ``samples`` holds (rho, state) at the start point and after every
-    accepted (possibly event-truncated) step, with strictly increasing rho.
-    ``v_zero_crossings`` lists sign changes of v located on the dense
-    interpolant, in increasing rho order.
+    ``segments`` holds one dense interpolant per accepted step, the last
+    one possibly truncated by a terminal event, and ``end`` is the final
+    (rho, state): the event location, ``rho_end``, or the last accepted
+    point after a step failure.  ``v_zero_crossings`` lists sign changes of
+    v located on the dense interpolant, in increasing rho order.
     """
 
-    samples: list[tuple[float, State]]
+    segments: list[DenseSegment] = field(repr=False)
+    end: tuple[float, State]
     accepted_steps: int
     rejected_steps: int
     terminal_event: TerminalEvent
-    segments: list[DenseSegment] = field(repr=False, default_factory=list)
     v_zero_crossings: list[tuple[float, State]] = field(default_factory=list)
 
     @property
+    def samples(self) -> list[tuple[float, State]]:
+        """(rho, state) at the start point and after every accepted step,
+        with strictly increasing rho; ``[end]`` when no step was accepted."""
+        return [(seg.rho0, State(seg.u0, seg.v0)) for seg in self.segments] + [self.end]
+
+    @property
     def rho_start(self) -> float:
-        return self.samples[0][0]
+        return self.segments[0].rho0 if self.segments else self.end[0]
 
     @property
     def rho_end(self) -> float:
-        return self.samples[-1][0]
+        return self.end[0]
 
     def eval(self, rho: float) -> State:
         """Dense-output state at any rho covered by the trajectory."""
-        lo, hi = self.rho_start, self.rho_end
+        lo, hi = self.rho_start, self.end[0]
         if rho < lo - 1e-9 or rho > hi + 1e-9:
             raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
         rho = min(max(rho, lo), hi)
         if not self.segments:
-            return self.samples[0][1]
-        starts = self._segment_starts
-        i = bisect.bisect_right(starts, rho) - 1
+            return self.end[1]
+        i = bisect.bisect_right(self._segment_starts, rho) - 1
         i = min(max(i, 0), len(self.segments) - 1)
         return self.segments[i].eval(rho)
 
-    @property
+    @cached_property
     def _segment_starts(self) -> list[float]:
-        starts = getattr(self, "_starts_cache", None)
-        if starts is None:
-            starts = [seg.rho0 for seg in self.segments]
-            object.__setattr__(self, "_starts_cache", starts)
-        return starts
+        return [seg.rho0 for seg in self.segments]
 
 
 def _power(u: float, p: float, integer_p: bool) -> float:
     if u >= 0.0 or integer_p:
         return math.pow(u, p)
     return -math.pow(-u, p)
-
-
-def rhs(state: State, p: float) -> State:
-    """Vector field (u', v') = (v, u - u**p).
-
-    Raises for u < 0 with fractional p, where the power is undefined over
-    the reals; callers are expected to stop at the u = 0 event first.
-    """
-    u = state.u
-    if u < 0.0 and not float(p).is_integer():
-        raise ValueError(f"u**p undefined for u={u!r} < 0 with fractional p={p!r}")
-    return State(state.v, u - math.pow(u, p))
 
 
 def hamiltonian(state: State, p: float) -> float:
@@ -282,7 +272,6 @@ def integrate(
     rho = rho_start
     k1u, k1v = f(u, v)
     h = min(max(config.h_init, h_min), h_max, rho_end - rho_start)
-    samples: list[tuple[float, State]] = [(rho, State(u, v))]
     segments: list[DenseSegment] = []
     crossings: list[tuple[float, State]] = []
     accepted = 0
@@ -373,16 +362,14 @@ def integrate(
         accepted += 1
 
         if terminal is not None:
-            rho_e = rho + theta_end * h_step
-            ue, ve = seg.eval_theta(theta_end)
-            if terminal is TerminalEvent.U_CROSSED_ZERO and ue < 0.0:
-                ue = 0.0
-            samples.append((rho_e, State(ue, ve)))
+            rho = rho + theta_end * h_step
+            u, v = seg.eval_theta(theta_end)
+            if terminal is TerminalEvent.U_CROSSED_ZERO and u < 0.0:
+                u = 0.0
             event = terminal
             break
 
         rho = rho_end if last else rho + h_step
-        samples.append((rho, State(u_new, v_new)))
         u, v = u_new, v_new
         k1u, k1v = k7u, k7v
 
@@ -397,10 +384,10 @@ def integrate(
         h = min(h_max, max(h_min, h_step * factor))
 
     return Trajectory(
-        samples=samples,
+        segments=segments,
+        end=(rho, State(u, v)),
         accepted_steps=accepted,
         rejected_steps=rejected,
         terminal_event=event,
-        segments=segments,
         v_zero_crossings=crossings,
     )

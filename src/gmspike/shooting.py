@@ -26,7 +26,7 @@ coordinate and the integrated distance-from-peak frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .analytic import ProblemParams, SpikeKind, spike_amplitude
@@ -47,6 +47,7 @@ __all__ = [
     "ScanEntry",
     "ScanResult",
     "ShootingResult",
+    "config_echo",
     "ShootingError",
     "NoBracketError",
     "classify",
@@ -143,6 +144,20 @@ class ShootingResult:
     integrator_config: IntegratorConfig
 
 
+def config_echo(
+    params: ProblemParams,
+    shooting: ShootingConfig,
+    integrator: IntegratorConfig,
+) -> dict:
+    """JSON-ready echo of the three configurations, fields in definition
+    order and ``kind`` written as its value."""
+    return {
+        "params": {**asdict(params), "kind": params.kind.value},
+        "shooting": asdict(shooting),
+        "integrator": asdict(integrator),
+    }
+
+
 def _classify_run(
     a: float,
     p: float,
@@ -160,7 +175,7 @@ def _classify_run(
             f"u exceeded the safety cap for amplitude {a!r}; the scan window "
             "does not produce such orbits"
         )
-    last_state = trajectory.samples[-1][1]
+    last_state = trajectory.end[1]
     residual = abs(last_state.u) + abs(last_state.v)
     signed = last_state.u + last_state.v
 

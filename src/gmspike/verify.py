@@ -22,7 +22,7 @@ from .analytic import (
     eval_spike_second_derivative,
 )
 from .ode import Trajectory, hamiltonian
-from .shooting import ShootingResult, eval_profile
+from .shooting import ShootingResult, config_echo, eval_profile
 
 __all__ = [
     "ComparisonReport",
@@ -120,31 +120,7 @@ def compare(params: ProblemParams, result: ShootingResult, rho_grid) -> Comparis
         l2_err=l2_err,
         p=params.p,
         kind=params.kind.value,
-        settings_echo={
-            "params": {
-                "p": params.p,
-                "epsilon": params.epsilon,
-                "half_length": params.half_length,
-                "peak_rho": params.peak_rho,
-                "kind": params.kind.value,
-            },
-            "shooting": {
-                "delta": result.config.delta,
-                "eta": result.config.eta,
-                "rho_l": result.config.rho_l,
-                "scan_points": result.config.scan_points,
-                "refine_tol": result.config.refine_tol,
-                "max_bisections": result.config.max_bisections,
-            },
-            "integrator": {
-                "rel_tol": result.integrator_config.rel_tol,
-                "abs_tol": result.integrator_config.abs_tol,
-                "h_init": result.integrator_config.h_init,
-                "h_min": result.integrator_config.h_min,
-                "h_max": result.integrator_config.h_max,
-                "u_cap": result.integrator_config.u_cap,
-            },
-        },
+        settings_echo=config_echo(params, result.config, result.integrator_config),
     )
 
 

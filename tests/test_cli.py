@@ -51,12 +51,17 @@ class TestArgumentHandling:
         assert out.splitlines()[0] == CSV_HEADER
 
     def test_run_config_round_trips(self, tmp_path):
-        out = tmp_path / "shoot.json"
-        assert cli.main(["shoot", "--p", "3", "--format", "json", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        config = cli.run_config_from_dict(payload["config"])
-        assert config.params.p == 3.0
-        assert cli.run_config_from_dict(config.to_dict()) == config
+        for kind, argv in (
+            ("inner", ["shoot", "--p", "3"]),
+            ("boundary", ["analytic", "--p", "3", "--spike", "boundary"]),
+        ):
+            out = tmp_path / f"{kind}.json"
+            assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            config = cli.run_config_from_dict(payload["config"])
+            assert config.params.p == 3.0
+            assert config.params.kind.value == kind
+            assert cli.run_config_from_dict(config.to_dict()) == config
 
 
 class TestAnalyticCommand:
@@ -88,7 +93,7 @@ class TestResidualCommand:
     def test_reports_maximum(self, capsys, tmp_path):
         out = tmp_path / "residual.csv"
         assert cli.main(["residual", "--p", "3", "--out", str(out)]) == 0
-        message = capsys.readouterr().out
+        message = capsys.readouterr().err
         assert "max |residual|" in message
         value = float(message.strip().rsplit("=", 1)[1])
         assert value < 1e-12
@@ -127,6 +132,12 @@ class TestShootCommand:
         assert float(rows[-1][0]) == 12.0
         assert all(float(row[4]) < 1e-6 for row in rows)
 
+    def test_stdout_carries_only_the_csv(self, capsys):
+        assert cli.main(["shoot", "--p", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(CSV_HEADER + "\n")
+        assert captured.err.startswith("a_star = ")
+
     def test_unmet_tolerance_exits_1(self, tmp_path):
         out = tmp_path / "shoot.json"
         rc = cli.main(
@@ -158,7 +169,7 @@ class TestShootCommand:
         out = tmp_path / "diag.json"
         rc = cli.main(["shoot", "--p", "2", "--format", "json", "--out", str(out)])
         assert rc == 1
-        assert "solver failure" in capsys.readouterr().out
+        assert "solver failure" in capsys.readouterr().err
         diagnostic = json.loads(out.read_text())
         assert diagnostic["error"] == "no usable bracket"
         assert diagnostic["config"]["params"]["p"] == 2.0
@@ -185,6 +196,38 @@ class TestCompareCommand:
         assert float(rows[-1][0]) == 10.0
         assert float(rows[0][0]) == 0.0
         assert abs(float(rows[-1][3])) < 1e-12
+
+    def test_settings_echo_is_the_run_config_echo(self, tmp_path, monkeypatch):
+        reports = []
+        real_compare = cli.compare
+
+        def recording_compare(*args):
+            reports.append(real_compare(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "compare", recording_compare)
+        out = tmp_path / "cmp.json"
+        argv = ["compare", "--p", "3", "--spike", "boundary", "--format", "json"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        written = cli.run_config_from_dict(json.loads(out.read_text())["config"]).to_dict()
+        expected = {key: written[key] for key in ("params", "shooting", "integrator")}
+        echo = reports[0].settings_echo
+        assert echo == expected
+        # json.dumps keeps insertion order, so this also pins the key order.
+        assert json.dumps(echo) == json.dumps(expected)
+
+    def test_unconverged_shoot_is_a_solver_failure(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["compare", "--p", "2", "--eta", "1e-9", "--delta", "1e-10", "--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "solver failure" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        diagnostic = json.loads(out.read_text())
+        assert set(diagnostic) == {"config", "error"}
+        assert diagnostic["config"]["command"] == "compare"
+        assert "did not converge" in diagnostic["error"]
 
 
 class TestSweepCommand:

@@ -1,0 +1,88 @@
+"""Byte-level golden check of the CLI artifacts.
+
+The CSV and JSON files the CLI writes are the project's contract: identical
+inputs must give identical bytes, and a refactor must not move a single one.
+``golden_sha256.json`` holds the sha256 of every artifact below, as written
+when the file was last regenerated.  The artifacts embed no paths, so their
+digests do not depend on the output directory.
+
+A deliberate change of the numbers regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from gmspike import cli
+
+GOLDEN = Path(__file__).with_name("golden_sha256.json")
+
+# Artifact name -> CLI arguments before ``--out``.
+SINGLE_COMMANDS = {
+    "shoot_p3.csv": ["shoot", "--p", "3"],
+    "shoot_p2.5.json": ["shoot", "--p", "2.5", "--format", "json"],
+    "compare_p3_boundary.json": ["compare", "--p", "3", "--spike", "boundary", "--format", "json"],
+    "analytic_p2.json": ["analytic", "--p", "2", "--format", "json"],
+    "residual_p4.csv": ["residual", "--p", "4"],
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _dir_digests(directory: Path, prefix: str) -> dict:
+    return {f"{prefix}/{path.name}": _sha256(path) for path in sorted(directory.iterdir())}
+
+
+def _json_sweep_digests(out: Path) -> dict:
+    assert cli.main(["sweep", "--format", "json", "--out", str(out)]) == 0
+    return _dir_digests(out, "sweep_json")
+
+
+def _single_digests(out_dir: Path) -> dict:
+    digests = {}
+    for name, argv in SINGLE_COMMANDS.items():
+        out = out_dir / name
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        digests[name] = _sha256(out)
+    return digests
+
+
+def test_sweep_csv_matches_golden(sweep_dirs):
+    golden = json.loads(GOLDEN.read_text())
+    digests = _dir_digests(sweep_dirs[0], "sweep_csv")
+    assert digests == {k: v for k, v in golden.items() if k.startswith("sweep_csv/")}
+
+
+def test_sweep_json_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    digests = _json_sweep_digests(tmp_path)
+    assert digests == {k: v for k, v in golden.items() if k.startswith("sweep_json/")}
+
+
+def test_single_commands_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    digests = _single_digests(tmp_path)
+    assert digests == {k: golden[k] for k in SINGLE_COMMANDS}
+
+
+def _regenerate() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for sub in ("csv", "json", "single"):
+            (root / sub).mkdir()
+        assert cli.main(["sweep", "--out", str(root / "csv")]) == 0
+        digests = _dir_digests(root / "csv", "sweep_csv")
+        digests.update(_json_sweep_digests(root / "json"))
+        digests.update(_single_digests(root / "single"))
+    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -17,7 +17,6 @@ from gmspike import (
     eval_spike_rho,
     hamiltonian,
     integrate,
-    rhs,
     spike_amplitude,
 )
 
@@ -32,21 +31,6 @@ UNSATISFIABLE = IntegratorConfig(
 
 def fixed_step_config(h):
     return IntegratorConfig(rel_tol=1.0, abs_tol=1e6, h_init=h, h_min=h, h_max=h)
-
-
-class TestRhs:
-    def test_values(self):
-        out = rhs(State(1.2, 0.3), 2.0)
-        assert out.u == 0.3
-        assert out.v == pytest.approx(1.2 - 1.44, rel=1e-15)
-
-    def test_negative_u_allowed_for_integer_p(self):
-        out = rhs(State(-1.0, 0.0), 3.0)
-        assert out.v == pytest.approx(-1.0 - (-1.0) ** 3, abs=1e-15)
-
-    def test_negative_u_rejected_for_fractional_p(self):
-        with pytest.raises(ValueError):
-            rhs(State(-0.1, 0.0), 2.5)
 
 
 class TestHamiltonian:
