@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +41,7 @@ from .analytic import (
     spike_amplitude,
 )
 from .ode import IntegratorConfig, default_integrator_config
-from .shooting import ShootingConfig, ShootingError, ShootingResult, config_echo, shoot
+from .shooting import NoBracketError, ShootingConfig, ShootingError, ShootingResult, shoot
 from .verify import ComparisonReport, compare, ode_residual
 
 __all__ = ["RunConfig", "run", "main", "run_config_from_dict"]
@@ -66,10 +66,21 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
 
+    def __post_init__(self) -> None:
+        if self.grid is not None:
+            start, end, count = self.grid
+            if count < 2:
+                raise ValueError("grid needs at least 2 points")
+            if not (end > start):
+                raise ValueError("grid end must exceed start")
+
     def to_dict(self) -> dict:
+        """JSON echo, fields in definition order; :func:`run_config_from_dict` inverts it."""
         return {
             "command": self.command,
-            **config_echo(self.params, self.shooting, self.integrator),
+            "params": {**asdict(self.params), "kind": self.params.kind.value},
+            "shooting": asdict(self.shooting),
+            "integrator": asdict(self.integrator),
             "grid": list(self.grid) if self.grid is not None else None,
             "format": self.fmt,
         }
@@ -104,20 +115,23 @@ def _status(text: str) -> None:
 
 def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
     start, end, count = bounds
-    if count < 2:
-        raise ValueError("grid needs at least 2 points")
-    if not (end > start):
-        raise ValueError("grid end must exceed start")
     step = (end - start) / (count - 1)
     grid = [start + i * step for i in range(count)]
     grid[-1] = end
     return grid
 
 
-def _csv_text(rows) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join("" if cell is None else _fmt(cell) for cell in row))
+def _cell(value: float | str | bool | None) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def _csv_text(rows, header: str) -> str:
+    lines = [header]
+    lines += [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -134,10 +148,10 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _emit_report(config: RunConfig, rows, result) -> None:
+def _emit_report(config: RunConfig, rows, result, header: str = CSV_HEADER) -> None:
     """Write ``rows`` as CSV, or ``result`` under the config echo as JSON."""
     if config.fmt == "csv":
-        _emit(_csv_text(rows), config.out)
+        _emit(_csv_text(rows, header), config.out)
     else:
         _emit(_json_text({"config": config.to_dict(), "result": result}), config.out)
 
@@ -200,32 +214,32 @@ def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
     return (-_SWEEP_SPAN, _SWEEP_SPAN, _SWEEP_GRID_POINTS)
 
 
-def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport]:
+def _not_converged(result: ShootingResult) -> str:
+    return (
+        f"{result.params.kind.value} spike at p={result.params.p!r}: shooting did not "
+        f"converge (bc_residual={result.bc_residual!r} exceeds eta={result.config.eta!r})"
+    )
+
+
+def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport | None]:
     """Shoot, compare on the configured grid, and write the report.  An
-    unconverged shoot is a solver failure, reported through :func:`run`'s
-    diagnostic path."""
+    unconverged shoot writes nothing and gives no report."""
     result = shoot(config.params, config.shooting, config.integrator)
     if not result.converged:
-        raise ShootingError(
-            f"{config.params.kind.value} spike at p={config.params.p!r}: shooting did not "
-            f"converge (bc_residual={result.bc_residual!r} exceeds eta={config.shooting.eta!r})"
-        )
+        return result, None
     grid = config.grid if config.grid is not None else _default_grid(config.params)
-    report = compare(config.params, result, _make_grid(grid))
-    comparison = {
-        "grid": report.grid,
-        "analytic": report.analytic,
-        "numeric": report.numeric,
-        "numeric_v": report.numeric_v,
-        "max_abs_err": report.max_abs_err,
-        "l2_err": report.l2_err,
-    }
+    report = compare(result, _make_grid(grid))
+    # A shallow copy: asdict would deep-copy every float of a dense grid.
+    comparison = {field.name: getattr(report, field.name) for field in fields(report)}
     _emit_report(config, report.rows(), {**_shoot_result(result), "comparison": comparison})
     return result, report
 
 
 def _run_compare(config: RunConfig) -> int:
     result, report = _run_comparison(config)
+    if report is None:
+        # A solver failure, reported through run()'s diagnostic path.
+        raise ShootingError(_not_converged(result))
     _status(
         f"a_star = {_fmt(result.a_star)}  max_abs_err = {_fmt(report.max_abs_err)}  "
         f"l2_err = {_fmt(report.l2_err)}"
@@ -233,8 +247,9 @@ def _run_compare(config: RunConfig) -> int:
     return 0
 
 
-def _summary_row(result: ShootingResult, report: ComparisonReport) -> dict:
-    """One case of the sweep summary; its keys are the CSV columns."""
+def _summary_row(result: ShootingResult, report: ComparisonReport | None) -> dict:
+    """One case of the sweep summary; its keys are the CSV columns.  An
+    unconverged case has no report, so its error columns are empty."""
     p = result.params.p
     amplitude = spike_amplitude(p)
     return {
@@ -245,16 +260,10 @@ def _summary_row(result: ShootingResult, report: ComparisonReport) -> dict:
         "amp_abs_err": abs(result.a_star - amplitude),
         "bc_residual": result.bc_residual,
         "signed_bc_residual": result.signed_bc_residual,
-        "max_abs_err": report.max_abs_err,
-        "l2_err": report.l2_err,
+        "max_abs_err": None if report is None else report.max_abs_err,
+        "l2_err": None if report is None else report.l2_err,
         "converged": result.converged,
     }
-
-
-def _summary_cell(value: float | str | bool) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    return value if isinstance(value, str) else _fmt(value)
 
 
 def _run_sweep(config: RunConfig) -> int:
@@ -279,19 +288,19 @@ def _run_sweep(config: RunConfig) -> int:
             )
             result, report = _run_comparison(case)
             summary_rows.append(_summary_row(result, report))
+            if report is None:
+                _status(f"solver failure: {_not_converged(result)}")
+                continue
             _status(
                 f"p={p:g} {kind.value}: a_star={_fmt(result.a_star)} "
                 f"max_abs_err={_fmt(report.max_abs_err)} "
                 f"converged={str(result.converged).lower()}"
             )
 
-    if config.fmt == "csv":
-        lines = [",".join(summary_rows[0])]
-        lines += [",".join(_summary_cell(cell) for cell in row.values()) for row in summary_rows]
-        _emit("\n".join(lines) + "\n", str(out_dir / "summary.csv"))
-    else:
-        _emit(_json_text({"config": config.to_dict(), "result": summary_rows}), str(out_dir / "summary.json"))
-    return 0
+    summary = replace(config, out=str(out_dir / f"summary.{config.fmt}"))
+    rows = (row.values() for row in summary_rows)
+    _emit_report(summary, rows, summary_rows, header=",".join(summary_rows[0]))
+    return 0 if all(row["converged"] for row in summary_rows) else 1
 
 
 _RUNNERS = {
@@ -312,6 +321,10 @@ def run(config: RunConfig) -> int:
         return runner(config)
     except ShootingError as exc:
         diagnostic = {"config": config.to_dict(), "error": str(exc)}
+        if isinstance(exc, NoBracketError):
+            # Keep the verdict table that explains the failure.
+            entries = exc.scan_result.entries
+            diagnostic["scan"] = [{**asdict(e), "verdict": e.verdict.value} for e in entries]
         if config.out is not None and config.command != "sweep":
             _emit(_json_text(diagnostic), config.out)
         _status(f"solver failure: {exc}")
@@ -327,10 +340,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         count = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
-    if count < 2:
-        raise argparse.ArgumentTypeError("grid count must be at least 2")
-    if not (end > start):
-        raise argparse.ArgumentTypeError("grid end must exceed start")
     return (start, end, count)
 
 

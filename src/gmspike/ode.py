@@ -282,38 +282,43 @@ def integrate(
         last = rho + h >= rho_end
         h_step = rho_end - rho if last else h
 
-        yu = u + h_step * (_A21 * k1u)
-        yv = v + h_step * (_A21 * k1v)
-        k2u, k2v = f(yu, yv)
-        yu = u + h_step * (_A31 * k1u + _A32 * k2u)
-        yv = v + h_step * (_A31 * k1v + _A32 * k2v)
-        k3u, k3v = f(yu, yv)
-        yu = u + h_step * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-        yv = v + h_step * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        k4u, k4v = f(yu, yv)
-        yu = u + h_step * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-        yv = v + h_step * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        k5u, k5v = f(yu, yv)
-        yu = u + h_step * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-        yv = v + h_step * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        k6u, k6v = f(yu, yv)
-        u_new = u + h_step * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        v_new = v + h_step * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        k7u, k7v = f(u_new, v_new)
+        try:
+            yu = u + h_step * (_A21 * k1u)
+            yv = v + h_step * (_A21 * k1v)
+            k2u, k2v = f(yu, yv)
+            yu = u + h_step * (_A31 * k1u + _A32 * k2u)
+            yv = v + h_step * (_A31 * k1v + _A32 * k2v)
+            k3u, k3v = f(yu, yv)
+            yu = u + h_step * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+            yv = v + h_step * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
+            k4u, k4v = f(yu, yv)
+            yu = u + h_step * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+            yv = v + h_step * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+            k5u, k5v = f(yu, yv)
+            yu = u + h_step * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+            yv = v + h_step * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+            k6u, k6v = f(yu, yv)
+            u_new = u + h_step * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+            v_new = v + h_step * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+            k7u, k7v = f(u_new, v_new)
+        except OverflowError:
+            # u**p overflowed at a trial stage: the step is far too long.
+            err_norm = math.inf
+        else:
+            err_u = h_step * (
+                _E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u
+            )
+            err_v = h_step * (
+                _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v
+            )
+            scale_u = ab + rel * max(abs(u), abs(u_new))
+            scale_v = ab + rel * max(abs(v), abs(v_new))
+            ratio_u = err_u / scale_u
+            ratio_v = err_v / scale_v
+            err_norm = math.sqrt(0.5 * (ratio_u * ratio_u + ratio_v * ratio_v))
 
-        err_u = h_step * (
-            _E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u
-        )
-        err_v = h_step * (
-            _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v
-        )
-        scale_u = ab + rel * max(abs(u), abs(u_new))
-        scale_v = ab + rel * max(abs(v), abs(v_new))
-        ratio_u = err_u / scale_u
-        ratio_v = err_v / scale_v
-        err_norm = math.sqrt(0.5 * (ratio_u * ratio_u + ratio_v * ratio_v))
-
-        if err_norm > 1.0:
+        # Written so that a NaN estimate is rejected too.
+        if not err_norm <= 1.0:
             rejected += 1
             h = h_step * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
             if h < h_min:

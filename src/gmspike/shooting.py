@@ -26,8 +26,9 @@ coordinate and the integrated distance-from-peak frame.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .analytic import ProblemParams, SpikeKind, spike_amplitude
 from .ode import (
@@ -47,7 +48,7 @@ __all__ = [
     "ScanEntry",
     "ScanResult",
     "ShootingResult",
-    "config_echo",
+    "Shot",
     "ShootingError",
     "NoBracketError",
     "classify",
@@ -144,27 +145,31 @@ class ShootingResult:
     integrator_config: IntegratorConfig
 
 
-def config_echo(
-    params: ProblemParams,
-    shooting: ShootingConfig,
-    integrator: IntegratorConfig,
-) -> dict:
-    """JSON-ready echo of the three configurations, fields in definition
-    order and ``kind`` written as its value."""
-    return {
-        "params": {**asdict(params), "kind": params.kind.value},
-        "shooting": asdict(shooting),
-        "integrator": asdict(integrator),
-    }
+class Shot(NamedTuple):
+    """One integration from (a, 0) and the verdict it earned."""
+
+    verdict: Verdict
+    trajectory: Trajectory
+    bc_residual: float
+    signed_bc_residual: float
 
 
-def _classify_run(
+def classify(
     a: float,
     p: float,
     rho_l: float,
-    config: IntegratorConfig,
-    eta: float,
-) -> tuple[Verdict, Trajectory, float, float]:
+    config: IntegratorConfig | None = None,
+    eta: float = 0.01,
+) -> Shot:
+    """Integrate one shot from (a, 0) to rho_l and classify it.
+
+    Returns a :class:`Shot`: ``verdict`` is overshoot, undershoot, or
+    connect; ``trajectory`` is the integrated orbit; ``bc_residual`` is
+    |u| + |v| and ``signed_bc_residual`` is u + v at its final sample (at
+    rho_l, or at the terminating event if one fired first).
+    """
+    if config is None:
+        config = default_integrator_config(p)
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"amplitude must be positive, got {a!r}")
     trajectory = integrate(State(a, 0.0), 0.0, rho_l, p, config)
@@ -195,21 +200,7 @@ def _classify_run(
             if hamiltonian(last_state, p) < 0.0
             else Verdict.OVERSHOOT
         )
-    return verdict, trajectory, residual, signed
-
-
-def classify(
-    a: float,
-    p: float,
-    rho_l: float,
-    config: IntegratorConfig | None = None,
-    eta: float = 0.01,
-) -> Verdict:
-    """Classify one shot from (a, 0) as overshoot, undershoot, or connect."""
-    if config is None:
-        config = default_integrator_config(p)
-    verdict, _, _, _ = _classify_run(a, p, rho_l, config, eta)
-    return verdict
+    return Shot(verdict, trajectory, residual, signed)
 
 
 def scan(
@@ -236,7 +227,8 @@ def scan(
     entries = []
     for i in range(n):
         a = amp - config.delta + i * step
-        verdict, _, residual, _ = _classify_run(a, p, config.rho_l, integrator_config, config.eta)
+        # Unpacked so that each trajectory is freed before the next is built.
+        verdict, _, residual, _ = classify(a, p, config.rho_l, integrator_config, config.eta)
         entries.append(ScanEntry(a=a, verdict=verdict, bc_residual=residual))
 
     last_under = None
@@ -286,7 +278,7 @@ def shoot(
                 a_star = 0.5 * (lo + hi)
                 break
             mid = 0.5 * (lo + hi)
-            verdict, _, _, _ = _classify_run(mid, p, config.rho_l, integrator_config, config.eta)
+            verdict = classify(mid, p, config.rho_l, integrator_config, config.eta).verdict
             classifications.append((mid, verdict))
             if verdict is Verdict.CONNECT:
                 a_star = mid
@@ -312,17 +304,15 @@ def shoot(
         best = min(connecting, key=lambda e: e.bc_residual)
         a_star = best.a
 
-    verdict, trajectory, residual, signed = _classify_run(
-        a_star, p, config.rho_l, integrator_config, config.eta
-    )
-    classifications.append((a_star, verdict))
+    final = classify(a_star, p, config.rho_l, integrator_config, config.eta)
+    classifications.append((a_star, final.verdict))
     return ShootingResult(
         a_star=a_star,
-        trajectory=trajectory,
-        bc_residual=residual,
+        trajectory=final.trajectory,
+        bc_residual=final.bc_residual,
         classifications=tuple(classifications),
-        converged=residual <= config.eta,
-        signed_bc_residual=signed,
+        converged=final.bc_residual <= config.eta,
+        signed_bc_residual=final.signed_bc_residual,
         bracket_history=tuple(bracket_history),
         params=params,
         config=config,

@@ -22,7 +22,7 @@ from .analytic import (
     eval_spike_second_derivative,
 )
 from .ode import Trajectory, hamiltonian
-from .shooting import ShootingResult, config_echo, eval_profile
+from .shooting import ShootingResult, eval_profile
 
 __all__ = [
     "ComparisonReport",
@@ -44,9 +44,6 @@ class ComparisonReport:
     numeric_v: tuple[float, ...]
     max_abs_err: float
     l2_err: float
-    p: float
-    kind: str
-    settings_echo: dict
 
     def rows(self):
         """Yield (rho, analytic, numeric, numeric_v, abs_error) per grid point."""
@@ -85,8 +82,8 @@ def fd_residual(params: ProblemParams, rho: float, h: float = 1e-4) -> float:
     return fd_second_derivative(params, rho, h) - u + math.pow(u, params.p)
 
 
-def compare(params: ProblemParams, result: ShootingResult, rho_grid) -> ComparisonReport:
-    """Evaluate both routes on a grid and report max and rms errors.
+def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
+    """Evaluate both routes for ``result.params`` on a grid; report max and rms errors.
 
     The numeric values come from the integrator's dense output through
     :func:`gmspike.shooting.eval_profile`.  Requires a converged shooting
@@ -100,6 +97,7 @@ def compare(params: ProblemParams, result: ShootingResult, rho_grid) -> Comparis
     grid = tuple(float(r) for r in rho_grid)
     if not grid:
         raise ValueError("rho_grid must not be empty")
+    params = result.params
     analytic = []
     numeric = []
     numeric_v = []
@@ -118,9 +116,6 @@ def compare(params: ProblemParams, result: ShootingResult, rho_grid) -> Comparis
         numeric_v=tuple(numeric_v),
         max_abs_err=max_abs_err,
         l2_err=l2_err,
-        p=params.p,
-        kind=params.kind.value,
-        settings_echo=config_echo(params, result.config, result.integrator_config),
     )
 
 

@@ -124,9 +124,9 @@ def test_first_integral_drift_is_bounded_and_tolerance_driven(default_shoots):
 
 
 def test_classification_verdicts_and_bracket_halving():
-    assert classify(1.6, 2.0, DEFAULT_RHO_L) is Verdict.OVERSHOOT
-    assert classify(1.4, 2.0, DEFAULT_RHO_L) is Verdict.UNDERSHOOT
-    assert classify(1.5, 2.0, DEFAULT_RHO_L) is Verdict.CONNECT
+    assert classify(1.6, 2.0, DEFAULT_RHO_L).verdict is Verdict.OVERSHOOT
+    assert classify(1.4, 2.0, DEFAULT_RHO_L).verdict is Verdict.UNDERSHOOT
+    assert classify(1.5, 2.0, DEFAULT_RHO_L).verdict is Verdict.CONNECT
     config = ShootingConfig(eta=1e-6)
     result = shoot(ProblemParams.inner(2.0), config=config)
     history = result.bracket_history

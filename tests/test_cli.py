@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gmspike import ShootingError, cli
+from gmspike import ShootingError, Shot, State, Verdict, cli, integrate, shooting
 from gmspike.cli import CSV_HEADER
 
 SWEEP_FILES = (
@@ -174,6 +174,23 @@ class TestShootCommand:
         assert diagnostic["error"] == "no usable bracket"
         assert diagnostic["config"]["params"]["p"] == 2.0
 
+    def test_no_bracket_diagnostic_keeps_the_scan(self, tmp_path, monkeypatch, capsys):
+        stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
+
+        def always_overshoot(*args, **kwargs):
+            return Shot(Verdict.OVERSHOOT, stub, 1.0, 1.0)
+
+        monkeypatch.setattr(shooting, "classify", always_overshoot)
+        out = tmp_path / "x.json"
+        assert cli.main(["shoot", "--out", str(out)]) == 1
+        assert "solver failure" in capsys.readouterr().err
+        diagnostic = json.loads(out.read_text())
+        assert set(diagnostic) == {"config", "error", "scan"}
+        scan = diagnostic["scan"]
+        assert len(scan) == 41
+        assert [entry["verdict"] for entry in scan] == ["overshoot"] * 41
+        assert all(set(entry) == {"a", "verdict", "bc_residual"} for entry in scan)
+
 
 class TestCompareCommand:
     def test_inner_default_grid(self, tmp_path):
@@ -196,25 +213,6 @@ class TestCompareCommand:
         assert float(rows[-1][0]) == 10.0
         assert float(rows[0][0]) == 0.0
         assert abs(float(rows[-1][3])) < 1e-12
-
-    def test_settings_echo_is_the_run_config_echo(self, tmp_path, monkeypatch):
-        reports = []
-        real_compare = cli.compare
-
-        def recording_compare(*args):
-            reports.append(real_compare(*args))
-            return reports[-1]
-
-        monkeypatch.setattr(cli, "compare", recording_compare)
-        out = tmp_path / "cmp.json"
-        argv = ["compare", "--p", "3", "--spike", "boundary", "--format", "json"]
-        assert cli.main([*argv, "--out", str(out)]) == 0
-        written = cli.run_config_from_dict(json.loads(out.read_text())["config"]).to_dict()
-        expected = {key: written[key] for key in ("params", "shooting", "integrator")}
-        echo = reports[0].settings_echo
-        assert echo == expected
-        # json.dumps keeps insertion order, so this also pins the key order.
-        assert json.dumps(echo) == json.dumps(expected)
 
     def test_unconverged_shoot_is_a_solver_failure(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -255,6 +253,20 @@ class TestSweepCommand:
             assert len(rows) == 401
             recomputed = max(float(r[4]) for r in rows)
             assert recomputed == pytest.approx(float(row[7]), rel=1e-12)
+
+    def test_unconverged_cases_are_summary_rows(self, tmp_path, capsys):
+        argv = ["sweep", "--eta", "1e-9", "--delta", "1e-10", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("solver failure") == 6
+        assert "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["summary.csv"]
+        header, rows = read_rows(tmp_path / "summary.csv")
+        assert header == SUMMARY_HEADER
+        assert len(rows) == 6
+        for row in rows:
+            assert row[7] == row[8] == ""
+            assert row[9] == "false"
 
     def test_reruns_are_byte_identical(self, sweep_dirs):
         match, mismatch, errors = filecmp.cmpfiles(

@@ -218,6 +218,14 @@ class TestEvents:
         assert 0.0 <= end.u <= 1e-9
         assert all(math.isfinite(state.u) for _, state in trajectory.samples)
 
+    def test_overflowing_trial_step_is_rejected(self):
+        # Far above the p = 100 spike, u**100 overflows inside the stages of
+        # the first trial steps; those steps must shrink, not raise.
+        trajectory = integrate(State(1.5, 0.0), 0.0, 2.0, 100.0, default_integrator_config(100.0))
+        assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
+        assert trajectory.rejected_steps >= 1
+        assert trajectory.end[1].u == 0.0
+
 
 class TestOrder:
     def test_constants(self):

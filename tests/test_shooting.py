@@ -11,6 +11,7 @@ from gmspike import (
     ProblemParams,
     ShootingConfig,
     ShootingError,
+    Shot,
     State,
     TerminalEvent,
     Verdict,
@@ -40,21 +41,21 @@ class TestClassify:
     @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
     def test_sides_of_the_connecting_amplitude(self, p):
         amp = spike_amplitude(p)
-        assert classify(amp + 0.1, p, DEFAULT_RHO_L) is Verdict.OVERSHOOT
-        assert classify(amp - 0.1, p, DEFAULT_RHO_L) is Verdict.UNDERSHOOT
-        assert classify(amp, p, DEFAULT_RHO_L) is Verdict.CONNECT
+        assert classify(amp + 0.1, p, DEFAULT_RHO_L).verdict is Verdict.OVERSHOOT
+        assert classify(amp - 0.1, p, DEFAULT_RHO_L).verdict is Verdict.UNDERSHOOT
+        assert classify(amp, p, DEFAULT_RHO_L).verdict is Verdict.CONNECT
 
     def test_reference_amplitudes_p2(self):
-        assert classify(1.6, 2.0, DEFAULT_RHO_L) is Verdict.OVERSHOOT
-        assert classify(1.4, 2.0, DEFAULT_RHO_L) is Verdict.UNDERSHOOT
-        assert classify(1.5, 2.0, 10.0) is Verdict.CONNECT
+        assert classify(1.6, 2.0, DEFAULT_RHO_L).verdict is Verdict.OVERSHOOT
+        assert classify(1.4, 2.0, DEFAULT_RHO_L).verdict is Verdict.UNDERSHOOT
+        assert classify(1.5, 2.0, 10.0).verdict is Verdict.CONNECT
 
     def test_energy_sign_resolves_short_horizons(self):
         # Gap small enough that neither event fires by rho = 5 and the
         # residual there exceeds eta, leaving only the first-integral sign.
         amp = spike_amplitude(2.0)
-        assert classify(amp * (1 + 1e-6), 2.0, 5.0, eta=1e-6) is Verdict.OVERSHOOT
-        assert classify(amp * (1 - 1e-6), 2.0, 5.0, eta=1e-6) is Verdict.UNDERSHOOT
+        assert classify(amp * (1 + 1e-6), 2.0, 5.0, eta=1e-6).verdict is Verdict.OVERSHOOT
+        assert classify(amp * (1 - 1e-6), 2.0, 5.0, eta=1e-6).verdict is Verdict.UNDERSHOOT
 
     def test_integrator_breakdown_is_an_error(self):
         with pytest.raises(ShootingError):
@@ -150,9 +151,9 @@ class TestShoot:
         stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
 
         def always_overshoot(*args, **kwargs):
-            return Verdict.OVERSHOOT, stub, 1.0, 1.0
+            return Shot(Verdict.OVERSHOOT, stub, 1.0, 1.0)
 
-        monkeypatch.setattr(shooting_mod, "_classify_run", always_overshoot)
+        monkeypatch.setattr(shooting_mod, "classify", always_overshoot)
         with pytest.raises(NoBracketError) as excinfo:
             shoot(ProblemParams.inner(2.0))
         entries = excinfo.value.scan_result.entries

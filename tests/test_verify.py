@@ -89,11 +89,8 @@ class TestFiniteDifferences:
 
 class TestCompare:
     def test_report_fields(self, default_shoots):
-        params = ProblemParams.inner(2.0)
         grid = np.linspace(-10.0, 10.0, 201)
-        report = compare(params, default_shoots[2.0], grid)
-        assert report.p == 2.0
-        assert report.kind == "inner"
+        report = compare(default_shoots[2.0], grid)
         assert len(report.grid) == len(report.analytic) == len(report.numeric) == 201
         assert report.max_abs_err < 1e-6
         assert 0.0 < report.l2_err <= report.max_abs_err
@@ -101,8 +98,7 @@ class TestCompare:
         assert report.max_abs_err == max(diffs)
 
     def test_rows_match_arrays(self, default_shoots):
-        params = ProblemParams.inner(2.0)
-        report = compare(params, default_shoots[2.0], [0.0, 1.0, 2.0])
+        report = compare(default_shoots[2.0], [0.0, 1.0, 2.0])
         rows = list(report.rows())
         assert len(rows) == 3
         for i, (rho, ua, un, vn, err) in enumerate(rows):
@@ -113,36 +109,23 @@ class TestCompare:
             assert err == abs(ua - un)
 
     def test_numeric_columns_share_the_symmetry(self, default_shoots):
-        params = ProblemParams.inner(2.0)
-        report = compare(params, default_shoots[2.0], [-2.0, 2.0])
+        report = compare(default_shoots[2.0], [-2.0, 2.0])
         assert report.numeric[0] == report.numeric[1]
         assert report.numeric_v[0] == -report.numeric_v[1]
-
-    def test_settings_echo_round_trips_inputs(self, default_shoots):
-        params = ProblemParams.inner(2.0)
-        report = compare(params, default_shoots[2.0], [0.0])
-        echo = report.settings_echo
-        assert sorted(echo) == ["integrator", "params", "shooting"]
-        assert echo["params"]["p"] == 2.0
-        assert echo["params"]["kind"] == "inner"
-        assert echo["shooting"]["rho_l"] == 12.0
-        assert echo["integrator"]["rel_tol"] == 1e-10
 
     def test_boundary_grid_ends_at_the_wall(self, default_shoots):
         params = ProblemParams.boundary(3.0)
         result = shoot(params)
         grid = np.linspace(params.peak_rho - 10.0, params.peak_rho, 101)
-        report = compare(params, result, grid)
-        assert report.kind == "boundary"
+        report = compare(result, grid)
         assert report.grid[-1] == params.peak_rho
         assert report.numeric[-1] == result.a_star
         assert report.numeric_v[-1] == 0.0
         assert report.max_abs_err < 1e-6
 
     def test_single_point_grid_recovers_the_definitions(self, default_shoots):
-        params = ProblemParams.inner(2.0)
         result = default_shoots[2.0]
-        report = compare(params, result, [0.0])
+        report = compare(result, [0.0])
         assert report.analytic[0] == spike_amplitude(2.0)
         assert report.numeric[0] == result.a_star
         assert report.numeric_v[0] == 0.0
@@ -153,11 +136,11 @@ class TestCompare:
         unconverged = shoot(params, config=ShootingConfig(eta=1e-6))
         assert not unconverged.converged
         with pytest.raises(ValueError):
-            compare(params, unconverged, [0.0, 1.0])
+            compare(unconverged, [0.0, 1.0])
 
     def test_rejects_empty_grid(self, default_shoots):
         with pytest.raises(ValueError):
-            compare(ProblemParams.inner(2.0), default_shoots[2.0], [])
+            compare(default_shoots[2.0], [])
 
 
 class TestFirstIntegral:
