@@ -40,7 +40,7 @@ from .analytic import (
     eval_spike_rho,
     spike_amplitude,
 )
-from .ode import IntegratorConfig, default_integrator_config
+from .ode import IntegratorConfig
 from .shooting import NoBracketError, ShootingConfig, ShootingError, ShootingResult, shoot
 from .verify import ComparisonReport, compare, ode_residual
 
@@ -52,6 +52,10 @@ _SWEEP_EXPONENTS = (2.0, 3.0, 4.0)
 _SWEEP_KINDS = (SpikeKind.INNER, SpikeKind.BOUNDARY)
 _SWEEP_GRID_POINTS = 401
 _SWEEP_SPAN = 10.0
+_SUMMARY_COLUMNS = (
+    "p", "kind", "a_star", "amplitude", "amp_abs_err", "bc_residual",
+    "signed_bc_residual", "max_abs_err", "l2_err", "converged",
+)
 
 
 @dataclass(frozen=True)
@@ -247,31 +251,34 @@ def _run_compare(config: RunConfig) -> int:
     return 0
 
 
-def _summary_row(result: ShootingResult, report: ComparisonReport | None) -> dict:
-    """One case of the sweep summary; its keys are the CSV columns.  An
-    unconverged case has no report, so its error columns are empty."""
-    p = result.params.p
-    amplitude = spike_amplitude(p)
-    return {
-        "p": p,
-        "kind": result.params.kind.value,
-        "a_star": result.a_star,
-        "amplitude": amplitude,
-        "amp_abs_err": abs(result.a_star - amplitude),
-        "bc_residual": result.bc_residual,
-        "signed_bc_residual": result.signed_bc_residual,
-        "max_abs_err": None if report is None else report.max_abs_err,
-        "l2_err": None if report is None else report.l2_err,
-        "converged": result.converged,
-    }
+def _summary_row(
+    params: ProblemParams,
+    result: ShootingResult | None,
+    report: ComparisonReport | None,
+) -> dict:
+    """One case of the sweep summary; its keys are the CSV columns.  A failed
+    shoot gives no result and an unconverged one no report; the columns
+    they would fill stay empty."""
+    row = dict.fromkeys(_SUMMARY_COLUMNS)
+    row.update(p=params.p, kind=params.kind.value, converged=False)
+    if result is not None:
+        amplitude = spike_amplitude(params.p)
+        row.update(
+            a_star=result.a_star,
+            amplitude=amplitude,
+            amp_abs_err=abs(result.a_star - amplitude),
+            bc_residual=result.bc_residual,
+            signed_bc_residual=result.signed_bc_residual,
+            converged=result.converged,
+        )
+    if report is not None:
+        row.update(max_abs_err=report.max_abs_err, l2_err=report.l2_err)
+    return row
 
 
 def _run_sweep(config: RunConfig) -> int:
     out_dir = Path(config.out if config.out is not None else "sweep_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Every case shares the tolerances; only the runaway cap follows p.
-    tolerances = asdict(config.integrator)
-    del tolerances["u_cap"]
     summary_rows = []
     for p in _SWEEP_EXPONENTS:
         for kind in _SWEEP_KINDS:
@@ -281,15 +288,21 @@ def _run_sweep(config: RunConfig) -> int:
                 command="compare",
                 params=params,
                 shooting=config.shooting,
-                integrator=default_integrator_config(p, **tolerances),
+                integrator=config.integrator,
                 grid=_default_grid(params),
                 out=str(out_dir / f"compare_p{p:g}_{kind.value}.{config.fmt}"),
                 fmt=config.fmt,
             )
-            result, report = _run_comparison(case)
-            summary_rows.append(_summary_row(result, report))
-            if report is None:
-                _status(f"solver failure: {_not_converged(result)}")
+            try:
+                result, report = _run_comparison(case)
+            except ShootingError as exc:
+                result, report = None, None
+                failure = f"{kind.value} spike at p={p!r}: {exc}"
+            else:
+                failure = None if report is not None else _not_converged(result)
+            summary_rows.append(_summary_row(params, result, report))
+            if failure is not None:
+                _status(f"solver failure: {failure}")
                 continue
             _status(
                 f"p={p:g} {kind.value}: a_star={_fmt(result.a_star)} "
@@ -325,7 +338,7 @@ def run(config: RunConfig) -> int:
             # Keep the verdict table that explains the failure.
             entries = exc.scan_result.entries
             diagnostic["scan"] = [{**asdict(e), "verdict": e.verdict.value} for e in entries]
-        if config.out is not None and config.command != "sweep":
+        if config.out is not None:
             _emit(_json_text(diagnostic), config.out)
         _status(f"solver failure: {exc}")
         return 1
@@ -391,7 +404,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.rho_l is not None:
         shooting_kwargs["rho_l"] = args.rho_l
     shooting = ShootingConfig(**shooting_kwargs)
-    integrator = default_integrator_config(args.p, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    integrator = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     grid = args.grid
     if grid is None and args.command in ("analytic", "residual"):
         grid = _default_grid(params)
@@ -415,6 +428,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     try:
         return run(config)
+    except ValueError as exc:
+        # Input that only the run can reject: a scan window below zero or
+        # a grid beyond the integrated span or the wall.
+        parser.error(str(exc))
     except BrokenPipeError:
         # The downstream reader went away (e.g. piping into head). Point
         # stdout at devnull so the interpreter's exit-time flush stays quiet.

@@ -12,11 +12,12 @@ which is exactly 0 on the spike orbit and is used as a drift diagnostic.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with the standard
 quartic dense-output interpolant.  Every accepted step is scanned for sign
-changes of u (against 0 and against a safety cap) and of v before the step
-is committed, so phase-plane events cannot be skipped; their locations are
-resolved to 1e-10 in rho by bisecting the dense interpolant.  Zero crossings
-of u and cap crossings terminate the trajectory, zero crossings of v are
-recorded for the shooting classifier.
+changes of u and of v before the step is committed, so phase-plane events
+cannot be skipped; their locations are resolved to 1e-10 in rho by
+bisecting the dense interpolant.  Zero crossings of u terminate the
+trajectory, zero crossings of v are recorded for the shooting classifier.
+No cap on u is needed: H is conserved, so an orbit from (a, 0) never rises
+above the larger of a and the spike height.
 
 For fractional p the right-hand side is undefined at u < 0; trajectories
 are truncated at the u = 0 event, but the internal stage evaluations of the
@@ -34,15 +35,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .analytic import spike_amplitude
-
 __all__ = [
     "TerminalEvent",
     "State",
     "IntegratorConfig",
     "DenseSegment",
     "Trajectory",
-    "default_integrator_config",
     "hamiltonian",
     "integrate",
     "EVENT_LOCATION_TOL",
@@ -90,7 +88,6 @@ _P7 = (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
 class TerminalEvent(Enum):
     REACHED_END = "reached_end"
     U_CROSSED_ZERO = "u_crossed_zero"
-    U_EXCEEDED_CAP = "u_exceeded_cap"
     STEP_FAILURE = "step_failure"
 
 
@@ -109,21 +106,12 @@ class IntegratorConfig:
     h_init: float = 1e-3
     h_min: float = 1e-12
     h_max: float = 0.1
-    u_cap: float = 15.0
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
             raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max")
-        if not (self.u_cap > 0.0):
-            raise ValueError("u_cap must be positive")
-
-
-def default_integrator_config(p: float, **overrides: float) -> IntegratorConfig:
-    """Default tolerances with the runaway cap scaled to the spike height."""
-    overrides.setdefault("u_cap", 10.0 * spike_amplitude(p))
-    return IntegratorConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -240,17 +228,15 @@ def integrate(
     rho_start: float,
     rho_end: float,
     p: float,
-    config: IntegratorConfig | None = None,
+    config: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Integrate the spike system from ``rho_start`` to ``rho_end``.
 
     Adaptive Dormand-Prince 5(4) with local error kept below
     rel_tol * |state| + abs_tol per step.  Returns early with the matching
-    terminal event when u crosses 0, u exceeds the cap, or step-size
-    control underflows h_min; otherwise runs to ``rho_end`` exactly.
+    terminal event when u crosses 0 or step-size control underflows h_min;
+    otherwise runs to ``rho_end`` exactly.
     """
-    if config is None:
-        config = IntegratorConfig()
     if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
         raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
     u, v = initial.u, initial.v
@@ -259,9 +245,6 @@ def integrate(
     integer_p = float(p).is_integer()
     if u < 0.0 and not integer_p:
         raise ValueError("initial u must be nonnegative for fractional p")
-    cap = config.u_cap
-    if u > cap:
-        raise ValueError(f"initial u={u!r} already exceeds u_cap={cap!r}")
 
     rel, ab = config.rel_tol, config.abs_tol
     h_min, h_max = config.h_min, config.h_max
@@ -345,17 +328,11 @@ def integrate(
             ),
         )
 
-        theta_end = 1.0
-        terminal = None
-        if u > 0.0 >= u_new:
-            theta_end = _bisect_theta(seg, 0, 0.0, 0.0, 1.0, 1.0)
-            terminal = TerminalEvent.U_CROSSED_ZERO
-        elif u < cap < u_new:
-            theta_end = _bisect_theta(seg, 0, cap, 0.0, 1.0, -1.0)
-            terminal = TerminalEvent.U_EXCEEDED_CAP
+        crossed_zero = u > 0.0 >= u_new
+        theta_end = _bisect_theta(seg, 0, 0.0, 0.0, 1.0, 1.0) if crossed_zero else 1.0
 
         if (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0):
-            if v_new == 0.0 and terminal is None:
+            if v_new == 0.0 and not crossed_zero:
                 theta_v = 1.0
             else:
                 theta_v = _bisect_theta(seg, 1, 0.0, 0.0, 1.0, v)
@@ -366,12 +343,12 @@ def integrate(
         segments.append(seg)
         accepted += 1
 
-        if terminal is not None:
+        if crossed_zero:
             rho = rho + theta_end * h_step
             u, v = seg.eval_theta(theta_end)
-            if terminal is TerminalEvent.U_CROSSED_ZERO and u < 0.0:
+            if u < 0.0:
                 u = 0.0
-            event = terminal
+            event = TerminalEvent.U_CROSSED_ZERO
             break
 
         rho = rho_end if last else rho + h_step

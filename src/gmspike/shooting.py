@@ -31,15 +31,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .analytic import ProblemParams, SpikeKind, spike_amplitude
-from .ode import (
-    IntegratorConfig,
-    State,
-    TerminalEvent,
-    Trajectory,
-    default_integrator_config,
-    hamiltonian,
-    integrate,
-)
+from .ode import IntegratorConfig, State, TerminalEvent, Trajectory, hamiltonian, integrate
 
 __all__ = [
     "DEFAULT_RHO_L",
@@ -130,7 +122,9 @@ class ShootingResult:
     ``bc_residual`` is |u| + |v| at the final sample of the accepted
     trajectory (at rho_l, or at the terminating event if one fired first);
     ``signed_bc_residual`` is u + v there.  ``classifications`` lists every
-    amplitude examined, scan points first, bisection midpoints after.
+    amplitude examined, scan points first, bisection midpoints after, and
+    ends with the final run's (a_star, verdict), even when that run is the
+    connecting midpoint before it.
     """
 
     a_star: float
@@ -158,7 +152,7 @@ def classify(
     a: float,
     p: float,
     rho_l: float,
-    config: IntegratorConfig | None = None,
+    config: IntegratorConfig = IntegratorConfig(),
     eta: float = 0.01,
 ) -> Shot:
     """Integrate one shot from (a, 0) to rho_l and classify it.
@@ -168,18 +162,11 @@ def classify(
     |u| + |v| and ``signed_bc_residual`` is u + v at its final sample (at
     rho_l, or at the terminating event if one fired first).
     """
-    if config is None:
-        config = default_integrator_config(p)
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"amplitude must be positive, got {a!r}")
     trajectory = integrate(State(a, 0.0), 0.0, rho_l, p, config)
     if trajectory.terminal_event is TerminalEvent.STEP_FAILURE:
         raise ShootingError(f"step size underflow while integrating amplitude {a!r}")
-    if trajectory.terminal_event is TerminalEvent.U_EXCEEDED_CAP:
-        raise ShootingError(
-            f"u exceeded the safety cap for amplitude {a!r}; the scan window "
-            "does not produce such orbits"
-        )
     last_state = trajectory.end[1]
     residual = abs(last_state.u) + abs(last_state.v)
     signed = last_state.u + last_state.v
@@ -205,22 +192,18 @@ def classify(
 
 def scan(
     params: ProblemParams,
-    config: ShootingConfig | None = None,
-    integrator_config: IntegratorConfig | None = None,
+    config: ShootingConfig = ShootingConfig(),
+    integrator_config: IntegratorConfig = IntegratorConfig(),
 ) -> ScanResult:
     """Classify scan_points amplitudes across [amplitude - delta, amplitude + delta].
 
     The bracket, when present, spans from the last undershoot to the first
     overshoot; connecting points in between do not widen it.
     """
-    if config is None:
-        config = ShootingConfig()
     p = params.p
     amp = spike_amplitude(p)
     if amp - config.delta <= 0.0:
         raise ValueError("scan window must stay at positive amplitudes")
-    if integrator_config is None:
-        integrator_config = default_integrator_config(p)
 
     n = config.scan_points
     step = 2.0 * config.delta / (n - 1)
@@ -246,8 +229,8 @@ def scan(
 
 def shoot(
     params: ProblemParams,
-    config: ShootingConfig | None = None,
-    integrator_config: IntegratorConfig | None = None,
+    config: ShootingConfig = ShootingConfig(),
+    integrator_config: IntegratorConfig = IntegratorConfig(),
 ) -> ShootingResult:
     """Scan, bracket, and bisect to the spike amplitude.
 
@@ -255,19 +238,16 @@ def shoot(
     stopping early if a midpoint connects outright.  Without a bracket the
     connecting scan point with the smallest boundary residual is taken.
     Raises :class:`NoBracketError` when the scan neither brackets nor
-    connects.
+    connects.  A connecting midpoint is the final run; otherwise a_star is
+    integrated once more.
     """
-    if config is None:
-        config = ShootingConfig()
     p = params.p
-    if integrator_config is None:
-        integrator_config = default_integrator_config(p)
-
     scan_result = scan(params, config, integrator_config)
     classifications: list[tuple[float, Verdict]] = [
         (e.a, e.verdict) for e in scan_result.entries
     ]
     bracket_history: list[tuple[float, float]] = []
+    final = None
 
     if scan_result.bracket is not None:
         lo, hi = scan_result.bracket
@@ -278,12 +258,12 @@ def shoot(
                 a_star = 0.5 * (lo + hi)
                 break
             mid = 0.5 * (lo + hi)
-            verdict = classify(mid, p, config.rho_l, integrator_config, config.eta).verdict
-            classifications.append((mid, verdict))
-            if verdict is Verdict.CONNECT:
-                a_star = mid
+            shot = classify(mid, p, config.rho_l, integrator_config, config.eta)
+            classifications.append((mid, shot.verdict))
+            if shot.verdict is Verdict.CONNECT:
+                a_star, final = mid, shot
                 break
-            if verdict is Verdict.UNDERSHOOT:
+            if shot.verdict is Verdict.UNDERSHOOT:
                 lo = mid
             else:
                 hi = mid
@@ -304,7 +284,8 @@ def shoot(
         best = min(connecting, key=lambda e: e.bc_residual)
         a_star = best.a
 
-    final = classify(a_star, p, config.rho_l, integrator_config, config.eta)
+    if final is None:
+        final = classify(a_star, p, config.rho_l, integrator_config, config.eta)
     classifications.append((a_star, final.verdict))
     return ShootingResult(
         a_star=a_star,

@@ -11,12 +11,12 @@ import numpy as np
 
 from gmspike import (
     DEFAULT_RHO_L,
+    IntegratorConfig,
     ProblemParams,
     ShootingConfig,
     Verdict,
     check_first_integral,
     classify,
-    default_integrator_config,
     derive_ansatz_constants,
     eval_ansatz,
     eval_spike_rho,
@@ -112,7 +112,7 @@ def test_sweep_artifacts_meet_the_error_budget(sweep_dirs):
 def test_first_integral_drift_is_bounded_and_tolerance_driven(default_shoots):
     accepted = default_shoots[2.0]
     drift = check_first_integral(accepted.trajectory, 2.0)
-    halved = default_integrator_config(2.0, rel_tol=5e-11, abs_tol=5e-13)
+    halved = IntegratorConfig(rel_tol=5e-11, abs_tol=5e-13)
     tight_run = shoot(ProblemParams.inner(2.0), integrator_config=halved)
     tight = check_first_integral(tight_run.trajectory, 2.0)
     assert drift <= 1e-7

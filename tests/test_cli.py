@@ -45,6 +45,23 @@ class TestArgumentHandling:
             cli.main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shoot", "--p", "2", "--delta", "2"],
+            ["compare", "--p", "2", "--grid=-20:20:11"],
+            ["compare", "--p", "2", "--spike", "boundary", "--grid=9:11:5"],
+        ],
+    )
+    def test_input_rejected_by_the_run_exits_2(self, argv, capsys):
+        # The scan window and the grid's reach are checked only once running.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+
     def test_equals_form_accepts_negative_grid(self, capsys):
         assert cli.main(["analytic", "--grid=-2:2:5"]) == 0
         out = capsys.readouterr().out
@@ -267,6 +284,27 @@ class TestSweepCommand:
         for row in rows:
             assert row[7] == row[8] == ""
             assert row[9] == "false"
+
+    def test_failed_shoots_are_summary_rows(self, tmp_path, monkeypatch, capsys):
+        stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
+
+        def always_overshoot(*args, **kwargs):
+            return Shot(Verdict.OVERSHOOT, stub, 1.0, 1.0)
+
+        monkeypatch.setattr(shooting, "classify", always_overshoot)
+        assert cli.main(["sweep", "--format", "json", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("solver failure") == 6
+        assert "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
+        rows = json.loads((tmp_path / "summary.json").read_text())["result"]
+        assert [(row["p"], row["kind"]) for row in rows] == [
+            (p, kind) for p in (2.0, 3.0, 4.0) for kind in ("inner", "boundary")
+        ]
+        for row in rows:
+            assert list(row) == SUMMARY_HEADER.split(",")
+            assert row["converged"] is False
+            assert {row[key] for key in list(row)[2:-1]} == {None}
 
     def test_reruns_are_byte_identical(self, sweep_dirs):
         match, mismatch, errors = filecmp.cmpfiles(

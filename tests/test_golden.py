@@ -6,9 +6,12 @@ inputs must give identical bytes, and a refactor must not move a single one.
 when the file was last regenerated.  The artifacts embed no paths, so their
 digests do not depend on the output directory.
 
-A deliberate change of the numbers regenerates the file with
+A deliberate change of the numbers or of the configuration echo
+regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every artifact whose digest changed, was added or was removed.
 """
 
 import hashlib
@@ -72,6 +75,7 @@ def test_single_commands_match_golden(tmp_path):
 
 
 def _regenerate() -> None:
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for sub in ("csv", "json", "single"):
@@ -81,6 +85,13 @@ def _regenerate() -> None:
         digests.update(_json_sweep_digests(root / "json"))
         digests.update(_single_digests(root / "single"))
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    for key in sorted(digests.keys() | old.keys()):
+        if key not in old:
+            print(f"added: {key}", file=sys.stderr)
+        elif key not in digests:
+            print(f"removed: {key}", file=sys.stderr)
+        elif digests[key] != old[key]:
+            print(f"changed: {key}", file=sys.stderr)
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
 
 

@@ -1,6 +1,8 @@
 """Integrator checks: local model, conservation, events, and dense output."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from gmspike import (
     PROPAGATING_ORDER,
     IntegratorConfig,
     ProblemParams,
+    ShootingConfig,
     State,
     TerminalEvent,
-    default_integrator_config,
     eval_spike_derivative,
     eval_spike_rho,
     hamiltonian,
@@ -57,16 +59,6 @@ class TestHamiltonian:
 
 
 class TestConfig:
-    def test_default_cap_scales_with_amplitude(self):
-        config = default_integrator_config(2.0)
-        assert config.u_cap == pytest.approx(15.0, rel=1e-15)
-        assert config.rel_tol == 1e-10
-
-    def test_overrides_preserved(self):
-        config = default_integrator_config(3.0, rel_tol=1e-8, u_cap=99.0)
-        assert config.rel_tol == 1e-8
-        assert config.u_cap == 99.0
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -74,7 +66,6 @@ class TestConfig:
             {"abs_tol": -1.0},
             {"h_min": 0.2, "h_init": 0.1},
             {"h_max": 1e-6},
-            {"u_cap": 0.0},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -138,7 +129,6 @@ class TestIntegrateBasics:
             (State(1.0, 0.0), (0.0, 0.0)),
             (State(1.0, 0.0), (2.0, 1.0)),
             (State(math.nan, 0.0), (0.0, 1.0)),
-            (State(20.0, 0.0), (0.0, 1.0)),
         ],
     )
     def test_rejects_invalid_setup(self, initial, span):
@@ -198,13 +188,6 @@ class TestEvents:
         assert first_rho == pytest.approx(3.5622832910823736, rel=1e-8)
         assert first_state.u == pytest.approx(0.42749172182100076, rel=1e-7)
 
-    def test_cap_stops_runaway(self):
-        trajectory = integrate(State(1.0, 2.0), 0.0, 5.0, 2.0, IntegratorConfig(u_cap=1.5))
-        assert trajectory.terminal_event is TerminalEvent.U_EXCEEDED_CAP
-        rho_end, end = trajectory.samples[-1]
-        assert end.u == pytest.approx(1.5, abs=1e-8)
-        assert rho_end < 0.5
-
     def test_step_failure_reported(self):
         trajectory = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, UNSATISFIABLE)
         assert trajectory.terminal_event is TerminalEvent.STEP_FAILURE
@@ -221,10 +204,37 @@ class TestEvents:
     def test_overflowing_trial_step_is_rejected(self):
         # Far above the p = 100 spike, u**100 overflows inside the stages of
         # the first trial steps; those steps must shrink, not raise.
-        trajectory = integrate(State(1.5, 0.0), 0.0, 2.0, 100.0, default_integrator_config(100.0))
+        trajectory = integrate(State(1.5, 0.0), 0.0, 2.0, 100.0, IntegratorConfig())
         assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
         assert trajectory.rejected_steps >= 1
         assert trajectory.end[1].u == 0.0
+
+
+class TestNoRunaway:
+    """Why integrate needs no cap on u, and stays free of the closed form."""
+
+    @pytest.mark.parametrize("p", (1.2, 2.0, 100.0))
+    @pytest.mark.parametrize("offset", (-1.0, 0.0, 1.0))
+    def test_orbit_never_rises_above_its_start_or_the_spike(self, p, offset):
+        # H is conserved, so an orbit from (a, 0) stays below max(a, amp);
+        # a spans both edges and the centre of the default scan window.
+        config = ShootingConfig()
+        amp = spike_amplitude(p)
+        a = amp + offset * config.delta
+        trajectory = integrate(State(a, 0.0), 0.0, config.rho_l, p)
+        assert max(state.u for _, state in trajectory.samples) <= max(a, amp)
+
+    def test_ode_imports_nothing_from_analytic(self):
+        source = Path(__file__).parents[1] / "src" / "gmspike" / "ode.py"
+        modules = []
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules.append(node.module or "")
+                if node.module is None:  # from . import <module>
+                    modules += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules += [alias.name for alias in node.names]
+        assert not [m for m in modules if "analytic" in m.split(".")]
 
 
 class TestOrder:

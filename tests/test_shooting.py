@@ -16,7 +16,6 @@ from gmspike import (
     TerminalEvent,
     Verdict,
     classify,
-    default_integrator_config,
     eval_profile,
     eval_spike_rho,
     integrate,
@@ -161,7 +160,7 @@ class TestShoot:
         assert {entry.verdict for entry in entries} == {Verdict.OVERSHOOT}
 
     def test_integrator_config_passthrough(self):
-        tight = default_integrator_config(2.0, rel_tol=1e-11)
+        tight = IntegratorConfig(rel_tol=1e-11)
         result = shoot(ProblemParams.inner(2.0), integrator_config=tight)
         assert result.integrator_config is tight
         assert result.converged
