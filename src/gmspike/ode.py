@@ -11,11 +11,17 @@ with equilibria (0, 0) (saddle) and (1, 0) (centre) and the conserved energy
 which is exactly 0 on the spike orbit and is used as a drift diagnostic.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with the standard
-quartic dense-output interpolant.  Every accepted step is scanned for sign
-changes of u and of v before the step is committed, so phase-plane events
-cannot be skipped; their locations are resolved to 1e-10 in rho by
-bisecting the dense interpolant.  Zero crossings of u terminate the
-trajectory, zero crossings of v are recorded for the shooting classifier.
+quartic dense-output interpolant.  Each accepted step is kept as its raw
+stages; the interpolant's coefficients are built from them only where they
+are read: on a step that changes the sign of u or of v, and on the first
+dense evaluation of a returned trajectory.  Every accepted step is scanned
+for those sign changes before it is committed, so phase-plane events cannot
+be skipped; their locations are resolved to 1e-10 in rho by bisecting the
+dense interpolant.  Zero crossings of u terminate the trajectory, zero
+crossings of v are recorded for the shooting classifier.  On request, the
+first v crossing with 0 < u < u(rho_start) also ends the run (``TURNED``):
+the orbit has turned back inside the homoclinic loop, which settles the
+classifier's verdict, so nothing after it is read.
 No cap on u is needed: H is conserved, so an orbit from (a, 0) never rises
 above the larger of a and the spike height.
 
@@ -39,7 +45,6 @@ __all__ = [
     "TerminalEvent",
     "State",
     "IntegratorConfig",
-    "DenseSegment",
     "Trajectory",
     "hamiltonian",
     "integrate",
@@ -88,6 +93,7 @@ _P7 = (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
 class TerminalEvent(Enum):
     REACHED_END = "reached_end"
     U_CROSSED_ZERO = "u_crossed_zero"
+    TURNED = "turned"
     STEP_FAILURE = "step_failure"
 
 
@@ -138,18 +144,42 @@ class DenseSegment:
         return State(u, v)
 
 
+def _coefficients(
+    k1: float, k3: float, k4: float, k5: float, k6: float, k7: float
+) -> tuple[float, float, float, float]:
+    """Quartic dense-output coefficients of one component of a step."""
+    return (
+        _P1[0] * k1,
+        _P1[1] * k1 + _P3[1] * k3 + _P4[1] * k4 + _P5[1] * k5 + _P6[1] * k6 + _P7[1] * k7,
+        _P1[2] * k1 + _P3[2] * k3 + _P4[2] * k4 + _P5[2] * k5 + _P6[2] * k6 + _P7[2] * k7,
+        _P1[3] * k1 + _P3[3] * k3 + _P4[3] * k4 + _P5[3] * k5 + _P6[3] * k6 + _P7[3] * k7,
+    )
+
+
+def _segment(step: tuple[float, ...]) -> DenseSegment:
+    """Interpolant of one raw step (rho, h, u, v, k1, k3..k7 of u, then of v)."""
+    rho0, h, u0, v0, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v = step
+    return DenseSegment(
+        rho0, h, u0, v0,
+        _coefficients(k1u, k3u, k4u, k5u, k6u, k7u),
+        _coefficients(k1v, k3v, k4v, k5v, k6v, k7v),
+    )
+
+
 @dataclass
 class Trajectory:
     """Result of one integration run.
 
-    ``segments`` holds one dense interpolant per accepted step, the last
-    one possibly truncated by a terminal event, and ``end`` is the final
-    (rho, state): the event location, ``rho_end``, or the last accepted
-    point after a step failure.  ``v_zero_crossings`` lists sign changes of
-    v located on the dense interpolant, in increasing rho order.
+    ``steps`` holds the raw stages of each accepted step as flat tuples
+    (rho, h, u, v, k1, k3..k7 of u, then of v); the last one reaches past
+    ``end`` when a terminal event cut it short.  ``segments`` turns them
+    into dense interpolants on first use.  ``end`` is the final (rho,
+    state): the event location, ``rho_end``, or the last accepted point
+    after a step failure.  ``v_zero_crossings`` lists sign changes of v
+    located on the dense interpolant, in increasing rho order.
     """
 
-    segments: list[DenseSegment] = field(repr=False)
+    steps: list[tuple[float, ...]] = field(repr=False)
     end: tuple[float, State]
     accepted_steps: int
     rejected_steps: int
@@ -160,11 +190,11 @@ class Trajectory:
     def samples(self) -> list[tuple[float, State]]:
         """(rho, state) at the start point and after every accepted step,
         with strictly increasing rho; ``[end]`` when no step was accepted."""
-        return [(seg.rho0, State(seg.u0, seg.v0)) for seg in self.segments] + [self.end]
+        return [(step[0], State(step[2], step[3])) for step in self.steps] + [self.end]
 
     @property
     def rho_start(self) -> float:
-        return self.segments[0].rho0 if self.segments else self.end[0]
+        return self.steps[0][0] if self.steps else self.end[0]
 
     @property
     def rho_end(self) -> float:
@@ -176,15 +206,20 @@ class Trajectory:
         if rho < lo - 1e-9 or rho > hi + 1e-9:
             raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
         rho = min(max(rho, lo), hi)
-        if not self.segments:
+        if not self.steps:
             return self.end[1]
         i = bisect.bisect_right(self._segment_starts, rho) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
+        i = min(max(i, 0), len(self.steps) - 1)
         return self.segments[i].eval(rho)
 
     @cached_property
+    def segments(self) -> list[DenseSegment]:
+        """One dense interpolant per accepted step."""
+        return [_segment(step) for step in self.steps]
+
+    @cached_property
     def _segment_starts(self) -> list[float]:
-        return [seg.rho0 for seg in self.segments]
+        return [step[0] for step in self.steps]
 
 
 def _power(u: float, p: float, integer_p: bool) -> float:
@@ -229,13 +264,16 @@ def integrate(
     rho_end: float,
     p: float,
     config: IntegratorConfig = IntegratorConfig(),
+    *,
+    stop_at_turn: bool = False,
 ) -> Trajectory:
     """Integrate the spike system from ``rho_start`` to ``rho_end``.
 
     Adaptive Dormand-Prince 5(4) with local error kept below
     rel_tol * |state| + abs_tol per step.  Returns early with the matching
-    terminal event when u crosses 0 or step-size control underflows h_min;
-    otherwise runs to ``rho_end`` exactly.
+    terminal event when u crosses 0, when step-size control underflows
+    h_min, or, with ``stop_at_turn``, at the first v crossing with
+    0 < u < initial.u; otherwise runs to ``rho_end`` exactly.
     """
     if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
         raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
@@ -252,10 +290,11 @@ def integrate(
     def f(uu: float, vv: float) -> tuple[float, float]:
         return vv, uu - _power(uu, p, integer_p)
 
+    u_start = u
     rho = rho_start
     k1u, k1v = f(u, v)
     h = min(max(config.h_init, h_min), h_max, rho_end - rho_start)
-    segments: list[DenseSegment] = []
+    steps: list[tuple[float, ...]] = []
     crossings: list[tuple[float, State]] = []
     accepted = 0
     rejected = 0
@@ -309,47 +348,36 @@ def integrate(
                 break
             continue
 
-        seg = DenseSegment(
-            rho0=rho,
-            h=h_step,
-            u0=u,
-            v0=v,
-            cu=(
-                _P1[0] * k1u,
-                _P1[1] * k1u + _P3[1] * k3u + _P4[1] * k4u + _P5[1] * k5u + _P6[1] * k6u + _P7[1] * k7u,
-                _P1[2] * k1u + _P3[2] * k3u + _P4[2] * k4u + _P5[2] * k5u + _P6[2] * k6u + _P7[2] * k7u,
-                _P1[3] * k1u + _P3[3] * k3u + _P4[3] * k4u + _P5[3] * k5u + _P6[3] * k6u + _P7[3] * k7u,
-            ),
-            cv=(
-                _P1[0] * k1v,
-                _P1[1] * k1v + _P3[1] * k3v + _P4[1] * k4v + _P5[1] * k5v + _P6[1] * k6v + _P7[1] * k7v,
-                _P1[2] * k1v + _P3[2] * k3v + _P4[2] * k4v + _P5[2] * k5v + _P6[2] * k6v + _P7[2] * k7v,
-                _P1[3] * k1v + _P3[3] * k3v + _P4[3] * k4v + _P5[3] * k5v + _P6[3] * k6v + _P7[3] * k7v,
-            ),
+        steps.append(
+            (rho, h_step, u, v, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v)
         )
-
-        crossed_zero = u > 0.0 >= u_new
-        theta_end = _bisect_theta(seg, 0, 0.0, 0.0, 1.0, 1.0) if crossed_zero else 1.0
-
-        if (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0):
-            if v_new == 0.0 and not crossed_zero:
-                theta_v = 1.0
-            else:
-                theta_v = _bisect_theta(seg, 1, 0.0, 0.0, 1.0, v)
-            if theta_v <= theta_end:
-                uc, vc = seg.eval_theta(theta_v)
-                crossings.append((rho + theta_v * h_step, State(uc, vc)))
-
-        segments.append(seg)
         accepted += 1
 
-        if crossed_zero:
-            rho = rho + theta_end * h_step
-            u, v = seg.eval_theta(theta_end)
-            if u < 0.0:
-                u = 0.0
-            event = TerminalEvent.U_CROSSED_ZERO
-            break
+        crossed_zero = u > 0.0 >= u_new
+        v_changed = (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0)
+        if crossed_zero or v_changed:
+            seg = _segment(steps[-1])
+            theta_end = _bisect_theta(seg, 0, 0.0, 0.0, 1.0, 1.0) if crossed_zero else 1.0
+            if v_changed:
+                if v_new == 0.0 and not crossed_zero:
+                    theta_v = 1.0
+                else:
+                    theta_v = _bisect_theta(seg, 1, 0.0, 0.0, 1.0, v)
+                if theta_v <= theta_end:
+                    rho_v = rho + theta_v * h_step
+                    uc, vc = seg.eval_theta(theta_v)
+                    crossings.append((rho_v, State(uc, vc)))
+                    if stop_at_turn and 0.0 < uc < u_start:
+                        rho, u, v = rho_v, uc, vc
+                        event = TerminalEvent.TURNED
+                        break
+            if crossed_zero:
+                rho = rho + theta_end * h_step
+                u, v = seg.eval_theta(theta_end)
+                if u < 0.0:
+                    u = 0.0
+                event = TerminalEvent.U_CROSSED_ZERO
+                break
 
         rho = rho_end if last else rho + h_step
         u, v = u_new, v_new
@@ -366,7 +394,7 @@ def integrate(
         h = min(h_max, max(h_min, h_step * factor))
 
     return Trajectory(
-        segments=segments,
+        steps=steps,
         end=(rho, State(u, v)),
         accepted_steps=accepted,
         rejected_steps=rejected,

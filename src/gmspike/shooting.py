@@ -17,6 +17,12 @@ the bracket is tighter than the separation the truncated horizon can
 resolve, under and over events stop firing and the midpoint is the answer
 to within the achievable accuracy.
 
+The scan and the bisection midpoints only need a verdict, so their runs
+stop at an undershoot's first turning point, where the verdict is settled;
+an undershoot's boundary residual is therefore read there, not at rho_l.
+Only the run that is reported is always integrated to rho_l (or to an
+overshoot's u = 0 event).
+
 Boundary spikes reuse the same computation.  The system is autonomous and
 even, so the profile peaking at the right endpoint rho = L / epsilon is the
 inner solution reflected; :func:`eval_profile` maps between the domain
@@ -26,7 +32,7 @@ coordinate and the integrated distance-from-peak frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -100,6 +106,10 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class ScanEntry:
+    """One scanned amplitude.  ``bc_residual`` is |u| + |v| where its run
+    ended: at rho_l, at an overshoot's u = 0 event, or at an undershoot's
+    first turning point."""
+
     a: float
     verdict: Verdict
     bc_residual: float
@@ -107,8 +117,13 @@ class ScanEntry:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """Verdicts across the window.  ``best_connect`` is the connecting
+    amplitude with the smallest residual (the first on ties) and its shot,
+    kept so that a shoot without a bracket does not integrate it again."""
+
     entries: tuple[ScanEntry, ...]
     bracket: tuple[float, float] | None
+    best_connect: tuple[float, Shot] | None = field(default=None, repr=False, compare=False)
 
     @property
     def has_bracket(self) -> bool:
@@ -154,17 +169,21 @@ def classify(
     rho_l: float,
     config: IntegratorConfig = IntegratorConfig(),
     eta: float = 0.01,
+    *,
+    stop_at_turn: bool = False,
 ) -> Shot:
     """Integrate one shot from (a, 0) to rho_l and classify it.
 
     Returns a :class:`Shot`: ``verdict`` is overshoot, undershoot, or
     connect; ``trajectory`` is the integrated orbit; ``bc_residual`` is
     |u| + |v| and ``signed_bc_residual`` is u + v at its final sample (at
-    rho_l, or at the terminating event if one fired first).
+    rho_l, or at the terminating event if one fired first).  With
+    ``stop_at_turn`` an undershoot's run ends at its first turning point,
+    which already settles the verdict; every verdict stays the same.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"amplitude must be positive, got {a!r}")
-    trajectory = integrate(State(a, 0.0), 0.0, rho_l, p, config)
+    trajectory = integrate(State(a, 0.0), 0.0, rho_l, p, config, stop_at_turn=stop_at_turn)
     if trajectory.terminal_event is TerminalEvent.STEP_FAILURE:
         raise ShootingError(f"step size underflow while integrating amplitude {a!r}")
     last_state = trajectory.end[1]
@@ -198,7 +217,8 @@ def scan(
     """Classify scan_points amplitudes across [amplitude - delta, amplitude + delta].
 
     The bracket, when present, spans from the last undershoot to the first
-    overshoot; connecting points in between do not widen it.
+    overshoot; connecting points in between do not widen it.  Undershoots
+    stop at their first turning point.
     """
     p = params.p
     amp = spike_amplitude(p)
@@ -208,11 +228,17 @@ def scan(
     n = config.scan_points
     step = 2.0 * config.delta / (n - 1)
     entries = []
+    best_connect = None
     for i in range(n):
         a = amp - config.delta + i * step
-        # Unpacked so that each trajectory is freed before the next is built.
-        verdict, _, residual, _ = classify(a, p, config.rho_l, integrator_config, config.eta)
-        entries.append(ScanEntry(a=a, verdict=verdict, bc_residual=residual))
+        shot = classify(a, p, config.rho_l, integrator_config, config.eta, stop_at_turn=True)
+        entries.append(ScanEntry(a=a, verdict=shot.verdict, bc_residual=shot.bc_residual))
+        if shot.verdict is Verdict.CONNECT and (
+            best_connect is None or shot.bc_residual < best_connect[1].bc_residual
+        ):
+            best_connect = (a, shot)
+        # Only the best connecting trajectory outlives its iteration.
+        del shot
 
     last_under = None
     first_over = None
@@ -224,7 +250,7 @@ def scan(
     bracket = None
     if last_under is not None and first_over is not None and last_under < first_over:
         bracket = (entries[last_under].a, entries[first_over].a)
-    return ScanResult(entries=tuple(entries), bracket=bracket)
+    return ScanResult(entries=tuple(entries), bracket=bracket, best_connect=best_connect)
 
 
 def shoot(
@@ -238,8 +264,8 @@ def shoot(
     stopping early if a midpoint connects outright.  Without a bracket the
     connecting scan point with the smallest boundary residual is taken.
     Raises :class:`NoBracketError` when the scan neither brackets nor
-    connects.  A connecting midpoint is the final run; otherwise a_star is
-    integrated once more.
+    connects.  A connecting midpoint or scan point is the final run;
+    otherwise a_star is integrated once more, to rho_l.
     """
     p = params.p
     scan_result = scan(params, config, integrator_config)
@@ -258,7 +284,9 @@ def shoot(
                 a_star = 0.5 * (lo + hi)
                 break
             mid = 0.5 * (lo + hi)
-            shot = classify(mid, p, config.rho_l, integrator_config, config.eta)
+            shot = classify(
+                mid, p, config.rho_l, integrator_config, config.eta, stop_at_turn=True
+            )
             classifications.append((mid, shot.verdict))
             if shot.verdict is Verdict.CONNECT:
                 a_star, final = mid, shot
@@ -273,16 +301,14 @@ def shoot(
             raise ShootingError(
                 f"bisection did not reach refine_tol within {config.max_bisections} iterations"
             )
+    elif scan_result.best_connect is not None:
+        a_star, final = scan_result.best_connect
     else:
-        connecting = [e for e in scan_result.entries if e.verdict is Verdict.CONNECT]
-        if not connecting:
-            raise NoBracketError(
-                "scan found no undershoot-to-overshoot transition and no "
-                "connecting amplitude",
-                scan_result,
-            )
-        best = min(connecting, key=lambda e: e.bc_residual)
-        a_star = best.a
+        raise NoBracketError(
+            "scan found no undershoot-to-overshoot transition and no "
+            "connecting amplitude",
+            scan_result,
+        )
 
     if final is None:
         final = classify(a_star, p, config.rho_l, integrator_config, config.eta)

@@ -188,6 +188,21 @@ class TestEvents:
         assert first_rho == pytest.approx(3.5622832910823736, rel=1e-8)
         assert first_state.u == pytest.approx(0.42749172182100076, rel=1e-7)
 
+    def test_turn_ends_a_run_that_asks_for_it(self):
+        full = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0)
+        stopped = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0, stop_at_turn=True)
+        assert stopped.terminal_event is TerminalEvent.TURNED
+        rho_end, end = stopped.end
+        assert abs(end.v) < 1e-9
+        assert 0.0 < end.u < 1.4
+        assert stopped.v_zero_crossings == [stopped.end] == full.v_zero_crossings[:1]
+        assert stopped.steps == full.steps[: len(stopped.steps)]
+        assert stopped.accepted_steps < full.accepted_steps
+        # Started below the centre, the first turn lies above the start: no stop.
+        inside = integrate(State(0.5, 0.0), 0.0, 30.0, 2.0, stop_at_turn=True)
+        assert inside.v_zero_crossings[0][1].u > 0.5
+        assert inside.end[0] > inside.v_zero_crossings[0][0]
+
     def test_step_failure_reported(self):
         trajectory = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, UNSATISFIABLE)
         assert trajectory.terminal_event is TerminalEvent.STEP_FAILURE

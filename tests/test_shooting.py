@@ -146,6 +146,24 @@ class TestShoot:
         assert result.converged
         assert abs(result.a_star - 1.5) <= 2e-6
 
+    def test_degenerate_window_integrates_each_scan_point_once(self, monkeypatch):
+        # The best connecting scan point is the final run, not run again.
+        amplitudes = []
+        real_integrate = shooting_mod.integrate
+
+        def counting_integrate(initial, *args, **kwargs):
+            amplitudes.append(initial.u)
+            return real_integrate(initial, *args, **kwargs)
+
+        monkeypatch.setattr(shooting_mod, "integrate", counting_integrate)
+        result = shoot(ProblemParams.inner(2.0), config=ALL_CONNECT)
+        assert len(amplitudes) == ALL_CONNECT.scan_points == 41
+        assert result.classifications[-1] == (result.a_star, Verdict.CONNECT)
+        entries = scan(ProblemParams.inner(2.0), config=ALL_CONNECT).entries
+        best = min(entries, key=lambda entry: entry.bc_residual)
+        assert result.a_star == best.a
+        assert result.bc_residual == best.bc_residual
+
     def test_no_bracket_and_no_connect_raises(self, monkeypatch):
         stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
 
@@ -164,6 +182,32 @@ class TestShoot:
         result = shoot(ProblemParams.inner(2.0), integrator_config=tight)
         assert result.integrator_config is tight
         assert result.converged
+
+
+class TestStopAtTurn:
+    """Classification runs stop at an undershoot's first turn; no verdict moves."""
+
+    @pytest.mark.parametrize("p", (1.2, 2.0, 10.0, 100.0))
+    def test_verdict_matches_the_full_run(self, p):
+        config = ShootingConfig()
+        amp = spike_amplitude(p)
+        step = 2.0 * config.delta / (config.scan_points - 1)
+        window = [amp - config.delta + i * step for i in range(config.scan_points)]
+        far = [0.5 * amp, 0.8 * amp, 1.1 * amp, 1.2 * amp]
+        turned = 0
+        for a in window + far:
+            full = classify(a, p, config.rho_l, eta=config.eta)
+            stopped = classify(a, p, config.rho_l, eta=config.eta, stop_at_turn=True)
+            assert stopped.verdict is full.verdict, a
+            run, full_run = stopped.trajectory, full.trajectory
+            assert run.accepted_steps <= full_run.accepted_steps, a
+            if run.terminal_event is TerminalEvent.TURNED:
+                turned += 1
+                assert stopped.verdict is Verdict.UNDERSHOOT, a
+            else:
+                assert run.steps == full_run.steps, a
+                assert stopped.bc_residual == full.bc_residual, a
+        assert turned > 0
 
 
 class TestEvalProfile:

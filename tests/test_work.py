@@ -11,8 +11,11 @@ from gmspike import ProblemParams, shoot, shooting
 # p -> (integrations, accepted steps, rejected steps) of
 # shoot(ProblemParams.inner(p)) at default settings.
 PINNED_WORK = {
-    2.0: (42, 8_532, 6),
-    100.0: (68, 64_929, 1_864),
+    1.2: (42, 4_631, 206),
+    2.0: (42, 4_599, 2),
+    4.0: (42, 4_667, 11),
+    10.0: (42, 4_615, 19),
+    100.0: (68, 24_270, 582),
 }
 
 
