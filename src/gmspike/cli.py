@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analytic import (
     P_MAX,
@@ -75,8 +76,12 @@ class RunConfig:
             start, end, count = self.grid
             if count < 2:
                 raise ValueError("grid needs at least 2 points")
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ValueError("grid bounds must be finite")
             if not (end > start):
                 raise ValueError("grid end must exceed start")
+            if not math.isfinite((end - start) / (count - 1)):
+                raise ValueError("grid step overflows; narrow the grid")
 
     def to_dict(self) -> dict:
         """JSON echo, fields in definition order; :func:`run_config_from_dict` inverts it."""
@@ -125,27 +130,48 @@ def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
     return grid
 
 
-def _cell(value: float | str | bool | None) -> str:
-    if value is None:
-        return ""
+# The %-conversion of a cell, by its type: floats as _fmt writes them, None
+# as an empty cell (a zero-width %s), strings and spelled-out bools as they are.
+_CONVERSIONS = {float: "%.17g", type(None): "%.0s", str: "%s", bool: "%s"}
+
+
+def _plain(value: float | str | bool | None) -> float | str | None:
     if isinstance(value, bool):
         return str(value).lower()
-    return value if isinstance(value, str) else _fmt(value)
+    return value + 0.0 if isinstance(value, float) else value
 
 
-def _csv_text(rows, header: str) -> str:
-    lines = [header]
-    lines += [",".join(map(_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_lines(rows, header: str) -> Iterator[str]:
+    """CSV lines of ``rows``, tuples of cells, under ``header``; each cell
+    reads as :func:`_fmt` writes it, None as an empty cell and a bool as
+    ``true`` or ``false``.
+
+    A row is formatted by one %-template, built once per row shape (the
+    types of its cells), so a cell costs no Python call.  Only a row that
+    holds a zero or a bool goes through :func:`_plain` first.
+    """
+    yield header + "\n"
+    templates: dict[tuple[type, ...], str] = {}
+    for row in rows:
+        shape = tuple(map(type, row))
+        if 0.0 in row or bool in shape:
+            row = tuple(map(_plain, row))
+        template = templates.get(shape)
+        if template is None:
+            template = ",".join(map(_CONVERSIONS.__getitem__, shape)) + "\n"
+            templates[shape] = template
+        yield template % row
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` to ``out``, or to stdout, as they are produced."""
     if out is None:
-        print(text, end="")
+        sys.stdout.writelines(chunks)
     else:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, newline="")
+        with path.open("w", newline="") as fh:
+            fh.writelines(chunks)
 
 
 def _json_text(payload: dict) -> str:
@@ -155,9 +181,9 @@ def _json_text(payload: dict) -> str:
 def _emit_report(config: RunConfig, rows, result, header: str = CSV_HEADER) -> None:
     """Write ``rows`` as CSV, or ``result`` under the config echo as JSON."""
     if config.fmt == "csv":
-        _emit(_csv_text(rows, header), config.out)
+        _emit(_csv_lines(rows, header), config.out)
     else:
-        _emit(_json_text({"config": config.to_dict(), "result": result}), config.out)
+        _emit((_json_text({"config": config.to_dict(), "result": result}),), config.out)
 
 
 def _run_analytic(config: RunConfig) -> int:
@@ -311,7 +337,7 @@ def _run_sweep(config: RunConfig) -> int:
             )
 
     summary = replace(config, out=str(out_dir / f"summary.{config.fmt}"))
-    rows = (row.values() for row in summary_rows)
+    rows = (tuple(row.values()) for row in summary_rows)
     _emit_report(summary, rows, summary_rows, header=",".join(summary_rows[0]))
     return 0 if all(row["converged"] for row in summary_rows) else 1
 
@@ -339,7 +365,7 @@ def run(config: RunConfig) -> int:
             entries = exc.scan_result.entries
             diagnostic["scan"] = [{**asdict(e), "verdict": e.verdict.value} for e in entries]
         if config.out is not None:
-            _emit(_json_text(diagnostic), config.out)
+            _emit((_json_text(diagnostic),), config.out)
         _status(f"solver failure: {exc}")
         return 1
 

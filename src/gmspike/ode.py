@@ -12,16 +12,20 @@ which is exactly 0 on the spike orbit and is used as a drift diagnostic.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with the standard
 quartic dense-output interpolant.  Each accepted step is kept as its raw
-stages; the interpolant's coefficients are built from them only where they
-are read: on a step that changes the sign of u or of v, and on the first
-dense evaluation of a returned trajectory.  Every accepted step is scanned
-for those sign changes before it is committed, so phase-plane events cannot
-be skipped; their locations are resolved to 1e-10 in rho by bisecting the
-dense interpolant.  Zero crossings of u terminate the trajectory, zero
-crossings of v are recorded for the shooting classifier.  On request, the
-first v crossing with 0 < u < u(rho_start) also ends the run (``TURNED``):
-the orbit has turned back inside the homoclinic loop, which settles the
-classifier's verdict, so nothing after it is read.
+stages; its interpolant is built from them only where it is read: on a step
+that changes the sign of u or of v, and, for every step at once, on the
+first dense evaluation of a returned trajectory.  An interpolant is one flat
+tuple (rho0, h, u0, v0, cu1..cu4, cv1..cv4), and :func:`_dense` is the one
+evaluator of its quartic, shared by event location and by
+:meth:`Trajectory.eval`, which turns a whole sequence of points into u and
+v columns without building a :class:`State` per point.  Every accepted step
+is scanned for those sign changes before it is committed, so phase-plane
+events cannot be skipped; their locations are resolved to 1e-10 in rho by
+bisecting the dense interpolant.  Zero crossings of u terminate the
+trajectory, zero crossings of v are recorded for the shooting classifier.
+On request, the first v crossing with 0 < u < u(rho_start) also ends the
+run (``TURNED``): the orbit has turned back inside the homoclinic loop,
+which settles the classifier's verdict, so nothing after it is read.
 No cap on u is needed: H is conserved, so an orbit from (a, 0) never rises
 above the larger of a and the spike height.
 
@@ -40,6 +44,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import Iterable
 
 __all__ = [
     "TerminalEvent",
@@ -120,30 +125,6 @@ class IntegratorConfig:
             raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max")
 
 
-@dataclass(frozen=True)
-class DenseSegment:
-    """Quartic interpolant of one accepted step."""
-
-    rho0: float
-    h: float
-    u0: float
-    v0: float
-    cu: tuple[float, float, float, float]
-    cv: tuple[float, float, float, float]
-
-    def eval_theta(self, theta: float) -> tuple[float, float]:
-        cu1, cu2, cu3, cu4 = self.cu
-        cv1, cv2, cv3, cv4 = self.cv
-        u = self.u0 + self.h * theta * (cu1 + theta * (cu2 + theta * (cu3 + theta * cu4)))
-        v = self.v0 + self.h * theta * (cv1 + theta * (cv2 + theta * (cv3 + theta * cv4)))
-        return u, v
-
-    def eval(self, rho: float) -> State:
-        theta = (rho - self.rho0) / self.h
-        u, v = self.eval_theta(theta)
-        return State(u, v)
-
-
 def _coefficients(
     k1: float, k3: float, k4: float, k5: float, k6: float, k7: float
 ) -> tuple[float, float, float, float]:
@@ -156,13 +137,23 @@ def _coefficients(
     )
 
 
-def _segment(step: tuple[float, ...]) -> DenseSegment:
-    """Interpolant of one raw step (rho, h, u, v, k1, k3..k7 of u, then of v)."""
+def _interpolant(step: tuple[float, ...]) -> tuple[float, ...]:
+    """Interpolant (rho0, h, u0, v0, cu1..cu4, cv1..cv4) of one raw step
+    (rho, h, u, v, k1, k3..k7 of u, then of v)."""
     rho0, h, u0, v0, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v = step
-    return DenseSegment(
+    return (
         rho0, h, u0, v0,
-        _coefficients(k1u, k3u, k4u, k5u, k6u, k7u),
-        _coefficients(k1v, k3v, k4v, k5v, k6v, k7v),
+        *_coefficients(k1u, k3u, k4u, k5u, k6u, k7u),
+        *_coefficients(k1v, k3v, k4v, k5v, k6v, k7v),
+    )
+
+
+def _dense(c: tuple[float, ...], theta: float) -> tuple[float, float]:
+    """(u, v) of interpolant ``c`` at the fraction ``theta`` of its step."""
+    _, h, u0, v0, cu1, cu2, cu3, cu4, cv1, cv2, cv3, cv4 = c
+    return (
+        u0 + h * theta * (cu1 + theta * (cu2 + theta * (cu3 + theta * cu4))),
+        v0 + h * theta * (cv1 + theta * (cv2 + theta * (cv3 + theta * cv4))),
     )
 
 
@@ -172,7 +163,7 @@ class Trajectory:
 
     ``steps`` holds the raw stages of each accepted step as flat tuples
     (rho, h, u, v, k1, k3..k7 of u, then of v); the last one reaches past
-    ``end`` when a terminal event cut it short.  ``segments`` turns them
+    ``end`` when a terminal event cut it short.  :meth:`eval` turns them
     into dense interpolants on first use.  ``end`` is the final (rho,
     state): the event location, ``rho_end``, or the last accepted point
     after a step failure.  ``v_zero_crossings`` lists sign changes of v
@@ -200,25 +191,37 @@ class Trajectory:
     def rho_end(self) -> float:
         return self.end[0]
 
-    def eval(self, rho: float) -> State:
-        """Dense-output state at any rho covered by the trajectory."""
+    def eval(self, rhos: Iterable[float]) -> tuple[list[float], list[float]]:
+        """Dense-output u and v columns at the points ``rhos``, in their order.
+
+        Points within 1e-9 of the integrated span are clamped onto it; a
+        point farther out raises ValueError, wherever it is in ``rhos``.
+        """
         lo, hi = self.rho_start, self.end[0]
-        if rho < lo - 1e-9 or rho > hi + 1e-9:
-            raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
-        rho = min(max(rho, lo), hi)
-        if not self.steps:
-            return self.end[1]
-        i = bisect.bisect_right(self._segment_starts, rho) - 1
-        i = min(max(i, 0), len(self.steps) - 1)
-        return self.segments[i].eval(rho)
+        interpolants, starts = self._interpolants, self._starts
+        us: list[float] = []
+        vs: list[float] = []
+        for rho in rhos:
+            if not lo <= rho <= hi:
+                if rho < lo - 1e-9 or rho > hi + 1e-9:
+                    raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
+                rho = min(max(rho, lo), hi)
+            if interpolants:
+                # rho >= starts[0] here, so the index is never negative.
+                c = interpolants[bisect.bisect_right(starts, rho) - 1]
+                u, v = _dense(c, (rho - c[0]) / c[1])
+            else:
+                u, v = self.end[1].u, self.end[1].v
+            us.append(u)
+            vs.append(v)
+        return us, vs
 
     @cached_property
-    def segments(self) -> list[DenseSegment]:
-        """One dense interpolant per accepted step."""
-        return [_segment(step) for step in self.steps]
+    def _interpolants(self) -> list[tuple[float, ...]]:
+        return [_interpolant(step) for step in self.steps]
 
     @cached_property
-    def _segment_starts(self) -> list[float]:
+    def _starts(self) -> list[float]:
         return [step[0] for step in self.steps]
 
 
@@ -237,18 +240,18 @@ def hamiltonian(state: State, p: float) -> float:
 
 
 def _bisect_theta(
-    seg: DenseSegment,
+    c: tuple[float, ...],
     component: int,
     target: float,
     lo: float,
     hi: float,
     sign_lo: float,
 ) -> float:
-    """Locate a crossing of one dense component through ``target``."""
-    span = seg.h
+    """Locate a crossing of one component of interpolant ``c`` through ``target``."""
+    span = c[1]
     while (hi - lo) * span > EVENT_LOCATION_TOL:
         mid = 0.5 * (lo + hi)
-        value = seg.eval_theta(mid)[component] - target
+        value = _dense(c, mid)[component] - target
         if value == 0.0:
             return mid
         if (value > 0.0) == (sign_lo > 0.0):
@@ -356,16 +359,16 @@ def integrate(
         crossed_zero = u > 0.0 >= u_new
         v_changed = (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0)
         if crossed_zero or v_changed:
-            seg = _segment(steps[-1])
-            theta_end = _bisect_theta(seg, 0, 0.0, 0.0, 1.0, 1.0) if crossed_zero else 1.0
+            c = _interpolant(steps[-1])
+            theta_end = _bisect_theta(c, 0, 0.0, 0.0, 1.0, 1.0) if crossed_zero else 1.0
             if v_changed:
                 if v_new == 0.0 and not crossed_zero:
                     theta_v = 1.0
                 else:
-                    theta_v = _bisect_theta(seg, 1, 0.0, 0.0, 1.0, v)
+                    theta_v = _bisect_theta(c, 1, 0.0, 0.0, 1.0, v)
                 if theta_v <= theta_end:
                     rho_v = rho + theta_v * h_step
-                    uc, vc = seg.eval_theta(theta_v)
+                    uc, vc = _dense(c, theta_v)
                     crossings.append((rho_v, State(uc, vc)))
                     if stop_at_turn and 0.0 < uc < u_start:
                         rho, u, v = rho_v, uc, vc
@@ -373,7 +376,7 @@ def integrate(
                         break
             if crossed_zero:
                 rho = rho + theta_end * h_step
-                u, v = seg.eval_theta(theta_end)
+                u, v = _dense(c, theta_end)
                 if u < 0.0:
                     u = 0.0
                 event = TerminalEvent.U_CROSSED_ZERO

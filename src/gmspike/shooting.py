@@ -25,7 +25,7 @@ overshoot's u = 0 event).
 
 Boundary spikes reuse the same computation.  The system is autonomous and
 even, so the profile peaking at the right endpoint rho = L / epsilon is the
-inner solution reflected; :func:`eval_profile` maps between the domain
+inner solution reflected; :func:`eval_profile_grid` maps between the domain
 coordinate and the integrated distance-from-peak frame.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .analytic import ProblemParams, SpikeKind, spike_amplitude
 from .ode import IntegratorConfig, State, TerminalEvent, Trajectory, hamiltonian, integrate
@@ -53,6 +53,7 @@ __all__ = [
     "scan",
     "shoot",
     "eval_profile",
+    "eval_profile_grid",
 ]
 
 # Truncation point of the far-field condition.  The profile decays like
@@ -327,23 +328,35 @@ def shoot(
     )
 
 
-def eval_profile(result: ShootingResult, rho: float) -> State:
-    """Shooting profile at a domain coordinate rho.
+def eval_profile_grid(
+    result: ShootingResult, rhos: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """Shooting profile u and v columns at the domain coordinates ``rhos``.
 
     The trajectory is integrated in the distance-from-peak frame; inner
     spikes extend to rho < peak by evenness (u even, v odd) and boundary
     spikes are the reflection peaking at the right endpoint, so v flips
-    sign on the interior side.  Raises for rho beyond the integrated span
-    or, for boundary spikes, past the domain edge.
+    sign on the interior side.  Raises ValueError if any point lies beyond
+    the integrated span or, for boundary spikes, past the domain edge.
     """
     params = result.params
-    delta = rho - params.peak_rho
-    if params.kind is SpikeKind.BOUNDARY and delta > 1e-9:
-        raise ValueError(
-            f"rho={rho!r} lies outside the domain; the boundary spike peaks "
-            f"at the right endpoint rho={params.peak_rho!r}"
-        )
-    state = result.trajectory.eval(abs(delta))
-    if delta < 0.0:
-        return State(state.u, -state.v)
-    return state
+    peak = params.peak_rho
+    if params.kind is SpikeKind.BOUNDARY:
+        beyond = next((rho for rho in rhos if rho - peak > 1e-9), None)
+        if beyond is not None:
+            raise ValueError(
+                f"rho={beyond!r} lies outside the domain; the boundary spike peaks "
+                f"at the right endpoint rho={peak!r}"
+            )
+    # Distances are generated, not stored: no grid-sized list beside the columns.
+    us, vs = result.trajectory.eval(abs(rho - peak) for rho in rhos)
+    for i, rho in enumerate(rhos):
+        if rho - peak < 0.0:
+            vs[i] = -vs[i]
+    return us, vs
+
+
+def eval_profile(result: ShootingResult, rho: float) -> State:
+    """Shooting profile at one domain coordinate; see :func:`eval_profile_grid`."""
+    (u,), (v,) = eval_profile_grid(result, (rho,))
+    return State(u, v)

@@ -22,7 +22,7 @@ from .analytic import (
     eval_spike_second_derivative,
 )
 from .ode import Trajectory, hamiltonian
-from .shooting import ShootingResult, eval_profile
+from .shooting import ShootingResult, eval_profile_grid
 
 __all__ = [
     "ComparisonReport",
@@ -86,8 +86,8 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
     """Evaluate both routes for ``result.params`` on a grid; report max and rms errors.
 
     The numeric values come from the integrator's dense output through
-    :func:`gmspike.shooting.eval_profile`.  Requires a converged shooting
-    result and a grid inside the integrated span.
+    :func:`gmspike.shooting.eval_profile_grid`.  Requires a converged
+    shooting result and a grid, in any order, inside the integrated span.
     """
     if not result.converged:
         raise ValueError(
@@ -98,14 +98,8 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
     if not grid:
         raise ValueError("rho_grid must not be empty")
     params = result.params
-    analytic = []
-    numeric = []
-    numeric_v = []
-    for rho in grid:
-        analytic.append(eval_spike_rho(params, rho))
-        state = eval_profile(result, rho)
-        numeric.append(state.u)
-        numeric_v.append(state.v)
+    numeric, numeric_v = eval_profile_grid(result, grid)
+    analytic = [eval_spike_rho(params, rho) for rho in grid]
     abs_errs = [abs(a - n) for a, n in zip(analytic, numeric)]
     max_abs_err = max(abs_errs)
     l2_err = math.sqrt(sum(e * e for e in abs_errs) / len(abs_errs))

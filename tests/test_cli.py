@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 
 import pytest
 
@@ -38,6 +39,9 @@ class TestArgumentHandling:
             ["analytic", "--grid", "bogus"],
             ["analytic", "--grid", "0:1:1"],
             ["analytic", "--grid", "1:0:10"],
+            # A non-finite bound, or a step that overflows, would write nan rows.
+            ["analytic", "--grid=0:inf:3"],
+            ["analytic", "--grid=-1e308:1e308:3"],
         ],
     )
     def test_bad_invocations_exit_2(self, argv):
@@ -104,6 +108,36 @@ class TestAnalyticCommand:
         assert cli.main(["shoot", "--p", "2", "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert all(cell != "-0" for row in rows for cell in row)
+
+
+class TestCsvCells:
+    """The one CSV writer: every float cell reads as format(x + 0.0, ".17g")."""
+
+    FLOATS = (-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, math.inf, math.nan, -math.inf, -2.5)
+
+    def test_float_cells_match_the_17_digit_format(self):
+        rows = [(x, x, None, -x, None) for x in self.FLOATS] + [self.FLOATS]
+        lines = list(cli._csv_lines(rows, "header"))
+        assert lines[0] == "header\n"
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            assert line.endswith("\n")
+            expected = ["" if x is None else format(x + 0.0, ".17g") for x in row]
+            assert line[:-1].split(",") == expected
+        assert "-0" not in lines[1][:-1].split(",")
+
+    def test_summary_cells_keep_their_spelling(self):
+        rows = [
+            (2.0, "inner", None, 1e-5, True),
+            (3.0, "boundary", 0.0, None, False),
+            (None, None),
+        ]
+        assert list(cli._csv_lines(rows, "p,kind")) == [
+            "p,kind\n",
+            f"2,inner,,{format(1e-5, '.17g')},true\n",
+            "3,boundary,0,,false\n",
+            ",\n",
+        ]
 
 
 class TestResidualCommand:

@@ -31,6 +31,13 @@ SINGLE_COMMANDS = {
     "compare_p3_boundary.json": ["compare", "--p", "3", "--spike", "boundary", "--format", "json"],
     "analytic_p2.json": ["analytic", "--p", "2", "--format", "json"],
     "residual_p4.csv": ["residual", "--p", "4"],
+    # Grids shifted off the aligned nodes: points fall between steps, on
+    # both sides of the reflection, and right up to the wall.
+    "compare_p2_shifted.csv": ["compare", "--p", "2", "--grid=-9.99987:10.00013:2001"],
+    "compare_p3_boundary_shifted.json": [
+        "compare", "--p", "3", "--spike", "boundary", "--grid=-0.00007:9.99993:2001",
+        "--format", "json",
+    ],
 }
 
 

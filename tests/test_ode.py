@@ -93,25 +93,31 @@ class TestIntegrateBasics:
 
     def test_dense_output_matches_samples(self):
         trajectory = integrate(State(AMP2, 0.0), 0.0, 6.0, 2.0)
-        for rho, state in trajectory.samples:
-            interpolated = trajectory.eval(rho)
-            assert interpolated.u == pytest.approx(state.u, rel=1e-12, abs=1e-14)
-            assert interpolated.v == pytest.approx(state.v, rel=1e-12, abs=1e-14)
+        samples = trajectory.samples
+        us, vs = trajectory.eval(rho for rho, _ in samples)
+        assert len(us) == len(vs) == len(samples)
+        for (_, state), u, v in zip(samples, us, vs):
+            assert u == pytest.approx(state.u, rel=1e-12, abs=1e-14)
+            assert v == pytest.approx(state.v, rel=1e-12, abs=1e-14)
 
     def test_dense_output_matches_closed_form(self):
         trajectory = integrate(State(AMP2, 0.0), 0.0, 10.0, 2.0)
-        for rho in np.linspace(0.0, 10.0, 1001):
-            u = trajectory.eval(float(rho)).u
-            assert u == pytest.approx(eval_spike_rho(PARAMS2, float(rho)), abs=1e-7)
+        grid = [float(rho) for rho in np.linspace(0.0, 10.0, 1001)]
+        us, _ = trajectory.eval(grid)
+        for rho, u in zip(grid, us):
+            assert u == pytest.approx(eval_spike_rho(PARAMS2, rho), abs=1e-7)
 
     def test_eval_allows_round_off_slack(self):
         trajectory = integrate(State(AMP2, 0.0), 0.0, 5.0, 2.0)
-        trajectory.eval(5.0 + 5e-10)
-        trajectory.eval(-5e-10)
+        us, vs = trajectory.eval([5.0 + 5e-10, -5e-10])
+        assert (us, vs) == trajectory.eval([5.0, 0.0])
         with pytest.raises(ValueError):
-            trajectory.eval(5.1)
+            trajectory.eval([5.1])
         with pytest.raises(ValueError):
-            trajectory.eval(-0.1)
+            trajectory.eval([-0.1])
+        # Every point is checked, not only the ends of the sequence.
+        with pytest.raises(ValueError):
+            trajectory.eval([0.0, 5.1, 2.0])
 
     def test_reversible_through_mirrored_start(self):
         # u is even and v odd about the peak, so restarting from the mirrored
@@ -207,6 +213,11 @@ class TestEvents:
         trajectory = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, UNSATISFIABLE)
         assert trajectory.terminal_event is TerminalEvent.STEP_FAILURE
         assert trajectory.rejected_steps >= 1
+        # No step was accepted: the dense output is the start point alone.
+        assert trajectory.steps == []
+        assert trajectory.eval([0.0, 5e-10]) == ([AMP2, AMP2], [0.0, 0.0])
+        with pytest.raises(ValueError):
+            trajectory.eval([1e-3])
 
     def test_fractional_p_crosses_zero_cleanly(self):
         amp = spike_amplitude(2.5)

@@ -17,6 +17,7 @@ from gmspike import (
     Verdict,
     classify,
     eval_profile,
+    eval_profile_grid,
     eval_spike_rho,
     integrate,
     scan,
@@ -237,6 +238,30 @@ class TestEvalProfile:
         )
         with pytest.raises(ValueError):
             eval_profile(result, peak + 0.1)
+
+    @pytest.mark.parametrize("kind", ("inner", "boundary"))
+    @pytest.mark.parametrize("p", (1.2, 2.0, 100.0))
+    def test_grid_form_matches_one_point_bit_for_bit(self, p, kind):
+        factory = ProblemParams.inner if kind == "inner" else ProblemParams.boundary
+        result = shoot(factory(p))
+        peak, reach = result.params.peak_rho, result.trajectory.rho_end
+        # Unsorted; the peak, points between steps on the interior side, and
+        # points inside the 1e-9 clamp margin past each end of the span.
+        grid = [peak - 0.37, peak, peak - reach - 5e-10, peak - 1.234567, peak - reach]
+        if kind == "inner":
+            grid += [peak + reach + 5e-10, peak + 0.37, peak + 3.3, peak - 3.3]
+        else:
+            grid += [peak + 5e-10, peak + 9e-10, peak - 3.3]
+        us, vs = eval_profile_grid(result, grid)
+        assert len(us) == len(vs) == len(grid)
+        for rho, u, v in zip(grid, us, vs):
+            state = eval_profile(result, rho)
+            assert (u, v) == (state.u, state.v), rho
+            assert math.copysign(1.0, u) == math.copysign(1.0, state.u), rho
+            assert math.copysign(1.0, v) == math.copysign(1.0, state.v), rho
+        (u,), (v,) = eval_profile_grid(result, [peak])
+        assert (u, v) == (result.a_star, 0.0)
+        assert math.copysign(1.0, v) == 1.0
 
 
 class TestConfigValidation:

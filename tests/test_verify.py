@@ -138,6 +138,26 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(unconverged, [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "kind, offsets",
+        [
+            # One interior point of an unsorted grid beyond the span ...
+            ("inner", (0.5, -3.0, 30.0, 2.0, -1.0)),
+            ("inner", (0.5, -30.0, 3.0, -1.0)),
+            ("boundary", (-1.0, -4.0, -30.0, -2.0)),
+            # ... or past the wall.
+            ("boundary", (-1.0, -4.0, 0.5, -2.0)),
+        ],
+    )
+    def test_rejects_any_point_out_of_reach(self, default_shoots, kind, offsets):
+        if kind == "inner":
+            result = default_shoots[3.0]
+        else:
+            result = shoot(ProblemParams.boundary(3.0))
+        grid = [result.params.peak_rho + offset for offset in offsets]
+        with pytest.raises(ValueError):
+            compare(result, grid)
+
     def test_rejects_empty_grid(self, default_shoots):
         with pytest.raises(ValueError):
             compare(default_shoots[2.0], [])
