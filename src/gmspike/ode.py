@@ -35,6 +35,15 @@ step that straddles the crossing may probe slightly past it.  Those stages
 use the sign-preserving extension u * |u|**(p - 1), which is C1 at 0 and
 only ever influences the discarded part of the final step.  Integer p uses
 the true power for all u.
+
+The field is defined in one place, the stage block of :func:`integrate`,
+and written out there at each of its stage points rather than called as a
+function.  The shooting solver spends nearly all its time in that loop, and
+there a Python call per stage, plus one for the power, cost more than the
+stage's own arithmetic.  ``u ** p`` with a float exponent gives the same
+bits and raises the same OverflowError as ``math.pow``, so the inlined loop
+takes every step, and stores every stage, exactly as a loop calling the
+field would; the ``integrate/`` digests of ``tests/test_golden.py`` pin that.
 """
 
 from __future__ import annotations
@@ -119,10 +128,12 @@ class IntegratorConfig:
     h_max: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max")
+        # An infinite tolerance switches error control off, and an infinite
+        # bound lets one step span the whole run.
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not (0.0 < self.h_min <= self.h_init <= self.h_max < math.inf):
+            raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max < inf")
 
 
 def _coefficients(
@@ -225,12 +236,6 @@ class Trajectory:
         return [step[0] for step in self.steps]
 
 
-def _power(u: float, p: float, integer_p: bool) -> float:
-    if u >= 0.0 or integer_p:
-        return math.pow(u, p)
-    return -math.pow(-u, p)
-
-
 def hamiltonian(state: State, p: float) -> float:
     """Conserved energy v**2/2 - u**2/2 + u**(p+1)/(p+1); 0 on the spike."""
     u, v = state.u, state.v
@@ -283,21 +288,37 @@ def integrate(
     u, v = initial.u, initial.v
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"initial state must be finite, got {initial!r}")
-    integer_p = float(p).is_integer()
+    # A float exponent makes ** return a float for any real base, as
+    # math.pow does.
+    p = float(p)
+    # u**p is singular at u = 0 for p < 0, and a non-finite p leaves no
+    # step acceptable.
+    if not (0.0 < p < math.inf):
+        raise ValueError(f"p must be positive and finite, got {p!r}")
+    integer_p = p.is_integer()
     if u < 0.0 and not integer_p:
         raise ValueError("initial u must be nonnegative for fractional p")
 
     rel, ab = config.rel_tol, config.abs_tol
     h_min, h_max = config.h_min, config.h_max
 
-    def f(uu: float, vv: float) -> tuple[float, float]:
-        return vv, uu - _power(uu, p, integer_p)
+    # The stage loop reads each of these every step: locals, not globals.
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    sqrt = math.sqrt
+    steps: list[tuple[float, ...]] = []
+    append = steps.append
 
     u_start = u
     rho = rho_start
-    k1u, k1v = f(u, v)
+    # Every stage k = (ku, kv) below is the field u' = v, v' = u - u**p at
+    # its stage point, written out in place (see the module docstring).
+    k1u, k1v = v, u - (u ** p if u >= 0.0 or integer_p else -((-u) ** p))
     h = min(max(config.h_init, h_min), h_max, rho_end - rho_start)
-    steps: list[tuple[float, ...]] = []
     crossings: list[tuple[float, State]] = []
     accepted = 0
     rejected = 0
@@ -308,52 +329,54 @@ def integrate(
         h_step = rho_end - rho if last else h
 
         try:
-            yu = u + h_step * (_A21 * k1u)
-            yv = v + h_step * (_A21 * k1v)
-            k2u, k2v = f(yu, yv)
-            yu = u + h_step * (_A31 * k1u + _A32 * k2u)
-            yv = v + h_step * (_A31 * k1v + _A32 * k2v)
-            k3u, k3v = f(yu, yv)
-            yu = u + h_step * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-            yv = v + h_step * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-            k4u, k4v = f(yu, yv)
-            yu = u + h_step * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            yv = v + h_step * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-            k5u, k5v = f(yu, yv)
-            yu = u + h_step * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            yv = v + h_step * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-            k6u, k6v = f(yu, yv)
-            u_new = u + h_step * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            v_new = v + h_step * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v = f(u_new, v_new)
+            yu = u + h_step * (a21 * k1u)
+            yv = v + h_step * (a21 * k1v)
+            k2u, k2v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            yu = u + h_step * (a31 * k1u + a32 * k2u)
+            yv = v + h_step * (a31 * k1v + a32 * k2v)
+            k3u, k3v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            yu = u + h_step * (a41 * k1u + a42 * k2u + a43 * k3u)
+            yv = v + h_step * (a41 * k1v + a42 * k2v + a43 * k3v)
+            k4u, k4v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            yu = u + h_step * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u)
+            yv = v + h_step * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
+            k5u, k5v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            yu = u + h_step * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+            yv = v + h_step * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+            k6u, k6v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            u_new = u + h_step * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+            v_new = v + h_step * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            k7u, k7v = v_new, u_new - (
+                u_new ** p if u_new >= 0.0 or integer_p else -((-u_new) ** p)
+            )
         except OverflowError:
             # u**p overflowed at a trial stage: the step is far too long.
             err_norm = math.inf
         else:
-            err_u = h_step * (
-                _E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u
-            )
-            err_v = h_step * (
-                _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v
-            )
-            scale_u = ab + rel * max(abs(u), abs(u_new))
-            scale_v = ab + rel * max(abs(v), abs(v_new))
-            ratio_u = err_u / scale_u
-            ratio_v = err_v / scale_v
-            err_norm = math.sqrt(0.5 * (ratio_u * ratio_u + ratio_v * ratio_v))
+            err_u = h_step * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
+            err_v = h_step * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
+            # x if x > y else y is max(y, x), and x if x < y else y is
+            # min(y, x), NaN included: the first argument wins unless the
+            # comparison holds.
+            scale = abs(u)
+            new = abs(u_new)
+            ratio_u = err_u / (ab + rel * (new if new > scale else scale))
+            scale = abs(v)
+            new = abs(v_new)
+            ratio_v = err_v / (ab + rel * (new if new > scale else scale))
+            err_norm = sqrt(0.5 * (ratio_u * ratio_u + ratio_v * ratio_v))
 
         # Written so that a NaN estimate is rejected too.
         if not err_norm <= 1.0:
             rejected += 1
-            h = h_step * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
+            factor = safety * err_norm ** -0.2
+            h = h_step * (factor if factor > min_factor else min_factor)
             if h < h_min:
                 event = TerminalEvent.STEP_FAILURE
                 break
             continue
 
-        steps.append(
-            (rho, h_step, u, v, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v)
-        )
+        append((rho, h_step, u, v, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v))
         accepted += 1
 
         crossed_zero = u > 0.0 >= u_new
@@ -391,10 +414,14 @@ def integrate(
             break
 
         if err_norm == 0.0:
-            factor = _MAX_FACTOR
+            factor = max_factor
         else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
-        h = min(h_max, max(h_min, h_step * factor))
+            factor = safety * err_norm ** -0.2
+            factor = factor if factor > min_factor else min_factor
+            factor = factor if factor < max_factor else max_factor
+        h = h_step * factor
+        h = h if h > h_min else h_min
+        h = h if h < h_max else h_max
 
     return Trajectory(
         steps=steps,

@@ -115,8 +115,9 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
 
 def check_first_integral(trajectory: Trajectory, p: float) -> float:
     """Maximum drift of the conserved energy over the trajectory samples."""
-    first = hamiltonian(trajectory.samples[0][1], p)
+    samples = trajectory.samples
+    first = hamiltonian(samples[0][1], p)
     drift = 0.0
-    for _, state in trajectory.samples:
+    for _, state in samples:
         drift = max(drift, abs(hamiltonian(state, p) - first))
     return drift

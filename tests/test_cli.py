@@ -42,6 +42,9 @@ class TestArgumentHandling:
             # A non-finite bound, or a step that overflows, would write nan rows.
             ["analytic", "--grid=0:inf:3"],
             ["analytic", "--grid=-1e308:1e308:3"],
+            # An infinite tolerance would turn error control off.
+            ["shoot", "--rel-tol", "inf"],
+            ["shoot", "--abs-tol", "inf"],
         ],
     )
     def test_bad_invocations_exit_2(self, argv):

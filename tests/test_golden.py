@@ -1,10 +1,16 @@
-"""Byte-level golden check of the CLI artifacts.
+"""Byte-level golden check of the CLI artifacts and of raw integrations.
 
 The CSV and JSON files the CLI writes are the project's contract: identical
 inputs must give identical bytes, and a refactor must not move a single one.
 ``golden_sha256.json`` holds the sha256 of every artifact below, as written
 when the file was last regenerated.  The artifacts embed no paths, so their
 digests do not depend on the output directory.
+
+The ``integrate/`` keys pin the integrator itself, below the artifacts: the
+digest of the repr of everything a run returns (every accepted step's raw
+stages, the end point, the v crossings, the step counts and the terminal
+event).  repr round-trips floats exactly, so one changed bit in one stage of
+one step changes the digest.
 
 A deliberate change of the numbers or of the configuration echo
 regenerates the file with
@@ -20,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gmspike import cli
+from gmspike import State, cli, integrate, spike_amplitude
 
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 
@@ -39,6 +45,39 @@ SINGLE_COMMANDS = {
         "--format", "json",
     ],
 }
+
+
+def _integrate_runs() -> dict:
+    """Digest key -> integrate arguments (initial, rho_start, rho_end, p, stop_at_turn)."""
+    runs = {}
+    # Below, at and above the spike amplitude: undershoots that turn or
+    # reach the end, the spike, and overshoots whose crossing step probes
+    # u < 0 (sign-preserving power for fractional p, true power for integer p).
+    for p in (1.01, 1.2, 2.5, 3.0, 100.0):
+        amp = spike_amplitude(p)
+        for scale in (0.9, 1.0, 1.1):
+            for stop_at_turn in (False, True):
+                key = f"integrate/p{p:g}_a{scale:g}" + ("_turn" if stop_at_turn else "")
+                runs[key] = (State(scale * amp, 0.0), 0.0, 12.0, p, stop_at_turn)
+    # u**100 overflows inside the stages of the first trial steps.
+    runs["integrate/p100_overflow"] = (State(1.5, 0.0), 0.0, 2.0, 100.0, False)
+    # A fractional-p overshoot: the crossing step's stages probe u < 0.
+    runs["integrate/p2.5_overshoot"] = (
+        State(spike_amplitude(2.5) + 0.1, 0.0), 0.0, 12.0, 2.5, False,
+    )
+    return runs
+
+
+def _integrate_digests() -> dict:
+    digests = {}
+    for key, (initial, rho_start, rho_end, p, stop_at_turn) in _integrate_runs().items():
+        t = integrate(initial, rho_start, rho_end, p, stop_at_turn=stop_at_turn)
+        record = (
+            t.steps, t.end, t.v_zero_crossings,
+            t.accepted_steps, t.rejected_steps, t.terminal_event,
+        )
+        digests[key] = hashlib.sha256(repr(record).encode()).hexdigest()
+    return digests
 
 
 def _sha256(path: Path) -> str:
@@ -81,6 +120,12 @@ def test_single_commands_match_golden(tmp_path):
     assert digests == {k: golden[k] for k in SINGLE_COMMANDS}
 
 
+def test_integrate_runs_match_golden():
+    golden = json.loads(GOLDEN.read_text())
+    digests = _integrate_digests()
+    assert digests == {k: v for k, v in golden.items() if k.startswith("integrate/")}
+
+
 def _regenerate() -> None:
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -91,6 +136,7 @@ def _regenerate() -> None:
         digests = _dir_digests(root / "csv", "sweep_csv")
         digests.update(_json_sweep_digests(root / "json"))
         digests.update(_single_digests(root / "single"))
+    digests.update(_integrate_digests())
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
     for key in sorted(digests.keys() | old.keys()):
         if key not in old:

@@ -66,6 +66,13 @@ class TestConfig:
             {"abs_tol": -1.0},
             {"h_min": 0.2, "h_init": 0.1},
             {"h_max": 1e-6},
+            # Infinite tolerances switch error control off; infinite bounds
+            # let one step span the run.
+            {"rel_tol": math.inf},
+            {"abs_tol": math.inf},
+            {"h_max": math.inf},
+            {"h_init": math.inf, "h_max": math.inf},
+            {"h_min": math.inf, "h_init": math.inf, "h_max": math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -144,6 +151,11 @@ class TestIntegrateBasics:
     def test_rejects_negative_start_for_fractional_p(self):
         with pytest.raises(ValueError):
             integrate(State(-0.5, 0.0), 0.0, 1.0, 2.5)
+
+    @pytest.mark.parametrize("p", (-1.0, 0.0, math.nan, math.inf))
+    def test_rejects_nonpositive_or_nonfinite_p(self, p):
+        with pytest.raises(ValueError):
+            integrate(State(AMP2, 0.0), 0.0, 1.0, p)
 
 
 class TestConservation:
