@@ -35,6 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 __all__ = [
     "P_MIN",
@@ -44,9 +45,11 @@ __all__ = [
     "AnsatzConstants",
     "spike_amplitude",
     "eval_spike_rho",
+    "eval_spike_rho_grid",
     "eval_spike_x",
     "eval_spike_derivative",
     "eval_spike_second_derivative",
+    "eval_spike_second_derivative_grid",
     "derive_ansatz_constants",
     "eval_ansatz",
 ]
@@ -133,31 +136,36 @@ def spike_amplitude(p: float) -> float:
     return ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
 
 
-def _log_profile(p: float, dist: float) -> float:
-    """log u at distance ``dist`` >= 0 from the peak.
+def _profile_at(p: float, dists: Iterable[float]) -> list[float]:
+    """u at each distance ``dist`` >= 0 from the peak, in log space.
 
     Uses 1 + cosh(t) = e**t * (1 + e**-t)**2 / 2 so only decaying
-    exponentials are ever formed.
+    exponentials are ever formed, and saturates below the smallest positive
+    normal double instead of producing subnormals (or, via naive cosh, NaN).
     """
-    t = (p - 1.0) * dist
-    return (math.log(2.0 * (p + 1.0)) - 2.0 * math.log1p(math.exp(-t))) / (p - 1.0) - dist
+    pm1 = p - 1.0
+    log_scale = math.log(2.0 * (p + 1.0))
+    exp, log1p, tiny = math.exp, math.log1p, _LOG_TINY
+    out = []
+    for dist in dists:
+        log_u = (log_scale - 2.0 * log1p(exp(-(pm1 * dist)))) / pm1 - dist
+        out.append(0.0 if log_u < tiny else exp(log_u))
+    return out
 
 
-def _exp_or_zero(log_value: float) -> float:
-    # Saturate below the smallest positive normal double instead of
-    # producing subnormals (or, via naive cosh, NaN).
-    if log_value < _LOG_TINY:
-        return 0.0
-    return math.exp(log_value)
-
-
-def eval_spike_rho(params: ProblemParams, rho: float) -> float:
-    """Exact spike profile at rescaled coordinate ``rho``.
+def eval_spike_rho_grid(params: ProblemParams, rhos: Iterable[float]) -> list[float]:
+    """Exact spike profile at each rescaled coordinate of ``rhos``.
 
     Even around the peak, strictly decreasing away from it, and decaying
     like exp(-|rho - peak_rho|) in the far field.
     """
-    return _exp_or_zero(_log_profile(params.p, abs(rho - params.peak_rho)))
+    peak = params.peak_rho
+    return _profile_at(params.p, (abs(rho - peak) for rho in rhos))
+
+
+def eval_spike_rho(params: ProblemParams, rho: float) -> float:
+    """Exact spike profile at rescaled coordinate ``rho``; see :func:`eval_spike_rho_grid`."""
+    return eval_spike_rho_grid(params, (rho,))[0]
 
 
 def eval_spike_x(params: ProblemParams, x: float) -> float:
@@ -166,8 +174,7 @@ def eval_spike_x(params: ProblemParams, x: float) -> float:
         raise ValueError(
             f"x={x!r} outside the domain [-{params.half_length}, {params.half_length}]"
         )
-    dist = abs(x - params.peak_x) / params.epsilon
-    return _exp_or_zero(_log_profile(params.p, dist))
+    return _profile_at(params.p, (abs(x - params.peak_x) / params.epsilon,))[0]
 
 
 def eval_spike_derivative(params: ProblemParams, rho: float) -> float:
@@ -180,43 +187,67 @@ def eval_spike_derivative(params: ProblemParams, rho: float) -> float:
     p = params.p
     delta = rho - params.peak_rho
     dist = abs(delta)
-    if dist == 0.0:
-        return 0.0
     t = (p - 1.0) * dist
-    log_sinh = t + math.log1p(-math.exp(-2.0 * t)) - _LN2
-    log_du = log_sinh + p * _log_profile(p, dist) - math.log(p + 1.0)
+    if t == 0.0:
+        return 0.0
+    e2 = math.exp(-2.0 * t)
+    # Below t ~ 5e-17, e2 rounds to 1 and log1p(-e2) would raise.
+    log_sinh = t + (math.log1p(-e2) if e2 < 1.0 else math.log(-math.expm1(-2.0 * t))) - _LN2
+    log_u = (math.log(2.0 * (p + 1.0)) - 2.0 * math.log1p(math.exp(-t))) / (p - 1.0) - dist
+    log_du = log_sinh + p * log_u - math.log(p + 1.0)
     if log_du < _LOG_TINY:
         return 0.0
     return -math.copysign(math.exp(log_du), delta)
 
 
-def eval_spike_second_derivative(params: ProblemParams, rho: float) -> float:
-    """d2u/drho2 of the exact profile, derived independently of the ODE.
+def eval_spike_second_derivative_grid(
+    params: ProblemParams, rhos: Iterable[float]
+) -> tuple[list[float], list[float]]:
+    """Columns u and d2u/drho2 of the exact profile at each of ``rhos``.
 
-    Differentiating the closed-form u' once more gives
+    u'' is derived independently of the ODE: differentiating the closed-form
+    u' once more gives
 
         u'' = p * sinh(t)**2 * u**(2p - 1) / (p + 1)**2
               - (p - 1) * cosh(t) * u**p / (p + 1),
 
     with t = (p - 1) * (rho - peak).  Algebraically this equals u - u**p,
-    so it feeds a meaningful residual check of all three closed forms.
+    so it feeds a meaningful residual check of all three closed forms.  The
+    formula is built on log u, so the u column, equal to
+    :func:`eval_spike_rho_grid`'s, costs one more exp per point.
     """
-    p = params.p
-    dist = abs(rho - params.peak_rho)
-    t = (p - 1.0) * dist
-    log_u = _log_profile(p, dist)
-    log_cosh = t + math.log1p(math.exp(-2.0 * t)) - _LN2
-    term_cosh = _exp_or_zero(
-        math.log(p - 1.0) + log_cosh + p * log_u - math.log(p + 1.0)
-    )
-    if t > 0.0:
-        log_sinh = t + math.log1p(-math.exp(-2.0 * t)) - _LN2
-        term_sinh = _exp_or_zero(
-            math.log(p) + 2.0 * log_sinh + (2.0 * p - 1.0) * log_u - 2.0 * math.log(p + 1.0)
-        )
-    else:
-        term_sinh = 0.0
-    return term_sinh - term_cosh
+    p, peak = params.p, params.peak_rho
+    pm1 = p - 1.0
+    log_scale = math.log(2.0 * (p + 1.0))
+    log_pm1, log_pp1, log_p = math.log(pm1), math.log(p + 1.0), math.log(p)
+    two_log_pp1 = 2.0 * log_pp1
+    power_sinh = 2.0 * p - 1.0
+    exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
+    tiny, ln2 = _LOG_TINY, _LN2
+    us: list[float] = []
+    upps: list[float] = []
+    for rho in rhos:
+        dist = abs(rho - peak)
+        t = pm1 * dist
+        log_u = (log_scale - 2.0 * log1p(exp(-t))) / pm1 - dist
+        us.append(0.0 if log_u < tiny else exp(log_u))
+        e2 = exp(-2.0 * t)
+        log_cosh = t + log1p(e2) - ln2
+        log_term = log_pm1 + log_cosh + p * log_u - log_pp1
+        term_cosh = 0.0 if log_term < tiny else exp(log_term)
+        if t > 0.0:
+            # Below t ~ 5e-17, e2 rounds to 1 and log1p(-e2) would raise.
+            log_sinh = t + (log1p(-e2) if e2 < 1.0 else log(-expm1(-2.0 * t))) - ln2
+            log_term = log_p + 2.0 * log_sinh + power_sinh * log_u - two_log_pp1
+            upps.append((0.0 if log_term < tiny else exp(log_term)) - term_cosh)
+        else:
+            upps.append(0.0 - term_cosh)
+    return us, upps
+
+
+def eval_spike_second_derivative(params: ProblemParams, rho: float) -> float:
+    """d2u/drho2 of the exact profile; see :func:`eval_spike_second_derivative_grid`."""
+    return eval_spike_second_derivative_grid(params, (rho,))[1][0]
 
 
 @dataclass(frozen=True)
@@ -293,4 +324,5 @@ def eval_ansatz(constants: AnsatzConstants, rho: float) -> float:
     """Evaluate the trial profile amp / cosh_b(rho)**power in log space."""
     kr = constants.k * math.log(constants.base) * rho
     log_cosh = _logaddexp(math.log(constants.m) + kr, math.log(constants.q) - kr) - _LN2
-    return _exp_or_zero(math.log(constants.amp) - constants.power * log_cosh)
+    log_u = math.log(constants.amp) - constants.power * log_cosh
+    return 0.0 if log_u < _LOG_TINY else math.exp(log_u)

@@ -39,6 +39,7 @@ from .analytic import (
     ProblemParams,
     SpikeKind,
     eval_spike_rho,
+    eval_spike_rho_grid,
     spike_amplitude,
 )
 from .ode import IntegratorConfig
@@ -174,8 +175,50 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+def _json_chunks(value, pad: str = "") -> Iterator[str]:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at indent
+    ``pad``, in chunks; dict keys are strings, as in every report.
+
+    A non-empty list or tuple whose items are all floats, such as a grid
+    column, goes through the C encoder in one call, its item separator
+    carrying the line break and indent; only the bracket lines are added
+    here.  Everything else takes the generic path, one chunk per scalar.
+    """
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _json_chunks(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = pad + "  "
+        if set(map(type, value)) == {float}:
+            body = json.dumps(value, separators=(",\n" + inner, ": "))
+            yield "[\n" + inner
+            yield body[1:-1]
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                yield sep
+                yield from _json_chunks(item, inner)
+                sep = ",\n" + inner
+        yield "\n" + pad + "]"
+    else:
+        yield json.dumps(value)
+
+
+def _json_document(payload: object) -> Iterator[str]:
+    """``json.dumps(payload, indent=2) + "\\n"``, in the chunks of :func:`_json_chunks`."""
+    yield from _json_chunks(payload)
+    yield "\n"
 
 
 def _emit_report(config: RunConfig, rows, result, header: str = CSV_HEADER) -> None:
@@ -183,12 +226,12 @@ def _emit_report(config: RunConfig, rows, result, header: str = CSV_HEADER) -> N
     if config.fmt == "csv":
         _emit(_csv_lines(rows, header), config.out)
     else:
-        _emit((_json_text({"config": config.to_dict(), "result": result}),), config.out)
+        _emit(_json_document({"config": config.to_dict(), "result": result}), config.out)
 
 
 def _run_analytic(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
-    values = [eval_spike_rho(config.params, rho) for rho in grid]
+    values = eval_spike_rho_grid(config.params, grid)
     rows = ((rho, u, None, None, None) for rho, u in zip(grid, values))
     _emit_report(config, rows, {"rho": grid, "u_analytic": values})
     return 0
@@ -196,12 +239,10 @@ def _run_analytic(config: RunConfig) -> int:
 
 def _run_residual(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
-    residuals = ode_residual(config.params, grid)
-    max_residual = max(abs(r) for r in residuals)
-    rows = (
-        (rho, eval_spike_rho(config.params, rho), None, None, abs(r))
-        for rho, r in zip(grid, residuals)
-    )
+    values: list[float] = []
+    residuals = ode_residual(config.params, grid, profile=values)
+    max_residual = max(map(abs, residuals))
+    rows = ((rho, u, None, None, abs(r)) for rho, u, r in zip(grid, values, residuals))
     result = {"rho": grid, "residual": residuals, "max_abs_residual": max_residual}
     _emit_report(config, rows, result)
     _status(f"max |residual| = {_fmt(max_residual)}")
@@ -365,7 +406,7 @@ def run(config: RunConfig) -> int:
             entries = exc.scan_result.entries
             diagnostic["scan"] = [{**asdict(e), "verdict": e.verdict.value} for e in entries]
         if config.out is not None:
-            _emit((_json_text(diagnostic),), config.out)
+            _emit(_json_document(diagnostic), config.out)
         _status(f"solver failure: {exc}")
         return 1
 

@@ -52,7 +52,6 @@ __all__ = [
     "classify",
     "scan",
     "shoot",
-    "eval_profile",
     "eval_profile_grid",
 ]
 
@@ -354,9 +353,3 @@ def eval_profile_grid(
         if rho - peak < 0.0:
             vs[i] = -vs[i]
     return us, vs
-
-
-def eval_profile(result: ShootingResult, rho: float) -> State:
-    """Shooting profile at one domain coordinate; see :func:`eval_profile_grid`."""
-    (u,), (v,) = eval_profile_grid(result, (rho,))
-    return State(u, v)

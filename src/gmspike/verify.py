@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from .analytic import (
     ProblemParams,
     eval_spike_rho,
-    eval_spike_second_derivative,
+    eval_spike_rho_grid,
+    eval_spike_second_derivative,  # noqa: F401 - bench/child.py traces it in this module
+    eval_spike_second_derivative_grid,
 )
 from .ode import Trajectory, hamiltonian
 from .shooting import ShootingResult, eval_profile_grid
@@ -51,19 +53,22 @@ class ComparisonReport:
             yield rho, ua, un, vn, abs(ua - un)
 
 
-def ode_residual(params: ProblemParams, rho_grid) -> list[float]:
+def ode_residual(
+    params: ProblemParams, rho_grid, profile: list[float] | None = None
+) -> list[float]:
     """Residual u'' - u + u**p of the closed form on a grid.
 
     u'' comes from the independently derived second-derivative formula, so
     a small residual certifies the algebra of all three closed forms rather
-    than restating the equation.
+    than restating the equation.  A caller that also needs u passes a list
+    as ``profile``: the u column the residual was built from is appended to
+    it, so the closed form is evaluated once per point.
     """
-    out = []
-    for rho in rho_grid:
-        u = eval_spike_rho(params, rho)
-        upp = eval_spike_second_derivative(params, rho)
-        out.append(upp - u + math.pow(u, params.p))
-    return out
+    us, upps = eval_spike_second_derivative_grid(params, rho_grid)
+    if profile is not None:
+        profile.extend(us)
+    p, power = params.p, math.pow
+    return [upp - u + power(u, p) for u, upp in zip(us, upps)]
 
 
 def fd_second_derivative(params: ProblemParams, rho: float, h: float = 1e-4) -> float:
@@ -99,7 +104,7 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
         raise ValueError("rho_grid must not be empty")
     params = result.params
     numeric, numeric_v = eval_profile_grid(result, grid)
-    analytic = [eval_spike_rho(params, rho) for rho in grid]
+    analytic = eval_spike_rho_grid(params, grid)
     abs_errs = [abs(a - n) for a, n in zip(analytic, numeric)]
     max_abs_err = max(abs_errs)
     l2_err = math.sqrt(sum(e * e for e in abs_errs) / len(abs_errs))

@@ -1,6 +1,7 @@
 """Checks for the closed-form spike profile and the generalized-cosh ansatz."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from gmspike import (
     eval_ansatz,
     eval_spike_derivative,
     eval_spike_rho,
+    eval_spike_rho_grid,
     eval_spike_second_derivative,
+    eval_spike_second_derivative_grid,
     eval_spike_x,
+    ode_residual,
     spike_amplitude,
 )
 
@@ -214,6 +218,87 @@ class TestDerivatives:
             errors.append(abs(fd - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 < coarse / fine < 4.6
+
+    @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
+    def test_finite_next_to_the_peak(self, p):
+        # exp(-2t) rounds to 1 for 0 < t < ~5e-17, where log1p(-1) raises.
+        params = ProblemParams.inner(p)
+        for rho in (1e-17, -1e-17):
+            du = eval_spike_derivative(params, rho)
+            upp = eval_spike_second_derivative(params, rho)
+            assert math.isfinite(du) and du != 0.0
+            assert math.copysign(1.0, du) == -math.copysign(1.0, rho)
+            u = eval_spike_rho(params, rho)
+            assert upp < 0.0
+            assert upp == pytest.approx(u - u**p, rel=1e-12)
+
+
+def reference_log_profile(p, dist):
+    """log u as the closed form was evaluated one point per call."""
+    t = (p - 1.0) * dist
+    return (math.log(2.0 * (p + 1.0)) - 2.0 * math.log1p(math.exp(-t))) / (p - 1.0) - dist
+
+
+def reference_exp(log_value):
+    return 0.0 if log_value < math.log(sys.float_info.min) else math.exp(log_value)
+
+
+def reference_second_derivative(p, dist):
+    t = (p - 1.0) * dist
+    log_u = reference_log_profile(p, dist)
+    log_cosh = t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
+    term_cosh = reference_exp(
+        math.log(p - 1.0) + log_cosh + p * log_u - math.log(p + 1.0)
+    )
+    if t > 0.0:
+        if math.exp(-2.0 * t) < 1.0:
+            log_sinh = t + math.log1p(-math.exp(-2.0 * t)) - math.log(2.0)
+        else:
+            log_sinh = t + math.log(-math.expm1(-2.0 * t)) - math.log(2.0)
+        term_sinh = reference_exp(
+            math.log(p) + 2.0 * log_sinh + (2.0 * p - 1.0) * log_u - 2.0 * math.log(p + 1.0)
+        )
+    else:
+        term_sinh = 0.0
+    return term_sinh - term_cosh
+
+
+def same_bits(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestGridForms:
+    """Grid evaluators against the one-point forms and the per-call formulas."""
+
+    # Unsorted offsets from the peak: the peak itself, signed zeros, points
+    # where exp(-2t) rounds to 1, and a far field where u underflows.
+    OFFSETS = (0.37, 0.0, -0.0, 1e-17, -1e-17, 720.0, -3.3, 1.234567, -720.0, 25.0, 5e-324)
+
+    @pytest.mark.parametrize("kind", ("inner", "boundary"))
+    @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 3.0, 100.0))
+    def test_match_one_point_forms_bit_for_bit(self, p, kind):
+        params = ProblemParams.inner(p) if kind == "inner" else ProblemParams.boundary(p)
+        peak = params.peak_rho
+        grid = [peak + d for d in self.OFFSETS] + [0.0, -0.0, -peak - 2.0]
+        us = eval_spike_rho_grid(params, grid)
+        pair_us, upps = eval_spike_second_derivative_grid(params, grid)
+        assert len(us) == len(pair_us) == len(upps) == len(grid)
+        for rho, u, pair_u, upp in zip(grid, us, pair_us, upps):
+            dist = abs(rho - peak)
+            assert same_bits(u, eval_spike_rho(params, rho)), rho
+            assert same_bits(u, reference_exp(reference_log_profile(p, dist))), rho
+            assert same_bits(pair_u, u), rho
+            assert same_bits(upp, eval_spike_second_derivative(params, rho)), rho
+            assert same_bits(upp, reference_second_derivative(p, dist)), rho
+        if p == 2.0:
+            assert us[self.OFFSETS.index(720.0)] == 0.0
+
+        profile = []
+        residual = ode_residual(params, grid, profile=profile)
+        assert profile == us
+        expected = [upp - u + math.pow(u, p) for u, upp in zip(us, upps)]
+        assert all(same_bits(r, e) for r, e in zip(residual, expected))
+        assert ode_residual(params, grid) == residual
 
 
 class TestAnsatz:

@@ -155,6 +155,70 @@ class TestResidualCommand:
         assert header == CSV_HEADER
         assert all(float(row[4]) < 1e-12 for row in rows)
 
+    def test_finite_next_to_the_peak(self, tmp_path):
+        # exp(-2t) rounds to 1 for 0 < t < ~5e-17, where log1p(-1) raises.
+        out = tmp_path / "residual.csv"
+        assert cli.main(["residual", "--p", "2", "--grid=-1e-17:1e-17:3", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [float(row[0]) for row in rows] == [-1e-17, 0.0, 1e-17]
+        assert all(math.isfinite(float(row[4])) and float(row[4]) < 1e-12 for row in rows)
+
+
+class TestJsonDocument:
+    """The streamed JSON writer: its chunks join to json.dumps(x, indent=2) + "\\n"."""
+
+    def test_every_command_payload(self, tmp_path, monkeypatch):
+        payloads = []
+        document = cli._json_document
+
+        def record(payload):
+            payloads.append(payload)
+            return document(payload)
+
+        monkeypatch.setattr(cli, "_json_document", record)
+        runs = [
+            (["analytic", "--grid=-3:3:7"], 0),
+            (["residual", "--grid=-1e-17:1e-17:3"], 0),
+            (["shoot", "--p", "2.5"], 0),
+            (["compare", "--p", "3", "--spike", "boundary", "--grid=-0.00007:9.99993:11"], 0),
+            # The unconverged diagnostic, {config, error}.
+            (["compare", "--p", "2", "--rho-l", "0.5"], 1),
+            # Unconverged cases leave null cells in the summary.
+            (["sweep", "--eta", "1e-9", "--delta", "1e-10"], 1),
+        ]
+        for i, (argv, code) in enumerate(runs):
+            out = tmp_path / str(i)
+            assert cli.main([*argv, "--format", "json", "--out", str(out)]) == code
+        assert [payload["config"]["command"] for payload in payloads[:5]] == [
+            "analytic", "residual", "shoot", "compare", "compare",
+        ]
+        assert set(payloads[4]) == {"config", "error"}
+        assert any(None in row.values() for row in payloads[-1]["result"])
+        for payload in payloads:
+            assert "".join(document(payload)) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1],
+            (1.5, -0.0),
+            [],
+            {},
+            [[], {}],
+            {"a": {}, "b": []},
+            [-3.0, 3.0, 4],
+            [True, 1.0, None, "x"],
+            {"ok": True, "no": False, "none": None, "n": 7, "x": 1e-300},
+            {"error": "p=2 \u2014 \u00fc diverged at \u221e"},
+            [{"a": [1.0, 2.0], "b": [1, 2]}, {"c": [[1.0], [2, 3.0]]}],
+            3.5,
+            "s",
+            None,
+        ],
+    )
+    def test_matches_json_dumps(self, value):
+        assert "".join(cli._json_document(value)) == json.dumps(value, indent=2) + "\n"
+
 
 class TestShootCommand:
     def test_json_payload(self, tmp_path):

@@ -16,7 +16,6 @@ from gmspike import (
     TerminalEvent,
     Verdict,
     classify,
-    eval_profile,
     eval_profile_grid,
     eval_spike_rho,
     integrate,
@@ -214,30 +213,29 @@ class TestStopAtTurn:
 class TestEvalProfile:
     def test_inner_symmetry(self, default_shoots):
         result = default_shoots[2.0]
-        peak = eval_profile(result, 0.0)
-        assert peak.u == result.a_star
-        assert peak.v == 0.0
+        (u,), (v,) = eval_profile_grid(result, [0.0])
+        assert u == result.a_star
+        assert v == 0.0
         for r in (0.7, 2.5, 9.0):
-            left = eval_profile(result, -r)
-            right = eval_profile(result, r)
-            assert left.u == right.u
-            assert left.v == -right.v
-        assert eval_profile(result, 3.0).v < 0.0
+            (left_u,), (left_v,) = eval_profile_grid(result, [-r])
+            (right_u,), (right_v,) = eval_profile_grid(result, [r])
+            assert left_u == right_u
+            assert left_v == -right_v
+        (_,), (v,) = eval_profile_grid(result, [3.0])
+        assert v < 0.0
 
     def test_boundary_reflects_and_guards_domain(self, default_shoots):
         result = shoot(ProblemParams.boundary(3.0))
         assert result.a_star == default_shoots[3.0].a_star
         peak = result.params.peak_rho
-        at_peak = eval_profile(result, peak)
-        assert at_peak.u == result.a_star
-        assert at_peak.v == 0.0
-        interior = eval_profile(result, peak - 2.0)
-        assert interior.v > 0.0
-        assert interior.u == pytest.approx(
-            eval_spike_rho(result.params, peak - 2.0), abs=1e-7
-        )
+        (u,), (v,) = eval_profile_grid(result, [peak])
+        assert u == result.a_star
+        assert v == 0.0
+        (u,), (v,) = eval_profile_grid(result, [peak - 2.0])
+        assert v > 0.0
+        assert u == pytest.approx(eval_spike_rho(result.params, peak - 2.0), abs=1e-7)
         with pytest.raises(ValueError):
-            eval_profile(result, peak + 0.1)
+            eval_profile_grid(result, [peak + 0.1])
 
     @pytest.mark.parametrize("kind", ("inner", "boundary"))
     @pytest.mark.parametrize("p", (1.2, 2.0, 100.0))
@@ -255,10 +253,10 @@ class TestEvalProfile:
         us, vs = eval_profile_grid(result, grid)
         assert len(us) == len(vs) == len(grid)
         for rho, u, v in zip(grid, us, vs):
-            state = eval_profile(result, rho)
-            assert (u, v) == (state.u, state.v), rho
-            assert math.copysign(1.0, u) == math.copysign(1.0, state.u), rho
-            assert math.copysign(1.0, v) == math.copysign(1.0, state.v), rho
+            (one_u,), (one_v,) = eval_profile_grid(result, [rho])
+            assert (u, v) == (one_u, one_v), rho
+            assert math.copysign(1.0, u) == math.copysign(1.0, one_u), rho
+            assert math.copysign(1.0, v) == math.copysign(1.0, one_v), rho
         (u,), (v,) = eval_profile_grid(result, [peak])
         assert (u, v) == (result.a_star, 0.0)
         assert math.copysign(1.0, v) == 1.0
