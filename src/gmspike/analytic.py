@@ -46,7 +46,6 @@ __all__ = [
     "spike_amplitude",
     "eval_spike_rho",
     "eval_spike_rho_grid",
-    "eval_spike_x",
     "eval_spike_derivative",
     "eval_spike_second_derivative",
     "eval_spike_second_derivative_grid",
@@ -83,43 +82,32 @@ class ProblemParams:
     p: float
     epsilon: float = 0.1
     half_length: float = 1.0
-    peak_rho: float = 0.0
     kind: SpikeKind = SpikeKind.INNER
 
     def __post_init__(self) -> None:
         _check_p(self.p)
+        if not isinstance(self.kind, SpikeKind):
+            raise ValueError(f"kind must be a SpikeKind, got {self.kind!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if not (self.half_length > 0.0 and math.isfinite(self.half_length)):
             raise ValueError(f"half_length must be positive, got {self.half_length!r}")
-        if self.kind is SpikeKind.INNER:
-            if self.peak_rho != 0.0:
-                raise ValueError("inner spikes peak at rho = 0")
-        else:
-            edge = self.half_length / self.epsilon
-            if abs(self.peak_rho - edge) > 1e-9 * max(1.0, edge):
-                raise ValueError(
-                    f"boundary spikes peak at rho = half_length/epsilon = {edge!r}, "
-                    f"got {self.peak_rho!r}"
-                )
+        if not math.isfinite(self.half_length / self.epsilon):
+            raise ValueError("half_length / epsilon overflows; shrink L or grow epsilon")
+
+    # epsilon and half_length below are the field defaults, read from the class body.
+    @classmethod
+    def inner(cls, p: float, epsilon: float = epsilon, half_length: float = half_length):
+        return cls(p, epsilon, half_length)
 
     @classmethod
-    def inner(cls, p: float, epsilon: float = 0.1, half_length: float = 1.0) -> "ProblemParams":
-        return cls(p=p, epsilon=epsilon, half_length=half_length)
-
-    @classmethod
-    def boundary(cls, p: float, epsilon: float = 0.1, half_length: float = 1.0) -> "ProblemParams":
-        return cls(
-            p=p,
-            epsilon=epsilon,
-            half_length=half_length,
-            peak_rho=half_length / epsilon,
-            kind=SpikeKind.BOUNDARY,
-        )
+    def boundary(cls, p: float, epsilon: float = epsilon, half_length: float = half_length):
+        return cls(p, epsilon, half_length, SpikeKind.BOUNDARY)
 
     @property
-    def peak_x(self) -> float:
-        return self.peak_rho * self.epsilon
+    def peak_rho(self) -> float:
+        """Peak position: 0 for an inner spike, the right endpoint for a boundary spike."""
+        return self.half_length / self.epsilon if self.kind is SpikeKind.BOUNDARY else 0.0
 
 
 def _check_p(p: float) -> None:
@@ -166,15 +154,6 @@ def eval_spike_rho_grid(params: ProblemParams, rhos: Iterable[float]) -> list[fl
 def eval_spike_rho(params: ProblemParams, rho: float) -> float:
     """Exact spike profile at rescaled coordinate ``rho``; see :func:`eval_spike_rho_grid`."""
     return eval_spike_rho_grid(params, (rho,))[0]
-
-
-def eval_spike_x(params: ProblemParams, x: float) -> float:
-    """Spike profile in the original coordinate, u(x) on [-L, L]."""
-    if abs(x) > params.half_length + 1e-12:
-        raise ValueError(
-            f"x={x!r} outside the domain [-{params.half_length}, {params.half_length}]"
-        )
-    return _profile_at(params.p, (abs(x - params.peak_x) / params.epsilon,))[0]
 
 
 def eval_spike_derivative(params: ProblemParams, rho: float) -> float:

@@ -30,6 +30,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -46,12 +47,11 @@ from .ode import IntegratorConfig
 from .shooting import NoBracketError, ShootingConfig, ShootingError, ShootingResult, shoot
 from .verify import ComparisonReport, compare, ode_residual
 
-__all__ = ["RunConfig", "run", "main", "run_config_from_dict"]
+__all__ = ["RunConfig", "run", "main"]
 
 CSV_HEADER = "rho,u_analytic,u_numeric,v_numeric,abs_error"
 
 _SWEEP_EXPONENTS = (2.0, 3.0, 4.0)
-_SWEEP_KINDS = (SpikeKind.INNER, SpikeKind.BOUNDARY)
 _SWEEP_GRID_POINTS = 401
 _SWEEP_SPAN = 10.0
 _SUMMARY_COLUMNS = (
@@ -74,43 +74,25 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.grid is not None:
-            start, end, count = self.grid
-            if count < 2:
-                raise ValueError("grid needs at least 2 points")
-            if not (math.isfinite(start) and math.isfinite(end)):
-                raise ValueError("grid bounds must be finite")
-            if not (end > start):
-                raise ValueError("grid end must exceed start")
-            if not math.isfinite((end - start) / (count - 1)):
-                raise ValueError("grid step overflows; narrow the grid")
+            _check_grid(self.grid)
 
     def to_dict(self) -> dict:
-        """JSON echo, fields in definition order; :func:`run_config_from_dict` inverts it."""
+        """JSON echo; ``params`` lists the derived ``peak_rho`` before ``kind``."""
+        params = self.params
         return {
             "command": self.command,
-            "params": {**asdict(self.params), "kind": self.params.kind.value},
+            "params": {
+                "p": params.p,
+                "epsilon": params.epsilon,
+                "half_length": params.half_length,
+                "peak_rho": params.peak_rho,
+                "kind": params.kind.value,
+            },
             "shooting": asdict(self.shooting),
             "integrator": asdict(self.integrator),
             "grid": list(self.grid) if self.grid is not None else None,
             "format": self.fmt,
         }
-
-
-def run_config_from_dict(data: dict) -> RunConfig:
-    """Rebuild a RunConfig from a JSON report's configuration echo."""
-    params = ProblemParams(**{**data["params"], "kind": SpikeKind(data["params"]["kind"])})
-    shooting = ShootingConfig(**data["shooting"])
-    integrator = IntegratorConfig(**data["integrator"])
-    grid = data.get("grid")
-    return RunConfig(
-        command=data["command"],
-        params=params,
-        shooting=shooting,
-        integrator=integrator,
-        grid=None if grid is None else (float(grid[0]), float(grid[1]), int(grid[2])),
-        out=data.get("out"),
-        fmt=data.get("format", "csv"),
-    )
 
 
 def _fmt(value: float) -> str:
@@ -121,6 +103,18 @@ def _fmt(value: float) -> str:
 def _status(text: str) -> None:
     # Status goes to stderr so stdout carries nothing but the artifact.
     print(text, file=sys.stderr)
+
+
+def _check_grid(bounds: tuple[float, float, int], name: str = "grid") -> None:
+    start, end, count = bounds
+    if count < 2:
+        raise ValueError(f"{name} needs at least 2 points")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"{name} bounds must be finite")
+    if not (end > start):
+        raise ValueError(f"{name} end must exceed start")
+    if not math.isfinite((end - start) / (count - 1)):
+        raise ValueError(f"{name} step overflows; narrow the grid")
 
 
 def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
@@ -281,7 +275,10 @@ def _run_shoot(config: RunConfig) -> int:
 
 def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
     if params.kind is SpikeKind.BOUNDARY:
-        return (params.peak_rho - _SWEEP_SPAN, params.peak_rho, _SWEEP_GRID_POINTS)
+        # Checked as a --grid is: far enough out, the span next to the peak rounds away.
+        grid = (params.peak_rho - _SWEEP_SPAN, params.peak_rho, _SWEEP_GRID_POINTS)
+        _check_grid(grid, "default grid")
+        return grid
     return (-_SWEEP_SPAN, _SWEEP_SPAN, _SWEEP_GRID_POINTS)
 
 
@@ -295,10 +292,10 @@ def _not_converged(result: ShootingResult) -> str:
 def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport | None]:
     """Shoot, compare on the configured grid, and write the report.  An
     unconverged shoot writes nothing and gives no report."""
+    grid = config.grid if config.grid is not None else _default_grid(config.params)
     result = shoot(config.params, config.shooting, config.integrator)
     if not result.converged:
         return result, None
-    grid = config.grid if config.grid is not None else _default_grid(config.params)
     report = compare(result, _make_grid(grid))
     # A shallow copy: asdict would deep-copy every float of a dense grid.
     comparison = {field.name: getattr(report, field.name) for field in fields(report)}
@@ -345,37 +342,35 @@ def _summary_row(
 
 def _run_sweep(config: RunConfig) -> int:
     out_dir = Path(config.out if config.out is not None else "sweep_out")
+    # Every case is built, and so checked, before anything is written.
+    cases = []
+    for p in _SWEEP_EXPONENTS:
+        for kind in SpikeKind:
+            params = ProblemParams(p, config.params.epsilon, config.params.half_length, kind)
+            out = out_dir / f"compare_p{p:g}_{kind.value}.{config.fmt}"
+            cases.append(replace(
+                config, command="compare", params=params, grid=_default_grid(params), out=str(out)
+            ))
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
-    for p in _SWEEP_EXPONENTS:
-        for kind in _SWEEP_KINDS:
-            factory = ProblemParams.inner if kind is SpikeKind.INNER else ProblemParams.boundary
-            params = factory(p, config.params.epsilon, config.params.half_length)
-            case = RunConfig(
-                command="compare",
-                params=params,
-                shooting=config.shooting,
-                integrator=config.integrator,
-                grid=_default_grid(params),
-                out=str(out_dir / f"compare_p{p:g}_{kind.value}.{config.fmt}"),
-                fmt=config.fmt,
-            )
-            try:
-                result, report = _run_comparison(case)
-            except ShootingError as exc:
-                result, report = None, None
-                failure = f"{kind.value} spike at p={p!r}: {exc}"
-            else:
-                failure = None if report is not None else _not_converged(result)
-            summary_rows.append(_summary_row(params, result, report))
-            if failure is not None:
-                _status(f"solver failure: {failure}")
-                continue
-            _status(
-                f"p={p:g} {kind.value}: a_star={_fmt(result.a_star)} "
-                f"max_abs_err={_fmt(report.max_abs_err)} "
-                f"converged={str(result.converged).lower()}"
-            )
+    for case in cases:
+        params = case.params
+        try:
+            result, report = _run_comparison(case)
+        except ShootingError as exc:
+            result, report = None, None
+            failure = f"{params.kind.value} spike at p={params.p!r}: {exc}"
+        else:
+            failure = None if report is not None else _not_converged(result)
+        summary_rows.append(_summary_row(params, result, report))
+        if failure is not None:
+            _status(f"solver failure: {failure}")
+            continue
+        _status(
+            f"p={params.p:g} {params.kind.value}: a_star={_fmt(result.a_star)} "
+            f"max_abs_err={_fmt(report.max_abs_err)} "
+            f"converged={str(result.converged).lower()}"
+        )
 
     summary = replace(config, out=str(out_dir / f"summary.{config.fmt}"))
     rows = (tuple(row.values()) for row in summary_rows)
@@ -405,9 +400,10 @@ def run(config: RunConfig) -> int:
             # Keep the verdict table that explains the failure.
             entries = exc.scan_result.entries
             diagnostic["scan"] = [{**asdict(e), "verdict": e.verdict.value} for e in entries]
+        # Status first: an --out that cannot be written still exits 2 after it.
+        _status(f"solver failure: {exc}")
         if config.out is not None:
             _emit(_json_document(diagnostic), config.out)
-        _status(f"solver failure: {exc}")
         return 1
 
 
@@ -437,20 +433,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sweep", "compare for p in {2,3,4} x {inner,boundary}"),
     ]:
         cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--p", type=float, default=2.0, help=f"exponent in [{P_MIN}, {P_MAX}]")
-        cmd.add_argument("--epsilon", type=float, default=0.1, help="length-scale ratio in (0, 1)")
-        cmd.add_argument("--L", type=float, default=1.0, help="half-domain length")
+        number = partial(cmd.add_argument, type=float)
+        number("--p", default=2.0, help=f"exponent in [{P_MIN}, {P_MAX}]")
+        number("--epsilon", default=ProblemParams.epsilon, help="length-scale ratio in (0, 1)")
+        number("--L", default=ProblemParams.half_length, help="half-domain length")
         cmd.add_argument(
             "--spike",
             choices=["inner", "boundary"],
             default="inner",
             help="spike location (ignored by sweep, which runs both)",
         )
-        cmd.add_argument("--eta", type=float, default=0.01, help="boundary functional tolerance")
-        cmd.add_argument("--delta", type=float, default=0.1, help="scan half-width around the amplitude")
-        cmd.add_argument("--rho-l", type=float, default=None, help="truncation point (default 12)")
-        cmd.add_argument("--rel-tol", type=float, default=1e-10, help="integrator relative tolerance")
-        cmd.add_argument("--abs-tol", type=float, default=1e-12, help="integrator absolute tolerance")
+        number("--eta", default=ShootingConfig.eta, help="boundary functional tolerance")
+        number("--delta", default=ShootingConfig.delta, help="scan half-width around the amplitude")
+        number("--rho-l", default=ShootingConfig.rho_l, help="far-field truncation point")
+        number("--rel-tol", default=IntegratorConfig.rel_tol, help="integrator relative tolerance")
+        number("--abs-tol", default=IntegratorConfig.abs_tol, help="integrator absolute tolerance")
         cmd.add_argument(
             "--grid",
             type=_parse_grid,
@@ -463,14 +460,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.spike == "boundary" and args.command != "sweep":
-        params = ProblemParams.boundary(args.p, args.epsilon, args.L)
-    else:
-        params = ProblemParams.inner(args.p, args.epsilon, args.L)
-    shooting_kwargs = {"delta": args.delta, "eta": args.eta}
-    if args.rho_l is not None:
-        shooting_kwargs["rho_l"] = args.rho_l
-    shooting = ShootingConfig(**shooting_kwargs)
+    # The sweep runs both kinds; its own echo reads as an inner spike's.
+    kind = SpikeKind.INNER if args.command == "sweep" else SpikeKind(args.spike)
+    params = ProblemParams(args.p, args.epsilon, args.L, kind)
+    shooting = ShootingConfig(delta=args.delta, eta=args.eta, rho_l=args.rho_l)
     integrator = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     grid = args.grid
     if grid is None and args.command in ("analytic", "residual"):
@@ -495,15 +488,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     try:
         return run(config)
-    except ValueError as exc:
-        # Input that only the run can reject: a scan window below zero or
-        # a grid beyond the integrated span or the wall.
-        parser.error(str(exc))
     except BrokenPipeError:
         # The downstream reader went away (e.g. piping into head). Point
         # stdout at devnull so the interpreter's exit-time flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (ValueError, OSError) as exc:
+        # Input only the run can reject: a scan window below zero, a grid beyond
+        # the integrated span or the wall, or an --out that cannot be written.
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -63,15 +63,10 @@ __all__ = [
     "hamiltonian",
     "integrate",
     "EVENT_LOCATION_TOL",
-    "PROPAGATING_ORDER",
 ]
 
 # Spatial resolution of event bisection on the dense interpolant.
 EVENT_LOCATION_TOL = 1e-10
-
-# The pair advances the fifth-order solution; the embedded fourth-order
-# result only feeds the error estimate.
-PROPAGATING_ORDER = 5
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -183,7 +178,6 @@ class Trajectory:
 
     steps: list[tuple[float, ...]] = field(repr=False)
     end: tuple[float, State]
-    accepted_steps: int
     rejected_steps: int
     terminal_event: TerminalEvent
     v_zero_crossings: list[tuple[float, State]] = field(default_factory=list)
@@ -195,12 +189,12 @@ class Trajectory:
         return [(step[0], State(step[2], step[3])) for step in self.steps] + [self.end]
 
     @property
-    def rho_start(self) -> float:
-        return self.steps[0][0] if self.steps else self.end[0]
+    def accepted_steps(self) -> int:
+        return len(self.steps)
 
     @property
-    def rho_end(self) -> float:
-        return self.end[0]
+    def rho_start(self) -> float:
+        return self.steps[0][0] if self.steps else self.end[0]
 
     def eval(self, rhos: Iterable[float]) -> tuple[list[float], list[float]]:
         """Dense-output u and v columns at the points ``rhos``, in their order.
@@ -320,7 +314,6 @@ def integrate(
     k1u, k1v = v, u - (u ** p if u >= 0.0 or integer_p else -((-u) ** p))
     h = min(max(config.h_init, h_min), h_max, rho_end - rho_start)
     crossings: list[tuple[float, State]] = []
-    accepted = 0
     rejected = 0
     event = TerminalEvent.REACHED_END
 
@@ -377,7 +370,6 @@ def integrate(
             continue
 
         append((rho, h_step, u, v, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v))
-        accepted += 1
 
         crossed_zero = u > 0.0 >= u_new
         v_changed = (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0)
@@ -426,7 +418,6 @@ def integrate(
     return Trajectory(
         steps=steps,
         end=(rho, State(u, v)),
-        accepted_steps=accepted,
         rejected_steps=rejected,
         terminal_event=event,
         v_zero_crossings=crossings,

@@ -125,42 +125,60 @@ class ScanResult:
     bracket: tuple[float, float] | None
     best_connect: tuple[float, Shot] | None = field(default=None, repr=False, compare=False)
 
+
+def _bc_residual(trajectory: Trajectory) -> float:
+    state = trajectory.end[1]
+    return abs(state.u) + abs(state.v)
+
+
+class Shot(NamedTuple):
+    """One integration from (a, 0) and the verdict it earned.
+
+    ``bc_residual`` is |u| + |v| and ``signed_bc_residual`` is u + v at the
+    end of the trajectory: at rho_l, or at the terminating event if one
+    fired first.
+    """
+
+    verdict: Verdict
+    trajectory: Trajectory
+
     @property
-    def has_bracket(self) -> bool:
-        return self.bracket is not None
+    def bc_residual(self) -> float:
+        return _bc_residual(self.trajectory)
+
+    @property
+    def signed_bc_residual(self) -> float:
+        state = self.trajectory.end[1]
+        return state.u + state.v
 
 
 @dataclass(frozen=True)
 class ShootingResult:
     """Refined amplitude plus the evidence that produced it.
 
-    ``bc_residual`` is |u| + |v| at the final sample of the accepted
-    trajectory (at rho_l, or at the terminating event if one fired first);
-    ``signed_bc_residual`` is u + v there.  ``classifications`` lists every
-    amplitude examined, scan points first, bisection midpoints after, and
-    ends with the final run's (a_star, verdict), even when that run is the
-    connecting midpoint before it.
+    ``bc_residual`` and ``signed_bc_residual`` are read from the end of the
+    accepted trajectory, as on a :class:`Shot`; ``converged`` says whether
+    ``bc_residual`` is within ``config.eta``.  ``classifications`` lists
+    every amplitude examined, scan points first, bisection midpoints after,
+    and ends with the final run's (a_star, verdict), even when that run is
+    the connecting midpoint before it.
     """
 
     a_star: float
     trajectory: Trajectory
-    bc_residual: float
     classifications: tuple[tuple[float, Verdict], ...]
-    converged: bool
-    signed_bc_residual: float
     bracket_history: tuple[tuple[float, float], ...]
     params: ProblemParams
     config: ShootingConfig
     integrator_config: IntegratorConfig
 
+    # Shot's properties read nothing but ``self.trajectory``.
+    bc_residual = Shot.bc_residual
+    signed_bc_residual = Shot.signed_bc_residual
 
-class Shot(NamedTuple):
-    """One integration from (a, 0) and the verdict it earned."""
-
-    verdict: Verdict
-    trajectory: Trajectory
-    bc_residual: float
-    signed_bc_residual: float
+    @property
+    def converged(self) -> bool:
+        return self.bc_residual <= self.config.eta
 
 
 def classify(
@@ -168,16 +186,15 @@ def classify(
     p: float,
     rho_l: float,
     config: IntegratorConfig = IntegratorConfig(),
-    eta: float = 0.01,
+    eta: float = ShootingConfig.eta,
     *,
     stop_at_turn: bool = False,
 ) -> Shot:
     """Integrate one shot from (a, 0) to rho_l and classify it.
 
     Returns a :class:`Shot`: ``verdict`` is overshoot, undershoot, or
-    connect; ``trajectory`` is the integrated orbit; ``bc_residual`` is
-    |u| + |v| and ``signed_bc_residual`` is u + v at its final sample (at
-    rho_l, or at the terminating event if one fired first).  With
+    connect; ``trajectory`` is the integrated orbit, which ends at rho_l or
+    at the terminating event if one fired first.  With
     ``stop_at_turn`` an undershoot's run ends at its first turning point,
     which already settles the verdict; every verdict stays the same.
     """
@@ -187,15 +204,13 @@ def classify(
     if trajectory.terminal_event is TerminalEvent.STEP_FAILURE:
         raise ShootingError(f"step size underflow while integrating amplitude {a!r}")
     last_state = trajectory.end[1]
-    residual = abs(last_state.u) + abs(last_state.v)
-    signed = last_state.u + last_state.v
 
     turned = any(0.0 < s.u < a for _, s in trajectory.v_zero_crossings)
     if turned:
         verdict = Verdict.UNDERSHOOT
     elif trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO:
         verdict = Verdict.OVERSHOOT
-    elif residual <= eta:
+    elif _bc_residual(trajectory) <= eta:
         verdict = Verdict.CONNECT
     else:
         # Horizon reached with no event and the functional still large: the
@@ -206,7 +221,7 @@ def classify(
             if hamiltonian(last_state, p) < 0.0
             else Verdict.OVERSHOOT
         )
-    return Shot(verdict, trajectory, residual, signed)
+    return Shot(verdict, trajectory)
 
 
 def scan(
@@ -316,10 +331,7 @@ def shoot(
     return ShootingResult(
         a_star=a_star,
         trajectory=final.trajectory,
-        bc_residual=final.bc_residual,
         classifications=tuple(classifications),
-        converged=final.bc_residual <= config.eta,
-        signed_bc_residual=final.signed_bc_residual,
         bracket_history=tuple(bracket_history),
         params=params,
         config=config,

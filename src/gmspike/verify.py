@@ -6,9 +6,7 @@ module quantifies their agreement (:func:`compare`), checks that the closed
 form actually solves the equation (:func:`ode_residual`, using the
 analytically derived second derivative rather than the ODE itself), and
 monitors conservation of the phase-plane energy along integrated
-trajectories (:func:`check_first_integral`).  Central finite differences
-are available as a further, discretization-based route
-(:func:`fd_second_derivative`, :func:`fd_residual`).
+trajectories (:func:`check_first_integral`).
 """
 
 from __future__ import annotations
@@ -16,21 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import (
-    ProblemParams,
-    eval_spike_rho,
-    eval_spike_rho_grid,
-    eval_spike_second_derivative,  # noqa: F401 - bench/child.py traces it in this module
-    eval_spike_second_derivative_grid,
-)
+from .analytic import ProblemParams, eval_spike_rho_grid, eval_spike_second_derivative_grid
+# bench/child.py traces these two through this module.
+from .analytic import eval_spike_rho, eval_spike_second_derivative  # noqa: F401
 from .ode import Trajectory, hamiltonian
 from .shooting import ShootingResult, eval_profile_grid
 
 __all__ = [
     "ComparisonReport",
     "ode_residual",
-    "fd_second_derivative",
-    "fd_residual",
     "compare",
     "check_first_integral",
 ]
@@ -69,22 +61,6 @@ def ode_residual(
         profile.extend(us)
     p, power = params.p, math.pow
     return [upp - u + power(u, p) for u, upp in zip(us, upps)]
-
-
-def fd_second_derivative(params: ProblemParams, rho: float, h: float = 1e-4) -> float:
-    """O(h**2) central-difference second derivative of the closed form."""
-    if not (h > 0.0):
-        raise ValueError("h must be positive")
-    um = eval_spike_rho(params, rho - h)
-    u0 = eval_spike_rho(params, rho)
-    up = eval_spike_rho(params, rho + h)
-    return (up - 2.0 * u0 + um) / (h * h)
-
-
-def fd_residual(params: ProblemParams, rho: float, h: float = 1e-4) -> float:
-    """Residual with the second derivative replaced by finite differences."""
-    u = eval_spike_rho(params, rho)
-    return fd_second_derivative(params, rho, h) - u + math.pow(u, params.p)
 
 
 def compare(result: ShootingResult, rho_grid) -> ComparisonReport:

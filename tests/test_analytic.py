@@ -17,7 +17,6 @@ from gmspike import (
     eval_spike_rho_grid,
     eval_spike_second_derivative,
     eval_spike_second_derivative_grid,
-    eval_spike_x,
     ode_residual,
     spike_amplitude,
 )
@@ -66,7 +65,13 @@ class TestProblemParams:
         params = ProblemParams.boundary(3.0, epsilon=0.05, half_length=2.0)
         assert params.kind is SpikeKind.BOUNDARY
         assert params.peak_rho == pytest.approx(40.0, rel=1e-15)
-        assert params.peak_x == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "epsilon, half_length", [(0.1, 1.0), (0.05, 2.0), (0.3, 0.7), (1e-3, 1e300)]
+    )
+    def test_boundary_peak_is_the_edge_bit_for_bit(self, epsilon, half_length):
+        params = ProblemParams.boundary(3.0, epsilon, half_length)
+        assert params.peak_rho == half_length / epsilon
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -76,8 +81,10 @@ class TestProblemParams:
             {"p": 2.0, "epsilon": 0.0},
             {"p": 2.0, "epsilon": 1.5},
             {"p": 2.0, "half_length": 0.0},
-            {"p": 2.0, "peak_rho": 1.0},
-            {"p": 2.0, "peak_rho": 3.0, "kind": SpikeKind.BOUNDARY},
+            {"p": 2.0, "kind": "boundary"},
+            # The domain edge half_length / epsilon overflows to inf.
+            {"p": 2.0, "epsilon": 1e-3, "half_length": 1e308},
+            {"p": 2.0, "epsilon": 1e-3, "half_length": 1e308, "kind": SpikeKind.BOUNDARY},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -130,23 +137,6 @@ class TestClosedForm:
         assert eval_spike_rho(params, 720.0) == 0.0
         assert eval_spike_rho(params, 1e6) == 0.0
         assert math.isfinite(eval_spike_derivative(params, 1e6))
-
-    def test_x_frame_matches_rescaled_frame(self):
-        params = ProblemParams.inner(2.0, epsilon=0.1)
-        for x in (-0.9, -0.25, 0.0, 0.2, 0.4, 1.0):
-            assert eval_spike_x(params, x) == eval_spike_rho(params, x / 0.1)
-        assert eval_spike_x(params, 0.2) == pytest.approx(
-            1.5 / math.cosh(1.0) ** 2, rel=1e-14
-        )
-
-    def test_x_frame_boundary_peak(self):
-        params = ProblemParams.boundary(2.0)
-        assert eval_spike_x(params, 1.0) == pytest.approx(1.5, rel=1e-14)
-
-    def test_x_outside_domain_rejected(self):
-        params = ProblemParams.inner(2.0)
-        with pytest.raises(ValueError):
-            eval_spike_x(params, 1.0000001)
 
 
 class TestDerivatives:

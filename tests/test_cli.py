@@ -6,7 +6,18 @@ import math
 
 import pytest
 
-from gmspike import ShootingError, Shot, State, Verdict, cli, integrate, shooting
+from gmspike import (
+    IntegratorConfig,
+    ProblemParams,
+    ShootingConfig,
+    ShootingError,
+    Shot,
+    State,
+    Verdict,
+    cli,
+    integrate,
+    shooting,
+)
 from gmspike.cli import CSV_HEADER
 
 SWEEP_FILES = (
@@ -69,23 +80,66 @@ class TestArgumentHandling:
         assert err.startswith("usage: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            # half_length / epsilon overflows to inf.
+            ["--L", "1e308", "--epsilon", "0.001"],
+            # The edge is finite, but the 10-wide default span rounds away at 1e21.
+            ["--L", "1e20", "--epsilon", "0.1"],
+        ],
+    )
+    def test_unrepresentable_boundary_domain_exits_2(self, command, domain, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--p", "3", "--spike", "boundary", *domain, "--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, existing",
+        [
+            (["analytic", "--grid=0:1:3"], "directory"),
+            (["sweep"], "file"),
+            # The diagnostic of an unconverged compare goes to --out as well.
+            (["compare", "--rho-l", "0.5", "--format", "json"], "directory"),
+        ],
+    )
+    def test_unwritable_out_exits_2(self, argv, existing, tmp_path, capsys):
+        out = tmp_path / "taken"
+        if existing == "directory":
+            out.mkdir()
+        else:
+            out.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if argv[0] == "compare":
+            # The solver failure is reported before its diagnostic fails to be written.
+            first, err = err.split("\n", 1)
+            assert first.startswith("solver failure: ")
+        assert err.startswith("usage: ")
+        assert "gmspike: error: " in err
+
+    @pytest.mark.parametrize("command", ["analytic", "residual", "shoot", "compare", "sweep"])
+    def test_cli_defaults_are_the_library_defaults(self, command):
+        config = cli._config_from_args(cli._build_parser().parse_args([command]))
+        assert config.shooting == ShootingConfig()
+        assert config.integrator == IntegratorConfig()
+        assert config.params.epsilon == ProblemParams.inner(2.0).epsilon
+        assert config.params.half_length == ProblemParams.inner(2.0).half_length
+
     def test_equals_form_accepts_negative_grid(self, capsys):
         assert cli.main(["analytic", "--grid=-2:2:5"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == CSV_HEADER
-
-    def test_run_config_round_trips(self, tmp_path):
-        for kind, argv in (
-            ("inner", ["shoot", "--p", "3"]),
-            ("boundary", ["analytic", "--p", "3", "--spike", "boundary"]),
-        ):
-            out = tmp_path / f"{kind}.json"
-            assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
-            payload = json.loads(out.read_text())
-            config = cli.run_config_from_dict(payload["config"])
-            assert config.params.p == 3.0
-            assert config.params.kind.value == kind
-            assert cli.run_config_from_dict(config.to_dict()) == config
 
 
 class TestAnalyticCommand:
@@ -296,7 +350,7 @@ class TestShootCommand:
         stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
 
         def always_overshoot(*args, **kwargs):
-            return Shot(Verdict.OVERSHOOT, stub, 1.0, 1.0)
+            return Shot(Verdict.OVERSHOOT, stub)
 
         monkeypatch.setattr(shooting, "classify", always_overshoot)
         out = tmp_path / "x.json"
@@ -390,7 +444,7 @@ class TestSweepCommand:
         stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
 
         def always_overshoot(*args, **kwargs):
-            return Shot(Verdict.OVERSHOOT, stub, 1.0, 1.0)
+            return Shot(Verdict.OVERSHOOT, stub)
 
         monkeypatch.setattr(shooting, "classify", always_overshoot)
         assert cli.main(["sweep", "--format", "json", "--out", str(tmp_path)]) == 1

@@ -67,7 +67,7 @@ class TestScan:
         assert len(result.entries) == 41
         assert result.entries[0].a == pytest.approx(1.4, rel=1e-12)
         assert result.entries[-1].a == pytest.approx(1.6, rel=1e-12)
-        assert result.has_bracket
+        assert result.bracket is not None
         low, high = result.bracket
         assert low < 1.5 < high
         assert high - low == pytest.approx(0.01, rel=1e-6)
@@ -81,7 +81,7 @@ class TestScan:
 
     def test_localizes_the_p3_amplitude(self):
         result = scan(ProblemParams.inner(3.0))
-        assert result.has_bracket
+        assert result.bracket is not None
         low, high = result.bracket
         assert low < math.sqrt(2.0) < high
         assert high - low == pytest.approx(0.01, rel=1e-6)
@@ -89,7 +89,7 @@ class TestScan:
     def test_degenerate_window_connects_everywhere(self):
         result = scan(ProblemParams.inner(2.0), config=ALL_CONNECT)
         assert {entry.verdict for entry in result.entries} == {Verdict.CONNECT}
-        assert not result.has_bracket
+        assert result.bracket is None
 
 
 class TestShoot:
@@ -168,7 +168,7 @@ class TestShoot:
         stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
 
         def always_overshoot(*args, **kwargs):
-            return Shot(Verdict.OVERSHOOT, stub, 1.0, 1.0)
+            return Shot(Verdict.OVERSHOOT, stub)
 
         monkeypatch.setattr(shooting_mod, "classify", always_overshoot)
         with pytest.raises(NoBracketError) as excinfo:
@@ -242,7 +242,7 @@ class TestEvalProfile:
     def test_grid_form_matches_one_point_bit_for_bit(self, p, kind):
         factory = ProblemParams.inner if kind == "inner" else ProblemParams.boundary
         result = shoot(factory(p))
-        peak, reach = result.params.peak_rho, result.trajectory.rho_end
+        peak, reach = result.params.peak_rho, result.trajectory.end[0]
         # Unsorted; the peak, points between steps on the interior side, and
         # points inside the 1e-9 clamp margin past each end of the span.
         grid = [peak - 0.37, peak, peak - reach - 5e-10, peak - 1.234567, peak - reach]

@@ -12,9 +12,8 @@ from gmspike import (
     State,
     check_first_integral,
     compare,
+    eval_spike_rho,
     eval_spike_second_derivative,
-    fd_residual,
-    fd_second_derivative,
     hamiltonian,
     integrate,
     ode_residual,
@@ -23,6 +22,22 @@ from gmspike import (
 )
 
 P_VALUES = (2.0, 2.5, 3.0, 4.0, 10.0)
+
+
+def fd_second_derivative(params: ProblemParams, rho: float, h: float = 1e-4) -> float:
+    """O(h**2) central-difference second derivative of the closed form."""
+    if not (h > 0.0):
+        raise ValueError("h must be positive")
+    um = eval_spike_rho(params, rho - h)
+    u0 = eval_spike_rho(params, rho)
+    up = eval_spike_rho(params, rho + h)
+    return (up - 2.0 * u0 + um) / (h * h)
+
+
+def fd_residual(params: ProblemParams, rho: float, h: float = 1e-4) -> float:
+    """Residual with the second derivative replaced by finite differences."""
+    u = eval_spike_rho(params, rho)
+    return fd_second_derivative(params, rho, h) - u + math.pow(u, params.p)
 
 
 class TestOdeResidual:
