@@ -9,6 +9,9 @@ compare    shooting profile versus closed form on a grid
 sweep      compare for p in {2, 3, 4} x {inner, boundary}; one file per
            case plus a summary table
 
+Each subcommand takes only the option groups its run reads (spike, domain,
+solver, grid, output); any other option is a usage error.
+
 Every command emits CSV with the fixed header
 ``rho,u_analytic,u_numeric,v_numeric,abs_error`` (one schema for all
 commands; columns a command does not produce stay empty, and ``residual``
@@ -44,7 +47,9 @@ from .analytic import (
     spike_amplitude,
 )
 from .ode import IntegratorConfig
-from .shooting import NoBracketError, ShootingConfig, ShootingError, ShootingResult, shoot
+from .shooting import (
+    NoBracketError, ShootingConfig, ShootingError, ShootingResult, check_within_wall, shoot
+)
 from .verify import ComparisonReport, compare, ode_residual
 
 __all__ = ["RunConfig", "run", "main"]
@@ -75,6 +80,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.grid is not None:
             _check_grid(self.grid)
+            check_within_wall(self.params, (self.grid[1],))
 
     def to_dict(self) -> dict:
         """JSON echo; ``params`` lists the derived ``peak_rho`` before ``kind``."""
@@ -424,59 +430,54 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gmspike",
         description="Spike solutions of u'' - u + u**p = 0: closed form and shooting.",
     )
+    # One parent parser per option group; a subcommand takes only the groups its run reads.
+    group = partial(argparse.ArgumentParser, add_help=False)
+    spike, domain, solver, grid, output = (group() for _ in range(5))
+    spike.add_argument("--p", type=float, default=2.0, help=f"exponent in [{P_MIN}, {P_MAX}]")
+    spike.add_argument(
+        "--spike", choices=["inner", "boundary"], default="inner", help="spike location"
+    )
+    number = partial(domain.add_argument, type=float)
+    number("--epsilon", default=ProblemParams.epsilon, help="length-scale ratio in (0, 1)")
+    number("--L", default=ProblemParams.half_length, help="half-domain length")
+    number = partial(solver.add_argument, type=float)
+    number("--eta", default=ShootingConfig.eta, help="boundary functional tolerance")
+    number("--delta", default=ShootingConfig.delta, help="scan half-width around the amplitude")
+    number("--rho-l", default=ShootingConfig.rho_l, help="far-field truncation point")
+    number("--rel-tol", default=IntegratorConfig.rel_tol, help="integrator relative tolerance")
+    number("--abs-tol", default=IntegratorConfig.abs_tol, help="integrator absolute tolerance")
+    grid_help = "evaluation grid start:end:count (use --grid=-10:10:401 for negative starts)"
+    grid.add_argument("--grid", type=_parse_grid, help=grid_help)
+    output.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt")
+    output.add_argument("--out", help="output file (sweep: output directory)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("analytic", "evaluate the closed-form profile on a grid"),
-        ("residual", "closed-form residual on a grid"),
-        ("shoot", "run the shooting solver"),
-        ("compare", "shooting profile versus closed form"),
-        ("sweep", "compare for p in {2,3,4} x {inner,boundary}"),
+    for name, helptext, groups in [
+        ("analytic", "evaluate the closed-form profile on a grid", [spike, domain, grid, output]),
+        ("residual", "closed-form residual on a grid", [spike, domain, grid, output]),
+        ("shoot", "run the shooting solver", [spike, domain, solver, output]),
+        ("compare", "shooting profile versus closed form", [spike, domain, solver, grid, output]),
+        ("sweep", "compare for p in {2,3,4} x {inner,boundary}", [domain, solver, output]),
     ]:
-        cmd = sub.add_parser(name, help=helptext)
-        number = partial(cmd.add_argument, type=float)
-        number("--p", default=2.0, help=f"exponent in [{P_MIN}, {P_MAX}]")
-        number("--epsilon", default=ProblemParams.epsilon, help="length-scale ratio in (0, 1)")
-        number("--L", default=ProblemParams.half_length, help="half-domain length")
-        cmd.add_argument(
-            "--spike",
-            choices=["inner", "boundary"],
-            default="inner",
-            help="spike location (ignored by sweep, which runs both)",
-        )
-        number("--eta", default=ShootingConfig.eta, help="boundary functional tolerance")
-        number("--delta", default=ShootingConfig.delta, help="scan half-width around the amplitude")
-        number("--rho-l", default=ShootingConfig.rho_l, help="far-field truncation point")
-        number("--rel-tol", default=IntegratorConfig.rel_tol, help="integrator relative tolerance")
-        number("--abs-tol", default=IntegratorConfig.abs_tol, help="integrator absolute tolerance")
-        cmd.add_argument(
-            "--grid",
-            type=_parse_grid,
-            default=None,
-            help="evaluation grid start:end:count (use --grid=-10:10:401 for negative starts)",
-        )
-        cmd.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt")
-        cmd.add_argument("--out", type=str, default=None, help="output file (sweep: output directory)")
+        sub.add_parser(name, help=helptext, parents=groups)
     return parser
 
 
+def _from_args(cls, values: dict):
+    """``cls`` from the parsed values whose dest names one of its fields; a
+    field that no option of the subcommand sets keeps its class default."""
+    return cls(**{field.name: values[field.name] for field in fields(cls) if field.name in values})
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # The sweep runs both kinds; its own echo reads as an inner spike's.
-    kind = SpikeKind.INNER if args.command == "sweep" else SpikeKind(args.spike)
-    params = ProblemParams(args.p, args.epsilon, args.L, kind)
-    shooting = ShootingConfig(delta=args.delta, eta=args.eta, rho_l=args.rho_l)
-    integrator = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    grid = args.grid
+    values = vars(args)
+    # The sweep takes no spike options; its own echo reads as its first case.
+    p = values.get("p", _SWEEP_EXPONENTS[0])
+    params = ProblemParams(p, args.epsilon, args.L, SpikeKind(values.get("spike", "inner")))
+    grid = values.get("grid")
     if grid is None and args.command in ("analytic", "residual"):
         grid = _default_grid(params)
-    return RunConfig(
-        command=args.command,
-        params=params,
-        shooting=shooting,
-        integrator=integrator,
-        grid=grid,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    shooting, integrator = _from_args(ShootingConfig, values), _from_args(IntegratorConfig, values)
+    return RunConfig(args.command, params, shooting, integrator, grid, args.out, args.fmt)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -495,7 +496,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         # Input only the run can reject: a scan window below zero, a grid beyond
-        # the integrated span or the wall, or an --out that cannot be written.
+        # the integrated span, or an --out that cannot be written.
         parser.error(str(exc))
 
 

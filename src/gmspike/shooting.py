@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .analytic import ProblemParams, SpikeKind, spike_amplitude
 from .ode import IntegratorConfig, State, TerminalEvent, Trajectory, hamiltonian, integrate
@@ -275,12 +275,12 @@ def shoot(
 ) -> ShootingResult:
     """Scan, bracket, and bisect to the spike amplitude.
 
-    Bisection halves the bracket until it is narrower than refine_tol,
-    stopping early if a midpoint connects outright.  Without a bracket the
-    connecting scan point with the smallest boundary residual is taken.
-    Raises :class:`NoBracketError` when the scan neither brackets nor
-    connects.  A connecting midpoint or scan point is the final run;
-    otherwise a_star is integrated once more, to rho_l.
+    Bisection halves the bracket until it is narrower than refine_tol or
+    holds no double strictly inside, stopping early if a midpoint connects
+    outright.  Without a bracket the connecting scan point with the smallest
+    boundary residual is taken.  Raises :class:`NoBracketError` when the
+    scan neither brackets nor connects.  A connecting midpoint or scan point
+    is the final run; otherwise a_star is integrated once more, to rho_l.
     """
     p = params.p
     scan_result = scan(params, config, integrator_config)
@@ -295,10 +295,11 @@ def shoot(
         bracket_history.append((lo, hi))
         a_star = 0.5 * (lo + hi)
         for _ in range(config.max_bisections):
-            if hi - lo <= config.refine_tol:
-                a_star = 0.5 * (lo + hi)
-                break
             mid = 0.5 * (lo + hi)
+            # A bracket with no double strictly inside is as narrow as it gets.
+            if hi - lo <= config.refine_tol or not lo < mid < hi:
+                a_star = mid
+                break
             shot = classify(
                 mid, p, config.rho_l, integrator_config, config.eta, stop_at_turn=True
             )
@@ -339,6 +340,18 @@ def shoot(
     )
 
 
+def check_within_wall(params: ProblemParams, rhos: Iterable[float]) -> None:
+    """Raise ValueError if a boundary spike's ``rhos`` pass its wall by more than 1e-9."""
+    if params.kind is SpikeKind.BOUNDARY:
+        peak = params.peak_rho
+        beyond = next((rho for rho in rhos if rho - peak > 1e-9), None)
+        if beyond is not None:
+            raise ValueError(
+                f"rho={beyond!r} lies outside the domain; the boundary spike peaks "
+                f"at the right endpoint rho={peak!r}"
+            )
+
+
 def eval_profile_grid(
     result: ShootingResult, rhos: Sequence[float]
 ) -> tuple[list[float], list[float]]:
@@ -352,13 +365,7 @@ def eval_profile_grid(
     """
     params = result.params
     peak = params.peak_rho
-    if params.kind is SpikeKind.BOUNDARY:
-        beyond = next((rho for rho in rhos if rho - peak > 1e-9), None)
-        if beyond is not None:
-            raise ValueError(
-                f"rho={beyond!r} lies outside the domain; the boundary spike peaks "
-                f"at the right endpoint rho={peak!r}"
-            )
+    check_within_wall(params, rhos)
     # Distances are generated, not stored: no grid-sized list beside the columns.
     us, vs = result.trajectory.eval(abs(rho - peak) for rho in rhos)
     for i, rho in enumerate(rhos):

@@ -36,6 +36,35 @@ SUMMARY_HEADER = (
 )
 
 
+# Each subcommand takes the options of the groups its run reads, and no other.
+SPIKE, DOMAIN, GRID = ("--p", "--spike"), ("--epsilon", "--L"), ("--grid",)
+SOLVER = ("--eta", "--delta", "--rho-l", "--rel-tol", "--abs-tol")
+OUTPUT = ("--format", "--out")
+OPTIONS_TAKEN = {
+    "analytic": SPIKE + DOMAIN + GRID + OUTPUT,
+    "residual": SPIKE + DOMAIN + GRID + OUTPUT,
+    "shoot": SPIKE + DOMAIN + SOLVER + OUTPUT,
+    "compare": SPIKE + DOMAIN + SOLVER + GRID + OUTPUT,
+    "sweep": DOMAIN + SOLVER + OUTPUT,
+}
+# Each option with a valid value other than its default.
+OPTION_ARGV = {
+    "--p": ["--p", "3"],
+    "--spike": ["--spike", "boundary"],
+    "--epsilon": ["--epsilon", "0.2"],
+    "--L": ["--L", "2"],
+    "--eta": ["--eta", "0.02"],
+    "--delta": ["--delta", "0.05"],
+    "--rho-l": ["--rho-l", "11"],
+    "--rel-tol": ["--rel-tol", "1e-9"],
+    "--abs-tol": ["--abs-tol", "1e-11"],
+    "--grid": ["--grid=-1:0:3"],
+    "--format": ["--format", "json"],
+    "--out": ["--out", "x"],
+}
+OPTION_CASES = [(command, option) for command in OPTIONS_TAKEN for option in OPTION_ARGV]
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -68,11 +97,11 @@ class TestArgumentHandling:
         [
             ["shoot", "--p", "2", "--delta", "2"],
             ["compare", "--p", "2", "--grid=-20:20:11"],
-            ["compare", "--p", "2", "--spike", "boundary", "--grid=9:11:5"],
+            ["compare", "--p", "2", "--spike", "boundary", "--grid=-20:10:5"],
         ],
     )
     def test_input_rejected_by_the_run_exits_2(self, argv, capsys):
-        # The scan window and the grid's reach are checked only once running.
+        # The scan window and the integrated span are checked only once running.
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
@@ -92,14 +121,56 @@ class TestArgumentHandling:
     )
     def test_unrepresentable_boundary_domain_exits_2(self, command, domain, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = [command, "--p", "3", "--spike", "boundary", *domain, "--out", str(out)]
+        # The sweep runs the boundary cases anyway, and takes no spike options.
+        spike = ["--p", "3", "--spike", "boundary"] if command == "compare" else []
+        argv = [command, *spike, *domain, "--out", str(out)]
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
         assert "Traceback" not in err
+        assert "overflows" in err or "default grid" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analytic", "residual", "compare"])
+    def test_boundary_grid_past_the_wall_exits_2_before_running(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def explode(*args, **kwargs):
+            raise AssertionError("computed before the grid was checked")
+
+        for name in ("shoot", "eval_spike_rho_grid", "ode_residual"):
+            monkeypatch.setattr(cli, name, explode)
+        out = tmp_path / "out"
+        argv = [command, "--p", "2", "--spike", "boundary", "--grid=0:20:5", "--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+        assert "rho=20.0 lies outside the domain" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, option", [case for case in OPTION_CASES if case[1] in OPTIONS_TAKEN[case[0]]]
+    )
+    def test_an_option_taken_reaches_the_config(self, command, option):
+        parse = cli._build_parser().parse_args
+        default = cli._config_from_args(parse([command]))
+        assert cli._config_from_args(parse([command, *OPTION_ARGV[option]])) != default
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [case for case in OPTION_CASES if case[1] not in OPTIONS_TAKEN[case[0]]],
+    )
+    def test_an_option_not_taken_exits_2(self, command, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, *OPTION_ARGV[option]])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " + " ".join(OPTION_ARGV[option]) in err
 
     @pytest.mark.parametrize(
         "argv, existing",
@@ -130,11 +201,14 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize("command", ["analytic", "residual", "shoot", "compare", "sweep"])
     def test_cli_defaults_are_the_library_defaults(self, command):
+        # analytic and residual take no solver options, and sweep no spike
+        # options; each still echoes the library defaults for them.
         config = cli._config_from_args(cli._build_parser().parse_args([command]))
         assert config.shooting == ShootingConfig()
         assert config.integrator == IntegratorConfig()
         assert config.params.epsilon == ProblemParams.inner(2.0).epsilon
         assert config.params.half_length == ProblemParams.inner(2.0).half_length
+        assert config.params == ProblemParams.inner(2.0)
 
     def test_equals_form_accepts_negative_grid(self, capsys):
         assert cli.main(["analytic", "--grid=-2:2:5"]) == 0

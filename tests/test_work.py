@@ -4,9 +4,11 @@ The counts are exact and do not depend on the machine.  A change may lower
 them; it must never raise them.
 """
 
+import math
+
 import pytest
 
-from gmspike import ProblemParams, shoot, shooting
+from gmspike import ProblemParams, ShootingConfig, shoot, shooting
 
 # p -> (integrations, accepted steps, rejected steps) of
 # shoot(ProblemParams.inner(p)) at default settings.
@@ -19,8 +21,8 @@ PINNED_WORK = {
 }
 
 
-@pytest.mark.parametrize("p", sorted(PINNED_WORK))
-def test_shoot_work_is_pinned(p, monkeypatch):
+def _count_work(monkeypatch):
+    """[integrations, accepted steps, rejected steps] of the shoots from here on."""
     work = [0, 0, 0]
     real_integrate = shooting.integrate
 
@@ -32,5 +34,24 @@ def test_shoot_work_is_pinned(p, monkeypatch):
         return trajectory
 
     monkeypatch.setattr(shooting, "integrate", counting_integrate)
+    return work
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_WORK))
+def test_shoot_work_is_pinned(p, monkeypatch):
+    work = _count_work(monkeypatch)
     shoot(ProblemParams.inner(p))
     assert tuple(work) == PINNED_WORK[p]
+
+
+def test_bisection_stops_when_no_double_is_left_in_the_bracket(monkeypatch):
+    # No midpoint connects at this eta, and refine_tol lies below the float
+    # spacing at the amplitude, so the bracket closes to two adjacent doubles
+    # after 44 halvings; bisection ends there instead of repeating an end
+    # until max_bisections runs out.
+    work = _count_work(monkeypatch)
+    result = shoot(ProblemParams.inner(3.0), ShootingConfig(refine_tol=1e-20, eta=1e-9))
+    assert work[0] == 86
+    lo, hi = result.bracket_history[-1]
+    assert math.nextafter(lo, hi) == hi
+    assert result.a_star in (lo, hi)
