@@ -11,16 +11,10 @@ has, for every admissible exponent p > 1, the exact solution
 
 a single spike of height ((p + 1) / 2) ** (1 / (p - 1)) centred at
 ``rho_peak``.  For p = 2 it reduces to the classical profile
-(3/2) * sech(rho / 2)**2.
-
-The same profile also comes out of a generalized hyperbolic trial function
-
-    u(rho) = amp / cosh_b(rho) ** power,
-    cosh_b(rho) = (m * b**(k * rho) + q * b**(-k * rho)) / 2,
-
-whose constants are pinned down by balancing the nonlinear and linear terms;
-one scale q stays free and cancels from the assembled profile (see
-:func:`derive_ansatz_constants`).
+(3/2) * sech(rho / 2)**2.  The derivation of this profile from the
+generalized-hyperbolic trial function amp / cosh_b(rho)**power is kept as
+test reference code in ``tests/ansatz_reference.py``, where the tests check
+that it gives the same profile.
 
 All evaluators work in log space with the dominant exponential factored out:
 a naive cosh overflows once (p - 1) * |rho - rho_peak| grows past ~710 even
@@ -42,15 +36,12 @@ __all__ = [
     "P_MAX",
     "SpikeKind",
     "ProblemParams",
-    "AnsatzConstants",
     "spike_amplitude",
     "eval_spike_rho",
     "eval_spike_rho_grid",
     "eval_spike_derivative",
     "eval_spike_second_derivative",
     "eval_spike_second_derivative_grid",
-    "derive_ansatz_constants",
-    "eval_ansatz",
 ]
 
 # Exponent range with well-conditioned arithmetic: the 1/(p - 1) powers blow
@@ -124,31 +115,24 @@ def spike_amplitude(p: float) -> float:
     return ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
 
 
-def _profile_at(p: float, dists: Iterable[float]) -> list[float]:
-    """u at each distance ``dist`` >= 0 from the peak, in log space.
-
-    Uses 1 + cosh(t) = e**t * (1 + e**-t)**2 / 2 so only decaying
-    exponentials are ever formed, and saturates below the smallest positive
-    normal double instead of producing subnormals (or, via naive cosh, NaN).
-    """
-    pm1 = p - 1.0
-    log_scale = math.log(2.0 * (p + 1.0))
-    exp, log1p, tiny = math.exp, math.log1p, _LOG_TINY
-    out = []
-    for dist in dists:
-        log_u = (log_scale - 2.0 * log1p(exp(-(pm1 * dist)))) / pm1 - dist
-        out.append(0.0 if log_u < tiny else exp(log_u))
-    return out
-
-
 def eval_spike_rho_grid(params: ProblemParams, rhos: Iterable[float]) -> list[float]:
     """Exact spike profile at each rescaled coordinate of ``rhos``.
 
     Even around the peak, strictly decreasing away from it, and decaying
-    like exp(-|rho - peak_rho|) in the far field.
+    like exp(-|rho - peak_rho|) in the far field.  Uses
+    1 + cosh(t) = e**t * (1 + e**-t)**2 / 2, so only decaying exponentials
+    are formed.
     """
-    peak = params.peak_rho
-    return _profile_at(params.p, (abs(rho - peak) for rho in rhos))
+    p, peak = params.p, params.peak_rho
+    pm1 = p - 1.0
+    log_scale = math.log(2.0 * (p + 1.0))
+    exp, log1p, tiny = math.exp, math.log1p, _LOG_TINY
+    out = []
+    for rho in rhos:
+        dist = abs(rho - peak)
+        log_u = (log_scale - 2.0 * log1p(exp(-(pm1 * dist)))) / pm1 - dist
+        out.append(0.0 if log_u < tiny else exp(log_u))
+    return out
 
 
 def eval_spike_rho(params: ProblemParams, rho: float) -> float:
@@ -227,81 +211,3 @@ def eval_spike_second_derivative_grid(
 def eval_spike_second_derivative(params: ProblemParams, rho: float) -> float:
     """d2u/drho2 of the exact profile; see :func:`eval_spike_second_derivative_grid`."""
     return eval_spike_second_derivative_grid(params, (rho,))[1][0]
-
-
-@dataclass(frozen=True)
-class AnsatzConstants:
-    """Constants of the trial profile amp / cosh_b(rho)**power.
-
-    Here cosh_b(rho) = (m * base**(k * rho) + q * base**(-k * rho)) / 2 is a
-    two-sided exponential with independent weights.  Consistency of the
-    balance requires power * k = 1 and m * q * (p + 1) / 2 = amp**(p - 1)
-    with p = 2 * k + 1; both are enforced on construction.
-    """
-
-    power: float
-    base: float
-    k: float
-    m: float
-    q: float
-    amp: float
-
-    def __post_init__(self) -> None:
-        for name in ("power", "k", "m", "q", "amp"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (self.base > 1.0 and math.isfinite(self.base)):
-            raise ValueError("base must exceed 1 for a decaying profile")
-        if abs(self.power * self.k - 1.0) > 1e-12:
-            raise ValueError("inconsistent constants: power * k must equal 1")
-        p = 2.0 * self.k + 1.0
-        lhs = self.m * self.q * (p + 1.0) / 2.0
-        rhs = self.amp ** (p - 1.0)
-        if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs)):
-            raise ValueError(
-                "inconsistent constants: m * q * (p + 1) / 2 must equal amp**(p - 1)"
-            )
-
-
-def derive_ansatz_constants(p: float, q: float, peak_rho: float = 0.0) -> AnsatzConstants:
-    """Fix the trial-profile constants by balancing the equation.
-
-    Substituting the trial profile into u'' - u + u**p = 0 forces
-
-        power = 2 / (p - 1),     k = (p - 1) / 2,      base = e,
-        amp = exp(-peak_rho) * (2 / (q**2 * (p + 1))) ** (1 / (1 - p)),
-        m = exp(peak_rho * (1 - p)) * q.
-
-    The weight q > 0 is free: it rescales m and amp in compensating ways and
-    drops out of the evaluated profile.
-    """
-    _check_p(p)
-    if not (math.isfinite(q) and q > 0.0):
-        raise ValueError(f"q must be positive and finite, got {q!r}")
-    if not math.isfinite(peak_rho):
-        raise ValueError(f"peak_rho must be finite, got {peak_rho!r}")
-    amp = math.exp(-peak_rho) * (2.0 / (q * q * (p + 1.0))) ** (1.0 / (1.0 - p))
-    m = math.exp(peak_rho * (1.0 - p)) * q
-    return AnsatzConstants(
-        power=2.0 / (p - 1.0),
-        base=math.e,
-        k=(p - 1.0) / 2.0,
-        m=m,
-        q=q,
-        amp=amp,
-    )
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
-def eval_ansatz(constants: AnsatzConstants, rho: float) -> float:
-    """Evaluate the trial profile amp / cosh_b(rho)**power in log space."""
-    kr = constants.k * math.log(constants.base) * rho
-    log_cosh = _logaddexp(math.log(constants.m) + kr, math.log(constants.q) - kr) - _LN2
-    log_u = math.log(constants.amp) - constants.power * log_cosh
-    return 0.0 if log_u < _LOG_TINY else math.exp(log_u)

@@ -200,7 +200,8 @@ class Trajectory:
         """Dense-output u and v columns at the points ``rhos``, in their order.
 
         Points within 1e-9 of the integrated span are clamped onto it; a
-        point farther out raises ValueError, wherever it is in ``rhos``.
+        point farther out, or NaN, raises ValueError, wherever it is in
+        ``rhos``.
         """
         lo, hi = self.rho_start, self.end[0]
         interpolants, starts = self._interpolants, self._starts
@@ -208,7 +209,7 @@ class Trajectory:
         vs: list[float] = []
         for rho in rhos:
             if not lo <= rho <= hi:
-                if rho < lo - 1e-9 or rho > hi + 1e-9:
+                if not lo - 1e-9 <= rho <= hi + 1e-9:
                     raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
                 rho = min(max(rho, lo), hi)
             if interpolants:

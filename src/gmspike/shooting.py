@@ -360,12 +360,20 @@ def eval_profile_grid(
     The trajectory is integrated in the distance-from-peak frame; inner
     spikes extend to rho < peak by evenness (u even, v odd) and boundary
     spikes are the reflection peaking at the right endpoint, so v flips
-    sign on the interior side.  Raises ValueError if any point lies beyond
-    the integrated span or, for boundary spikes, past the domain edge.
+    sign on the interior side.  Raises ValueError, naming the point, if any
+    point is NaN, lies beyond the integrated span or, for boundary spikes,
+    past the domain edge.
     """
     params = result.params
     peak = params.peak_rho
     check_within_wall(params, rhos)
+    reach = result.trajectory.end[0]
+    far = next((rho for rho in rhos if not abs(rho - peak) <= reach + 1e-9), None)
+    if far is not None:
+        raise ValueError(
+            f"rho={far!r} lies outside the integrated span, which reaches "
+            f"{reach!r} from the peak at rho={peak!r}"
+        )
     # Distances are generated, not stored: no grid-sized list beside the columns.
     us, vs = result.trajectory.eval(abs(rho - peak) for rho in rhos)
     for i, rho in enumerate(rhos):

@@ -8,6 +8,7 @@ import filecmp
 import time
 
 import numpy as np
+from ansatz_reference import derive_ansatz_constants, eval_ansatz
 
 from gmspike import (
     DEFAULT_RHO_L,
@@ -17,8 +18,6 @@ from gmspike import (
     Verdict,
     check_first_integral,
     classify,
-    derive_ansatz_constants,
-    eval_ansatz,
     eval_spike_rho,
     ode_residual,
     shoot,

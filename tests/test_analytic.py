@@ -1,17 +1,16 @@
-"""Checks for the closed-form spike profile and the generalized-cosh ansatz."""
+"""Checks for the closed-form spike profile, and for the paper's generalized-cosh
+ansatz (test reference code in ``ansatz_reference``) against it."""
 
 import math
 import sys
 
 import numpy as np
 import pytest
+from ansatz_reference import AnsatzConstants, derive_ansatz_constants, eval_ansatz
 
 from gmspike import (
-    AnsatzConstants,
     ProblemParams,
     SpikeKind,
-    derive_ansatz_constants,
-    eval_ansatz,
     eval_spike_derivative,
     eval_spike_rho,
     eval_spike_rho_grid,

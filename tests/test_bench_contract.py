@@ -1,0 +1,40 @@
+"""The benchmark still runs against the library.
+
+``bench/child.py`` reads more of gmspike than the public calls: its tracer
+patches ``verify.eval_spike_rho``, ``cli.eval_spike_rho`` and
+``verify.eval_spike_second_derivative``, and its observers read
+``ShootingResult.classifications``, ``config.scan_points``, ``bc_residual``,
+``converged`` and the sweep summary's columns.  A change to ``src/`` that
+breaks one of them would only show when the benchmark is run, so one traced
+op of two workloads runs here, started as ``bench/run.py`` starts it.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# An error that names an exception class is a crash, not a checked failure.
+EXCEPTION_NAME = re.compile(r"\b[A-Z]\w*(Error|Exception)\b")
+
+
+@pytest.mark.parametrize("workload", ["shoot_range", "sweep_cli"])
+def test_traced_bench_op_runs(workload, tmp_path):
+    argv = [sys.executable, "-s", str(ROOT / "bench" / "child.py")]
+    proc = subprocess.run(
+        argv + [str(time.monotonic_ns()), workload, "1", "1",
+                str(tmp_path), str(tmp_path / "spans.bin")],
+        cwd=ROOT, env=dict(os.environ, PYTHONHASHSEED="0"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    outcome = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert isinstance(outcome["layers"], dict)
+    crashed = [c for c in outcome["cases"] if EXCEPTION_NAME.search(str(c["error"]))]
+    assert not crashed, [(c["case"], c["error"]) for c in crashed]

@@ -109,6 +109,22 @@ class TestArgumentHandling:
         assert err.startswith("usage: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--p", "2", "--grid=-20:5:5"],
+            ["compare", "--p", "2", "--spike", "boundary", "--grid=-20:10:5"],
+        ],
+    )
+    def test_grid_beyond_the_span_names_the_grid_point(self, argv, capsys):
+        # -20 is 20 (inner) or 30 (boundary) from the peak; the grid point is named.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "rho=-20.0 lies outside the integrated span" in err
+        assert "rho=20.0" not in err and "rho=30.0" not in err
+
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     @pytest.mark.parametrize(
         "domain",

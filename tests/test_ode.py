@@ -125,6 +125,11 @@ class TestIntegrateBasics:
         with pytest.raises(ValueError):
             trajectory.eval([0.0, 5.1, 2.0])
 
+    def test_eval_refuses_nan(self):
+        trajectory = integrate(State(AMP2, 0.0), 0.0, 5.0, 2.0)
+        with pytest.raises(ValueError, match="rho=nan"):
+            trajectory.eval([1.0, math.nan])
+
     def test_reversible_through_mirrored_start(self):
         # u is even and v odd about the peak, so restarting from the mirrored
         # endpoint and integrating twice the span must reproduce it.

@@ -238,6 +238,15 @@ class TestEvalProfile:
             eval_profile_grid(result, [peak + 0.1])
 
     @pytest.mark.parametrize("kind", ("inner", "boundary"))
+    @pytest.mark.parametrize("rho", (-20.0, math.nan))
+    def test_range_error_names_the_grid_point(self, default_shoots, kind, rho):
+        # The trajectory is read at the distance from the peak (30 for a
+        # boundary spike at rho = 10); the error names the point given.
+        result = default_shoots[3.0] if kind == "inner" else shoot(ProblemParams.boundary(3.0))
+        with pytest.raises(ValueError, match=f"^rho={rho!r} lies outside the integrated span"):
+            eval_profile_grid(result, [result.params.peak_rho - 1.0, rho])
+
+    @pytest.mark.parametrize("kind", ("inner", "boundary"))
     @pytest.mark.parametrize("p", (1.2, 2.0, 100.0))
     def test_grid_form_matches_one_point_bit_for_bit(self, p, kind):
         factory = ProblemParams.inner if kind == "inner" else ProblemParams.boundary

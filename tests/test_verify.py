@@ -160,8 +160,11 @@ class TestCompare:
             ("inner", (0.5, -3.0, 30.0, 2.0, -1.0)),
             ("inner", (0.5, -30.0, 3.0, -1.0)),
             ("boundary", (-1.0, -4.0, -30.0, -2.0)),
-            # ... or past the wall.
+            # ... or past the wall ...
             ("boundary", (-1.0, -4.0, 0.5, -2.0)),
+            # ... or NaN, whose error max() would skip.
+            ("inner", (0.0, math.nan)),
+            ("boundary", (-1.0, math.nan)),
         ],
     )
     def test_rejects_any_point_out_of_reach(self, default_shoots, kind, offsets):
