@@ -23,9 +23,9 @@ is scanned for those sign changes before it is committed, so phase-plane
 events cannot be skipped; their locations are resolved to 1e-10 in rho by
 bisecting the dense interpolant.  Zero crossings of u terminate the
 trajectory, zero crossings of v are recorded for the shooting classifier.
-On request, the first v crossing with 0 < u < u(rho_start) also ends the
-run (``TURNED``): the orbit has turned back inside the homoclinic loop,
-which settles the classifier's verdict, so nothing after it is read.
+On request, the first v crossing with u > 0, a minimum or, from below the
+centre, a maximum, also ends the run (``TURNED``): only an orbit inside the
+homoclinic loop turns at u > 0, so the classifier's verdict is settled there.
 No cap on u is needed: H is conserved, so an orbit from (a, 0) never rises
 above the larger of a and the spike height.
 
@@ -275,8 +275,8 @@ def integrate(
     Adaptive Dormand-Prince 5(4) with local error kept below
     rel_tol * |state| + abs_tol per step.  Returns early with the matching
     terminal event when u crosses 0, when step-size control underflows
-    h_min, or, with ``stop_at_turn``, at the first v crossing with
-    0 < u < initial.u; otherwise runs to ``rho_end`` exactly.
+    h_min, or, with ``stop_at_turn``, at the first v crossing with u > 0;
+    otherwise runs to ``rho_end`` exactly.
     """
     if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
         raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
@@ -308,7 +308,6 @@ def integrate(
     steps: list[tuple[float, ...]] = []
     append = steps.append
 
-    u_start = u
     rho = rho_start
     # Every stage k = (ku, kv) below is the field u' = v, v' = u - u**p at
     # its stage point, written out in place (see the module docstring).
@@ -386,7 +385,7 @@ def integrate(
                     rho_v = rho + theta_v * h_step
                     uc, vc = _dense(c, theta_v)
                     crossings.append((rho_v, State(uc, vc)))
-                    if stop_at_turn and 0.0 < uc < u_start:
+                    if stop_at_turn and 0.0 < uc:
                         rho, u, v = rho_v, uc, vc
                         event = TerminalEvent.TURNED
                         break

@@ -6,7 +6,7 @@ on the phase plane:
 
 * amplitudes above the spike height overshoot (u falls through 0 with
   v < 0),
-* amplitudes below it undershoot (v turns through 0 while 0 < u < a),
+* amplitudes below it undershoot (v turns through 0 while u > 0),
 * the spike itself connects, reaching the truncated endpoint rho_l with
   the boundary functional |u| + |v| at most eta.
 
@@ -18,8 +18,9 @@ resolve, under and over events stop firing and the midpoint is the answer
 to within the achievable accuracy.
 
 The scan and the bisection midpoints only need a verdict, so their runs
-stop at an undershoot's first turning point, where the verdict is settled;
-an undershoot's boundary residual is therefore read there, not at rho_l.
+stop at an undershoot's first turn, which settles the verdict: a minimum,
+or a maximum when a lies below the centre u = 1.  An undershoot's boundary
+residual is therefore read there, not at rho_l.
 Only the run that is reported is always integrated to rho_l (or to an
 overshoot's u = 0 event).
 
@@ -194,9 +195,9 @@ def classify(
 
     Returns a :class:`Shot`: ``verdict`` is overshoot, undershoot, or
     connect; ``trajectory`` is the integrated orbit, which ends at rho_l or
-    at the terminating event if one fired first.  With
-    ``stop_at_turn`` an undershoot's run ends at its first turning point,
-    which already settles the verdict; every verdict stays the same.
+    at the terminating event if one fired first.  Any turn of v through 0
+    at u > 0, a minimum or a maximum, means undershoot; with ``stop_at_turn``
+    the run ends there, and every verdict stays the same.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"amplitude must be positive, got {a!r}")
@@ -205,7 +206,7 @@ def classify(
         raise ShootingError(f"step size underflow while integrating amplitude {a!r}")
     last_state = trajectory.end[1]
 
-    turned = any(0.0 < s.u < a for _, s in trajectory.v_zero_crossings)
+    turned = any(0.0 < s.u for _, s in trajectory.v_zero_crossings)
     if turned:
         verdict = Verdict.UNDERSHOOT
     elif trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO:

@@ -10,7 +10,10 @@ The ``integrate/`` keys pin the integrator itself, below the artifacts: the
 digest of the repr of everything a run returns (every accepted step's raw
 stages, the end point, the v crossings, the step counts and the terminal
 event).  repr round-trips floats exactly, so one changed bit in one stage of
-one step changes the digest.
+one step changes the digest.  The ``shoot/`` keys pin the shooting search
+the same way, one shoot per exponent of the benchmark's range: the
+amplitude, the boundary residual, every verdict and bracket, and the
+reported run.
 
 A deliberate change of the numbers or of the configuration echo
 regenerates the file with
@@ -26,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gmspike import State, cli, integrate, spike_amplitude
+from gmspike import ProblemParams, State, cli, integrate, shoot, spike_amplitude
 
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 
@@ -89,6 +92,19 @@ def _integrate_digests() -> dict:
     return digests
 
 
+def _shoot_digests() -> dict:
+    digests = {}
+    for p in (1.01, 1.2, 2.0, 4.0, 10.0, 100.0):
+        r = shoot(ProblemParams.inner(p))
+        t = r.trajectory
+        record = (
+            r.a_star, r.bc_residual, r.classifications, r.bracket_history,
+            t.steps, t.end, t.v_zero_crossings, t.rejected_steps, t.terminal_event,
+        )
+        digests[f"shoot/p{p:g}"] = hashlib.sha256(repr(record).encode()).hexdigest()
+    return digests
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -135,6 +151,12 @@ def test_integrate_runs_match_golden():
     assert digests == {k: v for k, v in golden.items() if k.startswith("integrate/")}
 
 
+def test_shoots_match_golden():
+    golden = json.loads(GOLDEN.read_text())
+    digests = _shoot_digests()
+    assert digests == {k: v for k, v in golden.items() if k.startswith("shoot/")}
+
+
 def _regenerate() -> None:
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -146,6 +168,7 @@ def _regenerate() -> None:
         digests.update(_json_sweep_digests(root / "json"))
         digests.update(_single_digests(root / "single"))
     digests.update(_integrate_digests())
+    digests.update(_shoot_digests())
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
     for key in sorted(digests.keys() | old.keys()):
         if key not in old:

@@ -220,10 +220,14 @@ class TestEvents:
         assert stopped.v_zero_crossings == [stopped.end] == full.v_zero_crossings[:1]
         assert stopped.steps == full.steps[: len(stopped.steps)]
         assert stopped.accepted_steps < full.accepted_steps
-        # Started below the centre, the first turn lies above the start: no stop.
+        # Started below the centre, the first turn is a maximum above the
+        # start, and it ends the run too.
+        full_inside = integrate(State(0.5, 0.0), 0.0, 30.0, 2.0)
         inside = integrate(State(0.5, 0.0), 0.0, 30.0, 2.0, stop_at_turn=True)
-        assert inside.v_zero_crossings[0][1].u > 0.5
-        assert inside.end[0] > inside.v_zero_crossings[0][0]
+        assert inside.terminal_event is TerminalEvent.TURNED
+        assert inside.v_zero_crossings == [inside.end] == full_inside.v_zero_crossings[:1]
+        assert inside.end[1].u > 0.5
+        assert inside.steps == full_inside.steps[: len(inside.steps)]
 
     def test_step_failure_reported(self):
         trajectory = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, UNSATISFIABLE)

@@ -187,7 +187,8 @@ class TestShoot:
 class TestStopAtTurn:
     """Classification runs stop at an undershoot's first turn; no verdict moves."""
 
-    @pytest.mark.parametrize("p", (1.2, 2.0, 10.0, 100.0))
+    # The window dips below the centre u = 1 at p = 50 and 100.
+    @pytest.mark.parametrize("p", (1.2, 2.0, 10.0, 50.0, 100.0))
     def test_verdict_matches_the_full_run(self, p):
         config = ShootingConfig()
         amp = spike_amplitude(p)
@@ -208,6 +209,15 @@ class TestStopAtTurn:
                 assert run.steps == full_run.steps, a
                 assert stopped.bc_residual == full.bc_residual, a
         assert turned > 0
+
+    def test_a_start_below_the_centre_stops_at_its_maximum(self):
+        # The full run circles the centre to rho_l (2,808 steps) and reaches
+        # the same verdict through the energy.
+        shot = classify(0.98, 100.0, 12.0, stop_at_turn=True)
+        assert shot.verdict is Verdict.UNDERSHOOT
+        assert shot.trajectory.terminal_event is TerminalEvent.TURNED
+        assert shot.trajectory.end[1].u > 0.98
+        assert shot.trajectory.accepted_steps < 400
 
 
 class TestEvalProfile:
