@@ -8,8 +8,7 @@ digests do not depend on the output directory.
 
 The ``integrate/`` keys pin the integrator itself, below the artifacts: the
 digest of the repr of everything a run returns (every accepted step's raw
-stages, the end point, the v crossings, the step counts and the terminal
-event).  repr round-trips floats exactly, so one changed bit in one stage of
+stages, the end point, the step counts and the terminal event).  repr round-trips floats exactly, so one changed bit in one stage of
 one step changes the digest.  The ``shoot/`` keys pin the shooting search
 the same way, one shoot per exponent of the benchmark's range: the
 amplitude, the boundary residual, every verdict and bracket, and the
@@ -85,8 +84,7 @@ def _integrate_digests() -> dict:
     for key, (initial, rho_start, rho_end, p, stop_at_turn) in _integrate_runs().items():
         t = integrate(initial, rho_start, rho_end, p, stop_at_turn=stop_at_turn)
         record = (
-            t.steps, t.end, t.v_zero_crossings,
-            t.accepted_steps, t.rejected_steps, t.terminal_event,
+            t.steps, t.end, t.accepted_steps, t.rejected_steps, t.terminal_event,
         )
         digests[key] = hashlib.sha256(repr(record).encode()).hexdigest()
     return digests
@@ -99,7 +97,7 @@ def _shoot_digests() -> dict:
         t = r.trajectory
         record = (
             r.a_star, r.bc_residual, r.classifications, r.bracket_history,
-            t.steps, t.end, t.v_zero_crossings, t.rejected_steps, t.terminal_event,
+            t.steps, t.end, t.rejected_steps, t.terminal_event,
         )
         digests[f"shoot/p{p:g}"] = hashlib.sha256(repr(record).encode()).hexdigest()
     return digests
