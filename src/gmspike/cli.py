@@ -264,9 +264,14 @@ def _shoot_result(result: ShootingResult) -> dict:
 
 
 def _shoot_rows(params: ProblemParams, result: ShootingResult):
+    """One row per sample of the reported run, in the domain coordinate as
+    ``shooting.eval_profile_grid`` maps it: a boundary spike's samples run
+    inward from the wall, so rho falls and v changes sign."""
+    boundary = params.kind is SpikeKind.BOUNDARY
     for tau, state in result.trajectory.samples:
-        ua = eval_spike_rho(params, params.peak_rho + tau)
-        yield tau, ua, state.u, state.v, abs(ua - state.u)
+        rho, v = (params.peak_rho - tau, -state.v) if boundary else (tau, state.v)
+        ua = eval_spike_rho(params, rho)
+        yield rho, ua, state.u, v, abs(ua - state.u)
 
 
 def _run_shoot(config: RunConfig) -> int:

@@ -21,13 +21,12 @@ evaluator of its quartic, shared by event location and by
 v columns without building a :class:`State` per point.  Every accepted step
 is scanned for those sign changes before it is committed, so phase-plane
 events cannot be skipped; their locations are resolved to 1e-10 in rho by
-bisecting the dense interpolant.  Zero crossings of u terminate the
-trajectory, zero crossings of v are recorded for the shooting classifier.
-On request, the first v crossing with u > 0, a minimum or, from below the
-centre, a maximum, also ends the run (``TURNED``): only an orbit inside the
-homoclinic loop turns at u > 0, so the classifier's verdict is settled there.
-No cap on u is needed: H is conserved, so an orbit from (a, 0) never rises
-above the larger of a and the spike height.
+bisecting the dense interpolant.  The first event ends every run: u
+crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0 (``TURNED``), a
+minimum or, from below the centre, a maximum.  Only an orbit inside the
+homoclinic loop turns at u > 0, so either event settles the shooting
+verdict.  No cap on u is needed: H is conserved, so an orbit from (a, 0)
+never rises above the larger of a and the spike height.
 
 For fractional p the right-hand side is undefined at u < 0; trajectories
 are truncated at the u = 0 event, but the internal stage evaluations of the
@@ -172,15 +171,13 @@ class Trajectory:
     ``end`` when a terminal event cut it short.  :meth:`eval` turns them
     into dense interpolants on first use.  ``end`` is the final (rho,
     state): the event location, ``rho_end``, or the last accepted point
-    after a step failure.  ``v_zero_crossings`` lists sign changes of v
-    located on the dense interpolant, in increasing rho order.
+    after a step failure.
     """
 
     steps: list[tuple[float, ...]] = field(repr=False)
     end: tuple[float, State]
     rejected_steps: int
     terminal_event: TerminalEvent
-    v_zero_crossings: list[tuple[float, State]] = field(default_factory=list)
 
     @property
     def samples(self) -> list[tuple[float, State]]:
@@ -267,16 +264,14 @@ def integrate(
     rho_end: float,
     p: float,
     config: IntegratorConfig = IntegratorConfig(),
-    *,
-    stop_at_turn: bool = False,
 ) -> Trajectory:
     """Integrate the spike system from ``rho_start`` to ``rho_end``.
 
     Adaptive Dormand-Prince 5(4) with local error kept below
     rel_tol * |state| + abs_tol per step.  Returns early with the matching
-    terminal event when u crosses 0, when step-size control underflows
-    h_min, or, with ``stop_at_turn``, at the first v crossing with u > 0;
-    otherwise runs to ``rho_end`` exactly.
+    terminal event when u crosses 0, at the first v crossing with u > 0, or
+    when step-size control underflows h_min; otherwise runs to ``rho_end``
+    exactly.
     """
     if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
         raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
@@ -313,7 +308,6 @@ def integrate(
     # its stage point, written out in place (see the module docstring).
     k1u, k1v = v, u - (u ** p if u >= 0.0 or integer_p else -((-u) ** p))
     h = min(max(config.h_init, h_min), h_max, rho_end - rho_start)
-    crossings: list[tuple[float, State]] = []
     rejected = 0
     event = TerminalEvent.REACHED_END
 
@@ -382,11 +376,9 @@ def integrate(
                 else:
                     theta_v = _bisect_theta(c, 1, 0.0, 0.0, 1.0, v)
                 if theta_v <= theta_end:
-                    rho_v = rho + theta_v * h_step
                     uc, vc = _dense(c, theta_v)
-                    crossings.append((rho_v, State(uc, vc)))
-                    if stop_at_turn and 0.0 < uc:
-                        rho, u, v = rho_v, uc, vc
+                    if 0.0 < uc:
+                        rho, u, v = rho + theta_v * h_step, uc, vc
                         event = TerminalEvent.TURNED
                         break
             if crossed_zero:
@@ -420,5 +412,4 @@ def integrate(
         end=(rho, State(u, v)),
         rejected_steps=rejected,
         terminal_event=event,
-        v_zero_crossings=crossings,
     )

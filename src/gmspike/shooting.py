@@ -17,12 +17,10 @@ the bracket is tighter than the separation the truncated horizon can
 resolve, under and over events stop firing and the midpoint is the answer
 to within the achievable accuracy.
 
-The scan and the bisection midpoints only need a verdict, so their runs
-stop at an undershoot's first turn, which settles the verdict: a minimum,
-or a maximum when a lies below the centre u = 1.  An undershoot's boundary
-residual is therefore read there, not at rho_l.
-Only the run that is reported is always integrated to rho_l (or to an
-overshoot's u = 0 event).
+Every run, the reported one included, ends at its first event: an
+undershoot at its first turn, a minimum or, when a lies below the centre
+u = 1, a maximum; an overshoot at u = 0.  Its boundary residual is read
+where it ended.
 
 Boundary spikes reuse the same computation.  The system is autonomous and
 even, so the profile peaking at the right endpoint rho = L / epsilon is the
@@ -188,28 +186,23 @@ def classify(
     rho_l: float,
     config: IntegratorConfig = IntegratorConfig(),
     eta: float = ShootingConfig.eta,
-    *,
-    stop_at_turn: bool = False,
 ) -> Shot:
     """Integrate one shot from (a, 0) to rho_l and classify it.
 
     Returns a :class:`Shot`: ``verdict`` is overshoot, undershoot, or
     connect; ``trajectory`` is the integrated orbit, which ends at rho_l or
-    at the terminating event if one fired first.  Any turn of v through 0
-    at u > 0, a minimum or a maximum, means undershoot; with ``stop_at_turn``
-    the run ends there, and every verdict stays the same.
+    at its first event.  The event alone gives the verdict: a turn at
+    u > 0 is an undershoot, u crossing 0 an overshoot.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"amplitude must be positive, got {a!r}")
-    trajectory = integrate(State(a, 0.0), 0.0, rho_l, p, config, stop_at_turn=stop_at_turn)
-    if trajectory.terminal_event is TerminalEvent.STEP_FAILURE:
+    trajectory = integrate(State(a, 0.0), 0.0, rho_l, p, config)
+    event = trajectory.terminal_event
+    if event is TerminalEvent.STEP_FAILURE:
         raise ShootingError(f"step size underflow while integrating amplitude {a!r}")
-    last_state = trajectory.end[1]
-
-    turned = any(0.0 < s.u for _, s in trajectory.v_zero_crossings)
-    if turned:
+    if event is TerminalEvent.TURNED:
         verdict = Verdict.UNDERSHOOT
-    elif trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO:
+    elif event is TerminalEvent.U_CROSSED_ZERO:
         verdict = Verdict.OVERSHOOT
     elif _bc_residual(trajectory) <= eta:
         verdict = Verdict.CONNECT
@@ -217,11 +210,8 @@ def classify(
         # Horizon reached with no event and the functional still large: the
         # orbit is still descending the spike.  The conserved energy of the
         # computed endpoint tells which side it will eventually fall to.
-        verdict = (
-            Verdict.UNDERSHOOT
-            if hamiltonian(last_state, p) < 0.0
-            else Verdict.OVERSHOOT
-        )
+        energy = hamiltonian(trajectory.end[1], p)
+        verdict = Verdict.UNDERSHOOT if energy < 0.0 else Verdict.OVERSHOOT
     return Shot(verdict, trajectory)
 
 
@@ -233,8 +223,7 @@ def scan(
     """Classify scan_points amplitudes across [amplitude - delta, amplitude + delta].
 
     The bracket, when present, spans from the last undershoot to the first
-    overshoot; connecting points in between do not widen it.  Undershoots
-    stop at their first turning point.
+    overshoot; connecting points in between do not widen it.
     """
     p = params.p
     amp = spike_amplitude(p)
@@ -247,7 +236,7 @@ def scan(
     best_connect = None
     for i in range(n):
         a = amp - config.delta + i * step
-        shot = classify(a, p, config.rho_l, integrator_config, config.eta, stop_at_turn=True)
+        shot = classify(a, p, config.rho_l, integrator_config, config.eta)
         entries.append(ScanEntry(a=a, verdict=shot.verdict, bc_residual=shot.bc_residual))
         if shot.verdict is Verdict.CONNECT and (
             best_connect is None or shot.bc_residual < best_connect[1].bc_residual
@@ -281,7 +270,7 @@ def shoot(
     outright.  Without a bracket the connecting scan point with the smallest
     boundary residual is taken.  Raises :class:`NoBracketError` when the
     scan neither brackets nor connects.  A connecting midpoint or scan point
-    is the final run; otherwise a_star is integrated once more, to rho_l.
+    is the final run; otherwise a_star is classified once more.
     """
     p = params.p
     scan_result = scan(params, config, integrator_config)
@@ -301,9 +290,7 @@ def shoot(
             if hi - lo <= config.refine_tol or not lo < mid < hi:
                 a_star = mid
                 break
-            shot = classify(
-                mid, p, config.rho_l, integrator_config, config.eta, stop_at_turn=True
-            )
+            shot = classify(mid, p, config.rho_l, integrator_config, config.eta)
             classifications.append((mid, shot.verdict))
             if shot.verdict is Verdict.CONNECT:
                 a_star, final = mid, shot

@@ -125,6 +125,13 @@ class TestArgumentHandling:
         assert "rho=-20.0 lies outside the integrated span" in err
         assert "rho=20.0" not in err and "rho=30.0" not in err
 
+    def test_grid_past_the_reported_turn_exits_2(self, capsys):
+        # At p = 100 the reported run ends at its turn, short of rho = 11.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["compare", "--p", "100", "--grid=-11:11:5"])
+        assert excinfo.value.code == 2
+        assert "rho=-11.0 lies outside the integrated span" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     @pytest.mark.parametrize(
         "domain",
@@ -392,6 +399,16 @@ class TestShootCommand:
         assert header == CSV_HEADER
         assert rows[0][0] == "0"
         assert float(rows[-1][0]) == 12.0
+        assert all(float(row[4]) < 1e-6 for row in rows)
+
+    def test_boundary_rows_run_inward_from_the_wall(self, tmp_path):
+        out = tmp_path / "shoot.csv"
+        assert cli.main(["shoot", "--p", "3", "--spike", "boundary", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert float(rows[0][0]) == 10.0
+        assert all(float(row[0]) <= 10.0 for row in rows)
+        assert all(float(row[3]) >= 0.0 for row in rows)
+        # u_analytic is read at the domain coordinate the row names.
         assert all(float(row[4]) < 1e-6 for row in rows)
 
     def test_stdout_carries_only_the_csv(self, capsys):

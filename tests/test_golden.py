@@ -59,7 +59,7 @@ EXIT_CODES = {"compare_p2_unconverged.json": 1}
 
 
 def _integrate_runs() -> dict:
-    """Digest key -> integrate arguments (initial, rho_start, rho_end, p, stop_at_turn)."""
+    """Digest key -> integrate arguments (initial, rho_start, rho_end, p)."""
     runs = {}
     # Below, at and above the spike amplitude: undershoots that turn or
     # reach the end, the spike, and overshoots whose crossing step probes
@@ -67,22 +67,20 @@ def _integrate_runs() -> dict:
     for p in (1.01, 1.2, 2.5, 3.0, 100.0):
         amp = spike_amplitude(p)
         for scale in (0.9, 1.0, 1.1):
-            for stop_at_turn in (False, True):
-                key = f"integrate/p{p:g}_a{scale:g}" + ("_turn" if stop_at_turn else "")
-                runs[key] = (State(scale * amp, 0.0), 0.0, 12.0, p, stop_at_turn)
+            runs[f"integrate/p{p:g}_a{scale:g}"] = (State(scale * amp, 0.0), 0.0, 12.0, p)
     # u**100 overflows inside the stages of the first trial steps.
-    runs["integrate/p100_overflow"] = (State(1.5, 0.0), 0.0, 2.0, 100.0, False)
+    runs["integrate/p100_overflow"] = (State(1.5, 0.0), 0.0, 2.0, 100.0)
     # A fractional-p overshoot: the crossing step's stages probe u < 0.
     runs["integrate/p2.5_overshoot"] = (
-        State(spike_amplitude(2.5) + 0.1, 0.0), 0.0, 12.0, 2.5, False,
+        State(spike_amplitude(2.5) + 0.1, 0.0), 0.0, 12.0, 2.5,
     )
     return runs
 
 
 def _integrate_digests() -> dict:
     digests = {}
-    for key, (initial, rho_start, rho_end, p, stop_at_turn) in _integrate_runs().items():
-        t = integrate(initial, rho_start, rho_end, p, stop_at_turn=stop_at_turn)
+    for key, args in _integrate_runs().items():
+        t = integrate(*args)
         record = (
             t.steps, t.end, t.accepted_steps, t.rejected_steps, t.terminal_event,
         )

@@ -131,12 +131,17 @@ class TestIntegrateBasics:
             trajectory.eval([1.0, math.nan])
 
     def test_reversible_through_mirrored_start(self):
-        # u is even and v odd about the peak, so restarting from the mirrored
-        # endpoint and integrating twice the span must reproduce it.
+        # u is even and v odd about the peak, so the run from the mirrored
+        # endpoint turns at the peak, and continuing it for the same span
+        # again must reproduce the endpoint.
         forward = integrate(State(AMP2, 0.0), 0.0, 8.0, 2.0)
-        end = forward.samples[-1][1]
+        end = forward.end[1]
         back = integrate(State(end.u, -end.v), 0.0, 16.0, 2.0)
-        final = back.samples[-1][1]
+        assert back.terminal_event is TerminalEvent.TURNED
+        rho_turn, turn = back.end
+        assert rho_turn == pytest.approx(8.0, abs=1e-8)
+        assert turn.u == pytest.approx(AMP2, abs=1e-8)
+        final = integrate(turn, rho_turn, 16.0, 2.0).end[1]
         assert final.u == pytest.approx(end.u, abs=1e-8)
         assert final.v == pytest.approx(end.v, abs=1e-8)
 
@@ -198,36 +203,19 @@ class TestEvents:
             hamiltonian(State(1.6, 0.0), 2.0), abs=1e-9
         )
 
-    def test_undershoot_records_turning_points(self):
+    def test_undershoot_ends_at_its_first_turn(self):
         trajectory = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0)
-        assert trajectory.terminal_event is TerminalEvent.REACHED_END
-        crossings = trajectory.v_zero_crossings
-        assert len(crossings) >= 7
-        locations = [rho for rho, _ in crossings]
-        assert locations == sorted(locations)
-        assert all(0.0 < state.u < 1.4 for _, state in crossings)
-        first_rho, first_state = crossings[0]
-        assert first_rho == pytest.approx(3.5622832910823736, rel=1e-8)
-        assert first_state.u == pytest.approx(0.42749172182100076, rel=1e-7)
-
-    def test_turn_ends_a_run_that_asks_for_it(self):
-        full = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0)
-        stopped = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0, stop_at_turn=True)
-        assert stopped.terminal_event is TerminalEvent.TURNED
-        rho_end, end = stopped.end
+        assert trajectory.terminal_event is TerminalEvent.TURNED
+        rho_end, end = trajectory.end
+        assert rho_end == pytest.approx(3.5622832910823736, rel=1e-8)
+        assert end.u == pytest.approx(0.42749172182100076, rel=1e-7)
         assert abs(end.v) < 1e-9
-        assert 0.0 < end.u < 1.4
-        assert stopped.v_zero_crossings == [stopped.end] == full.v_zero_crossings[:1]
-        assert stopped.steps == full.steps[: len(stopped.steps)]
-        assert stopped.accepted_steps < full.accepted_steps
         # Started below the centre, the first turn is a maximum above the
         # start, and it ends the run too.
-        full_inside = integrate(State(0.5, 0.0), 0.0, 30.0, 2.0)
-        inside = integrate(State(0.5, 0.0), 0.0, 30.0, 2.0, stop_at_turn=True)
+        inside = integrate(State(0.5, 0.0), 0.0, 30.0, 2.0)
         assert inside.terminal_event is TerminalEvent.TURNED
-        assert inside.v_zero_crossings == [inside.end] == full_inside.v_zero_crossings[:1]
+        assert abs(inside.end[1].v) < 1e-9
         assert inside.end[1].u > 0.5
-        assert inside.steps == full_inside.steps[: len(inside.steps)]
 
     def test_step_failure_reported(self):
         trajectory = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, UNSATISFIABLE)

@@ -6,6 +6,7 @@ import pytest
 
 from gmspike import (
     DEFAULT_RHO_L,
+    EVENT_LOCATION_TOL,
     IntegratorConfig,
     NoBracketError,
     ProblemParams,
@@ -18,6 +19,7 @@ from gmspike import (
     classify,
     eval_profile_grid,
     eval_spike_rho,
+    hamiltonian,
     integrate,
     scan,
     shoot,
@@ -185,35 +187,51 @@ class TestShoot:
 
 
 class TestStopAtTurn:
-    """Classification runs stop at an undershoot's first turn; no verdict moves."""
+    """A classification run ends at its first event, and the event is the verdict."""
 
     # The window dips below the centre u = 1 at p = 50 and 100.
     @pytest.mark.parametrize("p", (1.2, 2.0, 10.0, 50.0, 100.0))
     def test_verdict_matches_the_full_run(self, p):
+        # H is conserved, so the energy of the start decides where the full
+        # orbit goes: inside the homoclinic loop (H < 0) it turns at u > 0,
+        # outside it (H > 0) it crosses u = 0.  The spike itself, the
+        # window's centre, has H = 0 to rounding and is skipped.
         config = ShootingConfig()
         amp = spike_amplitude(p)
         step = 2.0 * config.delta / (config.scan_points - 1)
         window = [amp - config.delta + i * step for i in range(config.scan_points)]
         far = [0.5 * amp, 0.8 * amp, 1.1 * amp, 1.2 * amp]
-        turned = 0
+        checked = 0
         for a in window + far:
-            full = classify(a, p, config.rho_l, eta=config.eta)
-            stopped = classify(a, p, config.rho_l, eta=config.eta, stop_at_turn=True)
-            assert stopped.verdict is full.verdict, a
-            run, full_run = stopped.trajectory, full.trajectory
-            assert run.accepted_steps <= full_run.accepted_steps, a
-            if run.terminal_event is TerminalEvent.TURNED:
-                turned += 1
-                assert stopped.verdict is Verdict.UNDERSHOOT, a
-            else:
-                assert run.steps == full_run.steps, a
-                assert stopped.bc_residual == full.bc_residual, a
-        assert turned > 0
+            energy = hamiltonian(State(a, 0.0), p)
+            if abs(energy) <= 1e-12:
+                continue
+            checked += 1
+            shot = classify(a, p, config.rho_l, eta=config.eta)
+            expected = Verdict.UNDERSHOOT if energy < 0.0 else Verdict.OVERSHOOT
+            assert shot.verdict is expected, a
+            event = shot.trajectory.terminal_event
+            if event is TerminalEvent.TURNED:
+                assert shot.verdict is Verdict.UNDERSHOOT, a
+            elif event is TerminalEvent.U_CROSSED_ZERO:
+                assert shot.verdict is Verdict.OVERSHOOT, a
+        assert checked == len(window) + len(far) - 1
+
+    @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 4.0, 10.0, 100.0))
+    def test_the_reported_run_never_climbs(self, p):
+        # The spike only descends from its peak; a run that turned and
+        # climbed back would report the wrong branch of the orbit.
+        samples = shoot(ProblemParams.inner(p)).trajectory.samples
+        assert all(state.v <= 0.0 for _, state in samples[1:-1])
+        # A run that ends at a turn, located to EVENT_LOCATION_TOL in rho,
+        # has v = 0 there only to within |v'| * EVENT_LOCATION_TOL <= u * 1e-10.
+        end = samples[-1][1]
+        assert end.v <= EVENT_LOCATION_TOL * end.u
 
     def test_a_start_below_the_centre_stops_at_its_maximum(self):
-        # The full run circles the centre to rho_l (2,808 steps) and reaches
-        # the same verdict through the energy.
-        shot = classify(0.98, 100.0, 12.0, stop_at_turn=True)
+        # Run on past its maximum, the orbit would circle the centre to
+        # rho_l (2,808 steps) and reach the same verdict through the energy.
+        shot = classify(0.98, 100.0, 12.0)
         assert shot.verdict is Verdict.UNDERSHOOT
         assert shot.trajectory.terminal_event is TerminalEvent.TURNED
         assert shot.trajectory.end[1].u > 0.98
