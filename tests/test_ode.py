@@ -203,17 +203,28 @@ class TestEvents:
             hamiltonian(State(1.6, 0.0), 2.0), abs=1e-9
         )
 
-    def test_undershoot_ends_at_its_first_turn(self):
+    def test_undershoot_records_turning_points(self):
+        # The first turn of an undershoot is recorded as the run's end.
         trajectory = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.TURNED
         rho_end, end = trajectory.end
         assert rho_end == pytest.approx(3.5622832910823736, rel=1e-8)
         assert end.u == pytest.approx(0.42749172182100076, rel=1e-7)
         assert abs(end.v) < 1e-9
+        assert all(0.0 < state.u <= 1.4 for _, state in trajectory.samples)
+
+    def test_turn_ends_a_run_that_asks_for_it(self):
+        # Every run asks for it: the first turn ends the run well before the
+        # end of its span, whichever side of the centre it starts.
+        stopped = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0)
+        assert stopped.terminal_event is TerminalEvent.TURNED
+        assert stopped.end[0] < 30.0
+        assert 0.0 < stopped.end[1].u < 1.4
         # Started below the centre, the first turn is a maximum above the
         # start, and it ends the run too.
         inside = integrate(State(0.5, 0.0), 0.0, 30.0, 2.0)
         assert inside.terminal_event is TerminalEvent.TURNED
+        assert inside.end[0] < 30.0
         assert abs(inside.end[1].v) < 1e-9
         assert inside.end[1].u > 0.5
 
