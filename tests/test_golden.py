@@ -94,7 +94,8 @@ def _shoot_digests() -> dict:
         r = shoot(ProblemParams.inner(p))
         t = r.trajectory
         record = (
-            r.a_star, r.bc_residual, r.classifications, r.bracket_history,
+            r.a_star, r.bc_residual, tuple((c[0], c[1]) for c in r.classifications),
+            r.bracket_history,
             t.steps, t.end, t.rejected_steps, t.terminal_event,
         )
         digests[f"shoot/p{p:g}"] = hashlib.sha256(repr(record).encode()).hexdigest()
