@@ -409,8 +409,9 @@ def run(config: RunConfig) -> int:
         diagnostic = {"config": config.to_dict(), "error": str(exc)}
         if isinstance(exc, NoBracketError):
             # Keep the verdict table that explains the failure.
-            entries = exc.scan_result.entries
-            diagnostic["scan"] = [{**asdict(e), "verdict": e.verdict.value} for e in entries]
+            diagnostic["scan"] = [
+                {**entry._asdict(), "verdict": entry.verdict.value} for entry in exc.classifications
+            ]
         # Status first: an --out that cannot be written still exits 2 after it.
         _status(f"solver failure: {exc}")
         if config.out is not None:

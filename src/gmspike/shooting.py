@@ -10,12 +10,20 @@ on the phase plane:
 * the spike itself connects, reaching the truncated endpoint rho_l with
   the boundary functional |u| + |v| at most eta.
 
-The scan covers [amplitude - delta, amplitude + delta]; the first
-undershoot-to-overshoot transition brackets the answer and plain bisection
-refines it.  Refinement stops early when a midpoint already connects: once
-the bracket is tighter than the separation the truncated horizon can
-resolve, under and over events stop firing and the midpoint is the answer
-to within the achievable accuracy.
+The scan classifies scan_points amplitudes across [amplitude - delta,
+amplitude + delta], and a connecting run is the answer.  If the scan connects
+anywhere, the answer is its connecting point with the smallest boundary
+residual.  Only if no scan point connects is the bracket from the last
+undershoot to the first overshoot bisected.  Bisection ends at its first
+connecting midpoint, or once the bracket is narrower than refine_tol or holds
+no double strictly inside; the midpoint it has just run is then the answer.
+Once the bracket is tighter than the separation the truncated horizon can
+resolve, under and over events stop firing and a midpoint connects, so the
+answer is found to within the achievable accuracy.
+
+Every integration is logged once, in order, as a :class:`Classification`;
+the answer's entry is its own run, which is the reported one, so no orbit is
+integrated twice.
 
 Every run, the reported one included, ends at its first event: an
 undershoot at its first turn, a minimum or, when a lies below the centre
@@ -31,7 +39,7 @@ coordinate and the integrated distance-from-peak frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -42,14 +50,12 @@ __all__ = [
     "DEFAULT_RHO_L",
     "Verdict",
     "ShootingConfig",
-    "ScanEntry",
-    "ScanResult",
+    "Classification",
     "ShootingResult",
     "Shot",
     "ShootingError",
     "NoBracketError",
     "classify",
-    "scan",
     "shoot",
     "eval_profile_grid",
 ]
@@ -72,11 +78,12 @@ class ShootingError(RuntimeError):
 
 
 class NoBracketError(ShootingError):
-    """The scan produced neither a sign change nor a connecting amplitude."""
+    """The scan produced neither a sign change nor a connecting amplitude.
+    ``classifications`` is the scan's log, one entry per integration."""
 
-    def __init__(self, message: str, scan_result: "ScanResult") -> None:
+    def __init__(self, message: str, classifications: tuple[Classification, ...]) -> None:
         super().__init__(message)
-        self.scan_result = scan_result
+        self.classifications = classifications
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,6 @@ class ShootingConfig:
     rho_l: float = DEFAULT_RHO_L
     scan_points: int = 41
     refine_tol: float = 1e-10
-    max_bisections: int = 200
 
     def __post_init__(self) -> None:
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
@@ -99,30 +105,16 @@ class ShootingConfig:
             raise ValueError("scan_points must be at least 3")
         if not (self.refine_tol > 0.0):
             raise ValueError("refine_tol must be positive")
-        if self.max_bisections < 1:
-            raise ValueError("max_bisections must be at least 1")
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    """One scanned amplitude.  ``bc_residual`` is |u| + |v| where its run
-    ended: at rho_l, at an overshoot's u = 0 event, or at an undershoot's
-    first turning point."""
+class Classification(NamedTuple):
+    """One integration of a shoot.  ``bc_residual`` is |u| + |v| where its
+    run ended: at rho_l, at an overshoot's u = 0 event, or at an
+    undershoot's first turning point."""
 
     a: float
     verdict: Verdict
     bc_residual: float
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Verdicts across the window.  ``best_connect`` is the connecting
-    amplitude with the smallest residual (the first on ties) and its shot,
-    kept so that a shoot without a bracket does not integrate it again."""
-
-    entries: tuple[ScanEntry, ...]
-    bracket: tuple[float, float] | None
-    best_connect: tuple[float, Shot] | None = field(default=None, repr=False, compare=False)
 
 
 def _bc_residual(trajectory: Trajectory) -> float:
@@ -157,15 +149,17 @@ class ShootingResult:
 
     ``bc_residual`` and ``signed_bc_residual`` are read from the end of the
     accepted trajectory, as on a :class:`Shot`; ``converged`` says whether
-    ``bc_residual`` is within ``config.eta``.  ``classifications`` lists
-    every amplitude examined, scan points first, bisection midpoints after,
-    and ends with the final run's (a_star, verdict), even when that run is
-    the connecting midpoint before it.
+    ``bc_residual`` is within ``config.eta``.  ``classifications`` logs
+    every integration once, in order: the scan points first, then any
+    bisection midpoints.  ``a_star`` is the amplitude of one entry, the
+    best connecting scan point or else the last midpoint, and
+    ``trajectory`` is that entry's run.  ``bracket_history`` starts with
+    the scan's bracket, when it has one, and lists each bisected bracket.
     """
 
     a_star: float
     trajectory: Trajectory
-    classifications: tuple[tuple[float, Verdict], ...]
+    classifications: tuple[Classification, ...]
     bracket_history: tuple[tuple[float, float], ...]
     params: ProblemParams
     config: ShootingConfig
@@ -215,112 +209,83 @@ def classify(
     return Shot(verdict, trajectory)
 
 
-def scan(
-    params: ProblemParams,
-    config: ShootingConfig = ShootingConfig(),
-    integrator_config: IntegratorConfig = IntegratorConfig(),
-) -> ScanResult:
-    """Classify scan_points amplitudes across [amplitude - delta, amplitude + delta].
-
-    The bracket, when present, spans from the last undershoot to the first
-    overshoot; connecting points in between do not widen it.
-    """
-    p = params.p
-    amp = spike_amplitude(p)
-    if amp - config.delta <= 0.0:
-        raise ValueError("scan window must stay at positive amplitudes")
-
-    n = config.scan_points
-    step = 2.0 * config.delta / (n - 1)
-    entries = []
-    best_connect = None
-    for i in range(n):
-        a = amp - config.delta + i * step
-        shot = classify(a, p, config.rho_l, integrator_config, config.eta)
-        entries.append(ScanEntry(a=a, verdict=shot.verdict, bc_residual=shot.bc_residual))
-        if shot.verdict is Verdict.CONNECT and (
-            best_connect is None or shot.bc_residual < best_connect[1].bc_residual
-        ):
-            best_connect = (a, shot)
-        # Only the best connecting trajectory outlives its iteration.
-        del shot
-
-    last_under = None
-    first_over = None
-    for i, entry in enumerate(entries):
-        if entry.verdict is Verdict.UNDERSHOOT:
-            last_under = i
-        elif entry.verdict is Verdict.OVERSHOOT and first_over is None:
-            first_over = i
-    bracket = None
-    if last_under is not None and first_over is not None and last_under < first_over:
-        bracket = (entries[last_under].a, entries[first_over].a)
-    return ScanResult(entries=tuple(entries), bracket=bracket, best_connect=best_connect)
-
-
 def shoot(
     params: ProblemParams,
     config: ShootingConfig = ShootingConfig(),
     integrator_config: IntegratorConfig = IntegratorConfig(),
 ) -> ShootingResult:
-    """Scan, bracket, and bisect to the spike amplitude.
+    """Scan, bracket, and bisect to the spike amplitude; a connecting run is the answer.
 
-    Bisection halves the bracket until it is narrower than refine_tol or
-    holds no double strictly inside, stopping early if a midpoint connects
-    outright.  Without a bracket the connecting scan point with the smallest
-    boundary residual is taken.  Raises :class:`NoBracketError` when the
-    scan neither brackets nor connects.  A connecting midpoint or scan point
-    is the final run; otherwise a_star is classified once more.
+    The scan classifies scan_points amplitudes across [amplitude - delta,
+    amplitude + delta].  If any connects, the one with the smallest boundary
+    residual (the first on ties) is the answer.  Otherwise the bracket from
+    the last undershoot to the first overshoot is bisected until a midpoint
+    connects, the bracket is narrower than refine_tol, or it holds no double
+    strictly inside; the midpoint just run is the answer.  Raises
+    :class:`NoBracketError` when the scan neither brackets nor connects.
     """
     p = params.p
-    scan_result = scan(params, config, integrator_config)
-    classifications: list[tuple[float, Verdict]] = [
-        (e.a, e.verdict) for e in scan_result.entries
-    ]
-    bracket_history: list[tuple[float, float]] = []
-    final = None
+    amp = spike_amplitude(p)
+    if amp - config.delta <= 0.0:
+        raise ValueError("scan window must stay at positive amplitudes")
+    log: list[Classification] = []
 
-    if scan_result.bracket is not None:
-        lo, hi = scan_result.bracket
-        bracket_history.append((lo, hi))
-        a_star = 0.5 * (lo + hi)
-        for _ in range(config.max_bisections):
-            mid = 0.5 * (lo + hi)
-            # A bracket with no double strictly inside is as narrow as it gets.
-            if hi - lo <= config.refine_tol or not lo < mid < hi:
-                a_star = mid
-                break
-            shot = classify(mid, p, config.rho_l, integrator_config, config.eta)
-            classifications.append((mid, shot.verdict))
-            if shot.verdict is Verdict.CONNECT:
-                a_star, final = mid, shot
+    def run(a: float) -> Shot:
+        shot = classify(a, p, config.rho_l, integrator_config, config.eta)
+        log.append(Classification(a, shot.verdict, shot.bc_residual))
+        return shot
+
+    n = config.scan_points
+    step = 2.0 * config.delta / (n - 1)
+    answer = None
+    for i in range(n):
+        a = amp - config.delta + i * step
+        shot = run(a)
+        if shot.verdict is Verdict.CONNECT and (
+            answer is None or shot.bc_residual < answer[1].bc_residual
+        ):
+            answer = (a, shot)
+        # Only the best connecting trajectory outlives its iteration.
+        del shot
+
+    # The bracket spans from the last undershoot to the first overshoot;
+    # connecting points in between do not widen it.
+    unders = [i for i, entry in enumerate(log) if entry.verdict is Verdict.UNDERSHOOT]
+    overs = [i for i, entry in enumerate(log) if entry.verdict is Verdict.OVERSHOOT]
+    bracket_history: list[tuple[float, float]] = []
+    if unders and overs and unders[-1] < overs[0]:
+        bracket_history.append((log[unders[-1]].a, log[overs[0]].a))
+
+    if answer is None:
+        if not bracket_history:
+            raise NoBracketError(
+                "scan found no undershoot-to-overshoot transition and no "
+                "connecting amplitude",
+                tuple(log),
+            )
+        lo, hi = bracket_history[0]
+        a = 0.5 * (lo + hi)
+        while True:
+            shot = run(a)
+            if shot.verdict is Verdict.CONNECT or hi - lo <= config.refine_tol:
                 break
             if shot.verdict is Verdict.UNDERSHOOT:
-                lo = mid
+                lo = a
             else:
-                hi = mid
+                hi = a
             bracket_history.append((lo, hi))
-            a_star = 0.5 * (lo + hi)
-        else:
-            raise ShootingError(
-                f"bisection did not reach refine_tol within {config.max_bisections} iterations"
-            )
-    elif scan_result.best_connect is not None:
-        a_star, final = scan_result.best_connect
-    else:
-        raise NoBracketError(
-            "scan found no undershoot-to-overshoot transition and no "
-            "connecting amplitude",
-            scan_result,
-        )
+            mid = 0.5 * (lo + hi)
+            # A bracket with no double strictly inside is as narrow as it gets.
+            if not lo < mid < hi:
+                break
+            a = mid
+        answer = (a, shot)
 
-    if final is None:
-        final = classify(a_star, p, config.rho_l, integrator_config, config.eta)
-    classifications.append((a_star, final.verdict))
+    a_star, final = answer
     return ShootingResult(
         a_star=a_star,
         trajectory=final.trajectory,
-        classifications=tuple(classifications),
+        classifications=tuple(log),
         bracket_history=tuple(bracket_history),
         params=params,
         config=config,

@@ -21,7 +21,6 @@ from gmspike import (
     eval_spike_rho,
     hamiltonian,
     integrate,
-    scan,
     shoot,
     spike_amplitude,
 )
@@ -64,34 +63,37 @@ class TestClassify:
 
 
 class TestScan:
-    def test_default_scan_brackets_the_amplitude(self):
-        result = scan(ProblemParams.inner(2.0))
-        assert len(result.entries) == 41
-        assert result.entries[0].a == pytest.approx(1.4, rel=1e-12)
-        assert result.entries[-1].a == pytest.approx(1.6, rel=1e-12)
-        assert result.bracket is not None
-        low, high = result.bracket
+    """The scan is the first scan_points entries of a shoot's log, and its
+    bracket the first of the bracket history."""
+
+    def test_default_scan_brackets_the_amplitude(self, default_shoots):
+        result = default_shoots[2.0]
+        entries = result.classifications[:result.config.scan_points]
+        assert len(entries) == 41
+        assert entries[0].a == pytest.approx(1.4, rel=1e-12)
+        assert entries[-1].a == pytest.approx(1.6, rel=1e-12)
+        low, high = result.bracket_history[0]
         assert low < 1.5 < high
         assert high - low == pytest.approx(0.01, rel=1e-6)
-        verdicts = [entry.verdict for entry in result.entries]
+        verdicts = [entry.verdict for entry in entries]
         assert verdicts[0] is Verdict.UNDERSHOOT
         assert verdicts[-1] is Verdict.OVERSHOOT
 
-    def test_residuals_are_nonnegative(self):
-        result = scan(ProblemParams.inner(3.0))
-        assert all(entry.bc_residual >= 0.0 for entry in result.entries)
+    def test_residuals_are_nonnegative(self, default_shoots):
+        result = default_shoots[3.0]
+        entries = result.classifications[:result.config.scan_points]
+        assert all(entry.bc_residual >= 0.0 for entry in entries)
 
-    def test_localizes_the_p3_amplitude(self):
-        result = scan(ProblemParams.inner(3.0))
-        assert result.bracket is not None
-        low, high = result.bracket
+    def test_localizes_the_p3_amplitude(self, default_shoots):
+        low, high = default_shoots[3.0].bracket_history[0]
         assert low < math.sqrt(2.0) < high
         assert high - low == pytest.approx(0.01, rel=1e-6)
 
     def test_degenerate_window_connects_everywhere(self):
-        result = scan(ProblemParams.inner(2.0), config=ALL_CONNECT)
-        assert {entry.verdict for entry in result.entries} == {Verdict.CONNECT}
-        assert result.bracket is None
+        result = shoot(ProblemParams.inner(2.0), config=ALL_CONNECT)
+        entries = result.classifications[:ALL_CONNECT.scan_points]
+        assert {entry.verdict for entry in entries} == {Verdict.CONNECT}
+        assert result.bracket_history == ()
 
 
 class TestShoot:
@@ -106,9 +108,10 @@ class TestShoot:
         assert result.trajectory.samples[-1][0] == result.config.rho_l
 
     def test_run_log_ends_at_the_answer(self, default_shoots):
+        # The window's centre connects, so the scan ends the search.
         result = default_shoots[2.0]
-        assert len(result.classifications) >= 42
-        assert result.classifications[-1][0] == result.a_star
+        assert len(result.classifications) == 41
+        assert result.classifications[20][:2] == (result.a_star, Verdict.CONNECT)
         low, high = result.bracket_history[0]
         assert high - low == pytest.approx(0.01, rel=1e-6)
 
@@ -160,11 +163,30 @@ class TestShoot:
         monkeypatch.setattr(shooting_mod, "integrate", counting_integrate)
         result = shoot(ProblemParams.inner(2.0), config=ALL_CONNECT)
         assert len(amplitudes) == ALL_CONNECT.scan_points == 41
-        assert result.classifications[-1] == (result.a_star, Verdict.CONNECT)
-        entries = scan(ProblemParams.inner(2.0), config=ALL_CONNECT).entries
-        best = min(entries, key=lambda entry: entry.bc_residual)
+        assert len(result.classifications) == 41
+        best = min(result.classifications, key=lambda entry: entry.bc_residual)
+        assert best.verdict is Verdict.CONNECT
         assert result.a_star == best.a
         assert result.bc_residual == best.bc_residual
+
+    @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 3.0, 4.0, 10.0, 100.0))
+    def test_each_integration_is_logged_once(self, p, monkeypatch):
+        # No amplitude is integrated twice, and the log lists every run in order.
+        amplitudes = []
+        real_integrate = shooting_mod.integrate
+
+        def recording_integrate(initial, *args, **kwargs):
+            amplitudes.append(initial.u)
+            return real_integrate(initial, *args, **kwargs)
+
+        monkeypatch.setattr(shooting_mod, "integrate", recording_integrate)
+        result = shoot(ProblemParams.inner(p))
+        assert len(set(amplitudes)) == len(amplitudes)
+        assert amplitudes == [entry.a for entry in result.classifications]
+        if p not in (1.01, 100.0):
+            # The window's centre connects, so the answer is a scan point.
+            scan = result.classifications[:result.config.scan_points]
+            assert result.a_star in [entry.a for entry in scan]
 
     def test_no_bracket_and_no_connect_raises(self, monkeypatch):
         stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
@@ -175,7 +197,7 @@ class TestShoot:
         monkeypatch.setattr(shooting_mod, "classify", always_overshoot)
         with pytest.raises(NoBracketError) as excinfo:
             shoot(ProblemParams.inner(2.0))
-        entries = excinfo.value.scan_result.entries
+        entries = excinfo.value.classifications
         assert len(entries) == 41
         assert {entry.verdict for entry in entries} == {Verdict.OVERSHOOT}
 
@@ -316,7 +338,6 @@ class TestConfigValidation:
             {"rho_l": 0.0},
             {"scan_points": 2},
             {"refine_tol": 0.0},
-            {"max_bisections": 0},
         ],
     )
     def test_rejects_invalid(self, kwargs):

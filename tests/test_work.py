@@ -14,10 +14,10 @@ from gmspike import ProblemParams, ShootingConfig, shoot, shooting
 # shoot(ProblemParams.inner(p)) at default settings.
 PINNED_WORK = {
     1.01: (68, 8_296, 0),
-    1.2: (42, 4_631, 206),
-    2.0: (42, 4_599, 2),
-    4.0: (42, 4_667, 11),
-    10.0: (42, 4_615, 19),
+    1.2: (41, 4_464, 206),
+    2.0: (41, 4_346, 2),
+    4.0: (41, 4_390, 11),
+    10.0: (41, 4_323, 19),
     100.0: (68, 9_872, 234),
 }
 
@@ -41,18 +41,20 @@ def _count_work(monkeypatch):
 @pytest.mark.parametrize("p", sorted(PINNED_WORK))
 def test_shoot_work_is_pinned(p, monkeypatch):
     work = _count_work(monkeypatch)
-    shoot(ProblemParams.inner(p))
+    result = shoot(ProblemParams.inner(p))
     assert tuple(work) == PINNED_WORK[p]
+    # The log holds one entry per integration.
+    assert len(result.classifications) == work[0]
 
 
 def test_bisection_stops_when_no_double_is_left_in_the_bracket(monkeypatch):
     # No midpoint connects at this eta, and refine_tol lies below the float
     # spacing at the amplitude, so the bracket closes to two adjacent doubles
-    # after 44 halvings; bisection ends there instead of repeating an end
-    # until max_bisections runs out.
+    # after 44 halvings; bisection ends there, and its last midpoint, one end
+    # of that bracket, is the answer and is not run again.
     work = _count_work(monkeypatch)
     result = shoot(ProblemParams.inner(3.0), ShootingConfig(refine_tol=1e-20, eta=1e-9))
-    assert work[0] == 86
+    assert work[0] == 85
     lo, hi = result.bracket_history[-1]
     assert math.nextafter(lo, hi) == hi
     assert result.a_star in (lo, hi)
