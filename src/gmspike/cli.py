@@ -264,11 +264,15 @@ def _shoot_result(result: ShootingResult) -> dict:
 
 
 def _shoot_rows(params: ProblemParams, result: ShootingResult):
-    """One row per sample of the reported run, in the domain coordinate as
+    """One row per sample of the reported run inside the domain
+    [-L/epsilon, L/epsilon], in the domain coordinate as
     ``shooting.eval_profile_grid`` maps it: a boundary spike's samples run
     inward from the wall, so rho falls and v changes sign."""
     boundary = params.kind is SpikeKind.BOUNDARY
+    reach = params.peak_rho + params.half_length / params.epsilon
     for tau, state in result.trajectory.samples:
+        if tau > reach:
+            break
         rho, v = (params.peak_rho - tau, -state.v) if boundary else (tau, state.v)
         ua = eval_spike_rho(params, rho)
         yield rho, ua, state.u, v, abs(ua - state.u)
@@ -285,12 +289,12 @@ def _run_shoot(config: RunConfig) -> int:
 
 
 def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
-    if params.kind is SpikeKind.BOUNDARY:
-        # Checked as a --grid is: far enough out, the span next to the peak rounds away.
-        grid = (params.peak_rho - _SWEEP_SPAN, params.peak_rho, _SWEEP_GRID_POINTS)
-        _check_grid(grid, "default grid")
-        return grid
-    return (-_SWEEP_SPAN, _SWEEP_SPAN, _SWEEP_GRID_POINTS)
+    """The span within _SWEEP_SPAN of the peak, clipped to the domain [-L/epsilon, L/epsilon]."""
+    peak, wall = params.peak_rho, params.half_length / params.epsilon
+    grid = (max(peak - _SWEEP_SPAN, -wall), min(peak + _SWEEP_SPAN, wall), _SWEEP_GRID_POINTS)
+    # Checked as a --grid is: far enough out, the span next to a wall peak rounds away.
+    _check_grid(grid, "default grid")
+    return grid
 
 
 def _not_converged(result: ShootingResult) -> str:

@@ -398,7 +398,8 @@ class TestShootCommand:
         header, rows = read_rows(out)
         assert header == CSV_HEADER
         assert rows[0][0] == "0"
-        assert float(rows[-1][0]) == 12.0
+        # The run reaches rho_l = 12; the table stops at the wall L/epsilon = 10.
+        assert 9.9 < float(rows[-1][0]) <= 10.0
         assert all(float(row[4]) < 1e-6 for row in rows)
 
     def test_boundary_rows_run_inward_from_the_wall(self, tmp_path):
@@ -410,6 +411,18 @@ class TestShootCommand:
         assert all(float(row[3]) >= 0.0 for row in rows)
         # u_analytic is read at the domain coordinate the row names.
         assert all(float(row[4]) < 1e-6 for row in rows)
+
+    def test_rows_stay_inside_a_narrow_domain(self, tmp_path):
+        # At epsilon = 0.2 the domain is [-5, 5]: the run from the wall
+        # reaches rho_l = 12 past the far wall, and those samples are dropped.
+        out = tmp_path / "shoot.csv"
+        argv = ["shoot", "--p", "3", "--spike", "boundary", "--epsilon", "0.2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, rows = read_rows(out)
+        rhos = [float(row[0]) for row in rows]
+        assert rhos[0] == 5.0
+        assert all(-5.0 <= rho <= 5.0 for rho in rhos)
+        assert rhos[-1] < -4.9
 
     def test_stdout_carries_only_the_csv(self, capsys):
         assert cli.main(["shoot", "--p", "3"]) == 0
@@ -481,6 +494,19 @@ class TestCompareCommand:
         assert float(rows[0][0]) == -10.0
         assert float(rows[-1][0]) == 10.0
         assert max(float(row[4]) for row in rows) < 1e-4
+
+    @pytest.mark.parametrize(
+        "spike, epsilon, wall", [("inner", "0.2", 5.0), ("boundary", "0.5", 2.0)]
+    )
+    def test_default_grid_is_clipped_to_the_domain(self, tmp_path, spike, epsilon, wall):
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--p", "2", "--spike", spike, "--epsilon", epsilon, "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, rows = read_rows(out)
+        rhos = [float(row[0]) for row in rows]
+        assert len(rhos) == 401
+        assert (rhos[0], rhos[-1]) == (-wall, wall)
+        assert all(-wall <= rho <= wall for rho in rhos)
 
     def test_boundary_grid_ends_at_the_peak(self, tmp_path):
         out = tmp_path / "cmp.csv"
