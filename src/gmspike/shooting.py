@@ -11,19 +11,16 @@ on the phase plane:
   the boundary functional |u| + |v| at most eta.
 
 The scan classifies scan_points amplitudes across [amplitude - delta,
-amplitude + delta], and a connecting run is the answer.  If the scan connects
-anywhere, the answer is its connecting point with the smallest boundary
-residual.  Only if no scan point connects is the bracket from the last
-undershoot to the first overshoot bisected.  Bisection ends at its first
-connecting midpoint, or once the bracket is narrower than refine_tol or holds
-no double strictly inside; the midpoint it has just run is then the answer.
-Once the bracket is tighter than the separation the truncated horizon can
-resolve, under and over events stop firing and a midpoint connects, so the
-answer is found to within the achievable accuracy.
-
-Every integration is logged once, in order, as a :class:`Classification`;
-the answer's entry is its own run, which is the reported one, so no orbit is
-integrated twice.
+amplitude + delta], and a connecting run is the answer: the connecting scan
+point with the smallest boundary residual or, only if no scan point
+connects, the first connecting midpoint of a bisection of the bracket from
+the last undershoot to the first overshoot.  Bisection also ends once the
+bracket is narrower than refine_tol or holds no double strictly inside; the
+midpoint it has just run is then the answer.  Once the bracket is tighter
+than the truncated horizon can resolve, under and over events stop firing
+and a midpoint connects, so this is the achievable accuracy.  Every
+integration is logged once, in order, as a :class:`Classification`, and the
+answer's own run is the reported one: no orbit is integrated twice.
 
 Every run, the reported one included, ends at its first event: an
 undershoot at its first turn, a minimum or, when a lies below the centre
@@ -149,12 +146,10 @@ class ShootingResult:
 
     ``bc_residual`` and ``signed_bc_residual`` are read from the end of the
     accepted trajectory, as on a :class:`Shot`; ``converged`` says whether
-    ``bc_residual`` is within ``config.eta``.  ``classifications`` logs
-    every integration once, in order: the scan points first, then any
-    bisection midpoints.  ``a_star`` is the amplitude of one entry, the
-    best connecting scan point or else the last midpoint, and
-    ``trajectory`` is that entry's run.  ``bracket_history`` starts with
-    the scan's bracket, when it has one, and lists each bisected bracket.
+    ``bc_residual`` is within ``config.eta``.  ``classifications`` logs each
+    integration once, in order, scan points first; ``a_star`` is one entry's
+    amplitude and ``trajectory`` that entry's run.  ``bracket_history``
+    starts with the scan's bracket, when it has one.
     """
 
     a_star: float
@@ -221,8 +216,9 @@ def shoot(
     residual (the first on ties) is the answer.  Otherwise the bracket from
     the last undershoot to the first overshoot is bisected until a midpoint
     connects, the bracket is narrower than refine_tol, or it holds no double
-    strictly inside; the midpoint just run is the answer.  Raises
-    :class:`NoBracketError` when the scan neither brackets nor connects.
+    strictly inside; the midpoint just run is the answer.  Each integration
+    is logged once, in order.  Raises :class:`NoBracketError`, with the log,
+    when the scan neither brackets nor connects.
     """
     p = params.p
     amp = spike_amplitude(p)
@@ -245,8 +241,6 @@ def shoot(
             answer is None or shot.bc_residual < answer[1].bc_residual
         ):
             answer = (a, shot)
-        # Only the best connecting trajectory outlives its iteration.
-        del shot
 
     # The bracket spans from the last undershoot to the first overshoot;
     # connecting points in between do not widen it.
@@ -259,8 +253,7 @@ def shoot(
     if answer is None:
         if not bracket_history:
             raise NoBracketError(
-                "scan found no undershoot-to-overshoot transition and no "
-                "connecting amplitude",
+                "scan found no undershoot-to-overshoot transition and no connecting amplitude",
                 tuple(log),
             )
         lo, hi = bracket_history[0]
@@ -283,13 +276,8 @@ def shoot(
 
     a_star, final = answer
     return ShootingResult(
-        a_star=a_star,
-        trajectory=final.trajectory,
-        classifications=tuple(log),
-        bracket_history=tuple(bracket_history),
-        params=params,
-        config=config,
-        integrator_config=integrator_config,
+        a_star, final.trajectory, tuple(log), tuple(bracket_history),
+        params, config, integrator_config,
     )
 
 
