@@ -4,7 +4,7 @@ Subcommands
 -----------
 analytic   evaluate the closed-form profile on a grid
 residual   closed-form residual u'' - u + u**p on a grid
-shoot      run the shooting solver and report the refined amplitude
+shoot      run the shooting solver and report the amplitude it reaches
 compare    shooting profile versus closed form on a grid
 sweep      compare for p in {2, 3, 4} x {inner, boundary}; one file per
            case plus a summary table
@@ -47,10 +47,8 @@ from .analytic import (
     spike_amplitude,
 )
 from .ode import IntegratorConfig
-from .shooting import (
-    NoBracketError, ShootingConfig, ShootingError, ShootingResult, check_within_wall, shoot
-)
-from .verify import ComparisonReport, compare, ode_residual
+from .shooting import ShootingConfig, ShootingError, ShootingResult, check_within_wall, shoot
+from .verify import ComparisonReport, check_first_integral, compare, ode_residual
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -257,6 +255,9 @@ def _shoot_result(result: ShootingResult) -> dict:
         "signed_bc_residual": result.signed_bc_residual,
         "converged": result.converged,
         "classifications": len(result.classifications),
+        "u0": result.u0,
+        "sigma_pk": result.sigma_pk,
+        "h_drift": check_first_integral(result.trajectory, result.params.p),
         "accepted_steps": result.trajectory.accepted_steps,
         "rejected_steps": result.trajectory.rejected_steps,
         "terminal_event": result.trajectory.terminal_event.value,
@@ -264,16 +265,21 @@ def _shoot_result(result: ShootingResult) -> dict:
 
 
 def _shoot_rows(params: ProblemParams, result: ShootingResult):
-    """One row per sample of the reported run inside the domain
-    [-L/epsilon, L/epsilon], in the domain coordinate as
-    ``shooting.eval_profile_grid`` maps it: a boundary spike's samples run
-    inward from the wall, so rho falls and v changes sign."""
+    """One row per sample of the inward run inside the domain
+    [-L/epsilon, L/epsilon], read backwards from the peak, in the domain
+    coordinate as ``shooting.eval_profile_grid`` maps it: an inner spike's
+    rows run out from the peak to the right, a boundary spike's inward from
+    the wall, so rho falls and v keeps the run's sign."""
     boundary = params.kind is SpikeKind.BOUNDARY
     reach = params.peak_rho + params.half_length / params.epsilon
-    for tau, state in result.trajectory.samples:
-        if tau > reach:
+    sigma_pk = result.sigma_pk
+    for sigma, state in reversed(result.trajectory.samples):
+        d = sigma_pk - sigma
+        if d > reach:
             break
-        rho, v = (params.peak_rho - tau, -state.v) if boundary else (tau, state.v)
+        # d = 0 at the run's end, the peak, where the profile's slope is 0.
+        v = state.v if d else 0.0
+        rho, v = (params.peak_rho - d, v) if boundary else (d, -v)
         ua = eval_spike_rho(params, rho)
         yield rho, ua, state.u, v, abs(ua - state.u)
 
@@ -300,7 +306,8 @@ def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
 def _not_converged(result: ShootingResult) -> str:
     return (
         f"{result.params.kind.value} spike at p={result.params.p!r}: shooting did not "
-        f"converge (bc_residual={result.bc_residual!r} exceeds eta={result.config.eta!r})"
+        f"converge (the run ended {result.trajectory.terminal_event.value} at "
+        f"sigma={result.sigma_pk!r}, before its peak)"
     )
 
 
@@ -411,11 +418,6 @@ def run(config: RunConfig) -> int:
         return runner(config)
     except ShootingError as exc:
         diagnostic = {"config": config.to_dict(), "error": str(exc)}
-        if isinstance(exc, NoBracketError):
-            # Keep the verdict table that explains the failure.
-            diagnostic["scan"] = [
-                {**entry._asdict(), "verdict": entry.verdict.value} for entry in exc.classifications
-            ]
         # Status first: an --out that cannot be written still exits 2 after it.
         _status(f"solver failure: {exc}")
         if config.out is not None:
@@ -451,9 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     number("--epsilon", default=ProblemParams.epsilon, help="length-scale ratio in (0, 1)")
     number("--L", default=ProblemParams.half_length, help="half-domain length")
     number = partial(solver.add_argument, type=float)
-    number("--eta", default=ShootingConfig.eta, help="boundary functional tolerance")
-    number("--delta", default=ShootingConfig.delta, help="scan half-width around the amplitude")
-    number("--rho-l", default=ShootingConfig.rho_l, help="far-field truncation point")
     number("--rel-tol", default=IntegratorConfig.rel_tol, help="integrator relative tolerance")
     number("--abs-tol", default=IntegratorConfig.abs_tol, help="integrator absolute tolerance")
     grid_help = "evaluation grid start:end:count (use --grid=-10:10:401 for negative starts)"
@@ -505,8 +504,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as exc:
-        # Input only the run can reject: a scan window below zero, a grid beyond
-        # the integrated span, or an --out that cannot be written.
+        # Input only the run can reject: a grid beyond the integrated span, or
+        # an --out that cannot be written.
         parser.error(str(exc))
 
 

@@ -72,8 +72,8 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
     """
     if not result.converged:
         raise ValueError(
-            "comparison requires a converged shooting result "
-            f"(bc_residual={result.bc_residual!r} exceeds eta)"
+            "comparison requires a converged shooting result (the run ended "
+            f"{result.trajectory.terminal_event.value}, before its peak)"
         )
     grid = tuple(float(r) for r in rho_grid)
     if not grid:

@@ -6,7 +6,7 @@ reused by the unit tests and the acceptance checks alike.
 
 import pytest
 
-from gmspike import ProblemParams, cli, shoot
+from gmspike import ProblemParams, cli, shoot, shooting
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +24,15 @@ def sweep_dirs(tmp_path_factory):
         assert cli.main(["sweep", "--out", str(out)]) == 0
         dirs.append(out)
     return tuple(dirs)
+
+
+@pytest.fixture
+def short_horizon(monkeypatch):
+    """Cut every shoot's run at sigma = 5, short of its peak: sigma_pk is at
+    least 16.17 (p = 100)."""
+    real_integrate = shooting.integrate
+
+    def cut(initial, rho_start, rho_end, *args, **kwargs):
+        return real_integrate(initial, rho_start, 5.0, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", cut)

@@ -11,16 +11,15 @@ import numpy as np
 from ansatz_reference import derive_ansatz_constants, eval_ansatz
 
 from gmspike import (
-    DEFAULT_RHO_L,
     IntegratorConfig,
     ProblemParams,
-    ShootingConfig,
-    Verdict,
+    TerminalEvent,
     check_first_integral,
-    classify,
     eval_spike_rho,
+    hamiltonian,
     ode_residual,
     shoot,
+    shooting,
     spike_amplitude,
 )
 
@@ -81,12 +80,12 @@ def test_shooting_recovers_the_closed_form_amplitude_quickly():
         assert result.converged
         worst_gap = max(worst_gap, abs(result.a_star - spike_amplitude(p)))
         worst_residual = max(worst_residual, result.bc_residual)
-    assert worst_gap < 1e-4
-    assert worst_residual <= 0.01
+    assert worst_gap < 1e-10
+    assert worst_residual <= 1e-6
     assert elapsed < 10.0
     print(
-        f"PASS shooting amplitudes: max |a*-amp| {worst_gap:.3e} < 1e-4, "
-        f"max residual {worst_residual:.3e} <= 1e-2, {elapsed:.2f}s < 10s"
+        f"PASS shooting amplitudes: max |a*-amp| {worst_gap:.3e} < 1e-10, "
+        f"max residual {worst_residual:.3e} <= 1e-6, {elapsed:.2f}s < 10s"
     )
 
 
@@ -122,21 +121,26 @@ def test_first_integral_drift_is_bounded_and_tolerance_driven(default_shoots):
     )
 
 
-def test_classification_verdicts_and_bracket_halving():
-    assert classify(1.6, 2.0, DEFAULT_RHO_L).verdict is Verdict.OVERSHOOT
-    assert classify(1.4, 2.0, DEFAULT_RHO_L).verdict is Verdict.UNDERSHOOT
-    assert classify(1.5, 2.0, DEFAULT_RHO_L).verdict is Verdict.CONNECT
-    config = ShootingConfig(eta=1e-6)
-    result = shoot(ProblemParams.inner(2.0), config=config)
-    history = result.bracket_history
-    w0 = history[0][1] - history[0][0]
-    for k, (low, high) in enumerate(history):
-        assert abs((high - low) - w0 * 0.5**k) <= 1e-13
-    final = history[-1][1] - history[-1][0]
-    assert final <= 2.0 * config.refine_tol
+def test_one_inward_run_goes_from_the_spike_orbit_to_the_peak(monkeypatch):
+    calls = []
+    real_integrate = shooting.integrate
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(args)
+        return real_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counting_integrate)
+    worst_energy = 0.0
+    for p in (1.01, 1.2, 2.0, 4.0, 10.0, 100.0):
+        result = shoot(ProblemParams.inner(p))
+        start = result.trajectory.samples[0][1]
+        worst_energy = max(worst_energy, abs(hamiltonian(start, p)) / start.u**2)
+        assert result.trajectory.terminal_event is TerminalEvent.TURNED
+    assert worst_energy <= 1e-13
+    assert len(calls) == 6
     print(
-        f"PASS verdicts over/under/connect at 1.6/1.4/1.5; bracket halved "
-        f"{len(history) - 1} times from {w0:.2e} to {final:.2e}"
+        f"PASS one integration per shoot over 6 exponents, each ending at its peak; "
+        f"start |H| / u0^2 {worst_energy:.3e} <= 1e-13"
     )
 
 

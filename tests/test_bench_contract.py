@@ -1,12 +1,17 @@
 """The benchmark still runs against the library.
 
 ``bench/child.py`` reads more of gmspike than the public calls: its tracer
-patches ``verify.eval_spike_rho``, ``cli.eval_spike_rho`` and
-``verify.eval_spike_second_derivative``, and its observers read
-``ShootingResult.classifications``, ``config.scan_points``, ``bc_residual``,
-``converged`` and the sweep summary's columns.  A change to ``src/`` that
-breaks one of them would only show when the benchmark is run, so one traced
-op of two workloads runs here, started as ``bench/run.py`` starts it.
+patches ``shooting.integrate``, ``ode.Trajectory.eval``,
+``verify.eval_spike_rho``, ``cli.eval_spike_rho``,
+``verify.eval_spike_second_derivative``, ``cli.ode_residual``,
+``cli.compare`` and ``cli.shoot``; its observers read ``a_star``,
+``bc_residual``, ``converged``, the length of ``classifications``,
+``config.scan_points`` and the trajectory's step counts of a
+``ShootingResult``, ``analytic.spike_amplitude`` and the sweep summary's
+columns.  A change to ``src/`` that breaks one of them would only show when
+the benchmark is run, so one traced op of two workloads runs here, started
+as ``bench/run.py`` starts it.  Every ``shoot_range`` case, p = 1.01
+included, must pass its check.
 """
 
 import json
@@ -38,3 +43,6 @@ def test_traced_bench_op_runs(workload, tmp_path):
     assert isinstance(outcome["layers"], dict)
     crashed = [c for c in outcome["cases"] if EXCEPTION_NAME.search(str(c["error"]))]
     assert not crashed, [(c["case"], c["error"]) for c in crashed]
+    if workload == "shoot_range":
+        failed = [(c["case"], c["error"]) for c in outcome["cases"] if not c["ok"]]
+        assert len(outcome["cases"]) == 6 and not failed, failed

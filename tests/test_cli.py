@@ -6,18 +6,7 @@ import math
 
 import pytest
 
-from gmspike import (
-    IntegratorConfig,
-    ProblemParams,
-    ShootingConfig,
-    ShootingError,
-    Shot,
-    State,
-    Verdict,
-    cli,
-    integrate,
-    shooting,
-)
+from gmspike import IntegratorConfig, ProblemParams, ShootingConfig, ShootingError, cli
 from gmspike.cli import CSV_HEADER
 
 SWEEP_FILES = (
@@ -38,7 +27,7 @@ SUMMARY_HEADER = (
 
 # Each subcommand takes the options of the groups its run reads, and no other.
 SPIKE, DOMAIN, GRID = ("--p", "--spike"), ("--epsilon", "--L"), ("--grid",)
-SOLVER = ("--eta", "--delta", "--rho-l", "--rel-tol", "--abs-tol")
+SOLVER = ("--rel-tol", "--abs-tol")
 OUTPUT = ("--format", "--out")
 OPTIONS_TAKEN = {
     "analytic": SPIKE + DOMAIN + GRID + OUTPUT,
@@ -47,7 +36,9 @@ OPTIONS_TAKEN = {
     "compare": SPIKE + DOMAIN + SOLVER + GRID + OUTPUT,
     "sweep": DOMAIN + SOLVER + OUTPUT,
 }
-# Each option with a valid value other than its default.
+# Each option with a valid value other than its default.  --eta, --delta
+# and --rho-l set the amplitude search, which the inward run replaced; no
+# subcommand takes them any more.
 OPTION_ARGV = {
     "--p": ["--p", "3"],
     "--spike": ["--spike", "boundary"],
@@ -95,13 +86,13 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["shoot", "--p", "2", "--delta", "2"],
+            ["compare", "--p", "100", "--grid=-17:17:5"],
             ["compare", "--p", "2", "--grid=-20:20:11"],
             ["compare", "--p", "2", "--spike", "boundary", "--grid=-20:10:5"],
         ],
     )
     def test_input_rejected_by_the_run_exits_2(self, argv, capsys):
-        # The scan window and the integrated span are checked only once running.
+        # The integrated span is known only once the run is over.
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
@@ -126,11 +117,11 @@ class TestArgumentHandling:
         assert "rho=20.0" not in err and "rho=30.0" not in err
 
     def test_grid_past_the_reported_turn_exits_2(self, capsys):
-        # At p = 100 the reported run ends at its turn, short of rho = 11.
+        # At p = 100 the run turns at its peak 16.17 from its start, short of rho = 17.
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["compare", "--p", "100", "--grid=-11:11:5"])
+            cli.main(["compare", "--p", "100", "--grid=-17:17:5"])
         assert excinfo.value.code == 2
-        assert "rho=-11.0 lies outside the integrated span" in capsys.readouterr().err
+        assert "rho=-17.0 lies outside the integrated span" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     @pytest.mark.parametrize(
@@ -200,8 +191,9 @@ class TestArgumentHandling:
         [
             (["analytic", "--grid=0:1:3"], "directory"),
             (["sweep"], "file"),
-            # The diagnostic of an unconverged compare goes to --out as well.
-            (["compare", "--rho-l", "0.5", "--format", "json"], "directory"),
+            # The diagnostic of a failed compare goes to --out as well.
+            (["compare", "--rel-tol", "1e-300", "--abs-tol", "1e-300", "--format", "json"],
+             "directory"),
         ],
     )
     def test_unwritable_out_exits_2(self, argv, existing, tmp_path, capsys):
@@ -332,10 +324,10 @@ class TestJsonDocument:
             (["residual", "--grid=-1e-17:1e-17:3"], 0),
             (["shoot", "--p", "2.5"], 0),
             (["compare", "--p", "3", "--spike", "boundary", "--grid=-0.00007:9.99993:11"], 0),
-            # The unconverged diagnostic, {config, error}.
-            (["compare", "--p", "2", "--rho-l", "0.5"], 1),
-            # Unconverged cases leave null cells in the summary.
-            (["sweep", "--eta", "1e-9", "--delta", "1e-10"], 1),
+            # The solver-failure diagnostic, {config, error}.
+            (["compare", "--p", "2", "--rel-tol", "1e-300", "--abs-tol", "1e-300"], 1),
+            # Failed cases leave null cells in the summary.
+            (["sweep", "--rel-tol", "1e-300", "--abs-tol", "1e-300"], 1),
         ]
         for i, (argv, code) in enumerate(runs):
             out = tmp_path / str(i)
@@ -378,9 +370,14 @@ class TestShootCommand:
         payload = json.loads(out.read_text())
         result = payload["result"]
         assert result["converged"] is True
-        assert abs(result["a_star"] - result["amplitude_closed_form"]) < 1e-4
-        assert result["bc_residual"] <= 0.01
-        assert result["terminal_event"] == "reached_end"
+        assert abs(result["a_star"] - result["amplitude_closed_form"]) < 1e-10
+        assert result["bc_residual"] <= 2e-7
+        assert result["terminal_event"] == "turned"
+        assert result["classifications"] == 1
+        # What the run did: where it started, how far it ran, how well it kept H.
+        assert result["u0"] == 1e-7
+        assert 17.9 < result["sigma_pk"] < 18.0
+        assert 0.0 < result["h_drift"] < 1e-10
         assert result["accepted_steps"] > 0
 
     def test_json_bytes_deterministic(self, tmp_path):
@@ -398,9 +395,13 @@ class TestShootCommand:
         header, rows = read_rows(out)
         assert header == CSV_HEADER
         assert rows[0][0] == "0"
-        # The run reaches rho_l = 12; the table stops at the wall L/epsilon = 10.
+        assert rows[0][3] == "0"
+        # The run reaches 17.9 from the peak; the table stops at the wall L/epsilon = 10.
         assert 9.9 < float(rows[-1][0]) <= 10.0
-        assert all(float(row[4]) < 1e-6 for row in rows)
+        rhos = [float(row[0]) for row in rows]
+        assert rhos == sorted(rhos)
+        assert all(float(row[3]) <= 0.0 for row in rows)
+        assert all(float(row[4]) < 1e-9 for row in rows)
 
     def test_boundary_rows_run_inward_from_the_wall(self, tmp_path):
         out = tmp_path / "shoot.csv"
@@ -413,8 +414,8 @@ class TestShootCommand:
         assert all(float(row[4]) < 1e-6 for row in rows)
 
     def test_rows_stay_inside_a_narrow_domain(self, tmp_path):
-        # At epsilon = 0.2 the domain is [-5, 5]: the run from the wall
-        # reaches rho_l = 12 past the far wall, and those samples are dropped.
+        # At epsilon = 0.2 the domain is [-5, 5]: the run reaches 17.2 from
+        # the wall, past the far wall, and those samples are dropped.
         out = tmp_path / "shoot.csv"
         argv = ["shoot", "--p", "3", "--spike", "boundary", "--epsilon", "0.2", "--out", str(out)]
         assert cli.main(argv) == 0
@@ -430,32 +431,27 @@ class TestShootCommand:
         assert captured.out.startswith(CSV_HEADER + "\n")
         assert captured.err.startswith("a_star = ")
 
-    def test_unmet_tolerance_exits_1(self, tmp_path):
+    def test_unmet_tolerance_exits_1(self, tmp_path, capsys):
+        # No step can meet these tolerances: step-size control underflows.
         out = tmp_path / "shoot.json"
-        rc = cli.main(
-            [
-                "shoot",
-                "--p",
-                "2",
-                "--rho-l",
-                "5",
-                "--eta",
-                "1e-9",
-                "--delta",
-                "1e-10",
-                "--format",
-                "json",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 1
-        payload = json.loads(out.read_text())
-        assert payload["result"]["converged"] is False
+        argv = ["shoot", "--rel-tol", "1e-300", "--abs-tol", "1e-300", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "step size underflow" in capsys.readouterr().err
+        diagnostic = json.loads(out.read_text())
+        assert set(diagnostic) == {"config", "error"}
+        assert diagnostic["error"].startswith("step size underflow")
+
+    def test_run_short_of_its_peak_exits_1(self, tmp_path, short_horizon):
+        out = tmp_path / "shoot.json"
+        assert cli.main(["shoot", "--p", "2", "--format", "json", "--out", str(out)]) == 1
+        result = json.loads(out.read_text())["result"]
+        assert result["converged"] is False
+        assert result["terminal_event"] == "reached_end"
+        assert result["sigma_pk"] == 5.0
 
     def test_solver_failure_writes_diagnostic(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
-            raise ShootingError("no usable bracket")
+            raise ShootingError("step size underflow")
 
         monkeypatch.setattr(cli, "shoot", explode)
         out = tmp_path / "diag.json"
@@ -463,25 +459,8 @@ class TestShootCommand:
         assert rc == 1
         assert "solver failure" in capsys.readouterr().err
         diagnostic = json.loads(out.read_text())
-        assert diagnostic["error"] == "no usable bracket"
+        assert diagnostic["error"] == "step size underflow"
         assert diagnostic["config"]["params"]["p"] == 2.0
-
-    def test_no_bracket_diagnostic_keeps_the_scan(self, tmp_path, monkeypatch, capsys):
-        stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
-
-        def always_overshoot(*args, **kwargs):
-            return Shot(Verdict.OVERSHOOT, stub)
-
-        monkeypatch.setattr(shooting, "classify", always_overshoot)
-        out = tmp_path / "x.json"
-        assert cli.main(["shoot", "--out", str(out)]) == 1
-        assert "solver failure" in capsys.readouterr().err
-        diagnostic = json.loads(out.read_text())
-        assert set(diagnostic) == {"config", "error", "scan"}
-        scan = diagnostic["scan"]
-        assert len(scan) == 41
-        assert [entry["verdict"] for entry in scan] == ["overshoot"] * 41
-        assert all(set(entry) == {"a", "verdict", "bc_residual"} for entry in scan)
 
 
 class TestCompareCommand:
@@ -519,9 +498,9 @@ class TestCompareCommand:
         assert float(rows[0][0]) == 0.0
         assert abs(float(rows[-1][3])) < 1e-12
 
-    def test_unconverged_shoot_is_a_solver_failure(self, tmp_path, capsys):
+    def test_unconverged_shoot_is_a_solver_failure(self, tmp_path, capsys, short_horizon):
         out = tmp_path / "x.json"
-        argv = ["compare", "--p", "2", "--eta", "1e-9", "--delta", "1e-10", "--out", str(out)]
+        argv = ["compare", "--p", "2", "--out", str(out)]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert "solver failure" in captured.err
@@ -559,8 +538,8 @@ class TestSweepCommand:
             recomputed = max(float(r[4]) for r in rows)
             assert recomputed == pytest.approx(float(row[7]), rel=1e-12)
 
-    def test_unconverged_cases_are_summary_rows(self, tmp_path, capsys):
-        argv = ["sweep", "--eta", "1e-9", "--delta", "1e-10", "--out", str(tmp_path)]
+    def test_unconverged_cases_are_summary_rows(self, tmp_path, capsys, short_horizon):
+        argv = ["sweep", "--out", str(tmp_path)]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("solver failure") == 6
@@ -573,14 +552,9 @@ class TestSweepCommand:
             assert row[7] == row[8] == ""
             assert row[9] == "false"
 
-    def test_failed_shoots_are_summary_rows(self, tmp_path, monkeypatch, capsys):
-        stub = integrate(State(1.5, 0.0), 0.0, 0.5, 2.0)
-
-        def always_overshoot(*args, **kwargs):
-            return Shot(Verdict.OVERSHOOT, stub)
-
-        monkeypatch.setattr(shooting, "classify", always_overshoot)
-        assert cli.main(["sweep", "--format", "json", "--out", str(tmp_path)]) == 1
+    def test_failed_shoots_are_summary_rows(self, tmp_path, capsys):
+        argv = ["sweep", "--rel-tol", "1e-300", "--abs-tol", "1e-300", "--format", "json"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.count("solver failure") == 6
         assert "Traceback" not in err

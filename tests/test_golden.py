@@ -9,10 +9,9 @@ digests do not depend on the output directory.
 The ``integrate/`` keys pin the integrator itself, below the artifacts: the
 digest of the repr of everything a run returns (every accepted step's raw
 stages, the end point, the step counts and the terminal event).  repr round-trips floats exactly, so one changed bit in one stage of
-one step changes the digest.  The ``shoot/`` keys pin the shooting search
+one step changes the digest.  The ``shoot/`` keys pin the shooting solver
 the same way, one shoot per exponent of the benchmark's range: the
-amplitude, the boundary residual, every verdict and bracket, and the
-reported run.
+amplitude, the boundary residual, the run log and the inward run itself.
 
 A deliberate change of the numbers or of the configuration echo
 regenerates the file with
@@ -50,8 +49,11 @@ SINGLE_COMMANDS = {
         "residual", "--p", "2", "--grid=-9.99987:10.00013:2001", "--format", "json",
     ],
     "analytic_p1.2_shifted.csv": ["analytic", "--p", "1.2", "--grid=-9.99987:10.00013:2001"],
-    # The unconverged diagnostic: exit 1, and the file holds config and error.
-    "compare_p2_unconverged.json": ["compare", "--p", "2", "--rho-l", "0.5", "--format", "json"],
+    # The solver-failure diagnostic: no step meets these tolerances, the
+    # command exits 1, and the file holds config and error.
+    "compare_p2_unconverged.json": [
+        "compare", "--p", "2", "--rel-tol", "1e-300", "--abs-tol", "1e-300", "--format", "json",
+    ],
 }
 
 # Exit status of each single command that does not exit 0.
@@ -94,8 +96,7 @@ def _shoot_digests() -> dict:
         r = shoot(ProblemParams.inner(p))
         t = r.trajectory
         record = (
-            r.a_star, r.bc_residual, tuple((c[0], c[1]) for c in r.classifications),
-            r.bracket_history,
+            r.a_star, r.bc_residual, r.classifications,
             t.steps, t.end, t.rejected_steps, t.terminal_event,
         )
         digests[f"shoot/p{p:g}"] = hashlib.sha256(repr(record).encode()).hexdigest()

@@ -16,7 +16,6 @@ SOURCES = sorted(Path(gmspike.__file__).parent.glob("*.py"))
 
 ALLOWED_WITHOUT_CALLER = {
     "eval_spike_derivative": "the wall defect of a boundary spike will read u' at the wall",
-    "check_first_integral": "the run record will report the energy drift of each orbit",
     "eval_spike_second_derivative": (
         "bench/child.py traces it through gmspike.verify; tests/test_bench_contract.py runs that"
     ),

@@ -8,7 +8,6 @@ import pytest
 from gmspike import (
     IntegratorConfig,
     ProblemParams,
-    ShootingConfig,
     State,
     check_first_integral,
     compare,
@@ -146,9 +145,9 @@ class TestCompare:
         assert report.numeric_v[0] == 0.0
         assert report.max_abs_err == abs(report.analytic[0] - report.numeric[0])
 
-    def test_rejects_unconverged_result(self):
+    def test_rejects_unconverged_result(self, short_horizon):
         params = ProblemParams.inner(2.0)
-        unconverged = shoot(params, config=ShootingConfig(eta=1e-6))
+        unconverged = shoot(params)
         assert not unconverged.converged
         with pytest.raises(ValueError):
             compare(unconverged, [0.0, 1.0])

@@ -4,21 +4,19 @@ The counts are exact and do not depend on the machine.  A change may lower
 them; it must never raise them.
 """
 
-import math
-
 import pytest
 
-from gmspike import ProblemParams, ShootingConfig, shoot, shooting
+from gmspike import ProblemParams, shoot, shooting
 
 # p -> (integrations, accepted steps, rejected steps) of
 # shoot(ProblemParams.inner(p)) at default settings.
 PINNED_WORK = {
-    1.01: (68, 8_296, 0),
-    1.2: (41, 4_464, 206),
-    2.0: (41, 4_346, 2),
-    4.0: (41, 4_390, 11),
-    10.0: (41, 4_323, 19),
-    100.0: (68, 9_872, 234),
+    1.01: (1, 829, 0),
+    1.2: (1, 291, 0),
+    2.0: (1, 305, 0),
+    4.0: (1, 318, 0),
+    10.0: (1, 327, 1),
+    100.0: (1, 341, 14),
 }
 
 
@@ -47,14 +45,9 @@ def test_shoot_work_is_pinned(p, monkeypatch):
     assert len(result.classifications) == work[0]
 
 
-def test_bisection_stops_when_no_double_is_left_in_the_bracket(monkeypatch):
-    # No midpoint connects at this eta, and refine_tol lies below the float
-    # spacing at the amplitude, so the bracket closes to two adjacent doubles
-    # after 44 halvings; bisection ends there, and its last midpoint, one end
-    # of that bracket, is the answer and is not run again.
+@pytest.mark.parametrize("p", sorted(PINNED_WORK))
+def test_a_boundary_shoot_does_the_inner_work(p, monkeypatch):
+    # A boundary spike is the inner one shifted to the wall: the same one run.
     work = _count_work(monkeypatch)
-    result = shoot(ProblemParams.inner(3.0), ShootingConfig(refine_tol=1e-20, eta=1e-9))
-    assert work[0] == 85
-    lo, hi = result.bracket_history[-1]
-    assert math.nextafter(lo, hi) == hi
-    assert result.a_star in (lo, hi)
+    shoot(ProblemParams.boundary(p))
+    assert tuple(work) == PINNED_WORK[p]
