@@ -220,18 +220,19 @@ def _json_document(payload: object) -> Iterator[str]:
 
 
 def _emit_report(config: RunConfig, rows, result, header: str = CSV_HEADER) -> None:
-    """Write ``rows`` as CSV, or ``result`` under the config echo as JSON."""
+    """Write ``rows`` as CSV, or what ``result()`` returns under the config
+    echo as JSON; a CSV report never builds the JSON payload."""
     if config.fmt == "csv":
         _emit(_csv_lines(rows, header), config.out)
     else:
-        _emit(_json_document({"config": config.to_dict(), "result": result}), config.out)
+        _emit(_json_document({"config": config.to_dict(), "result": result()}), config.out)
 
 
 def _run_analytic(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
     values = eval_spike_rho_grid(config.params, grid)
     rows = ((rho, u, None, None, None) for rho, u in zip(grid, values))
-    _emit_report(config, rows, {"rho": grid, "u_analytic": values})
+    _emit_report(config, rows, lambda: {"rho": grid, "u_analytic": values})
     return 0
 
 
@@ -242,7 +243,7 @@ def _run_residual(config: RunConfig) -> int:
     max_residual = max(map(abs, residuals))
     rows = ((rho, u, None, None, abs(r)) for rho, u, r in zip(grid, values, residuals))
     result = {"rho": grid, "residual": residuals, "max_abs_residual": max_residual}
-    _emit_report(config, rows, result)
+    _emit_report(config, rows, lambda: result)
     _status(f"max |residual| = {_fmt(max_residual)}")
     return 0
 
@@ -290,7 +291,7 @@ def _run_shoot(config: RunConfig) -> int:
         f"a_star = {_fmt(result.a_star)}  bc_residual = {_fmt(result.bc_residual)}  "
         f"converged = {str(result.converged).lower()}"
     )
-    _emit_report(config, _shoot_rows(config.params, result), _shoot_result(result))
+    _emit_report(config, _shoot_rows(config.params, result), lambda: _shoot_result(result))
     return 0 if result.converged else 1
 
 
@@ -319,9 +320,13 @@ def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport
     if not result.converged:
         return result, None
     report = compare(result, _make_grid(grid))
-    # A shallow copy: asdict would deep-copy every float of a dense grid.
-    comparison = {field.name: getattr(report, field.name) for field in fields(report)}
-    _emit_report(config, report.rows(), {**_shoot_result(result), "comparison": comparison})
+
+    def payload() -> dict:
+        # A shallow copy: asdict would deep-copy every float of a dense grid.
+        comparison = {field.name: getattr(report, field.name) for field in fields(report)}
+        return {**_shoot_result(result), "comparison": comparison}
+
+    _emit_report(config, report.rows(), payload)
     return result, report
 
 
@@ -396,7 +401,7 @@ def _run_sweep(config: RunConfig) -> int:
 
     summary = replace(config, out=str(out_dir / f"summary.{config.fmt}"))
     rows = (tuple(row.values()) for row in summary_rows)
-    _emit_report(summary, rows, summary_rows, header=",".join(summary_rows[0]))
+    _emit_report(summary, rows, lambda: summary_rows, header=",".join(summary_rows[0]))
     return 0 if all(row["converged"] for row in summary_rows) else 1
 
 
