@@ -11,12 +11,16 @@ import numpy as np
 from ansatz_reference import derive_ansatz_constants, eval_ansatz
 
 from gmspike import (
+    EVENT_LOCATION_TOL,
     IntegratorConfig,
     ProblemParams,
+    State,
     TerminalEvent,
     check_first_integral,
     eval_spike_rho,
     hamiltonian,
+    integrate,
+    ode,
     ode_residual,
     shoot,
     shooting,
@@ -118,6 +122,38 @@ def test_first_integral_drift_is_bounded_and_tolerance_driven(default_shoots):
     print(
         f"PASS first-integral drift {drift:.3e} <= 1e-7, "
         f"halved tolerances give {tight:.3e}"
+    )
+
+
+def test_classification_verdicts_and_bracket_halving(monkeypatch):
+    # Verdicts: from rest above the spike height a run crosses u = 0, from
+    # below it turns, and the shoot's one run ends at the peak between them.
+    assert integrate(State(1.6, 0.0), 0.0, 12.0, 2.0).terminal_event is (
+        TerminalEvent.U_CROSSED_ZERO
+    )
+    assert integrate(State(1.4, 0.0), 0.0, 12.0, 2.0).terminal_event is TerminalEvent.TURNED
+    # Halving: the peak is bisected on the last step's dense interpolant,
+    # which a shoot reads for nothing else.
+    thetas = []
+    real_dense = ode._dense
+
+    def recording_dense(c, theta):
+        thetas.append(theta)
+        return real_dense(c, theta)
+
+    monkeypatch.setattr(ode, "_dense", recording_dense)
+    result = shoot(ProblemParams.inner(2.0))
+    assert result.trajectory.terminal_event is TerminalEvent.TURNED
+    assert abs(result.a_star - 1.5) < 1e-10
+    halvings = thetas[:-1]
+    for k, (before, after) in enumerate(zip(halvings, halvings[1:])):
+        assert abs(after - before) == 0.5 ** (k + 2)
+    h = result.trajectory.steps[-1][1]
+    final = 0.5 ** len(halvings) * h
+    assert final <= EVENT_LOCATION_TOL
+    print(
+        f"PASS verdicts cross/turn at 1.6/1.4, run ends at the peak 1.5; peak "
+        f"bracket halved {len(halvings)} times from {h:.2e} to {final:.2e}"
     )
 
 

@@ -25,6 +25,7 @@ from gmspike import (
     shoot,
     spike_amplitude,
 )
+from gmspike import ode as ode_mod
 from gmspike import shooting as shooting_mod
 
 # Forces one oversized fixed step at a tolerance it cannot meet.
@@ -38,6 +39,128 @@ P_RANGE = (1.01, 1.2, 2.0, 4.0, 10.0, 100.0)
 def _start(result):
     """(u, v) where the reported run starts."""
     return result.trajectory.samples[0][1]
+
+
+def _record_peak_bisection(monkeypatch):
+    """List (span, theta) of every dense-output probe of the runs that follow.
+
+    A shoot reads its dense interpolant only to locate the peak event: the
+    probes of the bisection, then the located point."""
+    probes = []
+    real_dense = ode_mod._dense
+
+    def recording_dense(c, theta):
+        probes.append((c[1], theta))
+        return real_dense(c, theta)
+
+    monkeypatch.setattr(ode_mod, "_dense", recording_dense)
+    return probes
+
+
+def _assert_halves_until_tolerance(result, probes):
+    """The peak bisection's probes halve the bracket until it is shorter
+    than EVENT_LOCATION_TOL in sigma, and the located point is its middle.
+    Returns the number of halvings."""
+    rho, h = result.trajectory.steps[-1][:2]
+    assert {span for span, _ in probes} == {h}
+    *halvings, located = [theta for _, theta in probes]
+    assert halvings[0] == 0.5
+    for k, (before, after) in enumerate(zip(halvings, halvings[1:])):
+        assert abs(after - before) == 0.5 ** (k + 2)
+    width = 0.5 ** len(halvings)
+    assert width * h <= EVENT_LOCATION_TOL < 2.0 * width * h
+    assert abs(located - halvings[-1]) == 0.5 * width
+    assert result.sigma_pk == rho + located * h
+    return len(halvings)
+
+
+class TestClassify:
+    """A shoot's run is classified by the event that ends it: the peak
+    (``TURNED``) converges.  Its answer is the connecting amplitude, which
+    runs from either side of it classify apart."""
+
+    @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
+    def test_sides_of_the_connecting_amplitude(self, p):
+        # Started at rest above the shot's peak a run overshoots through
+        # u = 0; started below, it undershoots and turns at u > 0.
+        result = shoot(ProblemParams.inner(p))
+        a = result.a_star
+        assert result.converged
+        assert integrate(State(a + 0.1, 0.0), 0.0, 12.0, p).terminal_event is (
+            TerminalEvent.U_CROSSED_ZERO
+        )
+        assert integrate(State(a - 0.1, 0.0), 0.0, 12.0, p).terminal_event is (
+            TerminalEvent.TURNED
+        )
+        assert abs(hamiltonian(State(a, 0.0), p)) <= 1e-10 * a * a
+
+    def test_reference_amplitudes_p2(self):
+        result = shoot(ProblemParams.inner(2.0))
+        assert result.converged
+        assert abs(result.a_star - 1.5) < 1e-10
+        assert integrate(State(1.6, 0.0), 0.0, 12.0, 2.0).terminal_event is (
+            TerminalEvent.U_CROSSED_ZERO
+        )
+        assert integrate(State(1.4, 0.0), 0.0, 12.0, 2.0).terminal_event is (
+            TerminalEvent.TURNED
+        )
+
+    def test_energy_sign_resolves_short_horizons(self):
+        # Cut at sigma = 5, no run from the far end reaches an event, so only
+        # the sign of H tells the sides of the spike orbit apart.  Moving the
+        # shoot's start off H = 0 by a relative 1e-6 in v gives each sign,
+        # and the run keeps it; the start itself stays on H = 0.
+        p, u0 = 2.0, shooting_mod.U0
+        v0 = _start(shoot(ProblemParams.inner(p))).v
+        for scale, sign in ((1.0 + 1e-6, 1.0), (1.0 - 1e-6, -1.0), (1.0, 0.0)):
+            start = State(u0, v0 * scale)
+            run = integrate(start, 0.0, 5.0, p)
+            assert run.terminal_event is TerminalEvent.REACHED_END
+            end = run.end[1]
+            if sign == 0.0:
+                assert abs(hamiltonian(start, p)) <= 1e-13 * u0**2
+            else:
+                assert math.copysign(1.0, hamiltonian(start, p)) == sign
+                assert math.copysign(1.0, hamiltonian(end, p)) == sign
+
+    def test_integrator_breakdown_is_an_error(self):
+        with pytest.raises(ShootingError, match="step size underflow"):
+            shoot(ProblemParams.inner(2.0), integrator_config=UNSATISFIABLE)
+
+
+class TestScan:
+    """No amplitude is scanned: ``ShootingConfig.scan_points`` is 0, the
+    degenerate window, so the scan part of a shoot's log is empty and the
+    one run finds the amplitude alone."""
+
+    def test_default_scan_brackets_the_amplitude(self, default_shoots):
+        # The run's last step brackets the peak: v changes sign across it,
+        # and the amplitude lies between its two ends.
+        result = default_shoots[2.0]
+        assert result.classifications[:result.config.scan_points] == ()
+        rho, h, u, v = result.trajectory.steps[-1][:4]
+        assert rho < result.sigma_pk <= rho + h
+        assert u < 1.5 and v > 0.0
+        assert abs(result.a_star - 1.5) < 1e-10
+
+    def test_residuals_are_nonnegative(self, default_shoots):
+        for result in default_shoots.values():
+            assert result.classifications[:result.config.scan_points] == ()
+            assert result.bc_residual >= 0.0
+            assert result.bc_residual >= abs(result.signed_bc_residual)
+
+    def test_localizes_the_p3_amplitude(self, default_shoots):
+        result = default_shoots[3.0]
+        assert result.converged
+        assert abs(result.a_star - math.sqrt(2.0)) < 1e-10
+
+    def test_degenerate_window_connects_everywhere(self):
+        # With no scan point, every run the log holds is the one that connects.
+        result = shoot(ProblemParams.inner(2.0))
+        assert ShootingConfig.scan_points == 0
+        assert len(result.classifications) == 1
+        assert result.trajectory.terminal_event is TerminalEvent.TURNED
+        assert all(abs(entry.a_star - 1.5) < 1e-10 for entry in result.classifications)
 
 
 class TestInwardRun:
@@ -138,9 +261,60 @@ class TestShoot:
             assert [entry.u0 for entry in result.classifications] == [starts[0].u]
             assert starts.pop() == _start(result)
 
-    def test_integrator_breakdown_is_an_error(self):
-        with pytest.raises(ShootingError, match="step size underflow"):
-            shoot(ProblemParams.inner(2.0), integrator_config=UNSATISFIABLE)
+    def test_bisection_halves_until_tolerance(self, monkeypatch):
+        # The peak, and with it a_star and sigma_pk, is located by bisecting
+        # v on the last step's dense interpolant.
+        probes = _record_peak_bisection(monkeypatch)
+        result = shoot(ProblemParams.inner(2.0))
+        assert _assert_halves_until_tolerance(result, probes) >= 20
+        assert abs(result.a_star - 1.5) < 1e-10
+        assert result.converged
+
+    @pytest.mark.parametrize("p", (2.0, 2.5, 3.0, 4.0))
+    def test_amplitude_error_within_truncation_envelope(self, p):
+        # The run truncates the orbit at u0 instead of the saddle, but starts
+        # on H = 0 there: the truncation moves the amplitude by no more than
+        # rounding, and the envelope is the integrator's error alone.
+        result = shoot(ProblemParams.inner(p))
+        assert result.converged
+        assert abs(hamiltonian(_start(result), p)) <= 1e-13 * result.u0**2
+        assert abs(result.a_star - spike_amplitude(p)) <= 1e-10
+
+    @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
+    def test_short_horizon_still_meets_the_acceptance_band(self, p):
+        # Read no farther than rho = 10 from the peak, the profile meets the
+        # acceptance band of the paper's checks with room to spare.
+        result = shoot(ProblemParams.inner(p))
+        assert result.converged
+        assert abs(result.a_star - spike_amplitude(p)) < 1e-4
+        assert result.bc_residual <= 0.01
+        grid = [0.25 * k for k in range(-40, 41)]
+        us, _ = eval_profile_grid(result, grid)
+        exact = [eval_spike_rho(result.params, rho) for rho in grid]
+        assert max(abs(u - e) for u, e in zip(us, exact)) < 1e-6
+
+    def test_degenerate_window_returns_best_connect(self):
+        # With ShootingConfig.scan_points = 0 the window is empty: the one
+        # run is the connecting one, and its peak is the answer.
+        result = shoot(ProblemParams.inner(2.0))
+        assert result.converged
+        assert abs(result.a_star - 1.5) <= 2e-6
+        assert result.classifications[-1] == (result.u0, result.a_star, result.sigma_pk)
+
+    def test_degenerate_window_integrates_each_scan_point_once(self, monkeypatch):
+        # The empty window's scan points, none, and the final run, once: the
+        # counts bench/child.py traces as scan 0, bisect 0 and final 1.
+        calls = []
+        real_integrate = shooting_mod.integrate
+
+        def counting_integrate(initial, *args, **kwargs):
+            calls.append(initial.u)
+            return real_integrate(initial, *args, **kwargs)
+
+        monkeypatch.setattr(shooting_mod, "integrate", counting_integrate)
+        result = shoot(ProblemParams.inner(2.0))
+        assert len(calls) == ShootingConfig.scan_points + 1 == 1
+        assert calls == [entry.u0 for entry in result.classifications]
 
     def test_integrator_config_passthrough(self):
         tight = IntegratorConfig(rel_tol=1e-11)
