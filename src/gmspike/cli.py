@@ -21,8 +21,8 @@ digits, '.' decimal separator, and '\\n' line endings, so identical inputs
 produce byte-identical files.  Status lines go to stderr, so stdout carries
 only the data.  No environment variables are consulted.
 
-Exit status: 0 on success with all cases converged, 1 on solver failure or
-non-convergence, 2 on usage errors.
+Exit status: 0 on success, 1 when a shoot fails (every case of a sweep
+is still tried), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -287,12 +287,9 @@ def _shoot_rows(params: ProblemParams, result: ShootingResult):
 
 def _run_shoot(config: RunConfig) -> int:
     result = shoot(config.params, config.shooting, config.integrator)
-    _status(
-        f"a_star = {_fmt(result.a_star)}  bc_residual = {_fmt(result.bc_residual)}  "
-        f"converged = {str(result.converged).lower()}"
-    )
+    _status(f"a_star = {_fmt(result.a_star)}  sigma_pk = {_fmt(result.sigma_pk)}")
     _emit_report(config, _shoot_rows(config.params, result), lambda: _shoot_result(result))
-    return 0 if result.converged else 1
+    return 0
 
 
 def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
@@ -304,21 +301,10 @@ def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
     return grid
 
 
-def _not_converged(result: ShootingResult) -> str:
-    return (
-        f"{result.params.kind.value} spike at p={result.params.p!r}: shooting did not "
-        f"converge (the run ended {result.trajectory.terminal_event.value} at "
-        f"sigma={result.sigma_pk!r}, before its peak)"
-    )
-
-
-def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport | None]:
-    """Shoot, compare on the configured grid, and write the report.  An
-    unconverged shoot writes nothing and gives no report."""
+def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport]:
+    """Shoot, compare on the configured grid, and write the report."""
     grid = config.grid if config.grid is not None else _default_grid(config.params)
     result = shoot(config.params, config.shooting, config.integrator)
-    if not result.converged:
-        return result, None
     report = compare(result, _make_grid(grid))
 
     def payload() -> dict:
@@ -332,9 +318,6 @@ def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport
 
 def _run_compare(config: RunConfig) -> int:
     result, report = _run_comparison(config)
-    if report is None:
-        # A solver failure, reported through run()'s diagnostic path.
-        raise ShootingError(_not_converged(result))
     _status(
         f"a_star = {_fmt(result.a_star)}  max_abs_err = {_fmt(report.max_abs_err)}  "
         f"l2_err = {_fmt(report.l2_err)}"
@@ -343,16 +326,14 @@ def _run_compare(config: RunConfig) -> int:
 
 
 def _summary_row(
-    params: ProblemParams,
-    result: ShootingResult | None,
-    report: ComparisonReport | None,
+    params: ProblemParams, outcome: tuple[ShootingResult, ComparisonReport] | None
 ) -> dict:
     """One case of the sweep summary; its keys are the CSV columns.  A failed
-    shoot gives no result and an unconverged one no report; the columns
-    they would fill stay empty."""
+    shoot gives no outcome, and its row holds only ``p`` and ``kind``."""
     row = dict.fromkeys(_SUMMARY_COLUMNS)
-    row.update(p=params.p, kind=params.kind.value, converged=False)
-    if result is not None:
+    row.update(p=params.p, kind=params.kind.value)
+    if outcome is not None:
+        result, report = outcome
         amplitude = spike_amplitude(params.p)
         row.update(
             a_star=result.a_star,
@@ -360,10 +341,10 @@ def _summary_row(
             amp_abs_err=abs(result.a_star - amplitude),
             bc_residual=result.bc_residual,
             signed_bc_residual=result.signed_bc_residual,
+            max_abs_err=report.max_abs_err,
+            l2_err=report.l2_err,
             converged=result.converged,
         )
-    if report is not None:
-        row.update(max_abs_err=report.max_abs_err, l2_err=report.l2_err)
     return row
 
 
@@ -383,25 +364,22 @@ def _run_sweep(config: RunConfig) -> int:
     for case in cases:
         params = case.params
         try:
-            result, report = _run_comparison(case)
+            outcome = _run_comparison(case)
         except ShootingError as exc:
-            result, report = None, None
-            failure = f"{params.kind.value} spike at p={params.p!r}: {exc}"
+            outcome = None
+            _status(f"solver failure: {params.kind.value} spike at p={params.p!r}: {exc}")
         else:
-            failure = None if report is not None else _not_converged(result)
-        summary_rows.append(_summary_row(params, result, report))
-        if failure is not None:
-            _status(f"solver failure: {failure}")
-            continue
-        _status(
-            f"p={params.p:g} {params.kind.value}: a_star={_fmt(result.a_star)} "
-            f"max_abs_err={_fmt(report.max_abs_err)} "
-            f"converged={str(result.converged).lower()}"
-        )
+            result, report = outcome
+            _status(
+                f"p={params.p:g} {params.kind.value}: a_star={_fmt(result.a_star)} "
+                f"max_abs_err={_fmt(report.max_abs_err)}"
+            )
+        summary_rows.append(_summary_row(params, outcome))
 
     summary = replace(config, out=str(out_dir / f"summary.{config.fmt}"))
     rows = (tuple(row.values()) for row in summary_rows)
     _emit_report(summary, rows, lambda: summary_rows, header=",".join(summary_rows[0]))
+    # A failed case's row leaves converged empty.
     return 0 if all(row["converged"] for row in summary_rows) else 1
 
 

@@ -23,9 +23,9 @@ is scanned for those sign changes before it is committed, so phase-plane
 events cannot be skipped; their locations are resolved to 1e-10 in rho by
 bisecting the dense interpolant.  The first event ends every run: u
 crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0 (``TURNED``), a
-minimum or, from below the centre, a maximum.  Only an orbit inside the
-homoclinic loop turns at u > 0, so either event settles the shooting
-verdict.  No cap on u is needed: H is conserved, so an orbit from (a, 0)
+minimum or, from below the centre, a maximum.  On the shooting solver's
+inward run ``TURNED`` is the spike's peak, and any other end is a failed
+shoot.  No cap on u is needed: H is conserved, so an orbit from (a, 0)
 never rises above the larger of a and the spike height.
 
 For fractional p the right-hand side is undefined at u < 0; trajectories
@@ -236,19 +236,13 @@ def hamiltonian(state: State, p: float) -> float:
     return 0.5 * v * v - 0.5 * u * u + math.pow(u, p + 1.0) / (p + 1.0)
 
 
-def _bisect_theta(
-    c: tuple[float, ...],
-    component: int,
-    target: float,
-    lo: float,
-    hi: float,
-    sign_lo: float,
-) -> float:
-    """Locate a crossing of one component of interpolant ``c`` through ``target``."""
-    span = c[1]
+def _bisect_theta(c: tuple[float, ...], component: int, sign_lo: float) -> float:
+    """Locate, in [0, 1], a zero of one component of interpolant ``c``
+    whose sign at theta = 0 is that of ``sign_lo``."""
+    span, lo, hi = c[1], 0.0, 1.0
     while (hi - lo) * span > EVENT_LOCATION_TOL:
         mid = 0.5 * (lo + hi)
-        value = _dense(c, mid)[component] - target
+        value = _dense(c, mid)[component]
         if value == 0.0:
             return mid
         if (value > 0.0) == (sign_lo > 0.0):
@@ -369,12 +363,12 @@ def integrate(
         v_changed = (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0)
         if crossed_zero or v_changed:
             c = _interpolant(steps[-1])
-            theta_end = _bisect_theta(c, 0, 0.0, 0.0, 1.0, 1.0) if crossed_zero else 1.0
+            theta_end = _bisect_theta(c, 0, 1.0) if crossed_zero else 1.0
             if v_changed:
                 if v_new == 0.0 and not crossed_zero:
                     theta_v = 1.0
                 else:
-                    theta_v = _bisect_theta(c, 1, 0.0, 0.0, 1.0, v)
+                    theta_v = _bisect_theta(c, 1, v)
                 if theta_v <= theta_end:
                     uc, vc = _dense(c, theta_v)
                     if 0.0 < uc:

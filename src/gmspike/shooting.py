@@ -57,7 +57,8 @@ _HORIZON = 200.0
 
 
 class ShootingError(RuntimeError):
-    """The integration of a shoot failed."""
+    """A shoot's run ended anywhere but its peak: step-size control
+    underflowed, or the run crossed u = 0 or reached its horizon."""
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,8 @@ class ShootingConfig:
 
 
 class InwardRun(NamedTuple):
-    """One integration of a shoot: its start ``u0``, the u where it ended,
-    ``a_star``, and the distance ``sigma_pk`` it ran to get there.  On a
-    converged run that end is the peak."""
+    """One integration of a shoot: its start ``u0``, the u at its peak,
+    ``a_star``, and the distance ``sigma_pk`` it ran to get there."""
 
     u0: float
     a_star: float
@@ -87,9 +87,10 @@ class ShootingResult:
 
     ``classifications`` is the run log, one :class:`InwardRun` per
     integration; a shoot makes one, and ``u0``, ``a_star`` and ``sigma_pk``
-    read its entry.  ``converged`` says that the run ended at its peak
-    event.  ``bc_residual`` is |u| + |v| and ``signed_bc_residual`` u + v
-    at the far end of the profile, which is the run's start.
+    read its entry.  ``converged`` is true on every result, since
+    :func:`shoot` raises for a run that misses its peak.  ``bc_residual``
+    is |u| + |v| and ``signed_bc_residual`` u + v at the far end of the
+    profile, which is the run's start.
     """
 
     trajectory: Trajectory
@@ -134,15 +135,22 @@ def shoot(
 
     The run starts at (U0, v0) with H(U0, v0) = 0 and ends at its first
     event, which on the spike is the peak.  Raises :class:`ShootingError`
-    if step-size control underflows.
+    if it ends any other way: step-size control underflows, or the run
+    crosses u = 0 or reaches its horizon.
     """
     p = params.p
     v0 = U0 * math.sqrt(1.0 - 2.0 * U0 ** (p - 1.0) / (p + 1.0))
     trajectory = integrate(State(U0, v0), 0.0, _HORIZON, p, integrator_config)
     sigma, state = trajectory.end
-    if trajectory.terminal_event is TerminalEvent.STEP_FAILURE:
+    event = trajectory.terminal_event
+    if event is TerminalEvent.STEP_FAILURE:
         raise ShootingError(
             f"step size underflow at sigma={sigma!r} on the run inward from u0={U0!r}"
+        )
+    if event is not TerminalEvent.TURNED:
+        raise ShootingError(
+            f"shooting did not converge: the run inward from u0={U0!r} ended "
+            f"{event.value} at sigma={sigma!r}, before its peak"
         )
     run = InwardRun(U0, state.u, sigma)
     return ShootingResult(trajectory, (run,), params, config, integrator_config)

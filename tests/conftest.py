@@ -6,7 +6,7 @@ reused by the unit tests and the acceptance checks alike.
 
 import pytest
 
-from gmspike import ProblemParams, cli, shoot, shooting
+from gmspike import ProblemParams, State, cli, shoot, shooting
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,17 @@ def short_horizon(monkeypatch):
         return real_integrate(initial, rho_start, 5.0, *args, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", cut)
+
+
+@pytest.fixture
+def mirrored_start(monkeypatch):
+    """Start every shoot's run at (u0, -v0), on the branch of H = 0 that runs
+    into the saddle instead of out of it.  Rounding then carries the run off
+    that branch: at p = 2 and 3 it crosses u = 0 (at sigma = 19.26 for p = 2),
+    at p = 4 it reaches its horizon."""
+    real_integrate = shooting.integrate
+
+    def mirrored(initial, *args, **kwargs):
+        return real_integrate(State(initial.u, -initial.v), *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", mirrored)

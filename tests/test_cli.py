@@ -56,6 +56,26 @@ OPTION_ARGV = {
 OPTION_CASES = [(command, option) for command in OPTIONS_TAKEN for option in OPTION_ARGV]
 
 
+# Each way a shoot can end short of its peak: the options or the fixture
+# that bring it about, and the words the diagnostic names it by.  No step
+# meets tolerances of 1e-300, so step-size control underflows.
+FAILURES = {
+    "step_failure": (("--rel-tol", "1e-300", "--abs-tol", "1e-300"), None, "step size underflow"),
+    "reached_end": ((), "short_horizon", "ended reached_end at sigma=5.0,"),
+    "u_crossed_zero": ((), "mirrored_start", "ended u_crossed_zero at sigma="),
+}
+
+
+@pytest.fixture(params=FAILURES)
+def failed_shoot(request):
+    """Options that make the shoots of p = 2, 3 and 4 fail one way, and the
+    words the diagnostic names that failure by."""
+    argv, patch, words = FAILURES[request.param]
+    if patch is not None:
+        request.getfixturevalue(patch)
+    return list(argv), words
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -441,13 +461,13 @@ class TestShootCommand:
         assert set(diagnostic) == {"config", "error"}
         assert diagnostic["error"].startswith("step size underflow")
 
-    def test_run_short_of_its_peak_exits_1(self, tmp_path, short_horizon):
+    def test_run_short_of_its_peak_exits_1(self, tmp_path, capsys, short_horizon):
         out = tmp_path / "shoot.json"
         assert cli.main(["shoot", "--p", "2", "--format", "json", "--out", str(out)]) == 1
-        result = json.loads(out.read_text())["result"]
-        assert result["converged"] is False
-        assert result["terminal_event"] == "reached_end"
-        assert result["sigma_pk"] == 5.0
+        assert "solver failure: shooting did not converge" in capsys.readouterr().err
+        diagnostic = json.loads(out.read_text())
+        assert set(diagnostic) == {"config", "error"}
+        assert "ended reached_end at sigma=5.0," in diagnostic["error"]
 
     def test_solver_failure_writes_diagnostic(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -512,6 +532,23 @@ class TestCompareCommand:
         assert "did not converge" in diagnostic["error"]
 
 
+class TestSolverFailure:
+    @pytest.mark.parametrize("command", ["shoot", "compare"])
+    def test_exits_1_with_the_diagnostic(self, tmp_path, capsys, failed_shoot, command):
+        argv, words = failed_shoot
+        out = tmp_path / "x.csv"
+        assert cli.main([command, "--p", "2", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: ")
+        assert words in captured.err
+        assert "Traceback" not in captured.err
+        diagnostic = json.loads(out.read_text())
+        assert set(diagnostic) == {"config", "error"}
+        assert diagnostic["config"]["command"] == command
+        assert words in diagnostic["error"]
+
+
 class TestSweepCommand:
     def test_produces_expected_files(self, sweep_dirs):
         for name in SWEEP_FILES:
@@ -538,25 +575,12 @@ class TestSweepCommand:
             recomputed = max(float(r[4]) for r in rows)
             assert recomputed == pytest.approx(float(row[7]), rel=1e-12)
 
-    def test_unconverged_cases_are_summary_rows(self, tmp_path, capsys, short_horizon):
-        argv = ["sweep", "--out", str(tmp_path)]
-        assert cli.main(argv) == 1
+    def test_failed_shoots_are_summary_rows(self, tmp_path, capsys, failed_shoot):
+        argv, words = failed_shoot
+        assert cli.main(["sweep", *argv, "--format", "json", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.count("solver failure") == 6
-        assert "Traceback" not in err
-        assert [path.name for path in tmp_path.iterdir()] == ["summary.csv"]
-        header, rows = read_rows(tmp_path / "summary.csv")
-        assert header == SUMMARY_HEADER
-        assert len(rows) == 6
-        for row in rows:
-            assert row[7] == row[8] == ""
-            assert row[9] == "false"
-
-    def test_failed_shoots_are_summary_rows(self, tmp_path, capsys):
-        argv = ["sweep", "--rel-tol", "1e-300", "--abs-tol", "1e-300", "--format", "json"]
-        assert cli.main([*argv, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("solver failure") == 6
+        assert words in err
         assert "Traceback" not in err
         assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
         rows = json.loads((tmp_path / "summary.json").read_text())["result"]
@@ -564,9 +588,9 @@ class TestSweepCommand:
             (p, kind) for p in (2.0, 3.0, 4.0) for kind in ("inner", "boundary")
         ]
         for row in rows:
+            # A failed case fills only p and kind; converged stays empty too.
             assert list(row) == SUMMARY_HEADER.split(",")
-            assert row["converged"] is False
-            assert {row[key] for key in list(row)[2:-1]} == {None}
+            assert {row[key] for key in list(row)[2:]} == {None}
 
     def test_reruns_are_byte_identical(self, sweep_dirs):
         match, mismatch, errors = filecmp.cmpfiles(

@@ -17,7 +17,6 @@ from gmspike import (
     State,
     TerminalEvent,
     check_first_integral,
-    compare,
     eval_profile_grid,
     eval_spike_rho,
     hamiltonian,
@@ -204,14 +203,23 @@ class TestInwardRun:
                 # At p = 1.01 h_max bounds every step, so no rung changes the run.
                 assert errors[-1] * 1e3 <= errors[0], errors
 
-    def test_run_short_of_its_peak_is_not_converged(self, short_horizon):
-        # The run stops at sigma = 5 without its peak event.
-        result = shoot(ProblemParams.inner(100.0))
-        assert result.trajectory.terminal_event is TerminalEvent.REACHED_END
-        assert result.sigma_pk == 5.0
-        assert not result.converged
-        with pytest.raises(ValueError, match="converged"):
-            compare(result, [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "patch, p, end",
+        [
+            # Cut at sigma = 5, the run stops without its peak event.
+            pytest.param("short_horizon", 100.0, "reached_end at sigma=5.0,", id="reached_end"),
+            pytest.param(
+                "mirrored_start", 2.0, "u_crossed_zero at sigma=19.26", id="u_crossed_zero"
+            ),
+        ],
+    )
+    def test_run_that_misses_its_peak_raises(self, request, patch, p, end):
+        request.getfixturevalue(patch)
+        with pytest.raises(ShootingError) as failure:
+            shoot(ProblemParams.inner(p))
+        message = str(failure.value)
+        assert message.startswith("shooting did not converge: ")
+        assert f" ended {end}" in message
 
     def test_imports_nothing_from_analytic_but_the_problem(self):
         # The run must check the closed form, not start from it.

@@ -145,13 +145,6 @@ class TestCompare:
         assert report.numeric_v[0] == 0.0
         assert report.max_abs_err == abs(report.analytic[0] - report.numeric[0])
 
-    def test_rejects_unconverged_result(self, short_horizon):
-        params = ProblemParams.inner(2.0)
-        unconverged = shoot(params)
-        assert not unconverged.converged
-        with pytest.raises(ValueError):
-            compare(unconverged, [0.0, 1.0])
-
     @pytest.mark.parametrize(
         "kind, offsets",
         [
