@@ -47,7 +47,7 @@ from .analytic import (
     spike_amplitude,
 )
 from .ode import IntegratorConfig
-from .shooting import ShootingConfig, ShootingError, ShootingResult, check_within_wall, shoot
+from .shooting import ShootingError, ShootingResult, check_within_wall, shoot
 from .verify import ComparisonReport, check_first_integral, compare, ode_residual
 
 __all__ = ["RunConfig", "run", "main"]
@@ -58,8 +58,8 @@ _SWEEP_EXPONENTS = (2.0, 3.0, 4.0)
 _SWEEP_GRID_POINTS = 401
 _SWEEP_SPAN = 10.0
 _SUMMARY_COLUMNS = (
-    "p", "kind", "a_star", "amplitude", "amp_abs_err", "bc_residual",
-    "signed_bc_residual", "max_abs_err", "l2_err", "converged",
+    "p", "kind", "a_star", "amplitude", "amp_abs_err", "bc_residual", "max_abs_err", "l2_err",
+    "converged",
 )
 
 
@@ -69,7 +69,6 @@ class RunConfig:
 
     command: str
     params: ProblemParams
-    shooting: ShootingConfig
     integrator: IntegratorConfig
     grid: tuple[float, float, int] | None = None
     out: str | None = None
@@ -92,7 +91,6 @@ class RunConfig:
                 "peak_rho": params.peak_rho,
                 "kind": params.kind.value,
             },
-            "shooting": asdict(self.shooting),
             "integrator": asdict(self.integrator),
             "grid": list(self.grid) if self.grid is not None else None,
             "format": self.fmt,
@@ -252,16 +250,12 @@ def _shoot_result(result: ShootingResult) -> dict:
     return {
         "a_star": result.a_star,
         "amplitude_closed_form": spike_amplitude(result.params.p),
-        "bc_residual": result.bc_residual,
-        "signed_bc_residual": result.signed_bc_residual,
-        "converged": result.converged,
-        "classifications": len(result.classifications),
+        "integrations": len(result.classifications),
         "u0": result.u0,
         "sigma_pk": result.sigma_pk,
         "h_drift": check_first_integral(result.trajectory, result.params.p),
         "accepted_steps": result.trajectory.accepted_steps,
         "rejected_steps": result.trajectory.rejected_steps,
-        "terminal_event": result.trajectory.terminal_event.value,
     }
 
 
@@ -286,7 +280,7 @@ def _shoot_rows(params: ProblemParams, result: ShootingResult):
 
 
 def _run_shoot(config: RunConfig) -> int:
-    result = shoot(config.params, config.shooting, config.integrator)
+    result = shoot(config.params, config.integrator)
     _status(f"a_star = {_fmt(result.a_star)}  sigma_pk = {_fmt(result.sigma_pk)}")
     _emit_report(config, _shoot_rows(config.params, result), lambda: _shoot_result(result))
     return 0
@@ -304,7 +298,7 @@ def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
 def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport]:
     """Shoot, compare on the configured grid, and write the report."""
     grid = config.grid if config.grid is not None else _default_grid(config.params)
-    result = shoot(config.params, config.shooting, config.integrator)
+    result = shoot(config.params, config.integrator)
     report = compare(result, _make_grid(grid))
 
     def payload() -> dict:
@@ -340,7 +334,6 @@ def _summary_row(
             amplitude=amplitude,
             amp_abs_err=abs(result.a_star - amplitude),
             bc_residual=result.bc_residual,
-            signed_bc_residual=result.signed_bc_residual,
             max_abs_err=report.max_abs_err,
             l2_err=report.l2_err,
             converged=result.converged,
@@ -454,12 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _from_args(cls, values: dict):
-    """``cls`` from the parsed values whose dest names one of its fields; a
-    field that no option of the subcommand sets keeps its class default."""
-    return cls(**{field.name: values[field.name] for field in fields(cls) if field.name in values})
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values = vars(args)
     # The sweep takes no spike options; its own echo reads as its first case.
@@ -468,8 +455,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     grid = values.get("grid")
     if grid is None and args.command in ("analytic", "residual"):
         grid = _default_grid(params)
-    shooting, integrator = _from_args(ShootingConfig, values), _from_args(IntegratorConfig, values)
-    return RunConfig(args.command, params, shooting, integrator, grid, args.out, args.fmt)
+    # A tolerance that no option of the subcommand sets keeps its class default.
+    names = {field.name for field in fields(IntegratorConfig)} & values.keys()
+    integrator = IntegratorConfig(**{name: values[name] for name in names})
+    return RunConfig(args.command, params, integrator, grid, args.out, args.fmt)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

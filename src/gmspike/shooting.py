@@ -63,10 +63,12 @@ class ShootingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Settings of :func:`shoot`; the inward run needs none.
+    """The settings of the amplitude scan the inward run replaced; it has
+    none left.  :func:`shoot` takes no config of this class.
 
     ``scan_points`` is 0 because no amplitude is scanned: a shoot's one
-    integration is its final run.  ``bench/child.py`` reads it.
+    integration is its final run.  ``bench/child.py`` reads it, through
+    ``ShootingResult.config``.
     """
 
     scan_points: ClassVar[int] = 0
@@ -89,15 +91,16 @@ class ShootingResult:
     integration; a shoot makes one, and ``u0``, ``a_star`` and ``sigma_pk``
     read its entry.  ``converged`` is true on every result, since
     :func:`shoot` raises for a run that misses its peak.  ``bc_residual``
-    is |u| + |v| and ``signed_bc_residual`` u + v at the far end of the
-    profile, which is the run's start.
+    is |u| + |v| at the far end of the profile, which is the run's start.
+    ``config`` is always ``ShootingConfig()``; it stays because
+    ``bench/child.py`` reads its ``scan_points``.
     """
 
     trajectory: Trajectory
     classifications: tuple[InwardRun, ...]
     params: ProblemParams
-    config: ShootingConfig
     integrator_config: IntegratorConfig
+    config: ShootingConfig = ShootingConfig()
 
     @property
     def u0(self) -> float:
@@ -120,23 +123,17 @@ class ShootingResult:
         _, _, u, v = self.trajectory.steps[0][:4]
         return abs(u) + abs(v)
 
-    @property
-    def signed_bc_residual(self) -> float:
-        _, _, u, v = self.trajectory.steps[0][:4]
-        return u + v
-
 
 def shoot(
-    params: ProblemParams,
-    config: ShootingConfig = ShootingConfig(),
-    integrator_config: IntegratorConfig = IntegratorConfig(),
+    params: ProblemParams, integrator_config: IntegratorConfig = IntegratorConfig()
 ) -> ShootingResult:
     """Integrate once from the far end of the spike to its peak.
 
     The run starts at (U0, v0) with H(U0, v0) = 0 and ends at its first
-    event, which on the spike is the peak.  Raises :class:`ShootingError`
-    if it ends any other way: step-size control underflows, or the run
-    crosses u = 0 or reaches its horizon.
+    event, which on the spike is the peak; ``integrator_config`` sets its
+    tolerances.  Raises :class:`ShootingError` if it ends any other way:
+    step-size control underflows, or the run crosses u = 0 or reaches its
+    horizon.
     """
     p = params.p
     v0 = U0 * math.sqrt(1.0 - 2.0 * U0 ** (p - 1.0) / (p + 1.0))
@@ -153,7 +150,7 @@ def shoot(
             f"{event.value} at sigma={sigma!r}, before its peak"
         )
     run = InwardRun(U0, state.u, sigma)
-    return ShootingResult(trajectory, (run,), params, config, integrator_config)
+    return ShootingResult(trajectory, (run,), params, integrator_config)
 
 
 def check_within_wall(params: ProblemParams, rhos: Iterable[float]) -> None:
