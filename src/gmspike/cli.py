@@ -34,6 +34,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
+from itertools import chain, islice, repeat
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -42,7 +44,7 @@ from .analytic import (
     P_MIN,
     ProblemParams,
     SpikeKind,
-    eval_spike_rho,
+    eval_spike_rho,  # noqa: F401  bench/child.py traces it through this module.
     eval_spike_rho_grid,
     spike_amplitude,
 )
@@ -131,11 +133,21 @@ def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
 # as an empty cell (a zero-width %s), strings and spelled-out bools as they are.
 _CONVERSIONS = {float: "%.17g", type(None): "%.0s", str: "%s", bool: "%s"}
 
+# Rows, or items of a JSON float list, held as text at once; a 50,001-point grid is megabytes.
+_BLOCK_ROWS = 1024
 
-def _plain(value: float | str | bool | None) -> float | str | None:
-    if isinstance(value, bool):
-        return str(value).lower()
-    return value + 0.0 if isinstance(value, float) else value
+
+def _csv_block(shape: tuple[type, ...], flat: list, n: int) -> str:
+    """Text of ``n`` rows of cell types ``shape``, from ``flat``, their cells in order."""
+    width = len(shape)
+    zero = 0.0 in flat  # only a zero can be negative zero
+    for j, kind in enumerate(shape):
+        if kind is float and zero:
+            flat[j::width] = [x + 0.0 for x in flat[j::width]]
+        elif kind is bool:
+            flat[j::width] = ["true" if x else "false" for x in flat[j::width]]
+    template = ",".join(map(_CONVERSIONS.__getitem__, shape)) + "\n"
+    return (template * n) % tuple(flat)
 
 
 def _csv_lines(rows, header: str) -> Iterator[str]:
@@ -143,21 +155,20 @@ def _csv_lines(rows, header: str) -> Iterator[str]:
     reads as :func:`_fmt` writes it, None as an empty cell and a bool as
     ``true`` or ``false``.
 
-    A row is formatted by one %-template, built once per row shape (the
-    types of its cells), so a cell costs no Python call.  Only a row that
-    holds a zero or a bool goes through :func:`_plain` first.
+    Each chunk holds up to ``_BLOCK_ROWS`` rows.  A block whose rows all
+    have the cell types of its first is checked and formatted by C-level
+    calls on all its cells at once; a block of mixed shapes, a row at a time.
     """
     yield header + "\n"
-    templates: dict[tuple[type, ...], str] = {}
-    for row in rows:
-        shape = tuple(map(type, row))
-        if 0.0 in row or bool in shape:
-            row = tuple(map(_plain, row))
-        template = templates.get(shape)
-        if template is None:
-            template = ",".join(map(_CONVERSIONS.__getitem__, shape)) + "\n"
-            templates[shape] = template
-        yield template % row
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        shape = tuple(map(type, block[0]))
+        flat = list(chain.from_iterable(block))
+        n = len(block)
+        if list(map(len, block)) == [len(shape)] * n and list(map(type, flat)) == list(shape) * n:
+            yield _csv_block(shape, flat, n)
+        else:
+            yield "".join(_csv_block(tuple(map(type, row)), list(row), 1) for row in block)
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -176,9 +187,9 @@ def _json_chunks(value, pad: str = "") -> Iterator[str]:
     ``pad``, in chunks; dict keys are strings, as in every report.
 
     A non-empty list or tuple whose items are all floats, such as a grid
-    column, goes through the C encoder in one call, its item separator
-    carrying the line break and indent; only the bracket lines are added
-    here.  Everything else takes the generic path, one chunk per scalar.
+    column, goes through the C encoder in one call, and one chunk, per
+    ``_BLOCK_ROWS`` items, its item separator carrying the line break and
+    indent.  Everything else takes the generic path, one chunk per scalar.
     """
     if isinstance(value, dict):
         if not value:
@@ -197,9 +208,10 @@ def _json_chunks(value, pad: str = "") -> Iterator[str]:
             return
         inner = pad + "  "
         if set(map(type, value)) == {float}:
-            body = json.dumps(value, separators=(",\n" + inner, ": "))
-            yield "[\n" + inner
-            yield body[1:-1]
+            sep, lead = ",\n" + inner, "[\n" + inner
+            for i in range(0, len(value), _BLOCK_ROWS):
+                yield lead + json.dumps(value[i:i + _BLOCK_ROWS], separators=(sep, ": "))[1:-1]
+                lead = sep
         else:
             sep = "[\n" + inner
             for item in value:
@@ -229,7 +241,7 @@ def _emit_report(config: RunConfig, rows, result, header: str = CSV_HEADER) -> N
 def _run_analytic(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
     values = eval_spike_rho_grid(config.params, grid)
-    rows = ((rho, u, None, None, None) for rho, u in zip(grid, values))
+    rows = zip(grid, values, repeat(None), repeat(None), repeat(None))
     _emit_report(config, rows, lambda: {"rho": grid, "u_analytic": values})
     return 0
 
@@ -238,8 +250,9 @@ def _run_residual(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
     values: list[float] = []
     residuals = ode_residual(config.params, grid, profile=values)
-    max_residual = max(map(abs, residuals))
-    rows = ((rho, u, None, None, abs(r)) for rho, u, r in zip(grid, values, residuals))
+    abs_residuals = list(map(abs, residuals))
+    max_residual = max(abs_residuals)
+    rows = zip(grid, values, repeat(None), repeat(None), abs_residuals)
     result = {"rho": grid, "residual": residuals, "max_abs_residual": max_residual}
     _emit_report(config, rows, lambda: result)
     _status(f"max |residual| = {_fmt(max_residual)}")
@@ -268,15 +281,18 @@ def _shoot_rows(params: ProblemParams, result: ShootingResult):
     boundary = params.kind is SpikeKind.BOUNDARY
     reach = params.peak_rho + params.half_length / params.epsilon
     sigma_pk = result.sigma_pk
+    cells = []
     for sigma, state in reversed(result.trajectory.samples):
         d = sigma_pk - sigma
         if d > reach:
             break
-        # d = 0 at the run's end, the peak, where the profile's slope is 0.
+        # d = 0 at the run's end, the peak, where the slope is 0; it always gives a row.
         v = state.v if d else 0.0
         rho, v = (params.peak_rho - d, v) if boundary else (d, -v)
-        ua = eval_spike_rho(params, rho)
-        yield rho, ua, state.u, v, abs(ua - state.u)
+        cells.append((rho, state.u, v))
+    rhos, us, vs = zip(*cells)
+    uas = eval_spike_rho_grid(params, rhos)
+    yield from zip(rhos, uas, us, vs, map(abs, map(sub, uas, us)))
 
 
 def _run_shoot(config: RunConfig) -> int:

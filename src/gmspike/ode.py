@@ -15,13 +15,15 @@ quartic dense-output interpolant.  Each accepted step is kept as its raw
 stages; its interpolant is built from them only where it is read: on a step
 that changes the sign of u or of v, and, for every step at once, on the
 first dense evaluation of a returned trajectory.  An interpolant is one flat
-tuple (rho0, h, u0, v0, cu1..cu4, cv1..cv4), and :func:`_dense` is the one
-evaluator of its quartic, shared by event location and by
-:meth:`Trajectory.eval`, which turns a whole sequence of points into u and
-v columns without building a :class:`State` per point.  Every accepted step
-is scanned for those sign changes before it is committed, so phase-plane
-events cannot be skipped; their locations are resolved to 1e-10 in rho by
-bisecting the dense interpolant.  The first event ends every run: u
+tuple (rho0, h, u0, v0, cu1..cu4, cv1..cv4), and :func:`_dense` evaluates
+its quartic.  :meth:`Trajectory.eval` turns a sequence of points into u and
+v columns by walking them: it unpacks a step once, writes ``_dense`` out for
+as long as the points stay in that step, and bisects only for a point that
+leaves it, so a sorted or V-shaped grid costs a bisection per step entered,
+not per point, and gets ``_dense``'s bits.  Every accepted step is scanned
+for those sign changes before it is committed, so phase-plane events cannot
+be skipped; their locations are resolved to 1e-10 in rho by bisecting the
+dense interpolant.  The first event ends every run: u
 crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0 (``TURNED``), a
 minimum or, from below the centre, a maximum.  On the shooting solver's
 inward run ``TURNED`` is the spike's peak, and any other end is a failed
@@ -202,21 +204,28 @@ class Trajectory:
         """
         lo, hi = self.rho_start, self.end[0]
         interpolants, starts = self._interpolants, self._starts
-        us: list[float] = []
-        vs: list[float] = []
+        us, vs = [], []
+        add_u, add_v = us.append, vs.append
+        # The step read last covers [start, stop); NaN makes the first point bisect.
+        start = stop = math.nan
         for rho in rhos:
             if not lo <= rho <= hi:
                 if not lo - 1e-9 <= rho <= hi + 1e-9:
                     raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
                 rho = min(max(rho, lo), hi)
-            if interpolants:
+            if not interpolants:
+                add_u(self.end[1].u)
+                add_v(self.end[1].v)
+                continue
+            if not start <= rho < stop:
                 # rho >= starts[0] here, so the index is never negative.
-                c = interpolants[bisect.bisect_right(starts, rho) - 1]
-                u, v = _dense(c, (rho - c[0]) / c[1])
-            else:
-                u, v = self.end[1].u, self.end[1].v
-            us.append(u)
-            vs.append(v)
+                i = bisect.bisect_right(starts, rho) - 1
+                start, h, u0, v0, cu1, cu2, cu3, cu4, cv1, cv2, cv3, cv4 = interpolants[i]
+                stop = starts[i + 1]
+            # _dense, written out: the same expression, so the same bits.
+            theta = (rho - start) / h
+            add_u(u0 + h * theta * (cu1 + theta * (cu2 + theta * (cu3 + theta * cu4))))
+            add_v(v0 + h * theta * (cv1 + theta * (cv2 + theta * (cv3 + theta * cv4))))
         return us, vs
 
     @cached_property
@@ -225,7 +234,8 @@ class Trajectory:
 
     @cached_property
     def _starts(self) -> list[float]:
-        return [step[0] for step in self.steps]
+        """Step starts, then inf: step i covers [starts[i], starts[i + 1])."""
+        return [step[0] for step in self.steps] + [math.inf]
 
 
 def hamiltonian(state: State, p: float) -> float:

@@ -178,16 +178,19 @@ def eval_profile_grid(
     the domain edge.
     """
     params = result.params
-    peak = params.peak_rho
-    check_within_wall(params, rhos)
-    reach = result.sigma_pk
-    far = next((rho for rho in rhos if not abs(rho - peak) <= reach + 1e-9), None)
+    peak, reach = params.peak_rho, result.sigma_pk
+    limit = reach + 1e-9
+    upper = 1e-9 if params.kind is SpikeKind.BOUNDARY else limit
+    far = next((rho for rho in rhos if not -limit <= rho - peak <= upper), None)
     if far is not None:
+        # A point past the wall is named first, wherever it is.
+        check_within_wall(params, rhos)
         raise ValueError(
             f"rho={far!r} lies outside the integrated span, which reaches "
             f"{reach!r} from the peak at rho={peak!r}"
         )
-    # Run positions are generated, not stored: no grid-sized list beside the columns.
+    # Run positions are generated, and v flipped in place: no grid-sized list
+    # beside the columns.
     us, vs = result.trajectory.eval(reach - abs(rho - peak) for rho in rhos)
     for i, rho in enumerate(rhos):
         if rho > peak:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .analytic import ProblemParams, eval_spike_rho_grid, eval_spike_second_derivative_grid
 # bench/child.py traces these two through this module.
@@ -40,9 +41,9 @@ class ComparisonReport:
     l2_err: float
 
     def rows(self):
-        """Yield (rho, analytic, numeric, numeric_v, abs_error) per grid point."""
-        for rho, ua, un, vn in zip(self.grid, self.analytic, self.numeric, self.numeric_v):
-            yield rho, ua, un, vn, abs(ua - un)
+        """Iterate (rho, analytic, numeric, numeric_v, abs_error) per grid point."""
+        errors = map(abs, map(sub, self.analytic, self.numeric))
+        return zip(self.grid, self.analytic, self.numeric, self.numeric_v, errors)
 
 
 def ode_residual(
@@ -70,13 +71,13 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
     :func:`gmspike.shooting.eval_profile_grid`.  Requires a grid, in any
     order, inside the integrated span.
     """
-    grid = tuple(float(r) for r in rho_grid)
+    grid = tuple(map(float, rho_grid))
     if not grid:
         raise ValueError("rho_grid must not be empty")
     params = result.params
     numeric, numeric_v = eval_profile_grid(result, grid)
     analytic = eval_spike_rho_grid(params, grid)
-    abs_errs = [abs(a - n) for a, n in zip(analytic, numeric)]
+    abs_errs = list(map(abs, map(sub, analytic, numeric)))
     max_abs_err = max(abs_errs)
     l2_err = math.sqrt(sum(e * e for e in abs_errs) / len(abs_errs))
     return ComparisonReport(

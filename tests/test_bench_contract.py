@@ -9,9 +9,10 @@ patches ``shooting.integrate``, ``ode.Trajectory.eval``,
 ``config.scan_points`` and the trajectory's step counts of a
 ``ShootingResult``, ``analytic.spike_amplitude`` and the sweep summary's
 columns.  A change to ``src/`` that breaks one of them would only show when
-the benchmark is run, so one traced op of two workloads runs here, started
-as ``bench/run.py`` starts it.  Every ``shoot_range`` case, p = 1.01
-included, must pass its check.
+the benchmark is run, so one traced op of each workload runs here, started
+as ``bench/run.py`` starts it: ``dense_grid`` is the one that reaches
+``Trajectory.eval`` and ``cli.ode_residual``.  Every ``shoot_range`` case,
+p = 1.01 included, and every ``dense_grid`` artifact must pass its check.
 """
 
 import json
@@ -29,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXCEPTION_NAME = re.compile(r"\b[A-Z]\w*(Error|Exception)\b")
 
 
-@pytest.mark.parametrize("workload", ["shoot_range", "sweep_cli"])
+@pytest.mark.parametrize("workload", ["shoot_range", "sweep_cli", "dense_grid"])
 def test_traced_bench_op_runs(workload, tmp_path):
     argv = [sys.executable, "-s", str(ROOT / "bench" / "child.py")]
     proc = subprocess.run(
@@ -43,6 +44,7 @@ def test_traced_bench_op_runs(workload, tmp_path):
     assert isinstance(outcome["layers"], dict)
     crashed = [c for c in outcome["cases"] if EXCEPTION_NAME.search(str(c["error"]))]
     assert not crashed, [(c["case"], c["error"]) for c in crashed]
-    if workload == "shoot_range":
+    if workload in ("shoot_range", "dense_grid"):
         failed = [(c["case"], c["error"]) for c in outcome["cases"] if not c["ok"]]
-        assert len(outcome["cases"]) == 6 and not failed, failed
+        assert len(outcome["cases"]) == {"shoot_range": 6, "dense_grid": 4}[workload]
+        assert not failed, failed

@@ -280,21 +280,56 @@ class TestAnalyticCommand:
         assert all(cell != "-0" for row in rows for cell in row)
 
 
+def _csv_reference(rows, header):
+    """The CSV text of ``rows``, spelled one cell at a time."""
+
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return x if isinstance(x, str) else format(x + 0.0, ".17g")
+
+    return header + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 class TestCsvCells:
-    """The one CSV writer: every float cell reads as format(x + 0.0, ".17g")."""
+    """The one CSV writer: every float cell reads as format(x + 0.0, ".17g").
+
+    How the text is split into chunks is not the contract; that no chunk
+    holds more than one block of rows is, so a large grid is never held as
+    text."""
 
     FLOATS = (-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, math.inf, math.nan, -math.inf, -2.5)
+    BLOCK = cli._BLOCK_ROWS
+
+    def check(self, rows, header="header"):
+        chunks = list(cli._csv_lines(iter(rows), header))
+        assert chunks[0] == header + "\n"
+        assert "".join(chunks) == _csv_reference(rows, header)
+        assert max(chunk.count("\n") for chunk in chunks) <= self.BLOCK
+        return chunks
 
     def test_float_cells_match_the_17_digit_format(self):
         rows = [(x, x, None, -x, None) for x in self.FLOATS] + [self.FLOATS]
-        lines = list(cli._csv_lines(rows, "header"))
-        assert lines[0] == "header\n"
-        assert len(lines) == len(rows) + 1
-        for row, line in zip(rows, lines[1:]):
-            assert line.endswith("\n")
-            expected = ["" if x is None else format(x + 0.0, ".17g") for x in row]
-            assert line[:-1].split(",") == expected
-        assert "-0" not in lines[1][:-1].split(",")
+        chunks = self.check(rows)
+        assert "-0" not in chunks[1].replace("\n", ",").split(",")
+
+    @pytest.mark.parametrize("special", [-0.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_specials_at_the_ends_of_blocks(self, special):
+        n = 2 * self.BLOCK + 7
+        rows = [(i / 7 - 100.0, math.exp(-i / 50), None, -1 / (i + 3), 1e-17 * i)
+                for i in range(n)]
+        for i in (0, self.BLOCK - 1, self.BLOCK, 2 * self.BLOCK - 1, 2 * self.BLOCK, n - 1):
+            rows[i] = (special, -special, None, special, 2.5)
+        chunks = self.check(rows)
+        assert len(chunks) == 1 + 3
+        cells = "".join(chunks).replace("\n", ",").split(",")
+        assert "-0" not in cells
+
+    def test_float_and_empty_columns(self):
+        rows = [(i * 0.1, None, -i * 1e-3, None, None) for i in range(self.BLOCK + 1)]
+        self.check(rows)
 
     def test_summary_cells_keep_their_spelling(self):
         rows = [
@@ -302,12 +337,27 @@ class TestCsvCells:
             (3.0, "boundary", 0.0, None, False),
             (None, None),
         ]
-        assert list(cli._csv_lines(rows, "p,kind")) == [
-            "p,kind\n",
-            f"2,inner,,{format(1e-5, '.17g')},true\n",
-            "3,boundary,0,,false\n",
-            ",\n",
-        ]
+        assert "".join(cli._csv_lines(rows, "p,kind")) == (
+            "p,kind\n"
+            f"2,inner,,{format(1e-5, '.17g')},true\n"
+            "3,boundary,0,,false\n"
+            ",\n"
+        )
+
+    def test_bools_without_a_zero_are_spelled_out(self):
+        self.check([(1.5, True)] * 3 + [(2.5, True, "inner")])
+
+    def test_shape_changes_in_mid_stream(self):
+        converged = (2.0, "inner", 1.5, 1.5, 1e-9, 2e-7, 3e-6, -0.0, True)
+        failed = (3.0, "boundary", None, None, None, None, None, None, None)
+        rows = [converged] * (self.BLOCK - 1) + [failed] + [converged] * 5 + [failed]
+        self.check(rows)
+        # Same cells in total, and all floats, but rows of other lengths.
+        self.check([(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)] + [(-0.0, 7.0)] * self.BLOCK)
+
+    def test_no_rows_and_empty_rows(self):
+        assert list(cli._csv_lines([], "h")) == ["h\n"]
+        self.check([(), ()])
 
 
 class TestResidualCommand:
@@ -386,6 +436,16 @@ class TestJsonDocument:
     )
     def test_matches_json_dumps(self, value):
         assert "".join(cli._json_document(value)) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("extra", [0, 1, cli._BLOCK_ROWS + 3])
+    def test_float_columns_longer_than_a_block(self, extra):
+        count = cli._BLOCK_ROWS + extra
+        column = [math.sin(i) * 10.0 ** (i % 40 - 20) for i in range(count)]
+        column[0], column[cli._BLOCK_ROWS - 1], column[-1] = -0.0, math.nan, math.inf
+        value = {"grid": column, "tail": tuple(column[:3])}
+        chunks = list(cli._json_document(value))
+        assert "".join(chunks) == json.dumps(value, indent=2) + "\n"
+        assert max(chunk.count("\n") for chunk in chunks) <= cli._BLOCK_ROWS
 
 
 class TestShootCommand:

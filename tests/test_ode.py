@@ -1,12 +1,15 @@
 """Integrator checks: local model, conservation, events, and dense output."""
 
 import ast
+import bisect
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gmspike import ode
 from gmspike import (
     EVENT_LOCATION_TOL,
     IntegratorConfig,
@@ -123,11 +126,18 @@ class TestIntegrateBasics:
         # Every point is checked, not only the ends of the sequence.
         with pytest.raises(ValueError):
             trajectory.eval([0.0, 5.1, 2.0])
+        # Also once the walk is inside a step, and the point is named.
+        with pytest.raises(ValueError, match=r"rho=5\.1 "):
+            trajectory.eval([1.0, 1.0001, 1.0002, 5.1, 1.0003])
+        with pytest.raises(ValueError, match=r"rho=-0\.1 "):
+            trajectory.eval([4.9, 4.8, -0.1])
 
     def test_eval_refuses_nan(self):
         trajectory = integrate(State(AMP2, 0.0), 0.0, 5.0, 2.0)
         with pytest.raises(ValueError, match="rho=nan"):
             trajectory.eval([1.0, math.nan])
+        with pytest.raises(ValueError, match="rho=nan"):
+            trajectory.eval([1.0, 1.0001, math.nan, 1.0002])
 
     def test_reversible_through_mirrored_start(self):
         # u is even and v odd about the peak, so the run from the mirrored
@@ -164,6 +174,72 @@ class TestIntegrateBasics:
     def test_rejects_nonpositive_or_nonfinite_p(self, p):
         with pytest.raises(ValueError):
             integrate(State(AMP2, 0.0), 0.0, 1.0, p)
+
+
+def _eval_by_bisection(trajectory, rhos):
+    """Dense output the plain way: clamp, bisect the step starts and call
+    ``_dense`` for every point."""
+    lo, hi = trajectory.rho_start, trajectory.end[0]
+    starts = [step[0] for step in trajectory.steps]
+    interpolants = [ode._interpolant(step) for step in trajectory.steps]
+    us, vs = [], []
+    for rho in rhos:
+        rho = min(max(rho, lo), hi)
+        if interpolants:
+            c = interpolants[bisect.bisect_right(starts, rho) - 1]
+            u, v = ode._dense(c, (rho - c[0]) / c[1])
+        else:
+            u, v = trajectory.end[1].u, trajectory.end[1].v
+        us.append(u)
+        vs.append(v)
+    return us, vs
+
+
+def _bits(columns):
+    return [[x.hex() for x in column] for column in columns]
+
+
+class TestDenseWalk:
+    """Trajectory.eval walks the points through the steps; it gives the
+    bits of a bisection and a ``_dense`` call per point, in any order."""
+
+    SPIKE = integrate(State(AMP2, 0.0), 0.0, 10.0, 2.0)
+    # One step: the span is shorter than the first step.
+    ONE_STEP = integrate(State(AMP2, 0.0), 0.0, 0.05, 2.0, fixed_step_config(0.1))
+    NO_STEP = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, UNSATISFIABLE)
+
+    @staticmethod
+    def grids(trajectory):
+        lo, hi = trajectory.rho_start, trajectory.end[0]
+        ascending = [float(x) for x in np.linspace(lo, hi, 2001)]
+        mid = 0.5 * (lo + hi)
+        shuffled = list(ascending)
+        random.Random(7).shuffle(shuffled)
+        starts = [step[0] for step in trajectory.steps]
+        return {
+            "ascending": ascending,
+            "descending": ascending[::-1],
+            "v_shaped": [hi - abs(rho - mid) for rho in ascending],
+            "random": shuffled,
+            "step_starts": starts + [hi] + starts[::-1] + starts,
+            "ends": [lo, hi, lo - 5e-10, hi + 5e-10, lo, lo + 1e-9, hi - 1e-9, hi + 1e-9],
+        }
+
+    def test_runs_have_the_steps_their_names_say(self):
+        assert len(self.SPIKE.steps) > 50
+        assert len(self.ONE_STEP.steps) == 1
+        assert self.NO_STEP.steps == []
+
+    @pytest.mark.parametrize("name", ["SPIKE", "ONE_STEP", "NO_STEP"])
+    def test_matches_bisection_bit_for_bit(self, name):
+        trajectory = getattr(self, name)
+        for kind, grid in self.grids(trajectory).items():
+            got = trajectory.eval(grid)
+            assert _bits(got) == _bits(_eval_by_bisection(trajectory, grid)), kind
+
+    def test_a_grid_can_be_any_iterable(self):
+        grid = [float(x) for x in np.linspace(0.0, 10.0, 101)]
+        assert _bits(self.SPIKE.eval(iter(grid))) == _bits(self.SPIKE.eval(grid))
 
 
 class TestConservation:

@@ -416,6 +416,17 @@ class TestEvalProfile:
         with pytest.raises(ValueError, match=f"^rho={rho!r} lies outside the integrated span"):
             eval_profile_grid(result, [result.params.peak_rho - 1.0, rho])
 
+    def test_a_point_past_the_wall_is_named_before_a_far_one(self):
+        result = shoot(ProblemParams.boundary(3.0))
+        peak = result.params.peak_rho
+        with pytest.raises(ValueError, match=f"^rho={peak - 30.0!r} lies outside the integrated"):
+            eval_profile_grid(result, [peak - 1.0, peak - 30.0, peak - 40.0, peak + 5e-10])
+        with pytest.raises(ValueError, match=f"^rho={peak + 0.5!r} lies outside the domain"):
+            eval_profile_grid(result, [peak - 1.0, peak - 30.0, peak + 0.5, peak + 0.7])
+        # The wall holds to 1e-9, far inside the run's reach.
+        with pytest.raises(ValueError, match=f"^rho={peak + 1e-8!r} lies outside the domain"):
+            eval_profile_grid(result, [peak - 1.0, peak + 1e-8])
+
     @pytest.mark.parametrize("kind", ("inner", "boundary"))
     @pytest.mark.parametrize("p", (1.2, 2.0, 100.0))
     def test_grid_form_matches_one_point_bit_for_bit(self, p, kind):
