@@ -151,12 +151,13 @@ def eval_spike_derivative(params: ProblemParams, rho: float) -> float:
     delta = rho - params.peak_rho
     dist = abs(delta)
     t = (p - 1.0) * dist
-    if t == 0.0:
+    log_u = (math.log(2.0 * (p + 1.0)) - 2.0 * math.log1p(math.exp(-t))) / (p - 1.0) - dist
+    # |u'| < u, so it has underflowed where u has; out there log_sinh can overflow to inf.
+    if t == 0.0 or log_u < _LOG_TINY:
         return 0.0
     e2 = math.exp(-2.0 * t)
     # Below t ~ 5e-17, e2 rounds to 1 and log1p(-e2) would raise.
     log_sinh = t + (math.log1p(-e2) if e2 < 1.0 else math.log(-math.expm1(-2.0 * t))) - _LN2
-    log_u = (math.log(2.0 * (p + 1.0)) - 2.0 * math.log1p(math.exp(-t))) / (p - 1.0) - dist
     log_du = log_sinh + p * log_u - math.log(p + 1.0)
     if log_du < _LOG_TINY:
         return 0.0
@@ -193,7 +194,12 @@ def eval_spike_second_derivative_grid(
         dist = abs(rho - peak)
         t = pm1 * dist
         log_u = (log_scale - 2.0 * log1p(exp(-t))) / pm1 - dist
-        us.append(0.0 if log_u < tiny else exp(log_u))
+        if log_u < tiny:
+            # 0 < u'' = u - u**p < u; out here the log terms below can be inf - inf.
+            us.append(0.0)
+            upps.append(0.0)
+            continue
+        us.append(exp(log_u))
         e2 = exp(-2.0 * t)
         log_cosh = t + log1p(e2) - ln2
         log_term = log_pm1 + log_cosh + p * log_u - log_pp1

@@ -34,7 +34,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain
 from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -129,46 +129,40 @@ def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
     return grid
 
 
-# The %-conversion of a cell, by its type: floats as _fmt writes them, None
-# as an empty cell (a zero-width %s), strings and spelled-out bools as they are.
-_CONVERSIONS = {float: "%.17g", type(None): "%.0s", str: "%s", bool: "%s"}
-
 # Rows, or items of a JSON float list, held as text at once; a 50,001-point grid is megabytes.
 _BLOCK_ROWS = 1024
 
 
-def _csv_block(shape: tuple[type, ...], flat: list, n: int) -> str:
-    """Text of ``n`` rows of cell types ``shape``, from ``flat``, their cells in order."""
-    width = len(shape)
-    zero = 0.0 in flat  # only a zero can be negative zero
-    for j, kind in enumerate(shape):
-        if kind is float and zero:
-            flat[j::width] = [x + 0.0 for x in flat[j::width]]
-        elif kind is bool:
-            flat[j::width] = ["true" if x else "false" for x in flat[j::width]]
-    template = ",".join(map(_CONVERSIONS.__getitem__, shape)) + "\n"
-    return (template * n) % tuple(flat)
+def _csv_lines(columns, header: str = CSV_HEADER) -> Iterator[str]:
+    """CSV lines of a grid table under ``header``: ``columns`` holds its
+    float columns, all of one length and rho first, with None for a column
+    left empty.  Each float reads as :func:`_fmt` writes it.
 
-
-def _csv_lines(rows, header: str) -> Iterator[str]:
-    """CSV lines of ``rows``, tuples of cells, under ``header``; each cell
-    reads as :func:`_fmt` writes it, None as an empty cell and a bool as
-    ``true`` or ``false``.
-
-    Each chunk holds up to ``_BLOCK_ROWS`` rows.  A block whose rows all
-    have the cell types of its first is checked and formatted by C-level
-    calls on all its cells at once; a block of mixed shapes, a row at a time.
+    Each chunk holds up to ``_BLOCK_ROWS`` rows, formatted from slices of
+    the columns by one %-template per row applied to the whole block.
     """
     yield header + "\n"
-    rows = iter(rows)
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        shape = tuple(map(type, block[0]))
-        flat = list(chain.from_iterable(block))
-        n = len(block)
-        if list(map(len, block)) == [len(shape)] * n and list(map(type, flat)) == list(shape) * n:
-            yield _csv_block(shape, flat, n)
-        else:
-            yield "".join(_csv_block(tuple(map(type, row)), list(row), 1) for row in block)
+    template = ",".join("" if column is None else "%.17g" for column in columns) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [column[start:start + _BLOCK_ROWS] for column in columns if column is not None]
+        # +0.0 collapses negative zero, and only a zero can be negative zero.
+        block = [[x + 0.0 for x in part] if 0.0 in part else part for part in block]
+        yield (template * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
+
+
+def _summary_cell(value: float | str | bool | None) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else value if isinstance(value, str) else _fmt(value)
+
+
+def _summary_lines(rows: list[dict]) -> Iterator[str]:
+    """The sweep summary as CSV, a cell at a time: a float as :func:`_fmt`
+    writes it, None as an empty cell, a bool as ``true`` or ``false`` and a
+    string as it is."""
+    yield ",".join(_SUMMARY_COLUMNS) + "\n"
+    for row in rows:
+        yield ",".join(map(_summary_cell, row.values())) + "\n"
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -229,11 +223,11 @@ def _json_document(payload: object) -> Iterator[str]:
     yield "\n"
 
 
-def _emit_report(config: RunConfig, rows, result, header: str = CSV_HEADER) -> None:
-    """Write ``rows`` as CSV, or what ``result()`` returns under the config
-    echo as JSON; a CSV report never builds the JSON payload."""
+def _emit_report(config: RunConfig, csv, result) -> None:
+    """Write the CSV chunks ``csv()`` returns, or what ``result()`` returns
+    under the config echo as JSON; each format builds only its own report."""
     if config.fmt == "csv":
-        _emit(_csv_lines(rows, header), config.out)
+        _emit(csv(), config.out)
     else:
         _emit(_json_document({"config": config.to_dict(), "result": result()}), config.out)
 
@@ -241,8 +235,8 @@ def _emit_report(config: RunConfig, rows, result, header: str = CSV_HEADER) -> N
 def _run_analytic(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
     values = eval_spike_rho_grid(config.params, grid)
-    rows = zip(grid, values, repeat(None), repeat(None), repeat(None))
-    _emit_report(config, rows, lambda: {"rho": grid, "u_analytic": values})
+    columns = (grid, values, None, None, None)
+    _emit_report(config, lambda: _csv_lines(columns), lambda: {"rho": grid, "u_analytic": values})
     return 0
 
 
@@ -252,9 +246,9 @@ def _run_residual(config: RunConfig) -> int:
     residuals = ode_residual(config.params, grid, profile=values)
     abs_residuals = list(map(abs, residuals))
     max_residual = max(abs_residuals)
-    rows = zip(grid, values, repeat(None), repeat(None), abs_residuals)
+    columns = (grid, values, None, None, abs_residuals)
     result = {"rho": grid, "residual": residuals, "max_abs_residual": max_residual}
-    _emit_report(config, rows, lambda: result)
+    _emit_report(config, lambda: _csv_lines(columns), lambda: result)
     _status(f"max |residual| = {_fmt(max_residual)}")
     return 0
 
@@ -272,33 +266,34 @@ def _shoot_result(result: ShootingResult) -> dict:
     }
 
 
-def _shoot_rows(params: ProblemParams, result: ShootingResult):
-    """One row per sample of the inward run inside the domain
+def _shoot_columns(result: ShootingResult) -> tuple[list[float], ...]:
+    """The CSV columns of the inward run's samples inside the domain
     [-L/epsilon, L/epsilon], read backwards from the peak, in the domain
     coordinate as ``shooting.eval_profile_grid`` maps it: an inner spike's
     rows run out from the peak to the right, a boundary spike's inward from
     the wall, so rho falls and v keeps the run's sign."""
+    params = result.params
     boundary = params.kind is SpikeKind.BOUNDARY
     reach = params.peak_rho + params.half_length / params.epsilon
     sigma_pk = result.sigma_pk
-    cells = []
+    rhos, us, vs = [], [], []
     for sigma, state in reversed(result.trajectory.samples):
         d = sigma_pk - sigma
         if d > reach:
             break
         # d = 0 at the run's end, the peak, where the slope is 0; it always gives a row.
         v = state.v if d else 0.0
-        rho, v = (params.peak_rho - d, v) if boundary else (d, -v)
-        cells.append((rho, state.u, v))
-    rhos, us, vs = zip(*cells)
+        rhos.append(params.peak_rho - d if boundary else d)
+        us.append(state.u)
+        vs.append(v if boundary else -v)
     uas = eval_spike_rho_grid(params, rhos)
-    yield from zip(rhos, uas, us, vs, map(abs, map(sub, uas, us)))
+    return rhos, uas, us, vs, list(map(abs, map(sub, uas, us)))
 
 
 def _run_shoot(config: RunConfig) -> int:
     result = shoot(config.params, config.integrator)
     _status(f"a_star = {_fmt(result.a_star)}  sigma_pk = {_fmt(result.sigma_pk)}")
-    _emit_report(config, _shoot_rows(config.params, result), lambda: _shoot_result(result))
+    _emit_report(config, lambda: _csv_lines(_shoot_columns(result)), lambda: _shoot_result(result))
     return 0
 
 
@@ -322,7 +317,11 @@ def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport
         comparison = {field.name: getattr(report, field.name) for field in fields(report)}
         return {**_shoot_result(result), "comparison": comparison}
 
-    _emit_report(config, report.rows(), payload)
+    def csv() -> Iterator[str]:
+        errors = list(map(abs, map(sub, report.analytic, report.numeric)))
+        return _csv_lines((report.grid, report.analytic, report.numeric, report.numeric_v, errors))
+
+    _emit_report(config, csv, payload)
     return result, report
 
 
@@ -386,8 +385,7 @@ def _run_sweep(config: RunConfig) -> int:
         summary_rows.append(_summary_row(params, outcome))
 
     summary = replace(config, out=str(out_dir / f"summary.{config.fmt}"))
-    rows = (tuple(row.values()) for row in summary_rows)
-    _emit_report(summary, rows, lambda: summary_rows, header=",".join(summary_rows[0]))
+    _emit_report(summary, lambda: _summary_lines(summary_rows), lambda: summary_rows)
     # A failed case's row leaves converged empty.
     return 0 if all(row["converged"] for row in summary_rows) else 1
 

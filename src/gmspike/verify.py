@@ -40,11 +40,6 @@ class ComparisonReport:
     max_abs_err: float
     l2_err: float
 
-    def rows(self):
-        """Iterate (rho, analytic, numeric, numeric_v, abs_error) per grid point."""
-        errors = map(abs, map(sub, self.analytic, self.numeric))
-        return zip(self.grid, self.analytic, self.numeric, self.numeric_v, errors)
-
 
 def ode_residual(
     params: ProblemParams, rho_grid, profile: list[float] | None = None

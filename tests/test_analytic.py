@@ -208,6 +208,23 @@ class TestDerivatives:
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 < coarse / fine < 4.6
 
+    @pytest.mark.parametrize("kind", ("inner", "boundary"))
+    @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
+    def test_far_tail_saturates_to_zero(self, p, kind):
+        # Out here sinh(t) overflows while u**p underflows, and their log
+        # terms once summed to inf - inf.
+        params = ProblemParams.inner(p) if kind == "inner" else ProblemParams.boundary(p)
+        far = (1e306, 1e307, 1e308, sys.float_info.max)
+        rhos = [sign * r for r in far for sign in (1.0, -1.0)]
+        zeros = [0.0] * len(rhos)
+        us, upps = eval_spike_second_derivative_grid(params, rhos)
+        assert us == upps == eval_spike_rho_grid(params, rhos) == zeros
+        assert ode_residual(params, rhos) == zeros
+        for rho in rhos:
+            assert eval_spike_rho(params, rho) == 0.0
+            assert eval_spike_derivative(params, rho) == 0.0
+            assert eval_spike_second_derivative(params, rho) == 0.0
+
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
     def test_finite_next_to_the_peak(self, p):
         # exp(-2t) rounds to 1 for 0 < t < ~5e-17, where log1p(-1) raises.

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import math
+from itertools import repeat
 
 import pytest
 
@@ -294,7 +295,10 @@ def _csv_reference(rows, header):
 
 
 class TestCsvCells:
-    """The one CSV writer: every float cell reads as format(x + 0.0, ".17g").
+    """The grid writer, from float columns: every cell reads as
+    format(x + 0.0, ".17g"), and every cell of an empty (None) column is
+    empty.  The sweep summary, the one table with other cells, is written a
+    cell at a time by a writer of its own.
 
     How the text is split into chunks is not the contract; that no chunk
     holds more than one block of rows is, so a large grid is never held as
@@ -303,61 +307,142 @@ class TestCsvCells:
     FLOATS = (-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, math.inf, math.nan, -math.inf, -2.5)
     BLOCK = cli._BLOCK_ROWS
 
-    def check(self, rows, header="header"):
-        chunks = list(cli._csv_lines(iter(rows), header))
+    def check(self, columns, header="header"):
+        n = len(columns[0])
+        rows = list(zip(*(repeat(None, n) if column is None else column for column in columns)))
+        chunks = list(cli._csv_lines(columns, header))
         assert chunks[0] == header + "\n"
         assert "".join(chunks) == _csv_reference(rows, header)
         assert max(chunk.count("\n") for chunk in chunks) <= self.BLOCK
         return chunks
 
+    def check_summary(self, rows):
+        """The summary of ``rows``, tuples of its cells, against the per-cell reference."""
+        cases = [dict(zip(cli._SUMMARY_COLUMNS, row, strict=True)) for row in rows]
+        text = "".join(cli._summary_lines(cases))
+        assert text == _csv_reference(rows, SUMMARY_HEADER)
+        return text
+
     def test_float_cells_match_the_17_digit_format(self):
-        rows = [(x, x, None, -x, None) for x in self.FLOATS] + [self.FLOATS]
-        chunks = self.check(rows)
+        column = list(self.FLOATS)
+        chunks = self.check((column, column, None, [-x for x in column], None))
         assert "-0" not in chunks[1].replace("\n", ",").split(",")
+        # Every float in every column, and columns given as tuples, as compare's are.
+        self.check([self.FLOATS[i:] + self.FLOATS[:i] for i in range(len(self.FLOATS))])
 
     @pytest.mark.parametrize("special", [-0.0, 0.0, math.nan, math.inf, -math.inf])
     def test_specials_at_the_ends_of_blocks(self, special):
         n = 2 * self.BLOCK + 7
-        rows = [(i / 7 - 100.0, math.exp(-i / 50), None, -1 / (i + 3), 1e-17 * i)
-                for i in range(n)]
+        columns = (
+            [i / 7 - 100.0 for i in range(n)],
+            [math.exp(-i / 50) for i in range(n)],
+            None,
+            [-1 / (i + 3) for i in range(n)],
+            [1e-17 * i for i in range(n)],
+        )
         for i in (0, self.BLOCK - 1, self.BLOCK, 2 * self.BLOCK - 1, 2 * self.BLOCK, n - 1):
-            rows[i] = (special, -special, None, special, 2.5)
-        chunks = self.check(rows)
+            columns[0][i], columns[1][i], columns[3][i], columns[4][i] = (
+                special, -special, special, 2.5
+            )
+        chunks = self.check(columns)
         assert len(chunks) == 1 + 3
         cells = "".join(chunks).replace("\n", ",").split(",")
         assert "-0" not in cells
 
+    def test_exactly_one_block(self):
+        column = [-0.0] + [i * 0.25 for i in range(1, self.BLOCK - 1)] + [math.nan]
+        chunks = self.check((column, None, column[::-1], None, None))
+        assert len(chunks) == 1 + 1
+
     def test_float_and_empty_columns(self):
-        rows = [(i * 0.1, None, -i * 1e-3, None, None) for i in range(self.BLOCK + 1)]
-        self.check(rows)
+        column = [i * 0.1 for i in range(self.BLOCK + 1)]
+        self.check((column, None, [-x * 1e-2 for x in column], None, None))
+        self.check((column, None, None, None, None))
+        self.check((column, [-0.0] * len(column), None, None, column))
+        self.check((column,))
+
+    def test_no_rows_and_empty_rows(self):
+        assert list(cli._csv_lines(([], None, [], None, ()), "h")) == ["h\n"]
+        # A summary of failed cases whose every cell is empty.
+        assert self.check_summary([(None,) * 9] * 2).endswith("\n,,,,,,,,\n,,,,,,,,\n")
 
     def test_summary_cells_keep_their_spelling(self):
         rows = [
-            (2.0, "inner", None, 1e-5, True),
-            (3.0, "boundary", 0.0, None, False),
-            (None, None),
+            (2.0, "inner", 1.5, 1.5, 1e-5, None, -0.0, 0.0, True),
+            (3.0, "boundary", None, None, None, None, None, None, False),
         ]
-        assert "".join(cli._csv_lines(rows, "p,kind")) == (
-            "p,kind\n"
-            f"2,inner,,{format(1e-5, '.17g')},true\n"
-            "3,boundary,0,,false\n"
-            ",\n"
+        assert self.check_summary(rows) == (
+            SUMMARY_HEADER + "\n"
+            f"2,inner,1.5,1.5,{format(1e-5, '.17g')},,0,0,true\n"
+            "3,boundary,,,,,,,false\n"
         )
 
     def test_bools_without_a_zero_are_spelled_out(self):
-        self.check([(1.5, True)] * 3 + [(2.5, True, "inner")])
+        self.check_summary([(2.0, "inner", 1.5, 1.5, 1e-9, 2e-7, 3e-6, 1e-6, True)] * 3)
 
     def test_shape_changes_in_mid_stream(self):
+        # A failed case's row, which holds only p and kind, among converged rows.
         converged = (2.0, "inner", 1.5, 1.5, 1e-9, 2e-7, 3e-6, -0.0, True)
         failed = (3.0, "boundary", None, None, None, None, None, None, None)
-        rows = [converged] * (self.BLOCK - 1) + [failed] + [converged] * 5 + [failed]
-        self.check(rows)
-        # Same cells in total, and all floats, but rows of other lengths.
-        self.check([(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)] + [(-0.0, 7.0)] * self.BLOCK)
+        self.check_summary([converged, failed, converged, converged, failed])
 
-    def test_no_rows_and_empty_rows(self):
-        assert list(cli._csv_lines([], "h")) == ["h\n"]
-        self.check([(), ()])
+
+class TestCsvMatchesJson:
+    """A command's CSV and JSON reports carry the same numbers: each CSV
+    column reads back, by repr, as the JSON column it was written from, up
+    to the sign of zero, which the CSV drops."""
+
+    CASES = [
+        ("inner", []),
+        ("inner", ["--grid=-3.3:7.1:57"]),
+        ("boundary", []),
+        ("boundary", ["--grid=2.5:9.75:30"]),
+    ]
+
+    @staticmethod
+    def reports(argv, tmp_path):
+        """The CSV columns by header name, and the JSON result, of one command."""
+        csv_out, json_out = tmp_path / "report.csv", tmp_path / "report.json"
+        assert cli.main([*argv, "--out", str(csv_out)]) == 0
+        assert cli.main([*argv, "--format", "json", "--out", str(json_out)]) == 0
+        header, rows = read_rows(csv_out)
+        assert header == CSV_HEADER
+        return dict(zip(header.split(","), zip(*rows))), json.loads(json_out.read_text())["result"]
+
+    @staticmethod
+    def assert_same(cells, values):
+        assert [repr(float(cell)) for cell in cells] == [repr(x + 0.0) for x in values]
+
+    @pytest.mark.parametrize("spike, grid", CASES)
+    def test_analytic(self, spike, grid, tmp_path):
+        csv, result = self.reports(["analytic", "--p", "3", "--spike", spike, *grid], tmp_path)
+        self.assert_same(csv["rho"], result["rho"])
+        self.assert_same(csv["u_analytic"], result["u_analytic"])
+        assert set(csv["u_numeric"] + csv["v_numeric"] + csv["abs_error"]) == {""}
+
+    @pytest.mark.parametrize("spike, grid", CASES)
+    def test_residual(self, spike, grid, tmp_path):
+        argv = ["--p", "3", "--spike", spike, *grid]
+        csv, result = self.reports(["residual", *argv], tmp_path)
+        self.assert_same(csv["rho"], result["rho"])
+        self.assert_same(csv["abs_error"], map(abs, result["residual"]))
+        assert result["max_abs_residual"] == max(map(float, csv["abs_error"]))
+        # The u the residual was built from is the analytic command's u.
+        _, analytic = self.reports(["analytic", *argv], tmp_path)
+        self.assert_same(csv["u_analytic"], analytic["u_analytic"])
+        assert set(csv["u_numeric"] + csv["v_numeric"]) == {""}
+
+    @pytest.mark.parametrize("spike, grid", CASES)
+    def test_compare(self, spike, grid, tmp_path):
+        csv, result = self.reports(["compare", "--p", "3", "--spike", spike, *grid], tmp_path)
+        comparison = result["comparison"]
+        self.assert_same(csv["rho"], comparison["grid"])
+        self.assert_same(csv["u_analytic"], comparison["analytic"])
+        self.assert_same(csv["u_numeric"], comparison["numeric"])
+        self.assert_same(csv["v_numeric"], comparison["numeric_v"])
+        errors = [abs(a - n) for a, n in zip(comparison["analytic"], comparison["numeric"])]
+        self.assert_same(csv["abs_error"], errors)
+        assert comparison["max_abs_err"] == max(map(float, csv["abs_error"]))
 
 
 class TestResidualCommand:
@@ -371,6 +456,19 @@ class TestResidualCommand:
         header, rows = read_rows(out)
         assert header == CSV_HEADER
         assert all(float(row[4]) < 1e-12 for row in rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--p", "3"], ["--p", "100", "--grid=0:1e306:2"], ["--p", "2", "--grid=-1e308:0:3"]],
+    )
+    def test_reported_maximum_is_the_column_maximum(self, argv, capsys, tmp_path):
+        # Far out, u'' was once NaN there, and max() kept whichever came first.
+        out = tmp_path / "residual.csv"
+        assert cli.main(["residual", *argv, "--out", str(out)]) == 0
+        value = float(capsys.readouterr().err.strip().rsplit("=", 1)[1])
+        _, rows = read_rows(out)
+        assert value == max(float(row[4]) for row in rows)
+        assert all(math.isfinite(float(row[4])) for row in rows)
 
     def test_finite_next_to_the_peak(self, tmp_path):
         # exp(-2t) rounds to 1 for 0 < t < ~5e-17, where log1p(-1) raises.

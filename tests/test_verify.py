@@ -111,17 +111,6 @@ class TestCompare:
         diffs = [abs(a - n) for a, n in zip(report.analytic, report.numeric)]
         assert report.max_abs_err == max(diffs)
 
-    def test_rows_match_arrays(self, default_shoots):
-        report = compare(default_shoots[2.0], [0.0, 1.0, 2.0])
-        rows = list(report.rows())
-        assert len(rows) == 3
-        for i, (rho, ua, un, vn, err) in enumerate(rows):
-            assert rho == report.grid[i]
-            assert ua == report.analytic[i]
-            assert un == report.numeric[i]
-            assert vn == report.numeric_v[i]
-            assert err == abs(ua - un)
-
     def test_numeric_columns_share_the_symmetry(self, default_shoots):
         report = compare(default_shoots[2.0], [-2.0, 2.0])
         assert report.numeric[0] == report.numeric[1]
