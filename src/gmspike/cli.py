@@ -59,6 +59,8 @@ CSV_HEADER = "rho,u_analytic,u_numeric,v_numeric,abs_error"
 _SWEEP_EXPONENTS = (2.0, 3.0, 4.0)
 _SWEEP_GRID_POINTS = 401
 _SWEEP_SPAN = 10.0
+# A grid is built in memory; at 10**7 points a compare CSV is already about 1.2 GB.
+_MAX_GRID_POINTS = 10_000_000
 _SUMMARY_COLUMNS = (
     "p", "kind", "a_star", "amplitude", "amp_abs_err", "bc_residual", "max_abs_err", "l2_err",
     "converged",
@@ -113,6 +115,8 @@ def _check_grid(bounds: tuple[float, float, int], name: str = "grid") -> None:
     start, end, count = bounds
     if count < 2:
         raise ValueError(f"{name} needs at least 2 points")
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"{name} takes at most {_MAX_GRID_POINTS} points")
     if not (math.isfinite(start) and math.isfinite(end)):
         raise ValueError(f"{name} bounds must be finite")
     if not (end > start):
@@ -133,15 +137,15 @@ def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
 _BLOCK_ROWS = 1024
 
 
-def _csv_lines(columns, header: str = CSV_HEADER) -> Iterator[str]:
-    """CSV lines of a grid table under ``header``: ``columns`` holds its
+def _csv_lines(columns) -> Iterator[str]:
+    """CSV lines of a grid table under ``CSV_HEADER``: ``columns`` holds its
     float columns, all of one length and rho first, with None for a column
     left empty.  Each float reads as :func:`_fmt` writes it.
 
     Each chunk holds up to ``_BLOCK_ROWS`` rows, formatted from slices of
     the columns by one %-template per row applied to the whole block.
     """
-    yield header + "\n"
+    yield CSV_HEADER + "\n"
     template = ",".join("" if column is None else "%.17g" for column in columns) + "\n"
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [column[start:start + _BLOCK_ROWS] for column in columns if column is not None]
@@ -180,15 +184,14 @@ def _json_chunks(value, pad: str = "") -> Iterator[str]:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at indent
     ``pad``, in chunks; dict keys are strings, as in every report.
 
-    A non-empty list or tuple whose items are all floats, such as a grid
-    column, goes through the C encoder in one call, and one chunk, per
-    ``_BLOCK_ROWS`` items, its item separator carrying the line break and
-    indent.  Everything else takes the generic path, one chunk per scalar.
+    A non-empty dict goes a member at a time, so nested columns are reached.
+    A non-empty list or tuple of floats, such as a grid column, goes through
+    the C encoder in one chunk per ``_BLOCK_ROWS`` items, its item separator
+    carrying the line break and indent.  Anything else is small and is one
+    ``json.dumps`` chunk; that escapes every line break inside a string, so
+    each one in its output is indentation.
     """
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
+    if isinstance(value, dict) and value:
         inner = pad + "  "
         sep = "{\n" + inner
         for key, item in value.items():
@@ -196,25 +199,14 @@ def _json_chunks(value, pad: str = "") -> Iterator[str]:
             yield from _json_chunks(item, inner)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        inner = pad + "  "
-        if set(map(type, value)) == {float}:
-            sep, lead = ",\n" + inner, "[\n" + inner
-            for i in range(0, len(value), _BLOCK_ROWS):
-                yield lead + json.dumps(value[i:i + _BLOCK_ROWS], separators=(sep, ": "))[1:-1]
-                lead = sep
-        else:
-            sep = "[\n" + inner
-            for item in value:
-                yield sep
-                yield from _json_chunks(item, inner)
-                sep = ",\n" + inner
+    elif isinstance(value, (list, tuple)) and set(map(type, value)) == {float}:
+        sep, lead = ",\n  " + pad, "[\n  " + pad
+        for i in range(0, len(value), _BLOCK_ROWS):
+            yield lead + json.dumps(value[i:i + _BLOCK_ROWS], separators=(sep, ": "))[1:-1]
+            lead = sep
         yield "\n" + pad + "]"
     else:
-        yield json.dumps(value)
+        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def _json_document(payload: object) -> Iterator[str]:

@@ -125,9 +125,10 @@ def test_first_integral_drift_is_bounded_and_tolerance_driven(default_shoots):
     )
 
 
-def test_classification_verdicts_and_bracket_halving(monkeypatch):
-    # Verdicts: from rest above the spike height a run crosses u = 0, from
-    # below it turns, and the shoot's one run ends at the peak between them.
+def test_sides_of_the_peak_and_bracket_halving(monkeypatch):
+    # Sides of the peak: from rest above the spike height a run crosses
+    # u = 0, from below it turns, and the shoot's one run ends at the peak
+    # between them.
     assert integrate(State(1.6, 0.0), 0.0, 12.0, 2.0).terminal_event is (
         TerminalEvent.U_CROSSED_ZERO
     )

@@ -107,6 +107,28 @@ class TestArgumentHandling:
             cli.main(argv)
         assert excinfo.value.code == 2
 
+    def test_grid_count_is_capped(self):
+        cli._check_grid((0.0, 1.0, cli._MAX_GRID_POINTS))
+        for count in (cli._MAX_GRID_POINTS + 1, 10**20):
+            with pytest.raises(ValueError, match="at most"):
+                cli._check_grid((0.0, 1.0, count))
+
+    @pytest.mark.parametrize(
+        "count", ["9" * 400, str(cli._MAX_GRID_POINTS + 1)], ids=["400_nines", "cap+1"]
+    )
+    def test_huge_grid_count_exits_2_before_building_the_grid(self, count, monkeypatch, capsys):
+        def explode(bounds):
+            raise AssertionError("grid built past the cap")
+
+        monkeypatch.setattr(cli, "_make_grid", explode)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["analytic", f"--grid=0:1:{count}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+        assert f"grid takes at most {cli._MAX_GRID_POINTS} points" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -307,12 +329,12 @@ class TestCsvCells:
     FLOATS = (-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, math.inf, math.nan, -math.inf, -2.5)
     BLOCK = cli._BLOCK_ROWS
 
-    def check(self, columns, header="header"):
+    def check(self, columns):
         n = len(columns[0])
         rows = list(zip(*(repeat(None, n) if column is None else column for column in columns)))
-        chunks = list(cli._csv_lines(columns, header))
-        assert chunks[0] == header + "\n"
-        assert "".join(chunks) == _csv_reference(rows, header)
+        chunks = list(cli._csv_lines(columns))
+        assert chunks[0] == CSV_HEADER + "\n"
+        assert "".join(chunks) == _csv_reference(rows, CSV_HEADER)
         assert max(chunk.count("\n") for chunk in chunks) <= self.BLOCK
         return chunks
 
@@ -362,7 +384,7 @@ class TestCsvCells:
         self.check((column,))
 
     def test_no_rows_and_empty_rows(self):
-        assert list(cli._csv_lines(([], None, [], None, ()), "h")) == ["h\n"]
+        assert list(cli._csv_lines(([], None, [], None, ()))) == [CSV_HEADER + "\n"]
         # A summary of failed cases whose every cell is empty.
         assert self.check_summary([(None,) * 9] * 2).endswith("\n,,,,,,,,\n,,,,,,,,\n")
 
@@ -530,6 +552,14 @@ class TestJsonDocument:
             3.5,
             "s",
             None,
+            # Line breaks and separators inside strings, which json.dumps escapes.
+            {"s": "a\nb\r\nc\td\u2028e"},
+            {"outer": {"s": "\n", "t": ["\r\n", "\t\u2028"]}},
+            # The sweep summary's shape, a list of dicts, one level down.
+            {"result": [{"p": 2.0, "kind": "inner", "converged": True}, {"p": 3.0, "ok": None}]},
+            # The config echo's grid: ints among floats, two levels down.
+            {"config": {"grid": [-3.0, 3.0, 7]}},
+            {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
         ],
     )
     def test_matches_json_dumps(self, value):

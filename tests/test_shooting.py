@@ -127,12 +127,12 @@ class TestClassify:
             shoot(ProblemParams.inner(2.0), integrator_config=UNSATISFIABLE)
 
 
-class TestScan:
-    """No amplitude is scanned: ``ShootingConfig.scan_points`` is 0, the
-    degenerate window, so the scan part of a shoot's log is empty and the
-    one run finds the amplitude alone."""
+class TestSingleRun:
+    """A shoot makes one run, which finds the amplitude alone:
+    ``ShootingConfig.scan_points`` is 0, so the scan part of its log is
+    empty."""
 
-    def test_default_scan_brackets_the_amplitude(self, default_shoots):
+    def test_last_step_brackets_the_peak(self, default_shoots):
         # The run's last step brackets the peak: v changes sign across it,
         # and the amplitude lies between its two ends.
         result = default_shoots[2.0]
@@ -152,8 +152,8 @@ class TestScan:
         assert result.converged
         assert abs(result.a_star - math.sqrt(2.0)) < 1e-10
 
-    def test_degenerate_window_connects_everywhere(self):
-        # With no scan point, every run the log holds is the one that connects.
+    def test_run_log_holds_one_entry(self):
+        # With no scan point, the log holds the one run, and it connects.
         result = shoot(ProblemParams.inner(2.0))
         assert ShootingConfig.scan_points == 0
         assert len(result.classifications) == 1
