@@ -16,11 +16,14 @@ generalized-hyperbolic trial function amp / cosh_b(rho)**power is kept as
 test reference code in ``tests/ansatz_reference.py``, where the tests check
 that it gives the same profile.
 
-All evaluators work in log space with the dominant exponential factored out:
-a naive cosh overflows once (p - 1) * |rho - rho_peak| grows past ~710 even
-though the profile value itself is still representable.  Results that
-underflow below the smallest positive normal double saturate to exactly 0.0,
-never NaN, which is the correct far-field limit.
+u is evaluated in log space with the dominant exponential factored out: a
+naive cosh overflows once t = (p - 1) * |rho - rho_peak| grows past ~710
+even though the profile value itself is still representable.  The
+derivatives need no log terms of their own.  With w = exp(-t),
+differentiating log u gives u'/u = -sign(rho - rho_peak) * tanh(t / 2), so
+u' and u'' are u times a ratio of polynomials in w <= 1, free of sinh and
+cosh.  Results that underflow below the smallest positive normal double
+saturate to exactly 0.0, never NaN, which is the correct far-field limit.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ P_MIN = 1.01
 P_MAX = 100.0
 
 _LOG_TINY = math.log(sys.float_info.min)
-_LN2 = math.log(2.0)
 
 
 class SpikeKind(Enum):
@@ -141,27 +143,16 @@ def eval_spike_rho(params: ProblemParams, rho: float) -> float:
 
 
 def eval_spike_derivative(params: ProblemParams, rho: float) -> float:
-    """du/drho of the exact profile.
+    """du/drho of the exact profile, u' = -sign(rho - peak_rho) * u * tanh(t / 2).
 
-    Closed form u' = -sinh((p - 1)(rho - peak)) * u**p / (p + 1), evaluated
-    in log space.  Zero at the peak, sign -sign(rho - peak_rho) elsewhere,
-    same underflow saturation as :func:`eval_spike_rho`.
+    With w = exp(-t), tanh(t / 2) = (1 - w) / (1 + w); 1 - w comes from
+    expm1, so it keeps its digits next to the peak.  Zero at the peak and
+    wherever u has underflowed.
     """
-    p = params.p
     delta = rho - params.peak_rho
-    dist = abs(delta)
-    t = (p - 1.0) * dist
-    log_u = (math.log(2.0 * (p + 1.0)) - 2.0 * math.log1p(math.exp(-t))) / (p - 1.0) - dist
-    # |u'| < u, so it has underflowed where u has; out there log_sinh can overflow to inf.
-    if t == 0.0 or log_u < _LOG_TINY:
-        return 0.0
-    e2 = math.exp(-2.0 * t)
-    # Below t ~ 5e-17, e2 rounds to 1 and log1p(-e2) would raise.
-    log_sinh = t + (math.log1p(-e2) if e2 < 1.0 else math.log(-math.expm1(-2.0 * t))) - _LN2
-    log_du = log_sinh + p * log_u - math.log(p + 1.0)
-    if log_du < _LOG_TINY:
-        return 0.0
-    return -math.copysign(math.exp(log_du), delta)
+    t = (params.p - 1.0) * abs(delta)
+    du = eval_spike_rho(params, rho) * -math.expm1(-t) / (1.0 + math.exp(-t))
+    return -du if delta > 0.0 else du
 
 
 def eval_spike_second_derivative_grid(
@@ -169,48 +160,31 @@ def eval_spike_second_derivative_grid(
 ) -> tuple[list[float], list[float]]:
     """Columns u and d2u/drho2 of the exact profile at each of ``rhos``.
 
-    u'' is derived independently of the ODE: differentiating the closed-form
-    u' once more gives
+    u'' comes from differentiating the closed-form u' once more, not from
+    the ODE:
 
-        u'' = p * sinh(t)**2 * u**(2p - 1) / (p + 1)**2
-              - (p - 1) * cosh(t) * u**p / (p + 1),
+        u'' = u * ((1 - w)**2 - 2 * (p - 1) * w) / (1 + w)**2,    w = exp(-t).
 
-    with t = (p - 1) * (rho - peak).  Algebraically this equals u - u**p,
-    so it feeds a meaningful residual check of all three closed forms.  The
-    formula is built on log u, so the u column, equal to
-    :func:`eval_spike_rho_grid`'s, costs one more exp per point.
+    Algebraically this equals u - u**p, so it feeds a meaningful residual
+    check of all three closed forms.  w is the exponential that
+    :func:`eval_spike_rho_grid` forms, so the u column equals its values bit
+    for bit; u'' is 0 wherever u has underflowed.
     """
     p, peak = params.p, params.peak_rho
     pm1 = p - 1.0
+    two_pm1 = 2.0 * pm1
     log_scale = math.log(2.0 * (p + 1.0))
-    log_pm1, log_pp1, log_p = math.log(pm1), math.log(p + 1.0), math.log(p)
-    two_log_pp1 = 2.0 * log_pp1
-    power_sinh = 2.0 * p - 1.0
-    exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
-    tiny, ln2 = _LOG_TINY, _LN2
+    exp, log1p, tiny = math.exp, math.log1p, _LOG_TINY
     us: list[float] = []
     upps: list[float] = []
     for rho in rhos:
         dist = abs(rho - peak)
-        t = pm1 * dist
-        log_u = (log_scale - 2.0 * log1p(exp(-t))) / pm1 - dist
-        if log_u < tiny:
-            # 0 < u'' = u - u**p < u; out here the log terms below can be inf - inf.
-            us.append(0.0)
-            upps.append(0.0)
-            continue
-        us.append(exp(log_u))
-        e2 = exp(-2.0 * t)
-        log_cosh = t + log1p(e2) - ln2
-        log_term = log_pm1 + log_cosh + p * log_u - log_pp1
-        term_cosh = 0.0 if log_term < tiny else exp(log_term)
-        if t > 0.0:
-            # Below t ~ 5e-17, e2 rounds to 1 and log1p(-e2) would raise.
-            log_sinh = t + (log1p(-e2) if e2 < 1.0 else log(-expm1(-2.0 * t))) - ln2
-            log_term = log_p + 2.0 * log_sinh + power_sinh * log_u - two_log_pp1
-            upps.append((0.0 if log_term < tiny else exp(log_term)) - term_cosh)
-        else:
-            upps.append(0.0 - term_cosh)
+        w = exp(-(pm1 * dist))
+        log_u = (log_scale - 2.0 * log1p(w)) / pm1 - dist
+        u = 0.0 if log_u < tiny else exp(log_u)
+        us.append(u)
+        a, b = 1.0 - w, 1.0 + w
+        upps.append(u * (a * a - two_pm1 * w) / (b * b))
     return us, upps
 
 

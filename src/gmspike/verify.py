@@ -33,10 +33,10 @@ __all__ = [
 class ComparisonReport:
     """Grid-wise agreement between analytic and shooting profiles."""
 
-    grid: tuple[float, ...]
-    analytic: tuple[float, ...]
-    numeric: tuple[float, ...]
-    numeric_v: tuple[float, ...]
+    grid: list[float]
+    analytic: list[float]
+    numeric: list[float]
+    numeric_v: list[float]
     max_abs_err: float
     l2_err: float
 
@@ -66,7 +66,7 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
     :func:`gmspike.shooting.eval_profile_grid`.  Requires a grid, in any
     order, inside the integrated span.
     """
-    grid = tuple(map(float, rho_grid))
+    grid = list(map(float, rho_grid))
     if not grid:
         raise ValueError("rho_grid must not be empty")
     params = result.params
@@ -75,14 +75,7 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
     abs_errs = list(map(abs, map(sub, analytic, numeric)))
     max_abs_err = max(abs_errs)
     l2_err = math.sqrt(sum(e * e for e in abs_errs) / len(abs_errs))
-    return ComparisonReport(
-        grid=grid,
-        analytic=tuple(analytic),
-        numeric=tuple(numeric),
-        numeric_v=tuple(numeric_v),
-        max_abs_err=max_abs_err,
-        l2_err=l2_err,
-    )
+    return ComparisonReport(grid, analytic, numeric, numeric_v, max_abs_err, l2_err)
 
 
 def check_first_integral(trajectory: Trajectory, p: float) -> float:

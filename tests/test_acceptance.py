@@ -53,9 +53,20 @@ def test_closed_form_satisfies_the_profile_equation():
         residual = ode_residual(ProblemParams.inner(p), grid)
         worst = max(worst, max(abs(r) for r in residual))
     elapsed = time.perf_counter() - start
-    assert worst < 1e-9
+    assert worst < 1e-13
     assert elapsed < 1.0
-    print(f"PASS profile equation residual over p grid: max {worst:.3e} < 1e-9")
+    # Relative to u, out to where u nears the smallest normal double.
+    worst_rel = 0.0
+    wide = np.linspace(-700.0, 700.0, 2801)
+    for p in (1.01, 1.2, 2.0, 3.0, 4.0, 10.0, 100.0):
+        us = []
+        residual = ode_residual(ProblemParams.inner(p), wide, profile=us)
+        worst_rel = max(worst_rel, max(abs(r) / u for r, u in zip(residual, us)))
+    assert worst_rel <= 1e-12
+    print(
+        f"PASS profile equation residual over p grid: max {worst:.3e} < 1e-13,"
+        f" max |residual|/u {worst_rel:.3e} <= 1e-12 on [-700, 700]"
+    )
 
 
 def test_ansatz_is_invariant_under_the_free_scale_factor():

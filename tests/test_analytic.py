@@ -1,6 +1,7 @@
 """Checks for the closed-form spike profile, and for the paper's generalized-cosh
 ansatz (test reference code in ``ansatz_reference``) against it."""
 
+import decimal
 import math
 import sys
 
@@ -211,8 +212,8 @@ class TestDerivatives:
     @pytest.mark.parametrize("kind", ("inner", "boundary"))
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
     def test_far_tail_saturates_to_zero(self, p, kind):
-        # Out here sinh(t) overflows while u**p underflows, and their log
-        # terms once summed to inf - inf.
+        # Far past exp's range, where (p - 1) * |rho - peak| overflows to inf
+        # at p = 100: u, u', u'' and the residual are exactly 0, never NaN.
         params = ProblemParams.inner(p) if kind == "inner" else ProblemParams.boundary(p)
         far = (1e306, 1e307, 1e308, sys.float_info.max)
         rhos = [sign * r for r in far for sign in (1.0, -1.0)]
@@ -227,7 +228,8 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
     def test_finite_next_to_the_peak(self, p):
-        # exp(-2t) rounds to 1 for 0 < t < ~5e-17, where log1p(-1) raises.
+        # Here exp(-t) is 1 or a few ulps below it: u' keeps its sign and its
+        # digits through expm1, and u'' is -(p - 1) * u / 2 to rounding.
         params = ProblemParams.inner(p)
         for rho in (1e-17, -1e-17):
             du = eval_spike_derivative(params, rho)
@@ -237,6 +239,45 @@ class TestDerivatives:
             u = eval_spike_rho(params, rho)
             assert upp < 0.0
             assert upp == pytest.approx(u - u**p, rel=1e-12)
+
+
+REFERENCE_P = (1.01, 1.2, 2.0, 3.0, 4.0, 10.0, 100.0)
+# Next to the peak, through the shoulder, and out to where u nears the
+# smallest normal double.
+REFERENCE_RHOS = (0.0, 1e-17, 1e-9, 1e-3, 0.1, 0.5) + tuple(
+    1.0 + 699.0 * k / 43 for k in range(44)
+)
+
+
+def decimal_reference(p, peak, rho):
+    """u, u' and u'' at 40 digits: u through exp and ln of the closed form,
+    u' = -sinh(t) * u**p / (p + 1) with t = (p - 1)(rho - peak) signed, and
+    u'' = u - u**p.  Every float input is taken at its exact binary value."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        p, delta = decimal.Decimal(p), decimal.Decimal(rho) - decimal.Decimal(peak)
+        t = (p - 1) * delta
+        w = (-abs(t)).exp()
+        log_u = ((2 * (p + 1)).ln() - 2 * (1 + w).ln()) / (p - 1) - abs(delta)
+        u, u_p = log_u.exp(), (p * log_u).exp()
+        sinh = (t.exp() - (-t).exp()) / 2
+        return float(u), float(-sinh * u_p / (p + 1)), float(u - u_p)
+
+
+class TestHighPrecisionReference:
+    """u' and u'' against a 40-digit reference, to within u's own rounding."""
+
+    @pytest.mark.parametrize("kind", ("inner", "boundary"))
+    @pytest.mark.parametrize("p", REFERENCE_P)
+    def test_derivatives_match_to_rounding(self, p, kind):
+        params = ProblemParams.inner(p) if kind == "inner" else ProblemParams.boundary(p)
+        us, upps = eval_spike_second_derivative_grid(params, REFERENCE_RHOS)
+        for rho, u, upp in zip(REFERENCE_RHOS, us, upps):
+            ref_u, ref_du, ref_upp = decimal_reference(p, params.peak_rho, rho)
+            assert ref_u > sys.float_info.min
+            assert abs(u - ref_u) <= 2e-13 * ref_u, rho
+            assert abs(eval_spike_derivative(params, rho) - ref_du) <= 2e-13 * ref_u, rho
+            assert abs(upp - ref_upp) <= 2e-13 * ref_u, rho
 
 
 def reference_log_profile(p, dist):
@@ -250,23 +291,10 @@ def reference_exp(log_value):
 
 
 def reference_second_derivative(p, dist):
-    t = (p - 1.0) * dist
-    log_u = reference_log_profile(p, dist)
-    log_cosh = t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
-    term_cosh = reference_exp(
-        math.log(p - 1.0) + log_cosh + p * log_u - math.log(p + 1.0)
-    )
-    if t > 0.0:
-        if math.exp(-2.0 * t) < 1.0:
-            log_sinh = t + math.log1p(-math.exp(-2.0 * t)) - math.log(2.0)
-        else:
-            log_sinh = t + math.log(-math.expm1(-2.0 * t)) - math.log(2.0)
-        term_sinh = reference_exp(
-            math.log(p) + 2.0 * log_sinh + (2.0 * p - 1.0) * log_u - 2.0 * math.log(p + 1.0)
-        )
-    else:
-        term_sinh = 0.0
-    return term_sinh - term_cosh
+    """u * ((1 - w)**2 - 2 (p - 1) w) / (1 + w)**2, w = exp(-(p - 1) * dist), written out."""
+    w = math.exp(-((p - 1.0) * dist))
+    u = reference_exp(reference_log_profile(p, dist))
+    return u * ((1.0 - w) * (1.0 - w) - 2.0 * (p - 1.0) * w) / ((1.0 + w) * (1.0 + w))
 
 
 def same_bits(a, b):

@@ -349,7 +349,8 @@ class TestCsvCells:
         column = list(self.FLOATS)
         chunks = self.check((column, column, None, [-x for x in column], None))
         assert "-0" not in chunks[1].replace("\n", ",").split(",")
-        # Every float in every column, and columns given as tuples, as compare's are.
+        # Every float in every column, and columns given as tuples, which the
+        # writer slices as it slices compare's lists.
         self.check([self.FLOATS[i:] + self.FLOATS[:i] for i in range(len(self.FLOATS))])
 
     @pytest.mark.parametrize("special", [-0.0, 0.0, math.nan, math.inf, -math.inf])
