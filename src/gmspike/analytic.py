@@ -160,29 +160,22 @@ def eval_spike_second_derivative_grid(
 ) -> tuple[list[float], list[float]]:
     """Columns u and d2u/drho2 of the exact profile at each of ``rhos``.
 
-    u'' comes from differentiating the closed-form u' once more, not from
-    the ODE:
+    The u column is :func:`eval_spike_rho_grid`'s.  u'' comes from
+    differentiating the closed-form u' once more, not from the ODE:
 
         u'' = u * ((1 - w)**2 - 2 * (p - 1) * w) / (1 + w)**2,    w = exp(-t).
 
     Algebraically this equals u - u**p, so it feeds a meaningful residual
-    check of all three closed forms.  w is the exponential that
-    :func:`eval_spike_rho_grid` forms, so the u column equals its values bit
-    for bit; u'' is 0 wherever u has underflowed.
+    check of all three closed forms.  u'' is 0 wherever u has underflowed.
     """
-    p, peak = params.p, params.peak_rho
-    pm1 = p - 1.0
+    rhos = list(rhos)
+    us = eval_spike_rho_grid(params, rhos)
+    peak, pm1 = params.peak_rho, params.p - 1.0
     two_pm1 = 2.0 * pm1
-    log_scale = math.log(2.0 * (p + 1.0))
-    exp, log1p, tiny = math.exp, math.log1p, _LOG_TINY
-    us: list[float] = []
+    exp = math.exp
     upps: list[float] = []
-    for rho in rhos:
-        dist = abs(rho - peak)
-        w = exp(-(pm1 * dist))
-        log_u = (log_scale - 2.0 * log1p(w)) / pm1 - dist
-        u = 0.0 if log_u < tiny else exp(log_u)
-        us.append(u)
+    for rho, u in zip(rhos, us):
+        w = exp(-(pm1 * abs(rho - peak)))
         a, b = 1.0 - w, 1.0 + w
         upps.append(u * (a * a - two_pm1 * w) / (b * b))
     return us, upps

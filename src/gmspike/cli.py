@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain
 from operator import sub
@@ -61,6 +61,8 @@ _SWEEP_GRID_POINTS = 401
 _SWEEP_SPAN = 10.0
 # A grid is built in memory; at 10**7 points a compare CSV is already about 1.2 GB.
 _MAX_GRID_POINTS = 10_000_000
+# The tolerances, then the step sizes that IntegratorConfig keeps as class constants.
+_INTEGRATOR_ECHO = ("rel_tol", "abs_tol", "h_init", "h_min", "h_max")
 _SUMMARY_COLUMNS = (
     "p", "kind", "a_star", "amplitude", "amp_abs_err", "bc_residual", "max_abs_err", "l2_err",
     "converged",
@@ -95,7 +97,7 @@ class RunConfig:
                 "peak_rho": params.peak_rho,
                 "kind": params.kind.value,
             },
-            "integrator": asdict(self.integrator),
+            "integrator": {name: getattr(self.integrator, name) for name in _INTEGRATOR_ECHO},
             "grid": list(self.grid) if self.grid is not None else None,
             "format": self.fmt,
         }
@@ -263,22 +265,25 @@ def _shoot_columns(result: ShootingResult) -> tuple[list[float], ...]:
     [-L/epsilon, L/epsilon], read backwards from the peak, in the domain
     coordinate as ``shooting.eval_profile_grid`` maps it: an inner spike's
     rows run out from the peak to the right, a boundary spike's inward from
-    the wall, so rho falls and v keeps the run's sign."""
+    the wall, so rho falls and v keeps the run's sign.  u_analytic is the
+    closed form at the row's distance d from the peak, the distance the run
+    was read at, not at its rounded rho."""
     params = result.params
     boundary = params.kind is SpikeKind.BOUNDARY
     reach = params.peak_rho + params.half_length / params.epsilon
     sigma_pk = result.sigma_pk
-    rhos, us, vs = [], [], []
+    ds, us, vs = [], [], []
     for sigma, state in reversed(result.trajectory.samples):
         d = sigma_pk - sigma
         if d > reach:
             break
         # d = 0 at the run's end, the peak, where the slope is 0; it always gives a row.
         v = state.v if d else 0.0
-        rhos.append(params.peak_rho - d if boundary else d)
+        ds.append(d)
         us.append(state.u)
         vs.append(v if boundary else -v)
-    uas = eval_spike_rho_grid(params, rhos)
+    rhos = [params.peak_rho - d for d in ds] if boundary else ds
+    uas = eval_spike_rho_grid(ProblemParams.inner(params.p), ds)
     return rhos, uas, us, vs, list(map(abs, map(sub, uas, us)))
 
 
@@ -461,6 +466,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     grid = values.get("grid")
     if grid is None and args.command in ("analytic", "residual"):
         grid = _default_grid(params)
+    elif args.command == "shoot":
+        _default_grid(params)  # No grid, but its table is refused where the default grid is.
     # A tolerance that no option of the subcommand sets keeps its class default.
     names = {field.name for field in fields(IntegratorConfig)} & values.keys()
     integrator = IntegratorConfig(**{name: values[name] for name in names})

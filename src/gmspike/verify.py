@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from functools import reduce
+from operator import add, mul, sub
 
 from .analytic import ProblemParams, eval_spike_rho_grid, eval_spike_second_derivative_grid
 # bench/child.py traces these two through this module.
@@ -74,7 +75,8 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
     analytic = eval_spike_rho_grid(params, grid)
     abs_errs = list(map(abs, map(sub, analytic, numeric)))
     max_abs_err = max(abs_errs)
-    l2_err = math.sqrt(sum(e * e for e in abs_errs) / len(abs_errs))
+    # Added left to right: sum() of floats is compensated from Python 3.12 on.
+    l2_err = math.sqrt(reduce(add, map(mul, abs_errs, abs_errs), 0.0) / len(abs_errs))
     return ComparisonReport(grid, analytic, numeric, numeric_v, max_abs_err, l2_err)
 
 

@@ -169,7 +169,7 @@ class TestArgumentHandling:
         assert excinfo.value.code == 2
         assert "rho=-17.0 lies outside the integrated span" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    @pytest.mark.parametrize("command", ["compare", "sweep", "shoot"])
     @pytest.mark.parametrize(
         "domain",
         [
@@ -182,7 +182,7 @@ class TestArgumentHandling:
     def test_unrepresentable_boundary_domain_exits_2(self, command, domain, tmp_path, capsys):
         out = tmp_path / "out"
         # The sweep runs the boundary cases anyway, and takes no spike options.
-        spike = ["--p", "3", "--spike", "boundary"] if command == "compare" else []
+        spike = ["--p", "3", "--spike", "boundary"] if command != "sweep" else []
         argv = [command, *spike, *domain, "--out", str(out)]
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
@@ -622,8 +622,22 @@ class TestShootCommand:
         assert float(rows[0][0]) == 10.0
         assert all(float(row[0]) <= 10.0 for row in rows)
         assert all(float(row[3]) >= 0.0 for row in rows)
-        # u_analytic is read at the domain coordinate the row names.
-        assert all(float(row[4]) < 1e-6 for row in rows)
+        # u_analytic is read at the row's distance from the peak.
+        assert all(float(row[4]) < 1e-9 for row in rows)
+
+    def test_boundary_error_column_is_the_inner_one(self, tmp_path):
+        # At epsilon = 1e-7 the wall is at rho = 1e7, where the label
+        # rho = 1e7 - d keeps only d's top bits; the closed form is read at
+        # d itself, so every column but rho and v is the inner table's.
+        columns = {}
+        for spike in ("inner", "boundary"):
+            out = tmp_path / f"{spike}.csv"
+            argv = ["shoot", "--p", "2", "--spike", spike, "--epsilon", "1e-7", "--out", str(out)]
+            assert cli.main(argv) == 0
+            _, rows = read_rows(out)
+            columns[spike] = [(row[1], row[2], row[4]) for row in rows]
+        assert columns["boundary"] == columns["inner"]
+        assert max(float(error) for _, _, error in columns["inner"]) < 1e-10
 
     def test_rows_stay_inside_a_narrow_domain(self, tmp_path):
         # At epsilon = 0.2 the domain is [-5, 5]: the run reaches 17.2 from

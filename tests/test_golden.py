@@ -19,9 +19,15 @@ regenerates the file with
     PYTHONPATH=src python tests/test_golden.py
 
 which prints every artifact whose digest changed, was added or was removed.
+With ``--check`` it recomputes the digests and writes nothing: it prints
+the same lines and exits 1 if there are any.  It needs no pytest, so it
+checks the artifacts under any Python the package supports.
 """
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -155,8 +161,7 @@ def test_shoots_match_golden():
     assert digests == {k: v for k, v in golden.items() if k.startswith("shoot/")}
 
 
-def _regenerate() -> None:
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+def _all_digests() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for sub in ("csv", "json", "single"):
@@ -167,16 +172,47 @@ def _regenerate() -> None:
         digests.update(_single_digests(root / "single"))
     digests.update(_integrate_digests())
     digests.update(_shoot_digests())
-    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
-    for key in sorted(digests.keys() | old.keys()):
+    return digests
+
+
+def _differences(old: dict, new: dict) -> list[str]:
+    """One line per digest that was added, removed or changed, by key."""
+    lines = []
+    for key in sorted(new.keys() | old.keys()):
         if key not in old:
-            print(f"added: {key}", file=sys.stderr)
-        elif key not in digests:
-            print(f"removed: {key}", file=sys.stderr)
-        elif digests[key] != old[key]:
-            print(f"changed: {key}", file=sys.stderr)
+            lines.append(f"added: {key}")
+        elif key not in new:
+            lines.append(f"removed: {key}")
+        elif new[key] != old[key]:
+            lines.append(f"changed: {key}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden digests.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="recompute the digests, write nothing, and exit 1 if any differs",
+    )
+    args = parser.parse_args(argv)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    # The commands' status lines are not this report's.
+    with contextlib.redirect_stderr(io.StringIO()):
+        digests = _all_digests()
+    differences = _differences(old, digests)
+    for line in differences:
+        print(line, file=sys.stderr)
+    if args.check:
+        print(
+            f"{len(differences)} of {len(digests.keys() | old.keys())} digests differ "
+            f"from {GOLDEN.name}",
+            file=sys.stderr,
+        )
+        return 1 if differences else 0
+    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    _regenerate()
+    raise SystemExit(main())

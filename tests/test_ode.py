@@ -4,7 +4,9 @@ import ast
 import bisect
 import math
 import random
+from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,14 +28,18 @@ from gmspike import (
 AMP2 = spike_amplitude(2.0)
 PARAMS2 = ProblemParams.inner(2.0)
 
-# Forces one oversized fixed step at a tolerance it cannot meet.
-UNSATISFIABLE = IntegratorConfig(
-    rel_tol=1e-14, abs_tol=1e-16, h_init=0.1, h_min=0.1, h_max=0.1
-)
+# Tolerances that no step of 0.1 meets.
+UNSATISFIABLE = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
+# Tolerances that every step meets.
+LOOSE = IntegratorConfig(rel_tol=1.0, abs_tol=1e6)
 
 
-def fixed_step_config(h):
-    return IntegratorConfig(rel_tol=1.0, abs_tol=1e6, h_init=h, h_min=h, h_max=h)
+def fixed_step_run(h, config, *args):
+    """``integrate(*args, config)`` with the class's step sizes all set to
+    ``h``: every step is h long, and the first one the tolerances reject
+    ends the run."""
+    with mock.patch.multiple(IntegratorConfig, h_init=h, h_min=h, h_max=h):
+        return integrate(*args, config)
 
 
 class TestHamiltonian:
@@ -65,20 +71,24 @@ class TestConfig:
         [
             {"rel_tol": 0.0},
             {"abs_tol": -1.0},
-            {"h_min": 0.2, "h_init": 0.1},
-            {"h_max": 1e-6},
-            # Infinite tolerances switch error control off; infinite bounds
-            # let one step span the run.
+            # Infinite tolerances switch error control off, and NaN ones
+            # reject every step.
             {"rel_tol": math.inf},
             {"abs_tol": math.inf},
-            {"h_max": math.inf},
-            {"h_init": math.inf, "h_max": math.inf},
-            {"h_min": math.inf, "h_init": math.inf, "h_max": math.inf},
+            {"rel_tol": math.nan},
+            {"abs_tol": math.nan},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_step_sizes_are_class_constants(self):
+        assert [field.name for field in fields(IntegratorConfig)] == ["rel_tol", "abs_tol"]
+        config = IntegratorConfig()
+        assert (config.h_init, config.h_min, config.h_max) == (1e-3, 1e-12, 0.1)
+        with pytest.raises(TypeError):
+            IntegratorConfig(h_max=1.0)
 
 
 class TestIntegrateBasics:
@@ -205,8 +215,8 @@ class TestDenseWalk:
 
     SPIKE = integrate(State(AMP2, 0.0), 0.0, 10.0, 2.0)
     # One step: the span is shorter than the first step.
-    ONE_STEP = integrate(State(AMP2, 0.0), 0.0, 0.05, 2.0, fixed_step_config(0.1))
-    NO_STEP = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, UNSATISFIABLE)
+    ONE_STEP = fixed_step_run(0.1, LOOSE, State(AMP2, 0.0), 0.0, 0.05, 2.0)
+    NO_STEP = fixed_step_run(0.1, UNSATISFIABLE, State(AMP2, 0.0), 0.0, 4.0, 2.0)
 
     @staticmethod
     def grids(trajectory):
@@ -304,7 +314,7 @@ class TestEvents:
         assert inside.end[1].u > 0.5
 
     def test_step_failure_reported(self):
-        trajectory = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, UNSATISFIABLE)
+        trajectory = fixed_step_run(0.1, UNSATISFIABLE, State(AMP2, 0.0), 0.0, 4.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.STEP_FAILURE
         assert trajectory.rejected_steps >= 1
         # No step was accepted: the dense output is the start point alone.
@@ -362,7 +372,7 @@ class TestOrder:
 
     def test_fixed_step_convergence_rate(self):
         def endpoint_error(h):
-            trajectory = integrate(State(AMP2, 0.0), 0.0, 4.0, 2.0, fixed_step_config(h))
+            trajectory = fixed_step_run(h, LOOSE, State(AMP2, 0.0), 0.0, 4.0, 2.0)
             end = trajectory.samples[-1][1]
             return abs(end.u - eval_spike_rho(PARAMS2, 4.0)) + abs(
                 end.v - eval_spike_derivative(PARAMS2, 4.0)

@@ -27,10 +27,8 @@ from gmspike import (
 from gmspike import ode as ode_mod
 from gmspike import shooting as shooting_mod
 
-# Forces one oversized fixed step at a tolerance it cannot meet.
-UNSATISFIABLE = IntegratorConfig(
-    rel_tol=1e-14, abs_tol=1e-16, h_init=0.1, h_min=0.1, h_max=0.1
-)
+# Tolerances that no step of 0.1 meets.
+UNSATISFIABLE = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
 
 P_RANGE = (1.01, 1.2, 2.0, 4.0, 10.0, 100.0)
 
@@ -122,7 +120,10 @@ class TestClassify:
                 assert math.copysign(1.0, hamiltonian(start, p)) == sign
                 assert math.copysign(1.0, hamiltonian(end, p)) == sign
 
-    def test_integrator_breakdown_is_an_error(self):
+    def test_integrator_breakdown_is_an_error(self, monkeypatch):
+        # Every step is 0.1 long, so the first rejection ends the run.
+        for name in ("h_init", "h_min", "h_max"):
+            monkeypatch.setattr(IntegratorConfig, name, 0.1)
         with pytest.raises(ShootingError, match="step size underflow"):
             shoot(ProblemParams.inner(2.0), integrator_config=UNSATISFIABLE)
 

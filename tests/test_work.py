@@ -51,3 +51,13 @@ def test_a_boundary_shoot_does_the_inner_work(p, monkeypatch):
     work = _count_work(monkeypatch)
     shoot(ProblemParams.boundary(p))
     assert tuple(work) == PINNED_WORK[p]
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_WORK))
+def test_a_boundary_shoot_takes_the_inner_steps(p):
+    # Not just as many: the same steps and end, bit for bit, so one run can
+    # serve both kinds.
+    inner = shoot(ProblemParams.inner(p)).trajectory
+    boundary = shoot(ProblemParams.boundary(p)).trajectory
+    assert repr(boundary.steps) == repr(inner.steps)
+    assert repr(boundary.end) == repr(inner.end)
