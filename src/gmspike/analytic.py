@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+from .ode import CheckedRecord
 
 __all__ = [
     "P_MIN",
@@ -62,31 +63,11 @@ class SpikeKind(Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class ProblemParams:
-    """Problem data for a single spike on the rescaled interval.
-
-    The original problem lives on x in [-half_length, half_length] with the
-    singular perturbation scale ``epsilon``; the rescaled coordinate is
-    rho = x / epsilon.  An inner spike peaks at rho = 0, a boundary spike at
-    rho = half_length / epsilon (the right endpoint).
-    """
-
+class _ProblemParams(NamedTuple):
     p: float
     epsilon: float = 0.1
     half_length: float = 1.0
     kind: SpikeKind = SpikeKind.INNER
-
-    def __post_init__(self) -> None:
-        _check_p(self.p)
-        if not isinstance(self.kind, SpikeKind):
-            raise ValueError(f"kind must be a SpikeKind, got {self.kind!r}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not (self.half_length > 0.0 and math.isfinite(self.half_length)):
-            raise ValueError(f"half_length must be positive, got {self.half_length!r}")
-        if not math.isfinite(self.half_length / self.epsilon):
-            raise ValueError("half_length / epsilon overflows; shrink L or grow epsilon")
 
     # epsilon and half_length below are the field defaults, read from the class body.
     @classmethod
@@ -101,6 +82,29 @@ class ProblemParams:
     def peak_rho(self) -> float:
         """Peak position: 0 for an inner spike, the right endpoint for a boundary spike."""
         return self.half_length / self.epsilon if self.kind is SpikeKind.BOUNDARY else 0.0
+
+
+class ProblemParams(CheckedRecord, _ProblemParams):
+    """Problem data for a single spike on the rescaled interval.
+
+    The original problem lives on x in [-half_length, half_length] with the
+    singular perturbation scale ``epsilon``; the rescaled coordinate is
+    rho = x / epsilon.  An inner spike peaks at rho = 0, a boundary spike at
+    rho = half_length / epsilon (the right endpoint).
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        _check_p(self.p)
+        if not isinstance(self.kind, SpikeKind):
+            raise ValueError(f"kind must be a SpikeKind, got {self.kind!r}")
+        if not (0.0 < self.epsilon < 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        if not (self.half_length > 0.0 and math.isfinite(self.half_length)):
+            raise ValueError(f"half_length must be positive, got {self.half_length!r}")
+        if not math.isfinite(self.half_length / self.epsilon):
+            raise ValueError("half_length / epsilon overflows; shrink L or grow epsilon")
 
 
 def _check_p(p: float) -> None:

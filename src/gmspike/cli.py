@@ -32,12 +32,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain
 from operator import sub
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .analytic import (
     P_MAX,
@@ -48,7 +47,7 @@ from .analytic import (
     eval_spike_rho_grid,
     spike_amplitude,
 )
-from .ode import IntegratorConfig
+from .ode import CheckedRecord, IntegratorConfig
 from .shooting import ShootingError, ShootingResult, check_within_wall, shoot
 from .verify import ComparisonReport, check_first_integral, compare, ode_residual
 
@@ -69,10 +68,7 @@ _SUMMARY_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, fully determined and serializable."""
-
+class _RunConfig(NamedTuple):
     command: str
     params: ProblemParams
     integrator: IntegratorConfig
@@ -80,7 +76,13 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
 
-    def __post_init__(self) -> None:
+
+class RunConfig(CheckedRecord, _RunConfig):
+    """One CLI invocation, fully determined and serializable."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.grid is not None:
             _check_grid(self.grid)
             check_within_wall(self.params, (self.grid[1],))
@@ -309,16 +311,11 @@ def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport
     result = shoot(config.params, config.integrator)
     report = compare(result, _make_grid(grid))
 
-    def payload() -> dict:
-        # A shallow copy: asdict would deep-copy every float of a dense grid.
-        comparison = {field.name: getattr(report, field.name) for field in fields(report)}
-        return {**_shoot_result(result), "comparison": comparison}
-
     def csv() -> Iterator[str]:
         errors = list(map(abs, map(sub, report.analytic, report.numeric)))
         return _csv_lines((report.grid, report.analytic, report.numeric, report.numeric_v, errors))
 
-    _emit_report(config, csv, payload)
+    _emit_report(config, csv, lambda: {**_shoot_result(result), "comparison": report._asdict()})
     return result, report
 
 
@@ -361,8 +358,8 @@ def _run_sweep(config: RunConfig) -> int:
         for kind in SpikeKind:
             params = ProblemParams(p, config.params.epsilon, config.params.half_length, kind)
             out = out_dir / f"compare_p{p:g}_{kind.value}.{config.fmt}"
-            cases.append(replace(
-                config, command="compare", params=params, grid=_default_grid(params), out=str(out)
+            cases.append(config._replace(
+                command="compare", params=params, grid=_default_grid(params), out=str(out)
             ))
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
@@ -381,7 +378,7 @@ def _run_sweep(config: RunConfig) -> int:
             )
         summary_rows.append(_summary_row(params, outcome))
 
-    summary = replace(config, out=str(out_dir / f"summary.{config.fmt}"))
+    summary = config._replace(out=str(out_dir / f"summary.{config.fmt}"))
     _emit_report(summary, lambda: _summary_lines(summary_rows), lambda: summary_rows)
     # A failed case's row leaves converged empty.
     return 0 if all(row["converged"] for row in summary_rows) else 1
@@ -436,12 +433,13 @@ def _build_parser() -> argparse.ArgumentParser:
     spike.add_argument(
         "--spike", choices=["inner", "boundary"], default="inner", help="spike location"
     )
+    defaults = {**ProblemParams._field_defaults, **IntegratorConfig._field_defaults}
     number = partial(domain.add_argument, type=float)
-    number("--epsilon", default=ProblemParams.epsilon, help="length-scale ratio in (0, 1)")
-    number("--L", default=ProblemParams.half_length, help="half-domain length")
+    number("--epsilon", default=defaults["epsilon"], help="length-scale ratio in (0, 1)")
+    number("--L", default=defaults["half_length"], help="half-domain length")
     number = partial(solver.add_argument, type=float)
-    number("--rel-tol", default=IntegratorConfig.rel_tol, help="integrator relative tolerance")
-    number("--abs-tol", default=IntegratorConfig.abs_tol, help="integrator absolute tolerance")
+    number("--rel-tol", default=defaults["rel_tol"], help="integrator relative tolerance")
+    number("--abs-tol", default=defaults["abs_tol"], help="integrator absolute tolerance")
     grid_help = "evaluation grid start:end:count (use --grid=-10:10:401 for negative starts)"
     grid.add_argument("--grid", type=_parse_grid, help=grid_help)
     output.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt")
@@ -469,7 +467,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     elif args.command == "shoot":
         _default_grid(params)  # No grid, but its table is refused where the default grid is.
     # A tolerance that no option of the subcommand sets keeps its class default.
-    names = {field.name for field in fields(IntegratorConfig)} & values.keys()
+    names = values.keys() & IntegratorConfig._fields
     integrator = IntegratorConfig(**{name: values[name] for name in names})
     return RunConfig(args.command, params, integrator, grid, args.out, args.fmt)
 

@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, NamedTuple
 
 __all__ = [
     "TerminalEvent",
@@ -107,25 +106,44 @@ class TerminalEvent(Enum):
     STEP_FAILURE = "step_failure"
 
 
-@dataclass(frozen=True)
-class State:
+class CheckedRecord:
+    """First base of a NamedTuple subclass with a ``_check`` that raises
+    ValueError on bad fields.  The constructor runs it, and so do ``_make``
+    and ``_replace``, which in a bare NamedTuple skip ``__new__``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class State(NamedTuple):
     """Phase-plane point (u, v) with v = du/drho."""
 
     u: float
     v: float
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """A run's error tolerances; its step sizes are class constants, not fields."""
-
+class _IntegratorConfig(NamedTuple):
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
+
+
+class IntegratorConfig(CheckedRecord, _IntegratorConfig):
+    """A run's error tolerances; its step sizes are class constants, not fields."""
+
+    __slots__ = ()
     h_init: ClassVar[float] = 1e-3
     h_min: ClassVar[float] = 1e-12
     h_max: ClassVar[float] = 0.1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # An infinite tolerance switches error control off.
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
@@ -163,9 +181,8 @@ def _dense(c: tuple[float, ...], theta: float) -> tuple[float, float]:
     )
 
 
-@dataclass
 class Trajectory:
-    """Result of one integration run.
+    """Result of one integration run: a plain object, which caches its interpolants.
 
     ``steps`` holds the raw stages of each accepted step as flat tuples
     (rho, h, u, v, k1, k3..k7 of u, then of v); the last one reaches past
@@ -175,10 +192,12 @@ class Trajectory:
     after a step failure.
     """
 
-    steps: list[tuple[float, ...]] = field(repr=False)
-    end: tuple[float, State]
-    rejected_steps: int
-    terminal_event: TerminalEvent
+    def __init__(
+        self, steps: list[tuple[float, ...]], end: tuple[float, State], rejected_steps: int,
+        terminal_event: TerminalEvent,
+    ) -> None:
+        self.steps, self.end = steps, end
+        self.rejected_steps, self.terminal_event = rejected_steps, terminal_event
 
     @property
     def samples(self) -> list[tuple[float, State]]:

@@ -31,8 +31,7 @@ endpoint rho = L / epsilon is the inner one shifted there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .analytic import ProblemParams, SpikeKind
 from .ode import IntegratorConfig, State, TerminalEvent, Trajectory, integrate
@@ -61,8 +60,7 @@ class ShootingError(RuntimeError):
     underflowed, or the run crossed u = 0 or reached its horizon."""
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
+class ShootingConfig(NamedTuple):
     """The settings of the amplitude scan the inward run replaced; it has
     none left.  :func:`shoot` takes no config of this class.
 
@@ -71,7 +69,7 @@ class ShootingConfig:
     ``ShootingResult.config``.
     """
 
-    scan_points: ClassVar[int] = 0
+    scan_points = 0  # Unannotated: NamedTuple makes every annotation a field.
 
 
 class InwardRun(NamedTuple):
@@ -83,8 +81,7 @@ class InwardRun(NamedTuple):
     sigma_pk: float
 
 
-@dataclass(frozen=True)
-class ShootingResult:
+class ShootingResult(NamedTuple):
     """The inward run and what it found.
 
     ``classifications`` is the run log, one :class:`InwardRun` per

@@ -12,9 +12,9 @@ trajectories (:func:`check_first_integral`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .analytic import ProblemParams, eval_spike_rho_grid, eval_spike_second_derivative_grid
 # bench/child.py traces these two through this module.
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Grid-wise agreement between analytic and shooting profiles."""
 
     grid: list[float]

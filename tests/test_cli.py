@@ -264,13 +264,25 @@ class TestArgumentHandling:
     def test_cli_defaults_are_the_library_defaults(self, command):
         # analytic and residual take no solver options, and sweep no spike
         # options; each still echoes the library defaults for them.
-        config = cli._config_from_args(cli._build_parser().parse_args([command]))
+        args = cli._build_parser().parse_args([command])
+        config = cli._config_from_args(args)
         # The shoot has no settings of its own, so the echo has none to carry.
         assert list(config.to_dict()) == ["command", "params", "integrator", "grid", "format"]
         assert config.integrator == IntegratorConfig()
         assert config.params.epsilon == ProblemParams.inner(2.0).epsilon
         assert config.params.half_length == ProblemParams.inner(2.0).half_length
         assert config.params == ProblemParams.inner(2.0)
+        # Each option taken defaults to its record's field default: a field
+        # read off a NamedTuple class is a descriptor, not its default.
+        params, integrator = ProblemParams(2.0), IntegratorConfig()
+        defaults = {
+            "epsilon": params.epsilon, "L": params.half_length,
+            "rel_tol": integrator.rel_tol, "abs_tol": integrator.abs_tol,
+        }
+        given = vars(args)
+        taken = defaults.keys() & given.keys()
+        assert {"epsilon", "L"} <= taken
+        assert {name: given[name] for name in taken} == {name: defaults[name] for name in taken}
 
     def test_equals_form_accepts_negative_grid(self, capsys):
         assert cli.main(["analytic", "--grid=-2:2:5"]) == 0

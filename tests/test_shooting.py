@@ -2,7 +2,6 @@
 
 import ast
 import math
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -456,7 +455,7 @@ class TestEvalProfile:
 class TestConfigValidation:
     def test_defaults(self):
         # The inward run has no settings: no scan, no far-field truncation.
-        assert fields(ShootingConfig) == ()
+        assert ShootingConfig._fields == ()
         assert ShootingConfig() == ShootingConfig()
         assert ShootingConfig.scan_points == ShootingConfig().scan_points == 0
 
