@@ -13,11 +13,13 @@ which is exactly 0 on the spike orbit and is used as a drift diagnostic.
 Integration uses the Dormand-Prince 5(4) embedded pair with the standard
 quartic dense-output interpolant.  Each accepted step is kept as its raw
 stages; its interpolant is built from them only where it is read: on a step
-that changes the sign of u or of v, and, for every step at once, on the
-first dense evaluation of a returned trajectory.  An interpolant is one flat
-tuple (rho0, h, u0, v0, cu1..cu4, cv1..cv4), and :func:`_dense` evaluates
-its quartic.  :meth:`Trajectory.eval` turns a sequence of points into u and
-v columns by walking them: it unpacks a step once, writes ``_dense`` out for
+that changes the sign of u or of v, and, on a returned trajectory, when a
+dense evaluation first enters that step, which keeps it for later ones.  A
+grid that reads only part of a run builds only that part.  An interpolant is
+one flat tuple (rho0, h, u0, v0, cu1..cu4, cv1..cv4), built in one flat
+expression by :func:`_interpolant`, and :func:`_dense` evaluates its
+quartic.  :meth:`Trajectory.eval` turns a sequence of points into u and v
+columns by walking them: it unpacks a step once, writes ``_dense`` out for
 as long as the points stay in that step, and bisects only for a point that
 leaves it, so a sorted or V-shaped grid costs a bisection per step entered,
 not per point, and gets ``_dense``'s bits.  Every accepted step is scanned
@@ -97,6 +99,14 @@ _P4 = (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 18
 _P5 = (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632)
 _P6 = (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844)
 _P7 = (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
+# The same coefficients as scalars, _Pij = _Pi[j - 1], so that
+# :func:`_interpolant` is one flat expression with no indexing.
+_P12, _P13, _P14 = _P1[1:]
+_P32, _P33, _P34 = _P3[1:]
+_P42, _P43, _P44 = _P4[1:]
+_P52, _P53, _P54 = _P5[1:]
+_P62, _P63, _P64 = _P6[1:]
+_P72, _P73, _P74 = _P7[1:]
 
 
 class TerminalEvent(Enum):
@@ -149,26 +159,25 @@ class IntegratorConfig(CheckedRecord, _IntegratorConfig):
             raise ValueError("tolerances must be positive and finite")
 
 
-def _coefficients(
-    k1: float, k3: float, k4: float, k5: float, k6: float, k7: float
-) -> tuple[float, float, float, float]:
-    """Quartic dense-output coefficients of one component of a step."""
-    return (
-        _P1[0] * k1,
-        _P1[1] * k1 + _P3[1] * k3 + _P4[1] * k4 + _P5[1] * k5 + _P6[1] * k6 + _P7[1] * k7,
-        _P1[2] * k1 + _P3[2] * k3 + _P4[2] * k4 + _P5[2] * k5 + _P6[2] * k6 + _P7[2] * k7,
-        _P1[3] * k1 + _P3[3] * k3 + _P4[3] * k4 + _P5[3] * k5 + _P6[3] * k6 + _P7[3] * k7,
-    )
-
-
 def _interpolant(step: tuple[float, ...]) -> tuple[float, ...]:
     """Interpolant (rho0, h, u0, v0, cu1..cu4, cv1..cv4) of one raw step
-    (rho, h, u, v, k1, k3..k7 of u, then of v)."""
+    (rho, h, u, v, k1, k3..k7 of u, then of v).
+
+    Each c_j sums P1[j-1]*k1 + P3[j-1]*k3 + ... + P7[j-1]*k7 in that order,
+    reading P[i][j-1] as the scalar _Pij; c1 is k1 alone, since P1[0] is 1.0
+    and the other rows start with 0.0.
+    """
     rho0, h, u0, v0, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v = step
     return (
         rho0, h, u0, v0,
-        *_coefficients(k1u, k3u, k4u, k5u, k6u, k7u),
-        *_coefficients(k1v, k3v, k4v, k5v, k6v, k7v),
+        k1u,
+        _P12 * k1u + _P32 * k3u + _P42 * k4u + _P52 * k5u + _P62 * k6u + _P72 * k7u,
+        _P13 * k1u + _P33 * k3u + _P43 * k4u + _P53 * k5u + _P63 * k6u + _P73 * k7u,
+        _P14 * k1u + _P34 * k3u + _P44 * k4u + _P54 * k5u + _P64 * k6u + _P74 * k7u,
+        k1v,
+        _P12 * k1v + _P32 * k3v + _P42 * k4v + _P52 * k5v + _P62 * k6v + _P72 * k7v,
+        _P13 * k1v + _P33 * k3v + _P43 * k4v + _P53 * k5v + _P63 * k6v + _P73 * k7v,
+        _P14 * k1v + _P34 * k3v + _P44 * k4v + _P54 * k5v + _P64 * k6v + _P74 * k7v,
     )
 
 
@@ -186,10 +195,10 @@ class Trajectory:
 
     ``steps`` holds the raw stages of each accepted step as flat tuples
     (rho, h, u, v, k1, k3..k7 of u, then of v); the last one reaches past
-    ``end`` when a terminal event cut it short.  :meth:`eval` turns them
-    into dense interpolants on first use.  ``end`` is the final (rho,
-    state): the event location, ``rho_end``, or the last accepted point
-    after a step failure.
+    ``end`` when a terminal event cut it short.  :meth:`eval` builds a
+    step's dense interpolant when a point first enters that step, and keeps
+    it in ``_interpolants``.  ``end`` is the final (rho, state): the event
+    location, ``rho_end``, or the last accepted point after a step failure.
     """
 
     def __init__(
@@ -221,7 +230,7 @@ class Trajectory:
         ``rhos``.
         """
         lo, hi = self.rho_start, self.end[0]
-        interpolants, starts = self._interpolants, self._starts
+        steps, interpolants, starts = self.steps, self._interpolants, self._starts
         us, vs = [], []
         add_u, add_v = us.append, vs.append
         # The step read last covers [start, stop); NaN makes the first point bisect.
@@ -238,7 +247,10 @@ class Trajectory:
             if not start <= rho < stop:
                 # rho >= starts[0] here, so the index is never negative.
                 i = bisect.bisect_right(starts, rho) - 1
-                start, h, u0, v0, cu1, cu2, cu3, cu4, cv1, cv2, cv3, cv4 = interpolants[i]
+                c = interpolants[i]
+                if c is None:
+                    c = interpolants[i] = _interpolant(steps[i])
+                start, h, u0, v0, cu1, cu2, cu3, cu4, cv1, cv2, cv3, cv4 = c
                 stop = starts[i + 1]
             # _dense, written out: the same expression, so the same bits.
             theta = (rho - start) / h
@@ -247,8 +259,9 @@ class Trajectory:
         return us, vs
 
     @cached_property
-    def _interpolants(self) -> list[tuple[float, ...]]:
-        return [_interpolant(step) for step in self.steps]
+    def _interpolants(self) -> list[tuple[float, ...] | None]:
+        """Interpolant of each step, or None until :meth:`eval` first enters it."""
+        return [None] * len(self.steps)
 
     @cached_property
     def _starts(self) -> list[float]:

@@ -31,7 +31,8 @@ endpoint rho = L / epsilon is the inner one shifted there.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from .analytic import ProblemParams, SpikeKind
 from .ode import IntegratorConfig, State, TerminalEvent, Trajectory, integrate
@@ -163,9 +164,10 @@ def check_within_wall(params: ProblemParams, rhos: Iterable[float]) -> None:
 
 
 def eval_profile_grid(
-    result: ShootingResult, rhos: Sequence[float]
+    result: ShootingResult, rhos: Iterable[float]
 ) -> tuple[list[float], list[float]]:
-    """Shooting profile u and v columns at the domain coordinates ``rhos``.
+    """Shooting profile u and v columns at the domain coordinates ``rhos``,
+    any iterable of them.
 
     u at distance d from the peak is the run at sigma_pk - d.  The run
     climbs towards the peak, so v is the run's slope where rho < peak and
@@ -174,6 +176,9 @@ def eval_profile_grid(
     lies farther than sigma_pk from the peak or, for boundary spikes, past
     the domain edge.
     """
+    # The points are read more than once below, so a one-shot iterable is listed.
+    if not isinstance(rhos, Sequence):
+        rhos = list(rhos)
     params = result.params
     peak, reach = params.peak_rho, result.sigma_pk
     limit = reach + 1e-9

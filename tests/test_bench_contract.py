@@ -11,8 +11,9 @@ patches ``shooting.integrate``, ``ode.Trajectory.eval``,
 columns.  A change to ``src/`` that breaks one of them would only show when
 the benchmark is run, so one traced op of each workload runs here, started
 as ``bench/run.py`` starts it: ``dense_grid`` is the one that reaches
-``Trajectory.eval`` and ``cli.ode_residual``.  Every ``shoot_range`` case,
-p = 1.01 included, and every ``dense_grid`` artifact must pass its check.
+``Trajectory.eval`` and ``cli.ode_residual``.  Every case must pass its
+check: the six ``shoot_range`` shoots, p = 1.01 included, the six
+``sweep_cli`` spikes and the four ``dense_grid`` artifacts.
 """
 
 import json
@@ -44,7 +45,6 @@ def test_traced_bench_op_runs(workload, tmp_path):
     assert isinstance(outcome["layers"], dict)
     crashed = [c for c in outcome["cases"] if EXCEPTION_NAME.search(str(c["error"]))]
     assert not crashed, [(c["case"], c["error"]) for c in crashed]
-    if workload in ("shoot_range", "dense_grid"):
-        failed = [(c["case"], c["error"]) for c in outcome["cases"] if not c["ok"]]
-        assert len(outcome["cases"]) == {"shoot_range": 6, "dense_grid": 4}[workload]
-        assert not failed, failed
+    failed = [(c["case"], c["error"]) for c in outcome["cases"] if not c["ok"]]
+    assert len(outcome["cases"]) == {"shoot_range": 6, "sweep_cli": 6, "dense_grid": 4}[workload]
+    assert not failed, failed

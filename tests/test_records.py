@@ -139,5 +139,5 @@ class TestRecords:
         trajectory = integrate(State(1.4, 0.0), 0.0, 1.0, 2.0)
         assert not isinstance(trajectory, tuple)
         trajectory.eval([0.5])
-        # eval cached the interpolants on the object.
+        # eval cached the interpolant of the step it read on the object.
         assert "_interpolants" in vars(trajectory)

@@ -427,6 +427,24 @@ class TestEvalProfile:
         with pytest.raises(ValueError, match=f"^rho={peak + 1e-8!r} lies outside the domain"):
             eval_profile_grid(result, [peak - 1.0, peak + 1e-8])
 
+    def test_a_grid_can_be_any_iterable(self, default_shoots):
+        # The points are scanned before they are read: a generator used to
+        # be spent by the scan and give ([], []).
+        result = default_shoots[2.0]
+        grid = [x * 0.5 for x in range(-4, 5)]
+        columns = eval_profile_grid(result, grid)
+        assert len(columns[0]) == len(grid)
+        assert eval_profile_grid(result, (x * 0.5 for x in range(-4, 5))) == columns
+        assert eval_profile_grid(result, iter(grid)) == columns
+        assert eval_profile_grid(result, tuple(grid)) == columns
+        assert eval_profile_grid(result, map(float, grid)) == columns
+
+    def test_a_one_shot_grid_names_the_point_past_the_wall(self):
+        result = shoot(ProblemParams.boundary(3.0))
+        peak = result.params.peak_rho
+        with pytest.raises(ValueError, match=f"^rho={peak + 0.5!r} lies outside the domain"):
+            eval_profile_grid(result, iter([peak + 0.5, peak - 30.0]))
+
     @pytest.mark.parametrize("kind", ("inner", "boundary"))
     @pytest.mark.parametrize("p", (1.2, 2.0, 100.0))
     def test_grid_form_matches_one_point_bit_for_bit(self, p, kind):

@@ -1,12 +1,15 @@
-"""Work pinned per shoot: integrations and accepted/rejected steps.
+"""Work pinned per shoot and per command: integrations, accepted/rejected
+steps, and dense-output interpolants built.
 
 The counts are exact and do not depend on the machine.  A change may lower
 them; it must never raise them.
 """
 
+import random
+
 import pytest
 
-from gmspike import ProblemParams, shoot, shooting
+from gmspike import ProblemParams, cli, ode, shoot, shooting
 
 # p -> (integrations, accepted steps, rejected steps) of
 # shoot(ProblemParams.inner(p)) at default settings.
@@ -17,6 +20,13 @@ PINNED_WORK = {
     4.0: (1, 318, 0),
     10.0: (1, 327, 1),
     100.0: (1, 341, 14),
+}
+
+# Interpolants built (calls of ode._interpolant) by a command at default
+# settings: one per step its grids read, plus one at each shoot's peak event.
+PINNED_BUILDS = {
+    "sweep": 1238,
+    "compare_p2_50001": 224,
 }
 
 
@@ -61,3 +71,87 @@ def test_a_boundary_shoot_takes_the_inner_steps(p):
     boundary = shoot(ProblemParams.boundary(p)).trajectory
     assert repr(boundary.steps) == repr(inner.steps)
     assert repr(boundary.end) == repr(inner.end)
+
+
+def _count_builds(monkeypatch):
+    """[interpolants built] from here on."""
+    builds = [0]
+    real_interpolant = ode._interpolant
+
+    def counting_interpolant(step):
+        builds[0] += 1
+        return real_interpolant(step)
+
+    monkeypatch.setattr(ode, "_interpolant", counting_interpolant)
+    return builds
+
+
+def _bits(columns):
+    return [[x.hex() for x in column] for column in columns]
+
+
+def _span_grid(trajectory, n=2001):
+    lo, hi = trajectory.rho_start, trajectory.end[0]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+class TestInterpolantBuilds:
+    """A trajectory builds a step's interpolant when a point first enters
+    that step, and keeps it."""
+
+    def test_sweep_builds_are_pinned(self, monkeypatch, tmp_path):
+        builds = _count_builds(monkeypatch)
+        assert cli.main(["sweep", "--out", str(tmp_path)]) == 0
+        assert builds[0] == PINNED_BUILDS["sweep"]
+
+    def test_dense_compare_builds_are_pinned(self, monkeypatch, tmp_path):
+        builds = _count_builds(monkeypatch)
+        argv = ["compare", "--p", "2", "--grid=-10:10:50001", "--out", str(tmp_path / "c.csv")]
+        assert cli.main(argv) == 0
+        assert builds[0] == PINNED_BUILDS["compare_p2_50001"]
+
+    def test_a_second_eval_builds_none(self, monkeypatch):
+        trajectory = shoot(ProblemParams.inner(2.0)).trajectory
+        grid = _span_grid(trajectory)
+        builds = _count_builds(monkeypatch)
+        first = trajectory.eval(grid)
+        assert builds[0] == trajectory.accepted_steps
+        assert _bits(trajectory.eval(grid)) == _bits(first)
+        assert builds[0] == trajectory.accepted_steps
+
+    def test_the_fill_order_does_not_change_the_bits(self):
+        trajectory = shoot(ProblemParams.inner(2.0)).trajectory
+        grid = _span_grid(trajectory)
+        shuffled = list(grid)
+        random.Random(7).shuffle(shuffled)
+        trajectory.eval(shuffled[: len(grid) // 3])
+        fresh = shoot(ProblemParams.inner(2.0)).trajectory
+        assert _bits(trajectory.eval(grid)) == _bits(fresh.eval(grid))
+
+
+def _tableau_interpolant(step):
+    """A step's interpolant from the tableau rows _P1.._P7: c_j is
+    P1[j-1]*k1 + P3[j-1]*k3 + ... + P7[j-1]*k7, summed in that order, and
+    c1 is P1[0]*k1 alone."""
+    rows = (ode._P1, ode._P3, ode._P4, ode._P5, ode._P6, ode._P7)
+    coefficients = []
+    for ks in (step[4:10], step[10:16]):
+        coefficients.append(rows[0][0] * ks[0])
+        for j in (1, 2, 3):
+            total = rows[0][j] * ks[0]
+            for row, k in zip(rows[1:], ks[1:]):
+                total += row[j] * k
+            coefficients.append(total)
+    return (*step[:4], *coefficients)
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_WORK))
+def test_interpolants_follow_the_tableau(p):
+    # eval over every step start fills the cache through ode._interpolant;
+    # each entry must have the tableau's bits.
+    trajectory = shoot(ProblemParams.inner(p)).trajectory
+    trajectory.eval([step[0] for step in trajectory.steps])
+    built = trajectory._interpolants
+    assert len(built) == trajectory.accepted_steps
+    for step, c in zip(trajectory.steps, built):
+        assert [x.hex() for x in c] == [x.hex() for x in _tableau_interpolant(step)], step[0]
