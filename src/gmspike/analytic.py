@@ -33,7 +33,7 @@ import sys
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .ode import CheckedRecord
+from .ode import checked
 
 __all__ = [
     "P_MIN",
@@ -63,7 +63,16 @@ class SpikeKind(Enum):
     BOUNDARY = "boundary"
 
 
-class _ProblemParams(NamedTuple):
+@checked
+class ProblemParams(NamedTuple):
+    """Problem data for a single spike on the rescaled interval.
+
+    The original problem lives on x in [-half_length, half_length] with the
+    singular perturbation scale ``epsilon``; the rescaled coordinate is
+    rho = x / epsilon.  An inner spike peaks at rho = 0, a boundary spike at
+    rho = half_length / epsilon (the right endpoint).
+    """
+
     p: float
     epsilon: float = 0.1
     half_length: float = 1.0
@@ -82,18 +91,6 @@ class _ProblemParams(NamedTuple):
     def peak_rho(self) -> float:
         """Peak position: 0 for an inner spike, the right endpoint for a boundary spike."""
         return self.half_length / self.epsilon if self.kind is SpikeKind.BOUNDARY else 0.0
-
-
-class ProblemParams(CheckedRecord, _ProblemParams):
-    """Problem data for a single spike on the rescaled interval.
-
-    The original problem lives on x in [-half_length, half_length] with the
-    singular perturbation scale ``epsilon``; the rescaled coordinate is
-    rho = x / epsilon.  An inner spike peaks at rho = 0, a boundary spike at
-    rho = half_length / epsilon (the right endpoint).
-    """
-
-    __slots__ = ()
 
     def _check(self) -> None:
         _check_p(self.p)

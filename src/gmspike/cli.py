@@ -22,7 +22,7 @@ produce byte-identical files.  Status lines go to stderr, so stdout carries
 only the data.  No environment variables are consulted.
 
 Exit status: 0 on success, 1 when a shoot fails (every case of a sweep
-is still tried), 2 on usage errors.
+is still tried) or stdout's reader closes early, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .analytic import (
     eval_spike_rho_grid,
     spike_amplitude,
 )
-from .ode import CheckedRecord, IntegratorConfig
+from .ode import IntegratorConfig, checked
 from .shooting import ShootingError, ShootingResult, check_within_wall, shoot
 from .verify import ComparisonReport, check_first_integral, compare, ode_residual
 
@@ -68,19 +68,16 @@ _SUMMARY_COLUMNS = (
 )
 
 
-class _RunConfig(NamedTuple):
+@checked
+class RunConfig(NamedTuple):
+    """One CLI invocation, fully determined and serializable."""
+
     command: str
     params: ProblemParams
     integrator: IntegratorConfig
     grid: tuple[float, float, int] | None = None
     out: str | None = None
     fmt: str = "csv"
-
-
-class RunConfig(CheckedRecord, _RunConfig):
-    """One CLI invocation, fully determined and serializable."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if self.grid is not None:
@@ -476,19 +473,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return run(config)
+        return run(_config_from_args(args))
     except BrokenPipeError:
         # The downstream reader went away (e.g. piping into head). Point
         # stdout at devnull so the interpreter's exit-time flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as exc:
-        # Input only the run can reject: a grid beyond the integrated span, or
-        # an --out that cannot be written.
+        # Input the config or the run rejects: a bad option value, a grid
+        # beyond the integrated span, or an --out that cannot be written.
         parser.error(str(exc))
 
 

@@ -55,7 +55,7 @@ import bisect
 import math
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "TerminalEvent",
@@ -116,21 +116,22 @@ class TerminalEvent(Enum):
     STEP_FAILURE = "step_failure"
 
 
-class CheckedRecord:
-    """First base of a NamedTuple subclass with a ``_check`` that raises
-    ValueError on bad fields.  The constructor runs it, and so do ``_make``
-    and ``_replace``, which in a bare NamedTuple skip ``__new__``."""
-
-    __slots__ = ()
+def checked(cls):
+    """Make the NamedTuple ``cls`` run its ``_check``, which raises ValueError
+    on bad fields, on every construction.  ``_make``, which ``_replace``
+    calls, builds through the constructor, not ``tuple.__new__``; unpickling
+    at protocol 2 or above calls ``__new__``."""
+    new = cls.__new__
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = new(cls, *args, **kwargs)
         self._check()
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    # A NamedTuple class body may not define these two; the class may be given them.
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
 class State(NamedTuple):
@@ -140,18 +141,16 @@ class State(NamedTuple):
     v: float
 
 
-class _IntegratorConfig(NamedTuple):
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-
-class IntegratorConfig(CheckedRecord, _IntegratorConfig):
+@checked
+class IntegratorConfig(NamedTuple):
     """A run's error tolerances; its step sizes are class constants, not fields."""
 
-    __slots__ = ()
-    h_init: ClassVar[float] = 1e-3
-    h_min: ClassVar[float] = 1e-12
-    h_max: ClassVar[float] = 0.1
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    # Unannotated: NamedTuple makes every annotation a field.
+    h_init = 1e-3
+    h_min = 1e-12
+    h_max = 0.1
 
     def _check(self) -> None:
         # An infinite tolerance switches error control off.

@@ -97,7 +97,6 @@ class ShootingResult(NamedTuple):
     trajectory: Trajectory
     classifications: tuple[InwardRun, ...]
     params: ProblemParams
-    integrator_config: IntegratorConfig
     config: ShootingConfig = ShootingConfig()
 
     @property
@@ -148,7 +147,7 @@ def shoot(
             f"{event.value} at sigma={sigma!r}, before its peak"
         )
     run = InwardRun(U0, state.u, sigma)
-    return ShootingResult(trajectory, (run,), params, integrator_config)
+    return ShootingResult(trajectory, (run,), params)
 
 
 def check_within_wall(params: ProblemParams, rhos: Iterable[float]) -> None:

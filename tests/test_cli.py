@@ -3,12 +3,18 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import repeat
+from pathlib import Path
 
 import pytest
 
 from gmspike import IntegratorConfig, ProblemParams, ShootingError, cli
 from gmspike.cli import CSV_HEADER
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 SWEEP_FILES = (
     "compare_p2_inner.csv",
@@ -106,6 +112,32 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("grid", ["--grid=a:1:3", "--grid=0:1:2.5"])
+    def test_grid_with_a_bad_number_exits_2(self, grid, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["analytic", grid])
+        assert excinfo.value.code == 2
+        assert f"bad grid {grid[len('--grid='):]!r}" in capsys.readouterr().err
+
+    def test_run_rejects_an_unknown_command(self):
+        config = cli.RunConfig("frobnicate", ProblemParams.inner(2.0), IntegratorConfig())
+        with pytest.raises(ValueError, match="unknown command 'frobnicate'"):
+            cli.run(config)
+
+    def test_a_reader_that_closes_early_exits_1_quietly(self):
+        # 200,001 rows are megabytes, far more than a pipe holds, so the
+        # command is still writing when its reader goes.
+        argv = [sys.executable, "-m", "gmspike.cli", "analytic", "--grid=-10:10:200001"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline().decode() == CSV_HEADER + "\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
 
     def test_grid_count_is_capped(self):
         cli._check_grid((0.0, 1.0, cli._MAX_GRID_POINTS))

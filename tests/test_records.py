@@ -3,12 +3,13 @@ and cheap to import.
 
 ``State``, ``ShootingResult``, ``ComparisonReport`` and ``ShootingConfig``
 are plain NamedTuples.  ``IntegratorConfig``, ``ProblemParams`` and
-``RunConfig`` check their fields on every construction, ``_make`` and
-``_replace`` included.  ``Trajectory`` is a plain object, since it caches
-its interpolants on itself.
+``RunConfig`` check their fields on every construction, ``_make``,
+``_replace`` and unpickling included; each is one class.  ``Trajectory``
+is a plain object, since it caches its interpolants on itself.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,12 @@ class TestReplaceChecks:
         with pytest.raises(ValueError):
             type(record)._make(fields)
 
+    def test_unpickling_runs_the_check(self):
+        # A bad record can only be built past the constructor.
+        bad = tuple.__new__(IntegratorConfig, (-1.0, 1e-12))
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            pickle.loads(pickle.dumps(bad))
+
     def test_a_valid_replace_keeps_the_class(self):
         params = ProblemParams.inner(2.0)._replace(p=3.0, kind=SpikeKind.BOUNDARY)
         assert type(params) is ProblemParams
@@ -109,10 +116,25 @@ class TestRecords:
         assert ComparisonReport._fields == (
             "grid", "analytic", "numeric", "numeric_v", "max_abs_err", "l2_err"
         )
-        assert ShootingResult._fields == (
-            "trajectory", "classifications", "params", "integrator_config", "config"
-        )
+        assert ShootingResult._fields == ("trajectory", "classifications", "params", "config")
         assert IntegratorConfig()._asdict() == {"rel_tol": 1e-10, "abs_tol": 1e-12}
+
+    @pytest.mark.parametrize("cls", [IntegratorConfig, ProblemParams, RunConfig])
+    def test_each_checked_record_is_one_class(self, cls):
+        assert cls.__bases__ == (tuple,)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            IntegratorConfig(rel_tol=1e-9),
+            ProblemParams.boundary(3.0),
+            RunConfig("compare", ProblemParams.boundary(2.0), IntegratorConfig(), (0.0, 5.0, 3)),
+        ],
+    )
+    def test_a_valid_record_round_trips_through_pickle(self, record):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert copy == record
 
     def test_records_equal_plain_tuples(self):
         assert State(1.0, 0.0) == (1.0, 0.0)
