@@ -61,7 +61,7 @@ _SWEEP_SPAN = 10.0
 # A grid is built in memory; at 10**7 points a compare CSV is already about 1.2 GB.
 _MAX_GRID_POINTS = 10_000_000
 # The tolerances, then the step sizes that IntegratorConfig keeps as class constants.
-_INTEGRATOR_ECHO = ("rel_tol", "abs_tol", "h_init", "h_min", "h_max")
+_INTEGRATOR_ECHO = ("rel_tol", "abs_tol", "h_init", "h_min")
 _SUMMARY_COLUMNS = (
     "p", "kind", "a_star", "amplitude", "amp_abs_err", "bc_residual", "max_abs_err", "l2_err",
     "converged",

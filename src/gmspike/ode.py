@@ -22,15 +22,16 @@ quartic.  :meth:`Trajectory.eval` turns a sequence of points into u and v
 columns by walking them: it unpacks a step once, writes ``_dense`` out for
 as long as the points stay in that step, and bisects only for a point that
 leaves it, so a sorted or V-shaped grid costs a bisection per step entered,
-not per point, and gets ``_dense``'s bits.  Every accepted step is scanned
-for those sign changes before it is committed, so phase-plane events cannot
-be skipped; their locations are resolved to 1e-10 in rho by bisecting the
-dense interpolant.  The first event ends every run: u
-crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0 (``TURNED``), a
-minimum or, from below the centre, a maximum.  On the shooting solver's
-inward run ``TURNED`` is the spike's peak, and any other end is a failed
-shoot.  No cap on u is needed: H is conserved, so an orbit from (a, 0)
-never rises above the larger of a and the spike height.
+not per point, and gets ``_dense``'s bits.  Each accepted step is scanned
+for a sign change of u or of v between its ends, located to 1e-10 in rho by
+bisecting the interpolant.  The scan assumes at most one of each per step,
+with no cap on the step: the inward run's v changes sign once, at its end,
+and near the centre the error control keeps a step under 0.81 of a
+half-period on orbits 1e-10 or more from (1, 0).  The first event ends every
+run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0
+(``TURNED``), a maximum above u = 1 or a minimum below it.  No cap on u is
+needed: H is conserved, so an orbit from (a, 0) never rises above the
+larger of a and the spike height.
 
 For fractional p the right-hand side is undefined at u < 0; trajectories
 are truncated at the u = 0 event, but the internal stage evaluations of the
@@ -119,8 +120,8 @@ class TerminalEvent(Enum):
 def checked(cls):
     """Make the NamedTuple ``cls`` run its ``_check``, which raises ValueError
     on bad fields, on every construction.  ``_make``, which ``_replace``
-    calls, builds through the constructor, not ``tuple.__new__``; unpickling
-    at protocol 2 or above calls ``__new__``."""
+    calls, and unpickling at every protocol build through the constructor,
+    not ``tuple.__new__``."""
     new = cls.__new__
 
     def __new__(cls, *args, **kwargs):
@@ -128,6 +129,7 @@ def checked(cls):
         self._check()
         return self
 
+    cls.__reduce__ = lambda self: (type(self), tuple(self))
     # A NamedTuple class body may not define these two; the class may be given them.
     cls.__new__ = __new__
     cls._make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -150,7 +152,6 @@ class IntegratorConfig(NamedTuple):
     # Unannotated: NamedTuple makes every annotation a field.
     h_init = 1e-3
     h_min = 1e-12
-    h_max = 0.1
 
     def _check(self) -> None:
         # An infinite tolerance switches error control off.
@@ -302,10 +303,10 @@ def integrate(
     """Integrate the spike system from ``rho_start`` to ``rho_end``.
 
     Adaptive Dormand-Prince 5(4) with local error kept below
-    rel_tol * |state| + abs_tol per step.  Returns early with the matching
-    terminal event when u crosses 0, at the first v crossing with u > 0, or
-    when step-size control underflows h_min; otherwise runs to ``rho_end``
-    exactly.
+    rel_tol * |state| + abs_tol per step, and no cap on its length.
+    Returns early with the matching terminal event when u crosses 0, at the
+    first v crossing with u > 0, or when step-size control underflows h_min;
+    otherwise runs to ``rho_end`` exactly.
     """
     if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
         raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
@@ -324,7 +325,7 @@ def integrate(
         raise ValueError("initial u must be nonnegative for fractional p")
 
     rel, ab = config.rel_tol, config.abs_tol
-    h_min, h_max = config.h_min, config.h_max
+    h_min = config.h_min
 
     # The stage loop reads each of these every step: locals, not globals.
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
@@ -438,7 +439,6 @@ def integrate(
             factor = factor if factor < max_factor else max_factor
         h = h_step * factor
         h = h if h > h_min else h_min
-        h = h if h < h_max else h_max
 
     return Trajectory(
         steps=steps,

@@ -8,10 +8,11 @@ saddle (0, 0) into u > 0.  :func:`shoot` starts on that branch at
     (U0, U0 * sqrt(1 - 2 * U0**(p - 1) / (p + 1))),
 
 where H = 0 to rounding, and makes one integration in sigma, the distance
-from that far end, until v turns through 0 at u > 0.  That ``TURNED`` event
-is the peak: its u is the amplitude a_star and its sigma is sigma_pk, so u
-at distance d from the peak is the run at sigma_pk - d.  Nothing here reads
-the closed form; the run knows only p.
+from that far end, until v turns through 0.  A turn at u > 1 is the peak,
+as every amplitude ((p + 1) / 2)**(1 / (p - 1)) exceeds 1, and one below a
+minimum: the peak's u is the amplitude a_star and its sigma is sigma_pk,
+so u at distance d from the peak is the run at sigma_pk - d.  Nothing here
+reads the closed form; the run knows only p.
 
 The run leaves the saddle, so an error off the orbit decays along it instead
 of growing, as it would on a run from the peak towards the saddle: this is
@@ -57,8 +58,8 @@ _HORIZON = 200.0
 
 
 class ShootingError(RuntimeError):
-    """A shoot's run ended anywhere but its peak: step-size control
-    underflowed, or the run crossed u = 0 or reached its horizon."""
+    """A shoot's run ended short of its peak: step-size control underflowed,
+    or the run crossed u = 0, turned at a minimum or reached its horizon."""
 
 
 class ShootingConfig(NamedTuple):
@@ -129,8 +130,8 @@ def shoot(
     The run starts at (U0, v0) with H(U0, v0) = 0 and ends at its first
     event, which on the spike is the peak; ``integrator_config`` sets its
     tolerances.  Raises :class:`ShootingError` if it ends any other way:
-    step-size control underflows, or the run crosses u = 0 or reaches its
-    horizon.
+    step-size control underflows, or the run crosses u = 0, turns at a
+    minimum (u <= 1) or reaches its horizon.
     """
     p = params.p
     v0 = U0 * math.sqrt(1.0 - 2.0 * U0 ** (p - 1.0) / (p + 1.0))
@@ -145,6 +146,11 @@ def shoot(
         raise ShootingError(
             f"shooting did not converge: the run inward from u0={U0!r} ended "
             f"{event.value} at sigma={sigma!r}, before its peak"
+        )
+    if not state.u > 1.0:
+        raise ShootingError(
+            f"shooting did not converge: the run inward from u0={U0!r} turned at "
+            f"a minimum, u={state.u!r} at sigma={sigma!r}, before its peak"
         )
     run = InwardRun(U0, state.u, sigma)
     return ShootingResult(trajectory, (run,), params)

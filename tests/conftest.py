@@ -38,15 +38,41 @@ def short_horizon(monkeypatch):
     monkeypatch.setattr(shooting, "integrate", cut)
 
 
+def _start_with_scaled_v(monkeypatch, scale):
+    """Start every shoot's run at (u0, scale * v0) instead of (u0, v0)."""
+    real_integrate = shooting.integrate
+
+    def scaled(initial, *args, **kwargs):
+        return real_integrate(State(initial.u, scale * initial.v), *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", scaled)
+
+
 @pytest.fixture
 def mirrored_start(monkeypatch):
     """Start every shoot's run at (u0, -v0), on the branch of H = 0 that runs
     into the saddle instead of out of it.  Rounding then carries the run off
-    that branch: at p = 2 and 3 it crosses u = 0 (at sigma = 19.26 for p = 2),
-    at p = 4 it reaches its horizon."""
-    real_integrate = shooting.integrate
+    that branch: at p = 1.01, 1.2 and 2 it turns at a minimum (u = 1.0e-10,
+    3.7e-11 and 1.1e-13), at p = 3 it crosses u = 0, at p >= 4 it reaches
+    its horizon."""
+    _start_with_scaled_v(monkeypatch, -1.0)
 
-    def mirrored(initial, *args, **kwargs):
-        return real_integrate(State(initial.u, -initial.v), *args, **kwargs)
 
-    monkeypatch.setattr(shooting, "integrate", mirrored)
+# Near the saddle, where u**p is negligible beside u and v0 = u0 (p >= 2),
+# a run from (u0, -k * u0) is u0 * ((1 + k) * exp(-s) + (1 - k) * exp(s)) / 2.
+# For k = 1/2 and 2 its event lies at s = artanh(1/2) = 0.5493, whatever
+# the steps; p = 1.2 moves it to 0.56 and p = 1.01 to 1.4.
+
+
+@pytest.fixture
+def inside_loop_start(monkeypatch):
+    """Start every shoot's run at (u0, -v0 / 2), inside the homoclinic loop
+    (H < 0): it turns at its minimum u = u0 * sqrt(3) / 2 at sigma = 0.5493."""
+    _start_with_scaled_v(monkeypatch, -0.5)
+
+
+@pytest.fixture
+def outside_loop_start(monkeypatch):
+    """Start every shoot's run at (u0, -2 * v0), outside the homoclinic loop
+    (H > 0): it crosses u = 0 at sigma = 0.5493."""
+    _start_with_scaled_v(monkeypatch, -2.0)

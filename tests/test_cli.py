@@ -68,11 +68,14 @@ OPTION_CASES = [(command, option) for command in OPTIONS_TAKEN for option in OPT
 
 # Each way a shoot can end short of its peak: the options or the fixture
 # that bring it about, and the words the diagnostic names it by.  No step
-# meets tolerances of 1e-300, so step-size control underflows.
+# meets tolerances of 1e-300, so step-size control underflows.  The starts
+# outside and inside the homoclinic loop end at sigma = artanh(1/2), the
+# one at its minimum u = u0 * sqrt(3) / 2 (see tests/conftest.py).
 FAILURES = {
     "step_failure": (("--rel-tol", "1e-300", "--abs-tol", "1e-300"), None, "step size underflow"),
     "reached_end": ((), "short_horizon", "ended reached_end at sigma=5.0,"),
-    "u_crossed_zero": ((), "mirrored_start", "ended u_crossed_zero at sigma="),
+    "u_crossed_zero": ((), "outside_loop_start", "ended u_crossed_zero at sigma=0.5493"),
+    "turned_at_minimum": ((), "inside_loop_start", "turned at a minimum, u=8.6602"),
 }
 
 
@@ -301,6 +304,10 @@ class TestArgumentHandling:
         # The shoot has no settings of its own, so the echo has none to carry.
         assert list(config.to_dict()) == ["command", "params", "integrator", "grid", "format"]
         assert config.integrator == IntegratorConfig()
+        # The tolerances, then the step sizes a run starts from and stops at.
+        assert config.to_dict()["integrator"] == {
+            "rel_tol": 1e-10, "abs_tol": 1e-12, "h_init": 1e-3, "h_min": 1e-12,
+        }
         assert config.params.epsilon == ProblemParams.inner(2.0).epsilon
         assert config.params.half_length == ProblemParams.inner(2.0).half_length
         assert config.params == ProblemParams.inner(2.0)

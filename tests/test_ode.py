@@ -34,10 +34,12 @@ LOOSE = IntegratorConfig(rel_tol=1.0, abs_tol=1e6)
 
 
 def fixed_step_run(h, config, *args):
-    """``integrate(*args, config)`` with the class's step sizes all set to
-    ``h``: every step is h long, and the first one the tolerances reject
-    ends the run."""
-    with mock.patch.multiple(IntegratorConfig, h_init=h, h_min=h, h_max=h):
+    """``integrate(*args, config)`` with the class's step sizes set to ``h``
+    and no growth allowed: every step is h long, and the first one the
+    tolerances reject ends the run."""
+    with mock.patch.multiple(IntegratorConfig, h_init=h, h_min=h), mock.patch.object(
+        ode, "_MAX_FACTOR", 1.0
+    ):
         return integrate(*args, config)
 
 
@@ -85,9 +87,11 @@ class TestConfig:
     def test_step_sizes_are_class_constants(self):
         assert list(IntegratorConfig._fields) == ["rel_tol", "abs_tol"]
         config = IntegratorConfig()
-        assert (config.h_init, config.h_min, config.h_max) == (1e-3, 1e-12, 0.1)
+        assert (config.h_init, config.h_min) == (1e-3, 1e-12)
+        # No cap: a step grows as far as the error control allows.
+        assert not hasattr(IntegratorConfig, "h_max")
         with pytest.raises(TypeError):
-            IntegratorConfig(h_max=1.0)
+            IntegratorConfig(h_min=1.0)
 
 
 class TestIntegrateBasics:
@@ -311,6 +315,27 @@ class TestEvents:
         assert inside.end[0] < 30.0
         assert abs(inside.end[1].v) < 1e-9
         assert inside.end[1].u > 0.5
+
+    @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
+    @pytest.mark.parametrize("offset", ("1e-9", "1e-3", "0.5", "0.999"))
+    def test_no_step_passes_two_turns(self, p, offset):
+        # Steps have no cap, so only the error control keeps a step from
+        # passing a minimum and the next maximum, both sign changes of v.
+        # From a maximum at (a, 0) inside the loop, 1 < a < amp, the run
+        # must stop at its first minimum: v < 0 and u falling until then.
+        amp = spike_amplitude(p)
+        a = 1.0 + float(offset) * (amp - 1.0)
+        trajectory = integrate(State(a, 0.0), 0.0, 200.0, p)
+        assert trajectory.terminal_event is TerminalEvent.TURNED
+        samples = trajectory.samples
+        assert all(state.v < 0.0 for _, state in samples[1:-1])
+        assert all(x[1].u >= y[1].u for x, y in zip(samples, samples[1:]))
+        end = trajectory.end[1]
+        assert end.u < 1.0
+        # H is conserved to the tolerances, so the minimum is this orbit's;
+        # the drift is 1.2e-10 at most (p = 100, offset 0.999).
+        energy = hamiltonian(State(a, 0.0), p)
+        assert hamiltonian(State(end.u, 0.0), p) == pytest.approx(energy, abs=1e-9)
 
     def test_step_failure_reported(self):
         trajectory = fixed_step_run(0.1, UNSATISFIABLE, State(AMP2, 0.0), 0.0, 4.0, 2.0)

@@ -102,6 +102,28 @@ class TestReplaceChecks:
         with pytest.raises(ValueError, match="tolerances must be positive and finite"):
             pickle.loads(pickle.dumps(bad))
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize(
+        "bad, words",
+        [
+            ((IntegratorConfig, (-1.0, 1e-12)), "tolerances must be positive and finite"),
+            ((ProblemParams, (0.5, 0.1, 1.0, SpikeKind.INNER)), "exponent p must lie in"),
+            (
+                (RunConfig, ("compare", ProblemParams.boundary(2.0), IntegratorConfig(),
+                             (0.0, 20.0, 5), None, "csv")),
+                "rho=20.0 lies outside the domain",
+            ),
+        ],
+        ids=["IntegratorConfig", "ProblemParams", "RunConfig"],
+    )
+    def test_unpickling_checks_at_every_protocol(self, bad, words, protocol):
+        # Protocols 0 and 1 used to rebuild a tuple subclass with
+        # tuple.__new__, past the check; __reduce__ sends all of them
+        # through the constructor.
+        record = tuple.__new__(*bad)
+        with pytest.raises(ValueError, match=words):
+            pickle.loads(pickle.dumps(record, protocol))
+
     def test_a_valid_replace_keeps_the_class(self):
         params = ProblemParams.inner(2.0)._replace(p=3.0, kind=SpikeKind.BOUNDARY)
         assert type(params) is ProblemParams
@@ -132,9 +154,10 @@ class TestRecords:
         ],
     )
     def test_a_valid_record_round_trips_through_pickle(self, record):
-        copy = pickle.loads(pickle.dumps(record))
-        assert type(copy) is type(record)
-        assert copy == record
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(record, protocol))
+            assert type(copy) is type(record)
+            assert copy == record
 
     def test_records_equal_plain_tuples(self):
         assert State(1.0, 0.0) == (1.0, 0.0)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,15 @@ def _assert_halves_until_tolerance(result, probes):
     return len(halvings)
 
 
+def _minimum_named_by(error):
+    """(u, sigma) of the minimum that a shoot's error names."""
+    message = str(error)
+    assert message.startswith("shooting did not converge: "), message
+    match = re.search(r" turned at a minimum, u=(\S+) at sigma=(\S+), before its peak$", message)
+    assert match is not None, message
+    return float(match.group(1)), float(match.group(2))
+
+
 class TestClassify:
     """A shoot's run is classified by the event that ends it: the peak
     (``TURNED``) converges.  Its answer is the connecting amplitude, which
@@ -121,7 +131,7 @@ class TestClassify:
 
     def test_integrator_breakdown_is_an_error(self, monkeypatch):
         # Every step is 0.1 long, so the first rejection ends the run.
-        for name in ("h_init", "h_min", "h_max"):
+        for name in ("h_init", "h_min"):
             monkeypatch.setattr(IntegratorConfig, name, 0.1)
         with pytest.raises(ShootingError, match="step size underflow"):
             shoot(ProblemParams.inner(2.0), integrator_config=UNSATISFIABLE)
@@ -198,9 +208,7 @@ class TestInwardRun:
             drifts.append(check_first_integral(result.trajectory, p))
         for errors in (gaps, drifts):
             assert all(tight <= loose for loose, tight in zip(errors, errors[1:])), errors
-            if p != 1.01:
-                # At p = 1.01 h_max bounds every step, so no rung changes the run.
-                assert errors[-1] * 1e3 <= errors[0], errors
+            assert errors[-1] * 1e3 <= errors[0], errors
 
     @pytest.mark.parametrize(
         "patch, p, end",
@@ -208,7 +216,7 @@ class TestInwardRun:
             # Cut at sigma = 5, the run stops without its peak event.
             pytest.param("short_horizon", 100.0, "reached_end at sigma=5.0,", id="reached_end"),
             pytest.param(
-                "mirrored_start", 2.0, "u_crossed_zero at sigma=19.26", id="u_crossed_zero"
+                "outside_loop_start", 2.0, "u_crossed_zero at sigma=0.5493", id="u_crossed_zero"
             ),
         ],
     )
@@ -219,6 +227,42 @@ class TestInwardRun:
         message = str(failure.value)
         assert message.startswith("shooting did not converge: ")
         assert f" ended {end}" in message
+
+    @pytest.mark.parametrize("p", (2.0, 3.0, 4.0, 10.0, 100.0))
+    def test_a_start_outside_the_loop_crosses_zero_at_artanh_half(self, p, outside_loop_start):
+        with pytest.raises(ShootingError) as failure:
+            shoot(ProblemParams.inner(p))
+        message = str(failure.value)
+        match = re.search(r" ended u_crossed_zero at sigma=(\S+), before its peak$", message)
+        assert match is not None, message
+        assert abs(float(match.group(1)) - math.atanh(0.5)) < 1e-5
+
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_a_turn_at_a_minimum_raises(self, p, inside_loop_start):
+        # The run from (u0, -v0 / 2) turns at u < u0: a minimum, not the peak.
+        with pytest.raises(ShootingError) as failure:
+            shoot(ProblemParams.inner(p))
+        u, sigma = _minimum_named_by(failure.value)
+        u0 = shooting_mod.U0
+        v0 = u0 * math.sqrt(1.0 - 2.0 * u0 ** (p - 1.0) / (p + 1.0))
+        assert 0.0 < u < u0
+        # H is conserved, so the minimum lies on the start's level set.
+        assert hamiltonian(State(u, 0.0), p) == pytest.approx(
+            hamiltonian(State(u0, -0.5 * v0), p), rel=1e-4
+        )
+        if p >= 2.0:
+            assert u == pytest.approx(u0 * math.sqrt(3.0) / 2.0, rel=1e-5)
+            assert abs(sigma - math.atanh(0.5)) < 1e-5
+
+    @pytest.mark.parametrize("p", (1.01, 1.2, 2.0))
+    def test_a_mirrored_start_that_turns_at_a_minimum_raises(self, p, mirrored_start):
+        # Rounding carries the run from (u0, -v0) off the orbit into the
+        # saddle and back out, to a turn within 1e-9 of u = 0.
+        with pytest.raises(ShootingError) as failure:
+            shoot(ProblemParams.inner(p))
+        u, sigma = _minimum_named_by(failure.value)
+        assert 0.0 < u < 1e-9
+        assert 0.0 < sigma < shooting_mod._HORIZON
 
     def test_imports_nothing_from_analytic_but_the_problem(self):
         # The run must check the closed form, not start from it.
