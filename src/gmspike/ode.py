@@ -33,21 +33,18 @@ run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0
 needed: H is conserved, so an orbit from (a, 0) never rises above the
 larger of a and the spike height.
 
-For fractional p the right-hand side is undefined at u < 0; trajectories
-are truncated at the u = 0 event, but the internal stage evaluations of the
-step that straddles the crossing may probe slightly past it.  Those stages
-use the sign-preserving extension u * |u|**(p - 1), which is C1 at 0 and
-only ever influences the discarded part of the final step.  Integer p uses
-the true power for all u.
+The spike problem lives on u >= 0 with 0 < p < inf, and so does this
+module: :func:`integrate` and :func:`hamiltonian` refuse anything else.
+u < 0 is reached only by stages of a step that crosses u = 0 (or leaves it
+downwards), which the run discards past its event, and by rejected trial
+steps.  Every stage, for every p, uses the odd extension u * |u|**(p - 1).
 
-The field is defined in one place, the stage block of :func:`integrate`,
-and written out there at each of its stage points rather than called as a
-function.  The shooting solver spends nearly all its time in that loop, and
-there a Python call per stage, plus one for the power, cost more than the
-stage's own arithmetic.  ``u ** p`` with a float exponent gives the same
-bits and raises the same OverflowError as ``math.pow``, so the inlined loop
-takes every step, and stores every stage, exactly as a loop calling the
-field would; the ``integrate/`` digests of ``tests/test_golden.py`` pin that.
+The field is written out at each stage point of :func:`integrate`, not
+called: the shooting solver spends nearly all its time in that loop, where
+a Python call per stage, plus one for the power, cost more than the stage's
+own arithmetic.  ``u ** p`` with a float exponent gives the same bits and
+raises the same OverflowError as ``math.pow``; the ``integrate/`` digests
+of ``tests/test_golden.py`` pin every stage.
 """
 
 from __future__ import annotations
@@ -66,10 +63,14 @@ __all__ = [
     "hamiltonian",
     "integrate",
     "EVENT_LOCATION_TOL",
+    "SPAN_SLACK",
 ]
 
 # Spatial resolution of event bisection on the dense interpolant.
 EVENT_LOCATION_TOL = 1e-10
+# How far past a run's span :meth:`Trajectory.eval` still reads a point,
+# clamped onto the span: room for the rounding of a mapped coordinate.
+SPAN_SLACK = 1e-9
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -225,9 +226,9 @@ class Trajectory:
     def eval(self, rhos: Iterable[float]) -> tuple[list[float], list[float]]:
         """Dense-output u and v columns at the points ``rhos``, in their order.
 
-        Points within 1e-9 of the integrated span are clamped onto it; a
-        point farther out, or NaN, raises ValueError, wherever it is in
-        ``rhos``.
+        Points within :data:`SPAN_SLACK` of the integrated span are clamped
+        onto it; a point farther out, or NaN, raises ValueError, wherever it
+        is in ``rhos``.
         """
         lo, hi = self.rho_start, self.end[0]
         steps, interpolants, starts = self.steps, self._interpolants, self._starts
@@ -237,7 +238,7 @@ class Trajectory:
         start = stop = math.nan
         for rho in rhos:
             if not lo <= rho <= hi:
-                if not lo - 1e-9 <= rho <= hi + 1e-9:
+                if not lo - SPAN_SLACK <= rho <= hi + SPAN_SLACK:
                     raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
                 rho = min(max(rho, lo), hi)
             if not interpolants:
@@ -269,11 +270,19 @@ class Trajectory:
         return [step[0] for step in self.steps] + [math.inf]
 
 
+def _check_domain(u: float, p: float) -> None:
+    """Raise ValueError unless u >= 0 and 0 < p < inf, the spike problem's domain."""
+    # p < 0 makes u**p singular at u = 0; a non-finite p leaves no step acceptable.
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p!r}")
+    if not u >= 0.0:
+        raise ValueError(f"u must be nonnegative, got {u!r}")
+
+
 def hamiltonian(state: State, p: float) -> float:
     """Conserved energy v**2/2 - u**2/2 + u**(p+1)/(p+1); 0 on the spike."""
     u, v = state.u, state.v
-    if u < 0.0 and not float(p).is_integer():
-        raise ValueError(f"u**(p+1) undefined for u={u!r} < 0 with fractional p={p!r}")
+    _check_domain(u, p)
     return 0.5 * v * v - 0.5 * u * u + math.pow(u, p + 1.0) / (p + 1.0)
 
 
@@ -313,16 +322,9 @@ def integrate(
     u, v = initial.u, initial.v
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"initial state must be finite, got {initial!r}")
-    # A float exponent makes ** return a float for any real base, as
-    # math.pow does.
+    # With a float exponent, ** returns a float for any real base, as math.pow does.
     p = float(p)
-    # u**p is singular at u = 0 for p < 0, and a non-finite p leaves no
-    # step acceptable.
-    if not (0.0 < p < math.inf):
-        raise ValueError(f"p must be positive and finite, got {p!r}")
-    integer_p = p.is_integer()
-    if u < 0.0 and not integer_p:
-        raise ValueError("initial u must be nonnegative for fractional p")
+    _check_domain(u, p)
 
     rel, ab = config.rel_tol, config.abs_tol
     h_min = config.h_min
@@ -339,9 +341,8 @@ def integrate(
     append = steps.append
 
     rho = rho_start
-    # Every stage k = (ku, kv) below is the field u' = v, v' = u - u**p at
-    # its stage point, written out in place (see the module docstring).
-    k1u, k1v = v, u - (u ** p if u >= 0.0 or integer_p else -((-u) ** p))
+    # Each stage k = (ku, kv) below is the one field, written out (module docstring).
+    k1u, k1v = v, u - (u ** p if u >= 0.0 else -((-u) ** p))
     h = min(config.h_init, rho_end - rho_start)
     rejected = 0
     event = TerminalEvent.REACHED_END
@@ -353,24 +354,22 @@ def integrate(
         try:
             yu = u + h_step * (a21 * k1u)
             yv = v + h_step * (a21 * k1v)
-            k2u, k2v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            k2u, k2v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
             yu = u + h_step * (a31 * k1u + a32 * k2u)
             yv = v + h_step * (a31 * k1v + a32 * k2v)
-            k3u, k3v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            k3u, k3v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
             yu = u + h_step * (a41 * k1u + a42 * k2u + a43 * k3u)
             yv = v + h_step * (a41 * k1v + a42 * k2v + a43 * k3v)
-            k4u, k4v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            k4u, k4v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
             yu = u + h_step * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u)
             yv = v + h_step * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
-            k5u, k5v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            k5u, k5v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
             yu = u + h_step * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
             yv = v + h_step * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-            k6u, k6v = yv, yu - (yu ** p if yu >= 0.0 or integer_p else -((-yu) ** p))
+            k6u, k6v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
             u_new = u + h_step * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
             v_new = v + h_step * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-            k7u, k7v = v_new, u_new - (
-                u_new ** p if u_new >= 0.0 or integer_p else -((-u_new) ** p)
-            )
+            k7u, k7v = v_new, u_new - (u_new ** p if u_new >= 0.0 else -((-u_new) ** p))
         except OverflowError:
             # u**p overflowed at a trial stage: the step is far too long.
             err_norm = math.inf
@@ -400,7 +399,8 @@ def integrate(
 
         append((rho, h_step, u, v, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v))
 
-        crossed_zero = u > 0.0 >= u_new
+        # u >= 0 at every step's start: a run from u = 0 with v < 0 ends on its first.
+        crossed_zero = u_new < 0.0 or u_new == 0.0 < u
         v_changed = (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0)
         if crossed_zero or v_changed:
             c = _interpolant(steps[-1])

@@ -36,7 +36,7 @@ from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .analytic import ProblemParams, SpikeKind
-from .ode import IntegratorConfig, State, TerminalEvent, Trajectory, integrate
+from .ode import SPAN_SLACK, IntegratorConfig, State, TerminalEvent, Trajectory, integrate
 
 __all__ = [
     "ShootingConfig",
@@ -157,10 +157,10 @@ def shoot(
 
 
 def check_within_wall(params: ProblemParams, rhos: Iterable[float]) -> None:
-    """Raise ValueError if a boundary spike's ``rhos`` pass its wall by more than 1e-9."""
+    """Raise ValueError if a boundary spike's ``rhos`` pass its wall by more than SPAN_SLACK."""
     if params.kind is SpikeKind.BOUNDARY:
         peak = params.peak_rho
-        beyond = next((rho for rho in rhos if rho - peak > 1e-9), None)
+        beyond = next((rho for rho in rhos if rho - peak > SPAN_SLACK), None)
         if beyond is not None:
             raise ValueError(
                 f"rho={beyond!r} lies outside the domain; the boundary spike peaks "
@@ -178,16 +178,16 @@ def eval_profile_grid(
     climbs towards the peak, so v is the run's slope where rho < peak and
     its negative where rho > peak; at the peak itself the profile is
     (a_star, 0).  Raises ValueError, naming the point, if any point is NaN,
-    lies farther than sigma_pk from the peak or, for boundary spikes, past
-    the domain edge.
+    or lies more than SPAN_SLACK, the slack of the run's own clamp, past
+    sigma_pk from the peak or, for boundary spikes, past the domain edge.
     """
     # The points are read more than once below, so a one-shot iterable is listed.
     if not isinstance(rhos, Sequence):
         rhos = list(rhos)
     params = result.params
     peak, reach = params.peak_rho, result.sigma_pk
-    limit = reach + 1e-9
-    upper = 1e-9 if params.kind is SpikeKind.BOUNDARY else limit
+    limit = reach + SPAN_SLACK
+    upper = SPAN_SLACK if params.kind is SpikeKind.BOUNDARY else limit
     far = next((rho for rho in rhos if not -limit <= rho - peak <= upper), None)
     if far is not None:
         # A point past the wall is named first, wherever it is.

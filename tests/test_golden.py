@@ -71,7 +71,7 @@ def _integrate_runs() -> dict:
     runs = {}
     # Below, at and above the spike amplitude: undershoots that turn or
     # reach the end, the spike, and overshoots whose crossing step probes
-    # u < 0 (sign-preserving power for fractional p, true power for integer p).
+    # u < 0, where every p uses the odd extension u * |u|**(p - 1).
     for p in (1.01, 1.2, 2.5, 3.0, 100.0):
         amp = spike_amplitude(p)
         for scale in (0.9, 1.0, 1.1):

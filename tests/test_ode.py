@@ -13,6 +13,7 @@ import pytest
 from gmspike import ode
 from gmspike import (
     EVENT_LOCATION_TOL,
+    SPAN_SLACK,
     IntegratorConfig,
     ProblemParams,
     State,
@@ -61,9 +62,17 @@ class TestHamiltonian:
         value = hamiltonian(State(spike_amplitude(p), 0.0), p)
         assert abs(value) < 1e-14
 
-    def test_negative_u_rejected_for_fractional_p(self):
-        with pytest.raises(ValueError):
-            hamiltonian(State(-0.1, 0.0), 2.5)
+    # u < 0 lies outside the spike problem for every p, integer or not.
+    @pytest.mark.parametrize("p", (2.5, 2.0, 3.0))
+    def test_negative_u_rejected_for_every_p(self, p):
+        with pytest.raises(ValueError, match="u must be nonnegative"):
+            hamiltonian(State(-0.1, 0.0), p)
+
+    # The p that integrate refuses; at p = -1 the energy would divide by 0.
+    @pytest.mark.parametrize("p", (-1.0, 0.0, -0.5, math.nan, math.inf))
+    def test_rejects_nonpositive_or_nonfinite_p(self, p):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            hamiltonian(State(0.5, 0.0), p)
 
 
 class TestConfig:
@@ -179,9 +188,10 @@ class TestIntegrateBasics:
         with pytest.raises(ValueError):
             integrate(initial, span[0], span[1], 2.0)
 
-    def test_rejects_negative_start_for_fractional_p(self):
-        with pytest.raises(ValueError):
-            integrate(State(-0.5, 0.0), 0.0, 1.0, 2.5)
+    @pytest.mark.parametrize("p", (2.5, 2.0, 3.0))
+    def test_rejects_negative_start_for_every_p(self, p):
+        with pytest.raises(ValueError, match="u must be nonnegative"):
+            integrate(State(-0.5, 0.0), 0.0, 1.0, p)
 
     @pytest.mark.parametrize("p", (-1.0, 0.0, math.nan, math.inf))
     def test_rejects_nonpositive_or_nonfinite_p(self, p):
@@ -355,6 +365,33 @@ class TestEvents:
         assert 0.0 <= end.u <= 1e-9
         assert all(math.isfinite(state.u) for _, state in trajectory.samples)
 
+    @pytest.mark.parametrize("p", (2.5, 2.0, 3.0))
+    def test_start_at_zero_heading_below_ends_there(self, p):
+        # u >= 0 at every accepted point: a run from u = 0 with v < 0 leaves
+        # the domain at once, so it ends at its start, not below it.
+        trajectory = integrate(State(0.0, -0.1), 0.0, 1.0, p)
+        assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
+        rho, end = trajectory.end
+        assert 0.0 <= rho <= EVENT_LOCATION_TOL
+        assert end == State(0.0, -0.1)
+
+    @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 4.0, 10.0, 100.0))
+    @pytest.mark.parametrize("delta", (1e-10, 1e-8, 1e-4))
+    def test_steps_stay_under_a_half_period_near_the_centre(self, p, delta):
+        # The event scan assumes one sign change of v per step, with no cap
+        # on the step.  Near the centre (1, 0) the orbit is a small ellipse
+        # of half-period pi / sqrt(p - 1): from a maximum delta above it,
+        # the run must stop at the first minimum, half a period on, and the
+        # error control must keep each step short of that.  The longest
+        # step is 0.808 of a half-period (p = 1.01, delta = 1e-10).
+        half_period = math.pi / math.sqrt(p - 1.0)
+        trajectory = integrate(State(1.0 + delta, 0.0), 0.0, 400.0, p)
+        assert trajectory.terminal_event is TerminalEvent.TURNED
+        rho, end = trajectory.end
+        assert end.u < 1.0
+        assert rho == pytest.approx(half_period, rel=0.02)
+        assert max(step[1] for step in trajectory.steps) < 0.81 * half_period
+
     def test_overflowing_trial_step_is_rejected(self):
         # Far above the p = 100 spike, u**100 overflows inside the stages of
         # the first trial steps; those steps must shrink, not raise.
@@ -393,6 +430,7 @@ class TestNoRunaway:
 class TestOrder:
     def test_constants(self):
         assert EVENT_LOCATION_TOL == 1e-10
+        assert SPAN_SLACK == 1e-9
 
     def test_fixed_step_convergence_rate(self):
         def endpoint_error(h):
