@@ -34,7 +34,7 @@ import os
 import sys
 from functools import partial
 from itertools import chain
-from operator import sub
+from operator import index, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -54,6 +54,7 @@ from .verify import ComparisonReport, check_first_integral, compare, ode_residua
 __all__ = ["RunConfig", "run", "main"]
 
 CSV_HEADER = "rho,u_analytic,u_numeric,v_numeric,abs_error"
+_FORMATS = ("csv", "json")
 
 _SWEEP_EXPONENTS = (2.0, 3.0, 4.0)
 _SWEEP_GRID_POINTS = 401
@@ -80,6 +81,10 @@ class RunConfig(NamedTuple):
     fmt: str = "csv"
 
     def _check(self) -> None:
+        if self.command not in _RUNNERS:
+            raise ValueError(f"unknown command {self.command!r}")
+        if self.fmt not in _FORMATS:
+            raise ValueError(f"unknown format {self.fmt!r}; use one of {_FORMATS}")
         if self.grid is not None:
             _check_grid(self.grid)
             check_within_wall(self.params, (self.grid[1],))
@@ -114,6 +119,10 @@ def _status(text: str) -> None:
 
 def _check_grid(bounds: tuple[float, float, int], name: str = "grid") -> None:
     start, end, count = bounds
+    try:
+        index(count)
+    except TypeError:
+        raise ValueError(f"{name} point count must be an integer, got {count!r}") from None
     if count < 2:
         raise ValueError(f"{name} needs at least 2 points")
     if count > _MAX_GRID_POINTS:
@@ -392,11 +401,8 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Execute one configured command and return the process exit code."""
-    runner = _RUNNERS.get(config.command)
-    if runner is None:
-        raise ValueError(f"unknown command {config.command!r}")
     try:
-        return runner(config)
+        return _RUNNERS[config.command](config)
     except ShootingError as exc:
         diagnostic = {"config": config.to_dict(), "error": str(exc)}
         # Status first: an --out that cannot be written still exits 2 after it.
@@ -439,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     number("--abs-tol", default=defaults["abs_tol"], help="integrator absolute tolerance")
     grid_help = "evaluation grid start:end:count (use --grid=-10:10:401 for negative starts)"
     grid.add_argument("--grid", type=_parse_grid, help=grid_help)
-    output.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt")
+    output.add_argument("--format", choices=_FORMATS, default="csv", dest="fmt")
     output.add_argument("--out", help="output file (sweep: output directory)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext, groups in [

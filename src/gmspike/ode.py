@@ -22,15 +22,20 @@ quartic.  :meth:`Trajectory.eval` turns a sequence of points into u and v
 columns by walking them: it unpacks a step once, writes ``_dense`` out for
 as long as the points stay in that step, and bisects only for a point that
 leaves it, so a sorted or V-shaped grid costs a bisection per step entered,
-not per point, and gets ``_dense``'s bits.  Each accepted step is scanned
-for a sign change of u or of v between its ends, located to 1e-10 in rho by
-bisecting the interpolant.  The scan assumes at most one of each per step,
-with no cap on the step: the inward run's v changes sign once, at its end,
-and near the centre the error control keeps a step under 0.81 of a
-half-period on orbits 1e-10 or more from (1, 0).  The first event ends every
-run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0
-(``TURNED``), a maximum above u = 1 or a minimum below it.  No cap on u is
-needed: H is conserved, so an orbit from (a, 0) never rises above the
+not per point, and gets ``_dense``'s bits.
+
+A trial step of length h is accepted when its error norm err is at most 1,
+and either way the next is h * min(10, max(0.2, 0.9 * err**(-1/5))), with no
+cap (Hairer, Norsett & Wanner 1993, *Solving ODEs I*, II.4).  Each accepted
+step is scanned for a sign change of u or of v between its ends, located to
+1e-10 in rho by bisecting the interpolant; an exact zero, at a midpoint or
+at the step's end, is bisected like any other sign change.  The scan
+assumes at most one of each per step: the inward run's v changes sign once,
+at its end, and near the centre the error control keeps a step under 0.81
+of a half-period on orbits 1e-10 or more from (1, 0).  The first event
+ends every run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with
+u > 0 (``TURNED``), a maximum above u = 1 or a minimum below it.  No cap on
+u is needed: H is conserved, so an orbit from (a, 0) never rises above the
 larger of a and the spike height.
 
 The spike problem lives on u >= 0 with 0 < p < inf, and so does this
@@ -83,14 +88,8 @@ _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
 _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+_E1, _E3, _E4 = 71 / 57600, -71 / 16695, 71 / 1920
+_E5, _E6, _E7 = -17253 / 339200, 22 / 525, -1 / 40
 
 # Dense-output coefficients: on an accepted step the interpolant is
 # y(theta) = y0 + h * (c1*theta + c2*theta**2 + c3*theta**3 + c4*theta**4)
@@ -292,10 +291,7 @@ def _bisect_theta(c: tuple[float, ...], component: int, sign_lo: float) -> float
     span, lo, hi = c[1], 0.0, 1.0
     while (hi - lo) * span > EVENT_LOCATION_TOL:
         mid = 0.5 * (lo + hi)
-        value = _dense(c, mid)[component]
-        if value == 0.0:
-            return mid
-        if (value > 0.0) == (sign_lo > 0.0):
+        if (_dense(c, mid)[component] > 0.0) == (sign_lo > 0.0):
             lo = mid
         else:
             hi = mid
@@ -311,11 +307,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate the spike system from ``rho_start`` to ``rho_end``.
 
-    Adaptive Dormand-Prince 5(4) with local error kept below
-    rel_tol * |state| + abs_tol per step, and no cap on its length.
-    Returns early with the matching terminal event when u crosses 0, at the
-    first v crossing with u > 0, or when step-size control underflows h_min;
-    otherwise runs to ``rho_end`` exactly.
+    Adaptive Dormand-Prince 5(4): a step is accepted when err, the RMS of its
+    local error over rel_tol * |state| + abs_tol, is at most 1, and either way
+    the next is h * min(10, max(0.2, 0.9 * err**(-1/5))), floored at h_min
+    after an accepted step.  Returns early with the matching terminal event
+    when u crosses 0, at the first v crossing with u > 0 (an exact zero is
+    bisected like any other sign change), or when a rejected step would
+    shrink below h_min; otherwise runs to ``rho_end`` exactly.
     """
     if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
         raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
@@ -387,11 +385,14 @@ def integrate(
             ratio_v = err_v / (ab + rel * (new if new > scale else scale))
             err_norm = sqrt(0.5 * (ratio_u * ratio_u + ratio_v * ratio_v))
 
-        # Written so that a NaN estimate is rejected too.
+        # One step-size factor for accepted and rejected steps alike, clamped
+        # to [min_factor, max_factor] as above: a NaN estimate gets min_factor.
+        factor = max_factor if err_norm == 0.0 else safety * err_norm ** -0.2
+        factor = factor if factor > min_factor else min_factor
+        factor = factor if factor < max_factor else max_factor
         if not err_norm <= 1.0:
             rejected += 1
-            factor = safety * err_norm ** -0.2
-            h = h_step * (factor if factor > min_factor else min_factor)
+            h = h_step * factor
             if h < h_min:
                 event = TerminalEvent.STEP_FAILURE
                 break
@@ -406,10 +407,7 @@ def integrate(
             c = _interpolant(steps[-1])
             theta_end = _bisect_theta(c, 0, 1.0) if crossed_zero else 1.0
             if v_changed:
-                if v_new == 0.0 and not crossed_zero:
-                    theta_v = 1.0
-                else:
-                    theta_v = _bisect_theta(c, 1, v)
+                theta_v = _bisect_theta(c, 1, v)
                 if theta_v <= theta_end:
                     uc, vc = _dense(c, theta_v)
                     if 0.0 < uc:
@@ -431,18 +429,7 @@ def integrate(
         if last:
             break
 
-        # An accepted err_norm <= 1 gives factor >= safety: no lower clamp.
-        if err_norm == 0.0:
-            factor = max_factor
-        else:
-            factor = safety * err_norm ** -0.2
-            factor = factor if factor < max_factor else max_factor
         h = h_step * factor
         h = h if h > h_min else h_min
 
-    return Trajectory(
-        steps=steps,
-        end=(rho, State(u, v)),
-        rejected_steps=rejected,
-        terminal_event=event,
-    )
+    return Trajectory(steps, (rho, State(u, v)), rejected, event)

@@ -117,9 +117,9 @@ def test_sweep_artifacts_meet_the_error_budget(sweep_dirs):
             assert float(rows[-1][0]) == 10.0
             assert abs(float(rows[-1][3])) <= 1e-9
             amp = spike_amplitude(float(p))
-            assert abs(float(rows[-1][2]) - amp) < 1e-4
-    assert worst <= 1e-4
-    print(f"PASS sweep artifacts: max abs err over 6 cases {worst:.3e} <= 1e-4")
+            assert abs(float(rows[-1][2]) - amp) < 1e-10
+    assert worst <= 1e-9
+    print(f"PASS sweep artifacts: max abs err over 6 cases {worst:.3e} <= 1e-9")
 
 
 def test_first_integral_drift_is_bounded_and_tolerance_driven(default_shoots):
@@ -128,10 +128,10 @@ def test_first_integral_drift_is_bounded_and_tolerance_driven(default_shoots):
     halved = IntegratorConfig(rel_tol=5e-11, abs_tol=5e-13)
     tight_run = shoot(ProblemParams.inner(2.0), integrator_config=halved)
     tight = check_first_integral(tight_run.trajectory, 2.0)
-    assert drift <= 1e-7
+    assert drift <= 1e-10
     assert tight < drift
     print(
-        f"PASS first-integral drift {drift:.3e} <= 1e-7, "
+        f"PASS first-integral drift {drift:.3e} <= 1e-10, "
         f"halved tolerances give {tight:.3e}"
     )
 

@@ -9,6 +9,7 @@ import sys
 from itertools import repeat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gmspike import IntegratorConfig, ProblemParams, ShootingError, cli
@@ -124,9 +125,32 @@ class TestArgumentHandling:
         assert f"bad grid {grid[len('--grid='):]!r}" in capsys.readouterr().err
 
     def test_run_rejects_an_unknown_command(self):
-        config = cli.RunConfig("frobnicate", ProblemParams.inner(2.0), IntegratorConfig())
         with pytest.raises(ValueError, match="unknown command 'frobnicate'"):
+            config = cli.RunConfig("frobnicate", ProblemParams.inner(2.0), IntegratorConfig())
             cli.run(config)
+
+    @pytest.mark.parametrize(
+        "fields, words",
+        [
+            ({"command": "frobnicate"}, "unknown command 'frobnicate'"),
+            ({"fmt": "xml"}, "unknown format 'xml'"),
+            ({"grid": (0.0, 1.0, 3.0)}, "grid point count must be an integer, got 3.0"),
+            ({"grid": (0.0, 1.0, "3")}, "grid point count must be an integer, got '3'"),
+        ],
+    )
+    def test_run_config_checks_every_field_when_built(self, fields, words):
+        good = cli.RunConfig("analytic", ProblemParams.inner(2.0), IntegratorConfig())
+        with pytest.raises(ValueError, match=words):
+            cli.RunConfig(**{**good._asdict(), **fields})
+        with pytest.raises(ValueError, match=words):
+            good._replace(**fields)
+
+    def test_a_numpy_integer_count_is_a_count(self, tmp_path):
+        out = tmp_path / "a.csv"
+        grid = (0.0, 1.0, np.int64(3))
+        config = cli.RunConfig("analytic", ProblemParams.inner(2.0), IntegratorConfig(), grid)
+        assert cli.run(config._replace(out=str(out))) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3
 
     def test_a_reader_that_closes_early_exits_1_quietly(self):
         # 200,001 rows are megabytes, far more than a pipe holds, so the

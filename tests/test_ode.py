@@ -22,8 +22,10 @@ from gmspike import (
     eval_spike_rho,
     hamiltonian,
     integrate,
+    shoot,
     spike_amplitude,
 )
+from test_golden import _integrate_runs
 
 AMP2 = spike_amplitude(2.0)
 PARAMS2 = ProblemParams.inner(2.0)
@@ -399,6 +401,69 @@ class TestEvents:
         assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
         assert trajectory.rejected_steps >= 1
         assert trajectory.end[1].u == 0.0
+
+
+def _line_interpolant(h, c0, c1, component):
+    """Interpolant of one step of length ``h`` whose ``component`` is
+    c0 + c1 * theta exactly, for c1 * h and h powers of two, and whose
+    other component is 1."""
+    line, flat = (c0, c1 / h, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0)
+    u, v = (line, flat) if component == 0 else (flat, line)
+    return (0.0, h, u[0], v[0], *u[1:], *v[1:])
+
+
+class TestEventBisection:
+    """Every event is located by one bisection, an exact zero included."""
+
+    @pytest.mark.parametrize("component", (0, 1))
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("h", (1.0, 0.25, 2.0**-20))
+    # theta - 1/2 is exactly 0 at the first midpoint; theta - 1 at the step's end.
+    @pytest.mark.parametrize("zero", (0.5, 1.0))
+    def test_locates_an_exact_zero_to_the_tolerance(self, component, sign, h, zero):
+        c = _line_interpolant(h, -sign * zero, sign, component)
+        assert ode._dense(c, zero)[component] == 0.0
+        theta = ode._bisect_theta(c, component, c[2 + component])
+        assert abs(theta - zero) <= EVENT_LOCATION_TOL / h
+
+
+class TestStepControl:
+    """The controller's clamps, on the inward runs of the benchmark's
+    ``shoot_range`` and the ``integrate/`` golden runs."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        runs = {
+            f"shoot/p{p:g}": shoot(ProblemParams.inner(p)).trajectory
+            for p in (1.01, 1.2, 2.0, 4.0, 10.0, 100.0)
+        }
+        runs.update((key, integrate(*args)) for key, args in _integrate_runs().items())
+        return runs
+
+    def test_the_runs_are_there(self, runs):
+        assert len(runs) == 6 + 17
+        assert sum(t.rejected_steps for t in runs.values()) > 0
+
+    def test_a_step_grows_at_most_max_factor(self, runs):
+        for key, trajectory in runs.items():
+            hs = [step[1] for step in trajectory.steps]
+            assert all(b <= ode._MAX_FACTOR * a for a, b in zip(hs, hs[1:])), key
+
+    def test_every_step_but_the_last_is_at_least_h_min(self, runs):
+        for key, trajectory in runs.items():
+            hs = [step[1] for step in trajectory.steps]
+            assert all(h >= IntegratorConfig.h_min for h in hs[:-1]), key
+
+    def test_an_accepted_step_is_floored_at_h_min(self):
+        # Every step of 0.1 meets rel_tol = 3e-7 here, but some only with
+        # err above 0.9**5, where the factor is below 1: h_min = 0.1 alone
+        # keeps the next step 0.1 long.  2.2e-7 fails the first step, and
+        # from 3.8e-7 up no factor falls below 1.
+        config = IntegratorConfig(rel_tol=3e-7)
+        trajectory = fixed_step_run(0.1, config, State(AMP2, 0.0), 0.0, 4.0, 2.0)
+        assert trajectory.terminal_event is TerminalEvent.REACHED_END
+        assert trajectory.rejected_steps == 0
+        assert [step[1] for step in trajectory.steps[:-1]] == [0.1] * 39
 
 
 class TestNoRunaway:
