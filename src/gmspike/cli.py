@@ -6,11 +6,10 @@ analytic   evaluate the closed-form profile on a grid
 residual   closed-form residual u'' - u + u**p on a grid
 shoot      run the shooting solver and report the amplitude it reaches
 compare    shooting profile versus closed form on a grid
-sweep      compare for p in {2, 3, 4} x {inner, boundary}; one file per
-           case plus a summary table
+sweep      compare for p in {2,3,4} x {inner,boundary}; a file each and a summary
 
-Each subcommand takes only the option groups its run reads (spike, domain,
-solver, grid, output); any other option is a usage error.
+``_COMMANDS`` lists the option groups each subcommand's run reads; any other
+option is a usage error, and a ``RunConfig`` holds a grid exactly when its run reads one.
 
 Every command emits CSV with the fixed header
 ``rho,u_analytic,u_numeric,v_numeric,abs_error`` (one schema for all
@@ -81,10 +80,14 @@ class RunConfig(NamedTuple):
     fmt: str = "csv"
 
     def _check(self) -> None:
-        if self.command not in _RUNNERS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        if (type(self.params), type(self.integrator)) != (ProblemParams, IntegratorConfig):
+            raise ValueError("params must be a ProblemParams and integrator an IntegratorConfig")
         if self.fmt not in _FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; use one of {_FORMATS}")
+        if ("grid" in _COMMANDS[self.command][2]) == (self.grid is None):
+            raise ValueError(f"{self.command} reads {'a' if self.grid is None else 'no'} grid")
         if self.grid is not None:
             _check_grid(self.grid)
             check_within_wall(self.params, (self.grid[1],))
@@ -313,9 +316,8 @@ def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
 
 def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport]:
     """Shoot, compare on the configured grid, and write the report."""
-    grid = config.grid if config.grid is not None else _default_grid(config.params)
     result = shoot(config.params, config.integrator)
-    report = compare(result, _make_grid(grid))
+    report = compare(result, _make_grid(config.grid))
 
     def csv() -> Iterator[str]:
         errors = list(map(abs, map(sub, report.analytic, report.numeric)))
@@ -362,19 +364,18 @@ def _run_sweep(config: RunConfig) -> int:
     cases = []
     for p in _SWEEP_EXPONENTS:
         for kind in SpikeKind:
-            params = ProblemParams(p, config.params.epsilon, config.params.half_length, kind)
-            out = out_dir / f"compare_p{p:g}_{kind.value}.{config.fmt}"
-            cases.append(config._replace(
-                command="compare", params=params, grid=_default_grid(params), out=str(out)
-            ))
+            params = config.params._replace(p=p, kind=kind)
+            out = str(out_dir / f"compare_p{p:g}_{kind.value}.{config.fmt}")
+            grid = _default_grid(params)
+            cases.append(config._replace(command="compare", params=params, grid=grid, out=out))
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
+    summary_rows, failed = [], 0
     for case in cases:
         params = case.params
         try:
             outcome = _run_comparison(case)
         except ShootingError as exc:
-            outcome = None
+            outcome, failed = None, failed + 1
             _status(f"solver failure: {params.kind.value} spike at p={params.p!r}: {exc}")
         else:
             result, report = outcome
@@ -386,29 +387,33 @@ def _run_sweep(config: RunConfig) -> int:
 
     summary = config._replace(out=str(out_dir / f"summary.{config.fmt}"))
     _emit_report(summary, lambda: _summary_lines(summary_rows), lambda: summary_rows)
-    # A failed case's row leaves converged empty.
-    return 0 if all(row["converged"] for row in summary_rows) else 1
+    return 1 if failed else 0
 
 
-_RUNNERS = {
-    "analytic": _run_analytic,
-    "residual": _run_residual,
-    "shoot": _run_shoot,
-    "compare": _run_compare,
-    "sweep": _run_sweep,
+# Each subcommand: its runner, its help line, and the option groups its run reads.
+_COMMANDS = {
+    "analytic": (_run_analytic, "evaluate the closed-form profile on a grid",
+                 ("spike", "domain", "grid", "output")),
+    "residual": (_run_residual, "closed-form residual u'' - u + u**p on a grid",
+                 ("spike", "domain", "grid", "output")),
+    "shoot": (_run_shoot, "run the shooting solver and report the amplitude it reaches",
+              ("spike", "domain", "solver", "output")),
+    "compare": (_run_compare, "shooting profile versus closed form on a grid",
+                ("spike", "domain", "solver", "grid", "output")),
+    "sweep": (_run_sweep, "compare for p in {2,3,4} x {inner,boundary}; a file each and a summary",
+              ("domain", "solver", "output")),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one configured command and return the process exit code."""
     try:
-        return _RUNNERS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except ShootingError as exc:
-        diagnostic = {"config": config.to_dict(), "error": str(exc)}
         # Status first: an --out that cannot be written still exits 2 after it.
         _status(f"solver failure: {exc}")
         if config.out is not None:
-            _emit(_json_document(diagnostic), config.out)
+            _emit(_json_document({"config": config.to_dict(), "error": str(exc)}), config.out)
         return 1
 
 
@@ -431,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # One parent parser per option group; a subcommand takes only the groups its run reads.
     group = partial(argparse.ArgumentParser, add_help=False)
-    spike, domain, solver, grid, output = (group() for _ in range(5))
+    groups = {name: group() for name in ("spike", "domain", "solver", "grid", "output")}
+    spike, domain, solver, grid, output = groups.values()
     spike.add_argument("--p", type=float, default=2.0, help=f"exponent in [{P_MIN}, {P_MAX}]")
     spike.add_argument(
         "--spike", choices=["inner", "boundary"], default="inner", help="spike location"
@@ -448,14 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=_FORMATS, default="csv", dest="fmt")
     output.add_argument("--out", help="output file (sweep: output directory)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext, groups in [
-        ("analytic", "evaluate the closed-form profile on a grid", [spike, domain, grid, output]),
-        ("residual", "closed-form residual on a grid", [spike, domain, grid, output]),
-        ("shoot", "run the shooting solver", [spike, domain, solver, output]),
-        ("compare", "shooting profile versus closed form", [spike, domain, solver, grid, output]),
-        ("sweep", "compare for p in {2,3,4} x {inner,boundary}", [domain, solver, output]),
-    ]:
-        sub.add_parser(name, help=helptext, parents=groups)
+    for name, (_, helptext, reads) in _COMMANDS.items():
+        sub.add_parser(name, help=helptext, parents=[groups[read] for read in reads])
     return parser
 
 
@@ -465,7 +465,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     p = values.get("p", _SWEEP_EXPONENTS[0])
     params = ProblemParams(p, args.epsilon, args.L, SpikeKind(values.get("spike", "inner")))
     grid = values.get("grid")
-    if grid is None and args.command in ("analytic", "residual"):
+    if grid is None and "grid" in values:
         grid = _default_grid(params)
     elif args.command == "shoot":
         _default_grid(params)  # No grid, but its table is refused where the default grid is.

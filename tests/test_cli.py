@@ -136,10 +136,13 @@ class TestArgumentHandling:
             ({"fmt": "xml"}, "unknown format 'xml'"),
             ({"grid": (0.0, 1.0, 3.0)}, "grid point count must be an integer, got 3.0"),
             ({"grid": (0.0, 1.0, "3")}, "grid point count must be an integer, got '3'"),
+            ({"params": None}, "params must be a ProblemParams"),
+            ({"integrator": {"rel_tol": 1e-8}}, "integrator an IntegratorConfig"),
         ],
     )
     def test_run_config_checks_every_field_when_built(self, fields, words):
-        good = cli.RunConfig("analytic", ProblemParams.inner(2.0), IntegratorConfig())
+        grid = (0.0, 1.0, 3)
+        good = cli.RunConfig("analytic", ProblemParams.inner(2.0), IntegratorConfig(), grid)
         with pytest.raises(ValueError, match=words):
             cli.RunConfig(**{**good._asdict(), **fields})
         with pytest.raises(ValueError, match=words):
@@ -346,6 +349,29 @@ class TestArgumentHandling:
         taken = defaults.keys() & given.keys()
         assert {"epsilon", "L"} <= taken
         assert {name: given[name] for name in taken} == {name: defaults[name] for name in taken}
+
+    @pytest.mark.parametrize("fmt", cli._FORMATS)
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_a_default_config_runs_and_echoes_the_grid_it_read(self, command, fmt, tmp_path):
+        config = cli._config_from_args(cli._build_parser().parse_args([command]))
+        out = tmp_path / command
+        assert cli.run(config._replace(out=str(out), fmt=fmt)) == 0
+        if fmt == "json":
+            report = out / "summary.json" if command == "sweep" else out
+            echo = json.loads(report.read_text())["config"]
+            # The shoot reads no grid, and the sweep builds one per case.
+            read = [-10.0, 10.0, 401] if command in ("analytic", "residual", "compare") else None
+            assert echo["grid"] == read
+        # A grid where the command reads none, or none where it reads one, is refused.
+        flipped = (-1.0, 1.0, 3) if config.grid is None else None
+        with pytest.raises(ValueError, match=f"^{command} reads"):
+            cli.RunConfig(**{**config._asdict(), "grid": flipped})
+        with pytest.raises(ValueError, match=f"^{command} reads"):
+            config._replace(grid=flipped)
+
+    def test_the_docstring_lists_each_help_line(self):
+        for name, (_, helptext, _) in cli._COMMANDS.items():
+            assert f"\n{name:<10} {helptext}\n" in cli.__doc__
 
     def test_equals_form_accepts_negative_grid(self, capsys):
         assert cli.main(["analytic", "--grid=-2:2:5"]) == 0
