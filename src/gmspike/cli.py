@@ -86,11 +86,14 @@ class RunConfig(NamedTuple):
             raise ValueError("params must be a ProblemParams and integrator an IntegratorConfig")
         if self.fmt not in _FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; use one of {_FORMATS}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"out must be a str or None, got {self.out!r}")
         if ("grid" in _COMMANDS[self.command][2]) == (self.grid is None):
             raise ValueError(f"{self.command} reads {'a' if self.grid is None else 'no'} grid")
-        if self.grid is not None:
-            _check_grid(self.grid)
-            check_within_wall(self.params, (self.grid[1],))
+        # A command that reads no grid is checked on its default grid, where a shoot's table lies.
+        grid = _default_grid(self.params) if self.grid is None else self.grid
+        _check_grid(grid)
+        check_within_wall(self.params, (grid[1],))
 
     def to_dict(self) -> dict:
         """JSON echo; ``params`` lists the derived ``peak_rho`` before ``kind``."""
@@ -467,8 +470,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     grid = values.get("grid")
     if grid is None and "grid" in values:
         grid = _default_grid(params)
-    elif args.command == "shoot":
-        _default_grid(params)  # No grid, but its table is refused where the default grid is.
     # A tolerance that no option of the subcommand sets keeps its class default.
     names = values.keys() & IntegratorConfig._fields
     integrator = IntegratorConfig(**{name: values[name] for name in names})

@@ -119,14 +119,17 @@ class TerminalEvent(Enum):
 
 def checked(cls):
     """Make the NamedTuple ``cls`` run its ``_check``, which raises ValueError
-    on bad fields, on every construction.  ``_make``, which ``_replace``
-    calls, and unpickling at every protocol build through the constructor,
-    not ``tuple.__new__``."""
+    on bad fields, on every construction; a field of the wrong type is bad, its
+    TypeError a ValueError naming the record.  ``_make``, which ``_replace``
+    calls, and unpickling at every protocol build through the constructor."""
     new = cls.__new__
 
     def __new__(cls, *args, **kwargs):
         self = new(cls, *args, **kwargs)
-        self._check()
+        try:
+            self._check()
+        except TypeError as exc:
+            raise ValueError(f"bad {cls.__name__} field: {exc}") from exc
         return self
 
     cls.__reduce__ = lambda self: (type(self), tuple(self))

@@ -85,11 +85,15 @@ class TestProblemParams:
             # The domain edge half_length / epsilon overflows to inf.
             {"p": 2.0, "epsilon": 1e-3, "half_length": 1e308},
             {"p": 2.0, "epsilon": 1e-3, "half_length": 1e308, "kind": SpikeKind.BOUNDARY},
+            # A field of the wrong type is a bad field, not a TypeError.
+            {"p": "2"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ProblemParams(**kwargs)
+        with pytest.raises(ValueError):
+            ProblemParams.inner(2.0)._replace(**kwargs)
 
 
 class TestClosedForm:

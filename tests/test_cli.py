@@ -138,6 +138,17 @@ class TestArgumentHandling:
             ({"grid": (0.0, 1.0, "3")}, "grid point count must be an integer, got '3'"),
             ({"params": None}, "params must be a ProblemParams"),
             ({"integrator": {"rel_tol": 1e-8}}, "integrator an IntegratorConfig"),
+            ({"out": 5}, "out must be a str or None, got 5"),
+            # A field of the wrong type is a bad field, not a TypeError.
+            ({"grid": 5}, "bad RunConfig field: "),
+            ({"grid": ("a", 1.0, 3)}, "bad RunConfig field: "),
+            # A shoot reads no grid, but its table lies on the default one,
+            # which rounds away next to a wall peak at 1e21.
+            (
+                {"command": "shoot", "grid": None,
+                 "params": ProblemParams.boundary(3.0, 0.1, 1e20)},
+                "default grid end must exceed start",
+            ),
         ],
     )
     def test_run_config_checks_every_field_when_built(self, fields, words):

@@ -20,8 +20,9 @@ regenerates the file with
 
 which prints every artifact whose digest changed, was added or was removed.
 With ``--check`` it recomputes the digests and writes nothing: it prints
-the same lines and exits 1 if there are any.  It needs no pytest, so it
-checks the artifacts under any Python the package supports.
+the same lines, then a count that names the Python, the libc and the
+platform they were computed on, and exits 1 if there are any.  It needs no
+pytest, so it checks the artifacts under any Python the package supports.
 """
 
 import argparse
@@ -29,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -203,9 +205,13 @@ def main(argv=None) -> int:
     for line in differences:
         print(line, file=sys.stderr)
     if args.check:
+        # The closed form's bits follow the libm's rounding of exp and log1p,
+        # so the line names the platform the digests were computed on.
+        libc = " ".join(platform.libc_ver()).strip() or "unknown libc"
         print(
             f"{len(differences)} of {len(digests.keys() | old.keys())} digests differ "
-            f"from {GOLDEN.name}",
+            f"from {GOLDEN.name} (computed on Python {platform.python_version()}, "
+            f"{libc}, {sys.platform})",
             file=sys.stderr,
         )
         return 1 if differences else 0

@@ -89,11 +89,15 @@ class TestConfig:
             {"abs_tol": math.inf},
             {"rel_tol": math.nan},
             {"abs_tol": math.nan},
+            # A field of the wrong type is a bad field, not a TypeError.
+            {"rel_tol": "1"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+        with pytest.raises(ValueError):
+            IntegratorConfig()._replace(**kwargs)
 
     def test_step_sizes_are_class_constants(self):
         assert list(IntegratorConfig._fields) == ["rel_tol", "abs_tol"]
@@ -393,6 +397,22 @@ class TestEvents:
         assert end.u < 1.0
         assert rho == pytest.approx(half_period, rel=0.02)
         assert max(step[1] for step in trajectory.steps) < 0.81 * half_period
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="closer than about 1e-11 to the centre, the error control alone lets a step "
+        "pass the first turn; a step bound from the local frequency would stop it there",
+    )
+    def test_a_start_1e_12_from_the_centre_stops_at_its_first_minimum(self):
+        # The run takes 6 steps and ends TURNED at rho = 61.83, past its
+        # first minimum at 31.42.  Strict: once a fix passes this, the
+        # marker must go.
+        half_period = math.pi / math.sqrt(1.01 - 1.0)
+        trajectory = integrate(State(1.0 + 1e-12, 0.0), 0.0, 400.0, 1.01)
+        assert trajectory.terminal_event is TerminalEvent.TURNED
+        rho, end = trajectory.end
+        assert end.u < 1.0
+        assert abs(rho - half_period) < 0.1
 
     def test_overflowing_trial_step_is_rejected(self):
         # Far above the p = 100 spike, u**100 overflows inside the stages of

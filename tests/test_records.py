@@ -86,6 +86,23 @@ class TestReplaceChecks:
             config._replace(grid=(0.0, 20.0, 5))
 
     @pytest.mark.parametrize(
+        "record, field, value",
+        [
+            (ProblemParams.inner(2.0), "p", "2"),
+            (IntegratorConfig(), "rel_tol", "1"),
+            (RunConfig("shoot", ProblemParams.inner(2.0), IntegratorConfig()), "command", []),
+        ],
+    )
+    def test_a_wrong_typed_field_is_a_bad_field(self, record, field, value):
+        # The TypeError the check meets is kept as the cause.
+        words = f"bad {type(record).__name__} field: "
+        with pytest.raises(ValueError, match=words) as excinfo:
+            type(record)(**{**record._asdict(), field: value})
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        with pytest.raises(ValueError, match=words):
+            record._replace(**{field: value})
+
+    @pytest.mark.parametrize(
         "record, fields",
         [
             (ProblemParams.inner(2.0), (2.0, 0.0, 1.0, SpikeKind.INNER)),
