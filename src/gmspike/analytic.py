@@ -42,10 +42,8 @@ __all__ = [
     "ProblemParams",
     "spike_amplitude",
     "eval_spike_rho",
-    "eval_spike_rho_grid",
     "eval_spike_derivative",
     "eval_spike_second_derivative",
-    "eval_spike_second_derivative_grid",
 ]
 
 # Exponent range with well-conditioned arithmetic: the 1/(p - 1) powers blow
@@ -118,7 +116,7 @@ def spike_amplitude(p: float) -> float:
     return ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
 
 
-def eval_spike_rho_grid(params: ProblemParams, rhos: Iterable[float]) -> list[float]:
+def eval_spike_rho(params: ProblemParams, rhos: Iterable[float]) -> list[float]:
     """Exact spike profile at each rescaled coordinate of ``rhos``.
 
     Even around the peak, strictly decreasing away from it, and decaying
@@ -138,30 +136,30 @@ def eval_spike_rho_grid(params: ProblemParams, rhos: Iterable[float]) -> list[fl
     return out
 
 
-def eval_spike_rho(params: ProblemParams, rho: float) -> float:
-    """Exact spike profile at rescaled coordinate ``rho``; see :func:`eval_spike_rho_grid`."""
-    return eval_spike_rho_grid(params, (rho,))[0]
+def eval_spike_derivative(params: ProblemParams, rhos: Iterable[float]) -> list[float]:
+    """du/drho of the exact profile at each of ``rhos``.
 
-
-def eval_spike_derivative(params: ProblemParams, rho: float) -> float:
-    """du/drho of the exact profile, u' = -sign(rho - peak_rho) * u * tanh(t / 2).
-
-    With w = exp(-t), tanh(t / 2) = (1 - w) / (1 + w); 1 - w comes from
-    expm1, so it keeps its digits next to the peak.  Zero at the peak and
-    wherever u has underflowed.
+    u' = -sign(rho - peak_rho) * u * tanh(t / 2).  With w = exp(-t),
+    tanh(t / 2) = (1 - w) / (1 + w); 1 - w comes from expm1, so it keeps its
+    digits next to the peak.  Zero at the peak and wherever u has underflowed.
     """
-    delta = rho - params.peak_rho
-    t = (params.p - 1.0) * abs(delta)
-    du = eval_spike_rho(params, rho) * -math.expm1(-t) / (1.0 + math.exp(-t))
-    return -du if delta > 0.0 else du
+    rhos = list(rhos)
+    peak, pm1 = params.peak_rho, params.p - 1.0
+    out = []
+    for rho, u in zip(rhos, eval_spike_rho(params, rhos)):
+        delta = rho - peak
+        t = pm1 * abs(delta)
+        du = u * -math.expm1(-t) / (1.0 + math.exp(-t))
+        out.append(-du if delta > 0.0 else du)
+    return out
 
 
-def eval_spike_second_derivative_grid(
+def eval_spike_second_derivative(
     params: ProblemParams, rhos: Iterable[float]
 ) -> tuple[list[float], list[float]]:
     """Columns u and d2u/drho2 of the exact profile at each of ``rhos``.
 
-    The u column is :func:`eval_spike_rho_grid`'s.  u'' comes from
+    The u column is :func:`eval_spike_rho`'s.  u'' comes from
     differentiating the closed-form u' once more, not from the ODE:
 
         u'' = u * ((1 - w)**2 - 2 * (p - 1) * w) / (1 + w)**2,    w = exp(-t).
@@ -170,7 +168,7 @@ def eval_spike_second_derivative_grid(
     check of all three closed forms.  u'' is 0 wherever u has underflowed.
     """
     rhos = list(rhos)
-    us = eval_spike_rho_grid(params, rhos)
+    us = eval_spike_rho(params, rhos)
     peak, pm1 = params.peak_rho, params.p - 1.0
     two_pm1 = 2.0 * pm1
     exp = math.exp
@@ -180,8 +178,3 @@ def eval_spike_second_derivative_grid(
         a, b = 1.0 - w, 1.0 + w
         upps.append(u * (a * a - two_pm1 * w) / (b * b))
     return us, upps
-
-
-def eval_spike_second_derivative(params: ProblemParams, rho: float) -> float:
-    """d2u/drho2 of the exact profile; see :func:`eval_spike_second_derivative_grid`."""
-    return eval_spike_second_derivative_grid(params, (rho,))[1][0]

@@ -42,8 +42,7 @@ from .analytic import (
     P_MIN,
     ProblemParams,
     SpikeKind,
-    eval_spike_rho,  # noqa: F401  bench/child.py traces it through this module.
-    eval_spike_rho_grid,
+    eval_spike_rho,
     spike_amplitude,
 )
 from .ode import IntegratorConfig, checked
@@ -242,7 +241,7 @@ def _emit_report(config: RunConfig, csv, result) -> None:
 
 def _run_analytic(config: RunConfig) -> int:
     grid = _make_grid(config.grid)
-    values = eval_spike_rho_grid(config.params, grid)
+    values = eval_spike_rho(config.params, grid)
     columns = (grid, values, None, None, None)
     _emit_report(config, lambda: _csv_lines(columns), lambda: {"rho": grid, "u_analytic": values})
     return 0
@@ -297,7 +296,7 @@ def _shoot_columns(result: ShootingResult) -> tuple[list[float], ...]:
         us.append(state.u)
         vs.append(v if boundary else -v)
     rhos = [params.peak_rho - d for d in ds] if boundary else ds
-    uas = eval_spike_rho_grid(ProblemParams.inner(params.p), ds)
+    uas = eval_spike_rho(ProblemParams.inner(params.p), ds)
     return rhos, uas, us, vs, list(map(abs, map(sub, uas, us)))
 
 

@@ -16,9 +16,7 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .analytic import ProblemParams, eval_spike_rho_grid, eval_spike_second_derivative_grid
-# bench/child.py traces these two through this module.
-from .analytic import eval_spike_rho, eval_spike_second_derivative  # noqa: F401
+from .analytic import ProblemParams, eval_spike_rho, eval_spike_second_derivative
 from .ode import Trajectory, hamiltonian
 from .shooting import ShootingResult, eval_profile_grid
 
@@ -52,7 +50,7 @@ def ode_residual(
     as ``profile``: the u column the residual was built from is appended to
     it, so the closed form is evaluated once per point.
     """
-    us, upps = eval_spike_second_derivative_grid(params, rho_grid)
+    us, upps = eval_spike_second_derivative(params, rho_grid)
     if profile is not None:
         profile.extend(us)
     p, power = params.p, math.pow
@@ -71,7 +69,7 @@ def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
         raise ValueError("rho_grid must not be empty")
     params = result.params
     numeric, numeric_v = eval_profile_grid(result, grid)
-    analytic = eval_spike_rho_grid(params, grid)
+    analytic = eval_spike_rho(params, grid)
     abs_errs = list(map(abs, map(sub, analytic, numeric)))
     max_abs_err = max(abs_errs)
     # Added left to right: sum() of floats is compensated from Python 3.12 on.

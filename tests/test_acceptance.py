@@ -35,10 +35,8 @@ SWEEP_CASES = tuple(
 def test_closed_form_reduces_to_the_sech_square_profile():
     params = ProblemParams.inner(2.0)
     start = time.perf_counter()
-    err = max(
-        abs(eval_spike_rho(params, r) - 1.5 / np.cosh(r / 2.0) ** 2)
-        for r in np.linspace(-10.0, 10.0, 401)
-    )
+    rho = np.linspace(-10.0, 10.0, 401)
+    err = max(abs(eval_spike_rho(params, rho) - 1.5 / np.cosh(rho / 2.0) ** 2))
     elapsed = time.perf_counter() - start
     assert err < 1e-12
     assert elapsed < 1.0

@@ -14,9 +14,7 @@ from gmspike import (
     SpikeKind,
     eval_spike_derivative,
     eval_spike_rho,
-    eval_spike_rho_grid,
     eval_spike_second_derivative,
-    eval_spike_second_derivative_grid,
     ode_residual,
     spike_amplitude,
 )
@@ -48,9 +46,8 @@ class TestSpikeAmplitude:
     def test_matches_peak_of_profile(self):
         for p in P_VALUES:
             params = ProblemParams.inner(p)
-            assert eval_spike_rho(params, 0.0) == pytest.approx(
-                spike_amplitude(p), rel=1e-14
-            )
+            (peak,) = eval_spike_rho(params, [0.0])
+            assert peak == pytest.approx(spike_amplitude(p), rel=1e-14)
 
 
 class TestProblemParams:
@@ -100,7 +97,7 @@ class TestClosedForm:
     def test_reduces_to_sech_square_for_p2(self):
         params = ProblemParams.inner(2.0)
         rho = np.linspace(-10.0, 10.0, 2001)
-        u = np.array([eval_spike_rho(params, r) for r in rho])
+        u = np.array(eval_spike_rho(params, rho))
         reference = 1.5 / np.cosh(rho / 2.0) ** 2
         np.testing.assert_allclose(u, reference, rtol=0.0, atol=5e-15)
 
@@ -109,38 +106,37 @@ class TestClosedForm:
         params = ProblemParams.inner(p)
         rng = np.random.default_rng(42)
         rho = rng.uniform(-30.0, 30.0, size=200)
-        u = np.array([eval_spike_rho(params, r) for r in rho])
+        u = np.array(eval_spike_rho(params, rho))
         np.testing.assert_allclose(u, profile_direct(p, rho), rtol=1e-13)
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_even_about_peak(self, p):
         params = ProblemParams.inner(p)
-        for r in (0.3, 1.7, 5.0, 24.0):
-            assert eval_spike_rho(params, r) == eval_spike_rho(params, -r)
+        rho = [0.3, 1.7, 5.0, 24.0]
+        assert eval_spike_rho(params, rho) == eval_spike_rho(params, [-r for r in rho])
 
     def test_even_about_shifted_peak(self):
         params = ProblemParams.boundary(3.0)
         peak = params.peak_rho
         assert peak == pytest.approx(10.0)
-        assert eval_spike_rho(params, peak) == pytest.approx(
-            spike_amplitude(3.0), rel=1e-14
-        )
-        assert eval_spike_rho(params, peak - 2.0) == eval_spike_rho(params, peak + 2.0)
+        at_peak, left, right = eval_spike_rho(params, [peak, peak - 2.0, peak + 2.0])
+        assert at_peak == pytest.approx(spike_amplitude(3.0), rel=1e-14)
+        assert left == right
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_monotone_decay(self, p):
         params = ProblemParams.inner(p)
         rho = np.linspace(0.0, 40.0, 400)
-        u = [eval_spike_rho(params, r) for r in rho]
+        u = eval_spike_rho(params, rho)
         assert all(a > b for a, b in zip(u, u[1:]))
 
     @pytest.mark.parametrize("p", (2.0, 10.0))
     def test_tail_underflows_to_zero_without_nan(self, p):
         params = ProblemParams.inner(p)
-        assert eval_spike_rho(params, 600.0) > 0.0
-        assert eval_spike_rho(params, 720.0) == 0.0
-        assert eval_spike_rho(params, 1e6) == 0.0
-        assert math.isfinite(eval_spike_derivative(params, 1e6))
+        near, far, very_far = eval_spike_rho(params, [600.0, 720.0, 1e6])
+        assert near > 0.0
+        assert far == very_far == 0.0
+        assert math.isfinite(eval_spike_derivative(params, [1e6])[0])
 
 
 class TestDerivatives:
@@ -148,18 +144,18 @@ class TestDerivatives:
         # Independent route: d/drho of (3/2) sech^2(rho / 2) at rho = 2.
         params = ProblemParams.inner(2.0)
         oracle = -1.5 / math.cosh(1.0) ** 2 * math.tanh(1.0)
-        assert eval_spike_derivative(params, 2.0) == pytest.approx(oracle, rel=1e-14)
-        assert eval_spike_derivative(params, 2.0) == pytest.approx(
-            -0.4797750063369184, rel=1e-14
-        )
+        (du,) = eval_spike_derivative(params, [2.0])
+        assert du == pytest.approx(oracle, rel=1e-14)
+        assert du == pytest.approx(-0.4797750063369184, rel=1e-14)
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_odd_about_peak(self, p):
         params = ProblemParams.inner(p)
-        assert eval_spike_derivative(params, 0.0) == 0.0
-        for r in (0.4, 2.1, 6.0):
-            left = eval_spike_derivative(params, -r)
-            right = eval_spike_derivative(params, r)
+        assert eval_spike_derivative(params, [0.0]) == [0.0]
+        rho = [0.4, 2.1, 6.0]
+        for left, right in zip(
+            eval_spike_derivative(params, [-r for r in rho]), eval_spike_derivative(params, rho)
+        ):
             assert right < 0.0
             assert left == pytest.approx(-right, rel=1e-14)
 
@@ -167,24 +163,21 @@ class TestDerivatives:
     def test_matches_central_difference_everywhere(self, p):
         params = ProblemParams.inner(p)
         h = 1e-6
-        for r in np.linspace(-8.0, 8.0, 161):
-            fd = (eval_spike_rho(params, r + h) - eval_spike_rho(params, r - h)) / (
-                2.0 * h
-            )
-            assert fd == pytest.approx(
-                eval_spike_derivative(params, r), rel=0.0, abs=1e-7
-            )
+        rho = np.linspace(-8.0, 8.0, 161)
+        fd = (np.array(eval_spike_rho(params, rho + h)) - eval_spike_rho(params, rho - h)) / (
+            2.0 * h
+        )
+        np.testing.assert_allclose(fd, eval_spike_derivative(params, rho), rtol=0.0, atol=1e-7)
 
     @pytest.mark.parametrize("p", (2.0, 3.0, 4.5))
     def test_first_derivative_fd_convergence(self, p):
         params = ProblemParams.inner(p)
         rho = 1.3
-        exact = eval_spike_derivative(params, rho)
+        (exact,) = eval_spike_derivative(params, [rho])
         errors = []
         for h in (0.04, 0.02, 0.01, 0.005):
-            fd = (eval_spike_rho(params, rho + h) - eval_spike_rho(params, rho - h)) / (
-                2.0 * h
-            )
+            ahead, behind = eval_spike_rho(params, [rho + h, rho - h])
+            fd = (ahead - behind) / (2.0 * h)
             errors.append(abs(fd - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 < coarse / fine < 4.5
@@ -193,22 +186,18 @@ class TestDerivatives:
     @pytest.mark.parametrize("p", P_VALUES)
     def test_second_derivative_satisfies_profile_equation(self, p):
         params = ProblemParams.inner(p)
-        for r in np.linspace(-8.0, 8.0, 81):
-            u = eval_spike_rho(params, r)
-            upp = eval_spike_second_derivative(params, r)
+        us, upps = eval_spike_second_derivative(params, np.linspace(-8.0, 8.0, 81))
+        for u, upp in zip(us, upps):
             assert upp == pytest.approx(u - u**p, rel=0.0, abs=1e-12)
 
     def test_second_derivative_fd_convergence(self):
         params = ProblemParams.inner(3.0)
         rho = 0.9
-        exact = eval_spike_second_derivative(params, rho)
+        ((u,), (exact,)) = eval_spike_second_derivative(params, [rho])
         errors = []
         for h in (0.04, 0.02, 0.01, 0.005):
-            fd = (
-                eval_spike_rho(params, rho + h)
-                - 2.0 * eval_spike_rho(params, rho)
-                + eval_spike_rho(params, rho - h)
-            ) / h**2
+            ahead, behind = eval_spike_rho(params, [rho + h, rho - h])
+            fd = (ahead - 2.0 * u + behind) / h**2
             errors.append(abs(fd - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 < coarse / fine < 4.6
@@ -222,25 +211,21 @@ class TestDerivatives:
         far = (1e306, 1e307, 1e308, sys.float_info.max)
         rhos = [sign * r for r in far for sign in (1.0, -1.0)]
         zeros = [0.0] * len(rhos)
-        us, upps = eval_spike_second_derivative_grid(params, rhos)
-        assert us == upps == eval_spike_rho_grid(params, rhos) == zeros
+        us, upps = eval_spike_second_derivative(params, rhos)
+        assert us == upps == eval_spike_rho(params, rhos) == zeros
+        assert eval_spike_derivative(params, rhos) == zeros
         assert ode_residual(params, rhos) == zeros
-        for rho in rhos:
-            assert eval_spike_rho(params, rho) == 0.0
-            assert eval_spike_derivative(params, rho) == 0.0
-            assert eval_spike_second_derivative(params, rho) == 0.0
 
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
     def test_finite_next_to_the_peak(self, p):
         # Here exp(-t) is 1 or a few ulps below it: u' keeps its sign and its
         # digits through expm1, and u'' is -(p - 1) * u / 2 to rounding.
         params = ProblemParams.inner(p)
-        for rho in (1e-17, -1e-17):
-            du = eval_spike_derivative(params, rho)
-            upp = eval_spike_second_derivative(params, rho)
+        rhos = [1e-17, -1e-17]
+        us, upps = eval_spike_second_derivative(params, rhos)
+        for rho, du, u, upp in zip(rhos, eval_spike_derivative(params, rhos), us, upps):
             assert math.isfinite(du) and du != 0.0
             assert math.copysign(1.0, du) == -math.copysign(1.0, rho)
-            u = eval_spike_rho(params, rho)
             assert upp < 0.0
             assert upp == pytest.approx(u - u**p, rel=1e-12)
 
@@ -275,12 +260,13 @@ class TestHighPrecisionReference:
     @pytest.mark.parametrize("p", REFERENCE_P)
     def test_derivatives_match_to_rounding(self, p, kind):
         params = ProblemParams.inner(p) if kind == "inner" else ProblemParams.boundary(p)
-        us, upps = eval_spike_second_derivative_grid(params, REFERENCE_RHOS)
-        for rho, u, upp in zip(REFERENCE_RHOS, us, upps):
+        us, upps = eval_spike_second_derivative(params, REFERENCE_RHOS)
+        dus = eval_spike_derivative(params, REFERENCE_RHOS)
+        for rho, u, du, upp in zip(REFERENCE_RHOS, us, dus, upps):
             ref_u, ref_du, ref_upp = decimal_reference(p, params.peak_rho, rho)
             assert ref_u > sys.float_info.min
             assert abs(u - ref_u) <= 2e-13 * ref_u, rho
-            assert abs(eval_spike_derivative(params, rho) - ref_du) <= 2e-13 * ref_u, rho
+            assert abs(du - ref_du) <= 2e-13 * ref_u, rho
             assert abs(upp - ref_upp) <= 2e-13 * ref_u, rho
 
 
@@ -306,7 +292,7 @@ def same_bits(a, b):
 
 
 class TestGridForms:
-    """Grid evaluators against the one-point forms and the per-call formulas."""
+    """Grid evaluators against one-point grids and the per-point formulas written out."""
 
     # Unsorted offsets from the peak: the peak itself, signed zeros, points
     # where exp(-2t) rounds to 1, and a far field where u underflows.
@@ -318,15 +304,15 @@ class TestGridForms:
         params = ProblemParams.inner(p) if kind == "inner" else ProblemParams.boundary(p)
         peak = params.peak_rho
         grid = [peak + d for d in self.OFFSETS] + [0.0, -0.0, -peak - 2.0]
-        us = eval_spike_rho_grid(params, grid)
-        pair_us, upps = eval_spike_second_derivative_grid(params, grid)
+        us = eval_spike_rho(params, grid)
+        pair_us, upps = eval_spike_second_derivative(params, grid)
         assert len(us) == len(pair_us) == len(upps) == len(grid)
         for rho, u, pair_u, upp in zip(grid, us, pair_us, upps):
             dist = abs(rho - peak)
-            assert same_bits(u, eval_spike_rho(params, rho)), rho
+            assert same_bits(u, eval_spike_rho(params, [rho])[0]), rho
             assert same_bits(u, reference_exp(reference_log_profile(p, dist))), rho
             assert same_bits(pair_u, u), rho
-            assert same_bits(upp, eval_spike_second_derivative(params, rho)), rho
+            assert same_bits(upp, eval_spike_second_derivative(params, [rho])[1][0]), rho
             assert same_bits(upp, reference_second_derivative(p, dist)), rho
         if p == 2.0:
             assert us[self.OFFSETS.index(720.0)] == 0.0
@@ -375,10 +361,9 @@ class TestAnsatz:
             params = ProblemParams.inner(p)
         else:
             params = ProblemParams.boundary(p)
-        for r in np.linspace(peak - 8.0, peak + 8.0, 81):
-            assert eval_ansatz(constants, r) == pytest.approx(
-                eval_spike_rho(params, r), rel=1e-12
-            )
+        rho = np.linspace(peak - 8.0, peak + 8.0, 81)
+        for r, u in zip(rho, eval_spike_rho(params, rho)):
+            assert eval_ansatz(constants, r) == pytest.approx(u, rel=1e-12)
 
     def test_widely_spaced_scale_factors_agree(self):
         a = eval_ansatz(derive_ansatz_constants(2.0, 5.0), 1.3)

@@ -4,7 +4,8 @@
 patches ``shooting.integrate``, ``ode.Trajectory.eval``,
 ``verify.eval_spike_rho``, ``cli.eval_spike_rho``,
 ``verify.eval_spike_second_derivative``, ``cli.ode_residual``,
-``cli.compare`` and ``cli.shoot``; its observers read ``a_star``,
+``cli.compare`` and ``cli.shoot``, the names through which the library
+calls them; its observers read ``a_star``,
 ``bc_residual``, ``converged``, the length of ``classifications``,
 ``config.scan_points`` and the trajectory's step counts of a
 ``ShootingResult``, ``analytic.spike_amplitude`` and the sweep summary's
@@ -13,7 +14,10 @@ the benchmark is run, so one traced op of each workload runs here, started
 as ``bench/run.py`` starts it: ``dense_grid`` is the one that reaches
 ``Trajectory.eval`` and ``cli.ode_residual``.  Every case must pass its
 check: the six ``shoot_range`` shoots, p = 1.01 included, the six
-``sweep_cli`` spikes and the four ``dense_grid`` artifacts.
+``sweep_cli`` spikes and the four ``dense_grid`` artifacts.  The closed
+form's spans must be opened: ``dense_grid`` reaches both closed-form
+evaluators and ``sweep_cli`` the profile's, so their per-layer figures are
+measured, not 0.
 """
 
 import json
@@ -48,3 +52,8 @@ def test_traced_bench_op_runs(workload, tmp_path):
     failed = [(c["case"], c["error"]) for c in outcome["cases"] if not c["ok"]]
     assert len(outcome["cases"]) == {"shoot_range": 6, "sweep_cli": 6, "dense_grid": 4}[workload]
     assert not failed, failed
+    layers = outcome["layers"]
+    if workload != "shoot_range":
+        assert layers["analytic.eval_spike_rho.calls"] > 0
+    if workload == "dense_grid":
+        assert layers["analytic.second_derivative.us_per_call"] > 0

@@ -273,7 +273,7 @@ class TestArgumentHandling:
         def explode(*args, **kwargs):
             raise AssertionError("computed before the grid was checked")
 
-        for name in ("shoot", "eval_spike_rho_grid", "ode_residual"):
+        for name in ("shoot", "eval_spike_rho", "ode_residual"):
             monkeypatch.setattr(cli, name, explode)
         out = tmp_path / "out"
         argv = [command, "--p", "2", "--spike", "boundary", "--grid=0:20:5", "--out", str(out)]

@@ -2,9 +2,11 @@
 
 The CSV and JSON files the CLI writes are the project's contract: identical
 inputs must give identical bytes, and a refactor must not move a single one.
-``golden_sha256.json`` holds the sha256 of every artifact below, as written
-when the file was last regenerated.  The artifacts embed no paths, so their
-digests do not depend on the output directory.
+``golden_sha256.json`` holds the sha256 of every artifact below under
+``"digests"``, as written when the file was last regenerated, and under
+``"platform"`` the Python, libc and OS they were computed on: the closed
+form's bits follow the libm's rounding of exp and log1p.  The artifacts
+embed no paths, so their digests do not depend on the output directory.
 
 The ``integrate/`` keys pin the integrator itself, below the artifacts: the
 digest of the repr of everything a run returns (every accepted step's raw
@@ -20,9 +22,10 @@ regenerates the file with
 
 which prints every artifact whose digest changed, was added or was removed.
 With ``--check`` it recomputes the digests and writes nothing: it prints
-the same lines, then a count that names the Python, the libc and the
-platform they were computed on, and exits 1 if there are any.  It needs no
-pytest, so it checks the artifacts under any Python the package supports.
+the same lines, then a count that names the platform they were computed on,
+and exits 1 if there are any; on any difference it also prints the platform
+the file was recorded on.  It needs no pytest, so it checks the artifacts
+under any Python the package supports.
 """
 
 import argparse
@@ -66,6 +69,17 @@ SINGLE_COMMANDS = {
 
 # Exit status of each single command that does not exit 0.
 EXIT_CODES = {"compare_p2_unconverged.json": 1}
+
+
+def _platform() -> str:
+    """Python, libc and OS of this process, e.g. "Python 3.11.7, glibc 2.36, linux"."""
+    libc = " ".join(platform.libc_ver()).strip() or "unknown libc"
+    return f"Python {platform.python_version()}, {libc}, {sys.platform}"
+
+
+def _golden() -> dict:
+    """The recorded digests, by key."""
+    return json.loads(GOLDEN.read_text())["digests"]
 
 
 def _integrate_runs() -> dict:
@@ -134,33 +148,39 @@ def _single_digests(out_dir: Path) -> dict:
 
 
 def test_sweep_csv_matches_golden(sweep_dirs):
-    golden = json.loads(GOLDEN.read_text())
+    golden = _golden()
     digests = _dir_digests(sweep_dirs[0], "sweep_csv")
     assert digests == {k: v for k, v in golden.items() if k.startswith("sweep_csv/")}
 
 
 def test_sweep_json_matches_golden(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
+    golden = _golden()
     digests = _json_sweep_digests(tmp_path)
     assert digests == {k: v for k, v in golden.items() if k.startswith("sweep_json/")}
 
 
 def test_single_commands_match_golden(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
+    golden = _golden()
     digests = _single_digests(tmp_path)
     assert digests == {k: golden[k] for k in SINGLE_COMMANDS}
 
 
 def test_integrate_runs_match_golden():
-    golden = json.loads(GOLDEN.read_text())
+    golden = _golden()
     digests = _integrate_digests()
     assert digests == {k: v for k, v in golden.items() if k.startswith("integrate/")}
 
 
 def test_shoots_match_golden():
-    golden = json.loads(GOLDEN.read_text())
+    golden = _golden()
     digests = _shoot_digests()
     assert digests == {k: v for k, v in golden.items() if k.startswith("shoot/")}
+
+
+def test_golden_file_names_its_platform():
+    recorded = json.loads(GOLDEN.read_text())
+    assert set(recorded) == {"platform", "digests"}
+    assert recorded["platform"].startswith("Python ")
 
 
 def _all_digests() -> dict:
@@ -197,25 +217,29 @@ def main(argv=None) -> int:
         help="recompute the digests, write nothing, and exit 1 if any differs",
     )
     args = parser.parse_args(argv)
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"digests": {}}
+    old = recorded["digests"]
     # The commands' status lines are not this report's.
     with contextlib.redirect_stderr(io.StringIO()):
         digests = _all_digests()
     differences = _differences(old, digests)
     for line in differences:
         print(line, file=sys.stderr)
+    current = _platform()
     if args.check:
-        # The closed form's bits follow the libm's rounding of exp and log1p,
-        # so the line names the platform the digests were computed on.
-        libc = " ".join(platform.libc_ver()).strip() or "unknown libc"
         print(
             f"{len(differences)} of {len(digests.keys() | old.keys())} digests differ "
-            f"from {GOLDEN.name} (computed on Python {platform.python_version()}, "
-            f"{libc}, {sys.platform})",
+            f"from {GOLDEN.name} (computed on {current})",
             file=sys.stderr,
         )
+        if differences:
+            print(
+                f"{GOLDEN.name} was recorded on {recorded.get('platform')}; "
+                f"this check ran on {current}",
+                file=sys.stderr,
+            )
         return 1 if differences else 0
-    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    GOLDEN.write_text(json.dumps({"platform": current, "digests": digests}, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
     return 0
 

@@ -195,7 +195,7 @@ class TestInwardRun:
         result = shoot(ProblemParams.inner(p))
         assert abs(result.a_star - spike_amplitude(p)) < 1e-10
         (u,), _ = eval_profile_grid(result, [10.0])
-        exact = eval_spike_rho(result.params, 10.0)
+        (exact,) = eval_spike_rho(result.params, [10.0])
         assert abs(u - exact) / exact < 1e-8
 
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
@@ -340,7 +340,7 @@ class TestShoot:
         assert result.bc_residual <= 0.01
         grid = [0.25 * k for k in range(-40, 41)]
         us, _ = eval_profile_grid(result, grid)
-        exact = [eval_spike_rho(result.params, rho) for rho in grid]
+        exact = eval_spike_rho(result.params, grid)
         assert max(abs(u - e) for u, e in zip(us, exact)) < 1e-6
 
     def test_degenerate_window_returns_best_connect(self):
@@ -445,7 +445,7 @@ class TestEvalProfile:
         assert v == 0.0
         (u,), (v,) = eval_profile_grid(result, [peak - 2.0])
         assert v > 0.0
-        assert u == pytest.approx(eval_spike_rho(result.params, peak - 2.0), abs=1e-7)
+        assert [u] == pytest.approx(eval_spike_rho(result.params, [peak - 2.0]), abs=1e-7)
         # The boundary profile is the inner one's left half, shifted to the wall.
         for d in (0.7, 2.5, 9.0):
             assert eval_profile_grid(result, [peak - d]) == eval_profile_grid(inner, [-d])
