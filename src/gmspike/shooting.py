@@ -25,12 +25,16 @@ peak the profile can be read.
 
 The profile is even about the peak (u even, v odd).  Boundary spikes reuse
 the same run: the system is autonomous, so the profile peaking at the right
-endpoint rho = L / epsilon is the inner one shifted there.
+endpoint rho = L / epsilon is the inner one shifted there.  :func:`shoot`
+keeps its last run, so results for one (p, integrator config) share a
+:class:`Trajectory`, and the JSON ``integrations`` (1) counts the run behind
+a profile, not the integrations this process made.
 :func:`eval_profile_grid` maps domain coordinates onto the run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
@@ -122,6 +126,12 @@ class ShootingResult(NamedTuple):
         return abs(u) + abs(v)
 
 
+@functools.lru_cache(maxsize=1)
+def _inward_run(p: float, integrator_config: IntegratorConfig) -> Trajectory:
+    v0 = U0 * math.sqrt(1.0 - 2.0 * U0 ** (p - 1.0) / (p + 1.0))
+    return integrate(State(U0, v0), 0.0, _HORIZON, p, integrator_config)
+
+
 def shoot(
     params: ProblemParams, integrator_config: IntegratorConfig = IntegratorConfig()
 ) -> ShootingResult:
@@ -129,13 +139,12 @@ def shoot(
 
     The run starts at (U0, v0) with H(U0, v0) = 0 and ends at its first
     event, which on the spike is the peak; ``integrator_config`` sets its
-    tolerances.  Raises :class:`ShootingError` if it ends any other way:
-    step-size control underflows, or the run crosses u = 0, turns at a
-    minimum (u <= 1) or reaches its horizon.
+    tolerances; a shoot of the last shoot's p and config reads its run.
+    Raises :class:`ShootingError`, on every shoot of that run, if it ends
+    any other way: step-size control underflows, or the run crosses u = 0,
+    turns at a minimum (u <= 1) or reaches its horizon.
     """
-    p = params.p
-    v0 = U0 * math.sqrt(1.0 - 2.0 * U0 ** (p - 1.0) / (p + 1.0))
-    trajectory = integrate(State(U0, v0), 0.0, _HORIZON, p, integrator_config)
+    trajectory = _inward_run(params.p, integrator_config)
     sigma, state = trajectory.end
     event = trajectory.terminal_event
     if event is TerminalEvent.STEP_FAILURE:

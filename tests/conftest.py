@@ -9,6 +9,14 @@ import pytest
 from gmspike import ProblemParams, State, cli, shoot, shooting
 
 
+@pytest.fixture(autouse=True)
+def _fresh_inward_run():
+    """Start every test without a kept run: shoot keeps its last run under
+    (p, integrator config), a key that leaves out what tests patch, such as
+    ``shooting.integrate`` or the ``IntegratorConfig`` step-size constants."""
+    shooting._inward_run.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def default_shoots():
     """Converged shooting results at default settings, keyed by exponent."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmspike import IntegratorConfig, ProblemParams, ShootingError, cli
+from gmspike import IntegratorConfig, ProblemParams, ShootingError, cli, shooting
 from gmspike.cli import CSV_HEADER
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -707,6 +707,8 @@ class TestShootCommand:
     def test_json_bytes_deterministic(self, tmp_path):
         paths = [tmp_path / name for name in ("a.json", "b.json")]
         for path in paths:
+            # Each command integrates its own run, not the one shoot kept.
+            shooting._inward_run.cache_clear()
             assert (
                 cli.main(["shoot", "--p", "4", "--format", "json", "--out", str(path)])
                 == 0

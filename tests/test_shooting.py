@@ -296,7 +296,9 @@ class TestShoot:
 
     @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 3.0, 4.0, 10.0, 100.0))
     def test_each_integration_is_logged_once(self, p, monkeypatch):
-        # One integrate call per shoot, from the far end, and one log entry for it.
+        # One integrate call for the inner shoot, from the far end, and one
+        # log entry for it; the boundary shoot after it reads that run and
+        # carries that entry, with no call of its own.
         starts = []
         real_integrate = shooting_mod.integrate
 
@@ -305,11 +307,14 @@ class TestShoot:
             return real_integrate(initial, *args, **kwargs)
 
         monkeypatch.setattr(shooting_mod, "integrate", recording_integrate)
-        for params in (ProblemParams.inner(p), ProblemParams.boundary(p)):
-            result = shoot(params)
-            assert len(starts) == 1
-            assert [entry.u0 for entry in result.classifications] == [starts[0].u]
-            assert starts.pop() == _start(result)
+        inner = shoot(ProblemParams.inner(p))
+        assert len(starts) == 1
+        assert [entry.u0 for entry in inner.classifications] == [starts[0].u]
+        assert starts[0] == _start(inner)
+        boundary = shoot(ProblemParams.boundary(p))
+        assert len(starts) == 1
+        assert boundary.trajectory is inner.trajectory
+        assert boundary.classifications == inner.classifications
 
     def test_bisection_halves_until_tolerance(self, monkeypatch):
         # The peak, and with it a_star and sigma_pk, is located by bisecting

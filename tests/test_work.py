@@ -9,7 +9,16 @@ import random
 
 import pytest
 
-from gmspike import ProblemParams, cli, ode, shoot, shooting
+from gmspike import (
+    IntegratorConfig,
+    ProblemParams,
+    ShootingError,
+    cli,
+    eval_profile_grid,
+    ode,
+    shoot,
+    shooting,
+)
 
 # p -> (integrations, accepted steps, rejected steps) of
 # shoot(ProblemParams.inner(p)) at default settings.
@@ -22,10 +31,15 @@ PINNED_WORK = {
     100.0: (1, 309, 14),
 }
 
+# Integrations made by a default sweep: it shoots the inner, then the
+# boundary spike of each p in {2, 3, 4}, and each boundary shoot reads the
+# inner shoot's run.
+PINNED_SWEEP_INTEGRATIONS = 3
+
 # Interpolants built (calls of ode._interpolant) by a command at default
 # settings: one per step its grids read, plus one at each shoot's peak event.
 PINNED_BUILDS = {
-    "sweep": 1237,
+    "sweep": 679,
     "compare_p2_50001": 224,
 }
 
@@ -66,11 +80,63 @@ def test_a_boundary_shoot_does_the_inner_work(p, monkeypatch):
 @pytest.mark.parametrize("p", sorted(PINNED_WORK))
 def test_a_boundary_shoot_takes_the_inner_steps(p):
     # Not just as many: the same steps and end, bit for bit, so one run can
-    # serve both kinds.
+    # serve both kinds.  The kept run is dropped between the shoots, so the
+    # boundary shoot integrates on its own.
     inner = shoot(ProblemParams.inner(p)).trajectory
+    shooting._inward_run.cache_clear()
     boundary = shoot(ProblemParams.boundary(p)).trajectory
+    assert boundary is not inner
     assert repr(boundary.steps) == repr(inner.steps)
     assert repr(boundary.end) == repr(inner.end)
+
+
+class TestKeptRun:
+    """shoot keeps its last run under (p, integrator config): the next shoot
+    of that key reads it, and any other key integrates again."""
+
+    def test_a_sweep_integrates_once_per_exponent(self, monkeypatch, tmp_path):
+        work = _count_work(monkeypatch)
+        assert cli.main(["sweep", "--out", str(tmp_path)]) == 0
+        assert work[0] == PINNED_SWEEP_INTEGRATIONS
+        assert shooting._inward_run.cache_info().currsize <= 1
+
+    def test_another_p_or_other_tolerances_integrate_again(self, monkeypatch):
+        work = _count_work(monkeypatch)
+        shoot(ProblemParams.inner(2.0))
+        shoot(ProblemParams.boundary(2.0))
+        assert work[0] == 1
+        shoot(ProblemParams.inner(3.0))
+        assert work[0] == 2
+        shoot(ProblemParams.inner(3.0), integrator_config=IntegratorConfig(rel_tol=1e-8))
+        assert work[0] == 3
+        # Only the last run is kept.
+        shoot(ProblemParams.inner(3.0))
+        assert work[0] == 4
+
+    def test_a_kept_run_that_misses_its_peak_raises_on_every_shoot(
+        self, monkeypatch, short_horizon
+    ):
+        work = _count_work(monkeypatch)
+        for params in (ProblemParams.inner(2.0), ProblemParams.boundary(2.0)):
+            with pytest.raises(ShootingError, match="ended reached_end at sigma=5.0,"):
+                shoot(params)
+        assert work[0] == 1
+
+    @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
+    def test_a_boundary_profile_from_the_kept_run_has_the_fresh_bits(self, p):
+        inner = shoot(ProblemParams.inner(p))
+        # The inner profile fills some of the run's interpolants first, as a
+        # sweep's inner compare does.
+        eval_profile_grid(inner, [-10.0 + i / 100.0 for i in range(2001)])
+        params = ProblemParams.boundary(p)
+        kept = shoot(params)
+        assert kept.trajectory is inner.trajectory
+        assert kept.params == params
+        shooting._inward_run.cache_clear()
+        fresh = shoot(params)
+        assert fresh.trajectory is not inner.trajectory
+        grid = [params.peak_rho - 10.0 + i / 200.0 for i in range(2001)]
+        assert _bits(eval_profile_grid(kept, grid)) == _bits(eval_profile_grid(fresh, grid))
 
 
 def _count_builds(monkeypatch):
@@ -125,7 +191,9 @@ class TestInterpolantBuilds:
         shuffled = list(grid)
         random.Random(7).shuffle(shuffled)
         trajectory.eval(shuffled[: len(grid) // 3])
+        shooting._inward_run.cache_clear()
         fresh = shoot(ProblemParams.inner(2.0)).trajectory
+        assert fresh is not trajectory
         assert _bits(trajectory.eval(grid)) == _bits(fresh.eval(grid))
 
 
