@@ -46,7 +46,7 @@ from .analytic import (
     spike_amplitude,
 )
 from .ode import IntegratorConfig, checked
-from .shooting import ShootingError, ShootingResult, check_within_wall, shoot
+from .shooting import ShootingError, ShootingResult, check_within_wall, profile_samples, shoot
 from .verify import ComparisonReport, check_first_integral, compare, ode_residual
 
 __all__ = ["RunConfig", "run", "main"]
@@ -136,8 +136,11 @@ def _check_grid(bounds: tuple[float, float, int], name: str = "grid") -> None:
         raise ValueError(f"{name} bounds must be finite")
     if not (end > start):
         raise ValueError(f"{name} end must exceed start")
-    if not math.isfinite((end - start) / (count - 1)):
+    step = (end - start) / (count - 1)
+    if not math.isfinite(step):
         raise ValueError(f"{name} step overflows; narrow the grid")
+    if not step > 2 * math.ulp(max(abs(start), abs(end))):
+        raise ValueError(f"{name} points repeat at its magnitude; widen it or take fewer points")
 
 
 def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
@@ -274,29 +277,12 @@ def _shoot_result(result: ShootingResult) -> dict:
 
 
 def _shoot_columns(result: ShootingResult) -> tuple[list[float], ...]:
-    """The CSV columns of the inward run's samples inside the domain
-    [-L/epsilon, L/epsilon], read backwards from the peak, in the domain
-    coordinate as ``shooting.eval_profile_grid`` maps it: an inner spike's
-    rows run out from the peak to the right, a boundary spike's inward from
-    the wall, so rho falls and v keeps the run's sign.  u_analytic is the
-    closed form at the row's distance d from the peak, the distance the run
-    was read at, not at its rounded rho."""
-    params = result.params
-    boundary = params.kind is SpikeKind.BOUNDARY
-    reach = params.peak_rho + params.half_length / params.epsilon
-    sigma_pk = result.sigma_pk
-    ds, us, vs = [], [], []
-    for sigma, state in reversed(result.trajectory.samples):
-        d = sigma_pk - sigma
-        if d > reach:
-            break
-        # d = 0 at the run's end, the peak, where the slope is 0; it always gives a row.
-        v = state.v if d else 0.0
-        ds.append(d)
-        us.append(state.u)
-        vs.append(v if boundary else -v)
-    rhos = [params.peak_rho - d for d in ds] if boundary else ds
-    uas = eval_spike_rho(ProblemParams.inner(params.p), ds)
+    """The CSV columns of the inward run's samples inside the domain, as
+    ``shooting.profile_samples`` places them.  u_analytic is the closed form
+    at the row's distance d from the peak, the distance the run was read at,
+    not at its rounded rho."""
+    rhos, ds, us, vs = profile_samples(result)
+    uas = eval_spike_rho(ProblemParams.inner(result.params.p), ds)
     return rhos, uas, us, vs, list(map(abs, map(sub, uas, us)))
 
 

@@ -28,8 +28,9 @@ the same run: the system is autonomous, so the profile peaking at the right
 endpoint rho = L / epsilon is the inner one shifted there.  :func:`shoot`
 keeps its last run, so results for one (p, integrator config) share a
 :class:`Trajectory`, and the JSON ``integrations`` (1) counts the run behind
-a profile, not the integrations this process made.
-:func:`eval_profile_grid` maps domain coordinates onto the run.
+a profile, not the integrations this process made.  Two maps place the
+run in the domain: :func:`eval_profile_grid` reads it at domain points, and
+:func:`profile_samples` gives its own samples their domain points.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "ShootingError",
     "shoot",
     "eval_profile_grid",
+    "profile_samples",
 ]
 
 # u at the far end of the run.  The profile reaches sigma_pk, about
@@ -181,33 +183,28 @@ def eval_profile_grid(
     result: ShootingResult, rhos: Iterable[float]
 ) -> tuple[list[float], list[float]]:
     """Shooting profile u and v columns at the domain coordinates ``rhos``,
-    any iterable of them.
+    any iterable of them; :func:`profile_samples` is its inverse.
 
     u at distance d from the peak is the run at sigma_pk - d.  The run
     climbs towards the peak, so v is the run's slope where rho < peak and
     its negative where rho > peak; at the peak itself the profile is
     (a_star, 0).  Raises ValueError, naming the point, if any point is NaN,
-    or lies more than SPAN_SLACK, the slack of the run's own clamp, past
-    sigma_pk from the peak or, for boundary spikes, past the domain edge.
+    or lies past the run's reach (:meth:`Trajectory.eval`) or, for boundary
+    spikes, past the domain edge (:func:`check_within_wall`, named first).
     """
     # The points are read more than once below, so a one-shot iterable is listed.
     if not isinstance(rhos, Sequence):
         rhos = list(rhos)
     params = result.params
+    check_within_wall(params, rhos)
     peak, reach = params.peak_rho, result.sigma_pk
-    limit = reach + SPAN_SLACK
-    upper = SPAN_SLACK if params.kind is SpikeKind.BOUNDARY else limit
-    far = next((rho for rho in rhos if not -limit <= rho - peak <= upper), None)
-    if far is not None:
-        # A point past the wall is named first, wherever it is.
-        check_within_wall(params, rhos)
-        raise ValueError(
-            f"rho={far!r} lies outside the integrated span, which reaches "
-            f"{reach!r} from the peak at rho={peak!r}"
-        )
     # Run positions are generated, and v flipped in place: no grid-sized list
-    # beside the columns.
-    us, vs = result.trajectory.eval(reach - abs(rho - peak) for rho in rhos)
+    # beside the columns.  ``last`` is the point read last, the one eval refuses.
+    try:
+        us, vs = result.trajectory.eval(reach - abs((last := rho) - peak) for rho in rhos)
+    except ValueError:
+        far = f"rho={last!r} lies outside the integrated span"
+        raise ValueError(f"{far}, which reaches {reach!r} from the peak at rho={peak!r}") from None
     for i, rho in enumerate(rhos):
         if rho > peak:
             vs[i] = -vs[i]
@@ -215,3 +212,23 @@ def eval_profile_grid(
             # The run's end: v is 0 there only to within the event's location error.
             us[i], vs[i] = result.a_star, 0.0
     return us, vs
+
+
+def profile_samples(result: ShootingResult) -> tuple[list[float], ...]:
+    """The run's samples inside [-L/epsilon, L/epsilon] as columns (rho, d,
+    u, v), read back from the peak: the inverse of :func:`eval_profile_grid`.
+    With side 1 for an inner spike, whose rows run out to the right, and -1
+    for a boundary one, whose rows run inward from the wall, a sample at
+    distance d from the peak has rho = peak + side * d and v = -side times
+    the run's v; the peak, d = 0, always gives a row, with v = 0."""
+    params = result.params
+    side = -1.0 if params.kind is SpikeKind.BOUNDARY else 1.0
+    peak, sigma_pk = params.peak_rho, result.sigma_pk
+    to_far_wall = peak + params.half_length / params.epsilon
+    rows = []
+    for sigma, (u, v) in reversed(result.trajectory.samples):
+        d = sigma_pk - sigma
+        if d > to_far_wall:
+            break
+        rows.append((peak + side * d, d, u, -side * v if d else 0.0))
+    return tuple(map(list, zip(*rows)))

@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import repeat
@@ -178,7 +179,60 @@ class TestArgumentHandling:
             proc.stdout.close()
             err = proc.stderr.read().decode()
             assert proc.wait(timeout=60) == 1
-        assert "Traceback" not in err
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["analytic", "--p", "2", "--grid=1e16:10000000000000010:401"], "grid"),
+            (["compare", "--p", "2", "--spike", "boundary", "--L", "1e15"], "default grid"),
+            (["shoot", "--p", "2", "--spike", "boundary", "--L", "1e15"], "default grid"),
+            (["sweep", "--L", "1e15"], "default grid"),
+        ],
+    )
+    def test_a_grid_whose_points_repeat_exits_2(self, argv, name, tmp_path, capsys):
+        # Doubles near 1e16 lie 2 apart, so a step of 0.025 there gives a
+        # handful of distinct rho values; the wall L/epsilon = 1e16 puts the
+        # default grid of a boundary spike there.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"error: {name} points repeat at its magnitude" in err
+        assert not out.exists()
+
+    def test_a_wall_below_2_to_the_46_keeps_its_default_grid(self, tmp_path):
+        # The default step, 0.025, exceeds 2 ulps of 7e13 (0.0156) but not
+        # of 2**46 (0.03125).
+        out = tmp_path / "compare.csv"
+        argv = ["compare", "--spike", "boundary", "--L", "7e12", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, rows = read_rows(out)
+        rhos = [float(row[0]) for row in rows]
+        assert len(rhos) == cli._SWEEP_GRID_POINTS
+        assert all(a < b for a, b in zip(rhos, rhos[1:]))
+        with pytest.raises(ValueError, match="default grid points repeat"):
+            cli._default_grid(ProblemParams.boundary(2.0, 0.5, 2.0**45))
+
+    def test_a_grid_just_above_the_repeat_bound_strictly_increases(self):
+        rng = random.Random(34)
+        accepted = 0
+        for _ in range(2000):
+            magnitude = rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-60, 60)
+            count = rng.randint(2, 2000)
+            step = 2.0 * math.ulp(magnitude) * rng.uniform(1.0, 1.5)
+            start = rng.choice((-1.0, 1.0)) * magnitude
+            bounds = (start, start + (count - 1) * step, count)
+            try:
+                cli._check_grid(bounds)
+            except ValueError:
+                continue
+            grid = cli._make_grid(bounds)
+            assert all(a < b for a, b in zip(grid, grid[1:])), bounds
+            accepted += 1
+        assert accepted > 1000
 
     def test_grid_count_is_capped(self):
         cli._check_grid((0.0, 1.0, cli._MAX_GRID_POINTS))

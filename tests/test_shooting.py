@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from gmspike import (
     eval_spike_rho,
     hamiltonian,
     integrate,
+    profile_samples,
     shoot,
     spike_amplitude,
 )
@@ -518,6 +520,23 @@ class TestEvalProfile:
         (u,), (v,) = eval_profile_grid(result, [peak])
         assert (u, v) == (result.a_star, 0.0)
         assert math.copysign(1.0, v) == 1.0
+
+    @pytest.mark.parametrize("epsilon", (0.1, 0.2))
+    @pytest.mark.parametrize("kind", ("inner", "boundary"))
+    @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
+    def test_the_two_maps_are_inverse(self, p, kind, epsilon):
+        # profile_samples places the run's samples in the domain, and
+        # eval_profile_grid reads the run back at those points.
+        factory = ProblemParams.inner if kind == "inner" else ProblemParams.boundary
+        result = shoot(factory(p, epsilon))
+        rhos, ds, us, vs = profile_samples(result)
+        assert len(rhos) == len(ds) == len(us) == len(vs) > 1
+        assert (rhos[0], ds[0], us[0], vs[0]) == (result.params.peak_rho, 0.0, result.a_star, 0.0)
+        assert all(abs(rho) <= 1.0 / epsilon for rho in rhos)
+        eval_us, eval_vs = eval_profile_grid(result, rhos)
+        assert (eval_us[0], eval_vs[0]) == (result.a_star, 0.0)
+        assert max(map(abs, map(sub, eval_us, us))) <= 1e-15
+        assert max(map(abs, map(sub, eval_vs, vs))) <= 1e-15
 
 
 class TestConfigValidation:
