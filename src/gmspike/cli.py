@@ -31,9 +31,11 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from array import array
+from bisect import bisect_left
+from functools import partial, reduce
 from itertools import chain
-from operator import index, sub
+from operator import add, index, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -46,7 +48,8 @@ from .analytic import (
     spike_amplitude,
 )
 from .ode import IntegratorConfig, checked
-from .shooting import ShootingError, ShootingResult, check_within_wall, profile_samples, shoot
+from .shooting import ShootingError, ShootingResult, check_within_wall, eval_profile_grid
+from .shooting import profile_samples, shoot
 from .verify import ComparisonReport, check_first_integral, compare, ode_residual
 
 __all__ = ["RunConfig", "run", "main"]
@@ -57,8 +60,11 @@ _FORMATS = ("csv", "json")
 _SWEEP_EXPONENTS = (2.0, 3.0, 4.0)
 _SWEEP_GRID_POINTS = 401
 _SWEEP_SPAN = 10.0
-# A grid is built in memory; at 10**7 points a compare CSV is already about 1.2 GB.
+# Grids are made a block at a time, so this bounds output, not memory: at 10**7
+# points a compare CSV is about 1.2 GB, and JSON holds 8 B per value per column.
 _MAX_GRID_POINTS = 10_000_000
+# Rows of a grid table computed, and held as text, at once.
+_BLOCK_ROWS = 1024
 # The tolerances, then the step sizes that IntegratorConfig keeps as class constants.
 _INTEGRATOR_ECHO = ("rel_tol", "abs_tol", "h_init", "h_min")
 _SUMMARY_COLUMNS = (
@@ -143,33 +149,32 @@ def _check_grid(bounds: tuple[float, float, int], name: str = "grid") -> None:
         raise ValueError(f"{name} points repeat at its magnitude; widen it or take fewer points")
 
 
-def _make_grid(bounds: tuple[float, float, int]) -> list[float]:
+def _grid_blocks(
+    bounds: tuple[float, float, int], first: int = 0, size: int = _BLOCK_ROWS
+) -> Iterator[list[float]]:
+    """A grid's points from point ``first`` on, in lists of ``size``: point i
+    is start + i * step, and the last one exactly end."""
     start, end, count = bounds
     step = (end - start) / (count - 1)
-    grid = [start + i * step for i in range(count)]
-    grid[-1] = end
-    return grid
+    for first in range(first, count, size):
+        block = [start + i * step for i in range(first, min(first + size, count))]
+        yield block if first + size < count else [*block[:-1], end]
 
 
-# Rows, or items of a JSON float list, held as text at once; a 50,001-point grid is megabytes.
-_BLOCK_ROWS = 1024
-
-
-def _csv_lines(columns) -> Iterator[str]:
-    """CSV lines of a grid table under ``CSV_HEADER``: ``columns`` holds its
-    float columns, all of one length and rho first, with None for a column
-    left empty.  Each float reads as :func:`_fmt` writes it.
-
-    Each chunk holds up to ``_BLOCK_ROWS`` rows, formatted from slices of
-    the columns by one %-template per row applied to the whole block.
+def _csv_lines(parts: Iterable[Sequence]) -> Iterator[str]:
+    """CSV lines under ``CSV_HEADER`` of a table given in parts: each part
+    holds its float columns, all of one length and rho first, with None for
+    a column left empty.  Each float reads as :func:`_fmt` writes it: a
+    chunk of up to ``_BLOCK_ROWS`` rows goes through one %-template per row.
     """
     yield CSV_HEADER + "\n"
-    template = ",".join("" if column is None else "%.17g" for column in columns) + "\n"
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [column[start:start + _BLOCK_ROWS] for column in columns if column is not None]
-        # +0.0 collapses negative zero, and only a zero can be negative zero.
-        block = [[x + 0.0 for x in part] if 0.0 in part else part for part in block]
-        yield (template * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
+    for columns in parts:
+        template = ",".join("" if column is None else "%.17g" for column in columns) + "\n"
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [column[start:start + _BLOCK_ROWS] for column in columns if column is not None]
+            # +0.0 collapses negative zero, and only a zero can be negative zero.
+            block = [[x + 0.0 for x in part] if 0.0 in part else part for part in block]
+            yield (template * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
 def _summary_cell(value: float | str | bool | None) -> str:
@@ -203,11 +208,11 @@ def _json_chunks(value, pad: str = "") -> Iterator[str]:
     ``pad``, in chunks; dict keys are strings, as in every report.
 
     A non-empty dict goes a member at a time, so nested columns are reached.
-    A non-empty list or tuple of floats, such as a grid column, goes through
-    the C encoder in one chunk per ``_BLOCK_ROWS`` items, its item separator
-    carrying the line break and indent.  Anything else is small and is one
-    ``json.dumps`` chunk; that escapes every line break inside a string, so
-    each one in its output is indentation.
+    A non-empty ``array``, a grid column, is written as a list of its floats:
+    ``.tolist()`` slices of ``_BLOCK_ROWS`` items go through the C encoder, a
+    chunk each, its item separator carrying the line break and indent.
+    Anything else is small and is one ``json.dumps`` chunk; that escapes every
+    line break inside a string, so each one in its output is indentation.
     """
     if isinstance(value, dict) and value:
         inner = pad + "  "
@@ -217,10 +222,10 @@ def _json_chunks(value, pad: str = "") -> Iterator[str]:
             yield from _json_chunks(item, inner)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
-    elif isinstance(value, (list, tuple)) and set(map(type, value)) == {float}:
+    elif isinstance(value, array) and value:
         sep, lead = ",\n  " + pad, "[\n  " + pad
         for i in range(0, len(value), _BLOCK_ROWS):
-            yield lead + json.dumps(value[i:i + _BLOCK_ROWS], separators=(sep, ": "))[1:-1]
+            yield lead + json.dumps(value[i:i + _BLOCK_ROWS].tolist(), separators=(sep, ": "))[1:-1]
             lead = sep
         yield "\n" + pad + "]"
     else:
@@ -242,24 +247,44 @@ def _emit_report(config: RunConfig, csv, result) -> None:
         _emit(_json_document({"config": config.to_dict(), "result": result()}), config.out)
 
 
+def _emit_table(config: RunConfig, rows, names: Sequence[str], result) -> dict:
+    """Write a grid table a block at a time: ``rows(block)`` gives its CSV
+    columns and its JSON ones, named by ``names``, which JSON gathers as
+    arrays of doubles for ``result``.  Returns those arrays, empty for CSV."""
+    blocks = map(rows, _grid_blocks(config.grid))
+    columns = {name: array("d") for name in names}
+
+    def gathered() -> dict:
+        for _, parts in blocks:
+            for column, part in zip(columns.values(), parts):
+                column.extend(part)
+        return result(columns)
+
+    _emit_report(config, lambda: _csv_lines(csv for csv, _ in blocks), gathered)
+    return columns
+
+
 def _run_analytic(config: RunConfig) -> int:
-    grid = _make_grid(config.grid)
-    values = eval_spike_rho(config.params, grid)
-    columns = (grid, values, None, None, None)
-    _emit_report(config, lambda: _csv_lines(columns), lambda: {"rho": grid, "u_analytic": values})
+    def rows(block: list[float]) -> tuple:
+        values = eval_spike_rho(config.params, block)
+        return (block, values, None, None, None), (block, values)
+
+    _emit_table(config, rows, ("rho", "u_analytic"), dict)
     return 0
 
 
 def _run_residual(config: RunConfig) -> int:
-    grid = _make_grid(config.grid)
-    values: list[float] = []
-    residuals = ode_residual(config.params, grid, profile=values)
-    abs_residuals = list(map(abs, residuals))
-    max_residual = max(abs_residuals)
-    columns = (grid, values, None, None, abs_residuals)
-    result = {"rho": grid, "residual": residuals, "max_abs_residual": max_residual}
-    _emit_report(config, lambda: _csv_lines(columns), lambda: result)
-    _status(f"max |residual| = {_fmt(max_residual)}")
+    maxima: list[float] = []
+
+    def rows(block: list[float]) -> tuple:
+        values: list[float] = []
+        residuals = ode_residual(config.params, block, profile=values)
+        abs_residuals = list(map(abs, residuals))
+        maxima.append(max(abs_residuals))
+        return (block, values, None, None, abs_residuals), (block, residuals)
+
+    _emit_table(config, rows, ("rho", "residual"), lambda c: {**c, "max_abs_residual": max(maxima)})
+    _status(f"max |residual| = {_fmt(max(maxima))}")
     return 0
 
 
@@ -289,7 +314,9 @@ def _shoot_columns(result: ShootingResult) -> tuple[list[float], ...]:
 def _run_shoot(config: RunConfig) -> int:
     result = shoot(config.params, config.integrator)
     _status(f"a_star = {_fmt(result.a_star)}  sigma_pk = {_fmt(result.sigma_pk)}")
-    _emit_report(config, lambda: _csv_lines(_shoot_columns(result)), lambda: _shoot_result(result))
+    _emit_report(
+        config, lambda: _csv_lines([_shoot_columns(result)]), lambda: _shoot_result(result)
+    )
     return 0
 
 
@@ -302,17 +329,47 @@ def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
     return grid
 
 
+def _check_reach(result: ShootingResult, bounds: tuple[float, float, int]) -> None:
+    """Raise what :func:`eval_profile_grid` raises on the whole grid, from a few
+    points: the distance from the peak falls, then rises along the grid, so
+    past a first point the run reaches, the points it misses are a tail."""
+
+    def missed(i: int) -> bool:
+        try:
+            eval_profile_grid(result, next(_grid_blocks(bounds, i, 1)))
+        except ValueError:
+            return True
+        return False
+
+    if missed(0) or missed(bounds[2] - 1):
+        first = 0 if missed(0) else bisect_left(range(bounds[2]), True, key=missed)
+        eval_profile_grid(result, next(_grid_blocks(bounds, first, 1)))
+
+
 def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport]:
-    """Shoot, compare on the configured grid, and write the report."""
+    """Shoot, check the grid is reached, and write the comparison a block at a
+    time; the report returned holds the columns JSON gathered, none for CSV."""
     result = shoot(config.params, config.integrator)
-    report = compare(result, _make_grid(config.grid))
+    _check_reach(result, config.grid)
+    totals = [0.0, 0.0]  # max |error| and the sum of squared errors so far
 
-    def csv() -> Iterator[str]:
-        errors = list(map(abs, map(sub, report.analytic, report.numeric)))
-        return _csv_lines((report.grid, report.analytic, report.numeric, report.numeric_v, errors))
+    def rows(block: list[float]) -> tuple:
+        part = compare(result, block)
+        errors = list(map(abs, map(sub, part.analytic, part.numeric)))
+        # Squares are added left to right across the blocks, as verify.compare adds a grid.
+        squares = reduce(add, map(mul, errors, errors), totals[1])
+        totals[:] = max(totals[0], part.max_abs_err), squares
+        columns = (block, part.analytic, part.numeric, part.numeric_v)
+        return (*columns, errors), columns
 
-    _emit_report(config, csv, lambda: {**_shoot_result(result), "comparison": report._asdict()})
-    return result, report
+    def report(columns: dict) -> ComparisonReport:
+        l2_err = math.sqrt(totals[1] / config.grid[2])
+        return ComparisonReport(**columns, max_abs_err=totals[0], l2_err=l2_err)
+
+    def payload(columns: dict) -> dict:
+        return {**_shoot_result(result), "comparison": report(columns)._asdict()}
+
+    return result, report(_emit_table(config, rows, ComparisonReport._fields[:4], payload))
 
 
 def _run_compare(config: RunConfig) -> int:

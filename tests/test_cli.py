@@ -7,7 +7,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import repeat
+from array import array
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +230,9 @@ class TestArgumentHandling:
                 cli._check_grid(bounds)
             except ValueError:
                 continue
-            grid = cli._make_grid(bounds)
+            # Chained, so the pairs that straddle a block seam are checked too.
+            grid = list(chain.from_iterable(cli._grid_blocks(bounds)))
+            assert len(grid) == count and grid[-1] == bounds[1], bounds
             assert all(a < b for a, b in zip(grid, grid[1:])), bounds
             accepted += 1
         assert accepted > 1000
@@ -247,7 +250,7 @@ class TestArgumentHandling:
         def explode(bounds):
             raise AssertionError("grid built past the cap")
 
-        monkeypatch.setattr(cli, "_make_grid", explode)
+        monkeypatch.setattr(cli, "_grid_blocks", explode)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["analytic", f"--grid=0:1:{count}"])
         assert excinfo.value.code == 2
@@ -498,7 +501,7 @@ class TestCsvCells:
     def check(self, columns):
         n = len(columns[0])
         rows = list(zip(*(repeat(None, n) if column is None else column for column in columns)))
-        chunks = list(cli._csv_lines(columns))
+        chunks = list(cli._csv_lines([columns]))
         assert chunks[0] == CSV_HEADER + "\n"
         assert "".join(chunks) == _csv_reference(rows, CSV_HEADER)
         assert max(chunk.count("\n") for chunk in chunks) <= self.BLOCK
@@ -551,7 +554,7 @@ class TestCsvCells:
         self.check((column,))
 
     def test_no_rows_and_empty_rows(self):
-        assert list(cli._csv_lines(([], None, [], None, ()))) == [CSV_HEADER + "\n"]
+        assert list(cli._csv_lines([([], None, [], None, ())])) == [CSV_HEADER + "\n"]
         # A summary of failed cases whose every cell is empty.
         assert self.check_summary([(None,) * 9] * 2).endswith("\n,,,,,,,,\n,,,,,,,,\n")
 
@@ -700,7 +703,9 @@ class TestJsonDocument:
         assert set(payloads[4]) == {"config", "error"}
         assert any(None in row.values() for row in payloads[-1]["result"])
         for payload in payloads:
-            assert "".join(document(payload)) == json.dumps(payload, indent=2) + "\n"
+            # A grid column is an array of doubles, written as the list of its floats.
+            reference = json.dumps(payload, indent=2, default=array.tolist)
+            assert "".join(document(payload)) == reference + "\n"
 
     @pytest.mark.parametrize(
         "value",
@@ -737,9 +742,9 @@ class TestJsonDocument:
         count = cli._BLOCK_ROWS + extra
         column = [math.sin(i) * 10.0 ** (i % 40 - 20) for i in range(count)]
         column[0], column[cli._BLOCK_ROWS - 1], column[-1] = -0.0, math.nan, math.inf
-        value = {"grid": column, "tail": tuple(column[:3])}
+        value = {"grid": array("d", column), "tail": tuple(column[:3])}
         chunks = list(cli._json_document(value))
-        assert "".join(chunks) == json.dumps(value, indent=2) + "\n"
+        assert "".join(chunks) == json.dumps({**value, "grid": column}, indent=2) + "\n"
         assert max(chunk.count("\n") for chunk in chunks) <= cli._BLOCK_ROWS
 
 
