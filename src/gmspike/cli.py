@@ -33,9 +33,9 @@ import os
 import sys
 from array import array
 from bisect import bisect_left
-from functools import partial, reduce
+from functools import partial
 from itertools import chain
-from operator import add, index, mul, sub
+from operator import index, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -247,10 +247,10 @@ def _emit_report(config: RunConfig, csv, result) -> None:
         _emit(_json_document({"config": config.to_dict(), "result": result()}), config.out)
 
 
-def _emit_table(config: RunConfig, rows, names: Sequence[str], result) -> dict:
+def _emit_table(config: RunConfig, rows, names: Sequence[str], result) -> None:
     """Write a grid table a block at a time: ``rows(block)`` gives its CSV
     columns and its JSON ones, named by ``names``, which JSON gathers as
-    arrays of doubles for ``result``.  Returns those arrays, empty for CSV."""
+    arrays of doubles for ``result``."""
     blocks = map(rows, _grid_blocks(config.grid))
     columns = {name: array("d") for name in names}
 
@@ -261,7 +261,6 @@ def _emit_table(config: RunConfig, rows, names: Sequence[str], result) -> dict:
         return result(columns)
 
     _emit_report(config, lambda: _csv_lines(csv for csv, _ in blocks), gathered)
-    return columns
 
 
 def _run_analytic(config: RunConfig) -> int:
@@ -348,28 +347,22 @@ def _check_reach(result: ShootingResult, bounds: tuple[float, float, int]) -> No
 
 def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport]:
     """Shoot, check the grid is reached, and write the comparison a block at a
-    time; the report returned holds the columns JSON gathered, none for CSV."""
+    time; the report returned is the last block's, with the whole grid's totals."""
     result = shoot(config.params, config.integrator)
     _check_reach(result, config.grid)
-    totals = [0.0, 0.0]  # max |error| and the sum of squared errors so far
+    reports = [None]  # the report of the blocks so far
 
     def rows(block: list[float]) -> tuple:
-        part = compare(result, block)
-        errors = list(map(abs, map(sub, part.analytic, part.numeric)))
-        # Squares are added left to right across the blocks, as verify.compare adds a grid.
-        squares = reduce(add, map(mul, errors, errors), totals[1])
-        totals[:] = max(totals[0], part.max_abs_err), squares
-        columns = (block, part.analytic, part.numeric, part.numeric_v)
-        return (*columns, errors), columns
-
-    def report(columns: dict) -> ComparisonReport:
-        l2_err = math.sqrt(totals[1] / config.grid[2])
-        return ComparisonReport(**columns, max_abs_err=totals[0], l2_err=l2_err)
+        report = reports[0] = compare(result, block, reports[0])
+        columns = (block, report.analytic, report.numeric, report.numeric_v)
+        return (*columns, report.abs_err), columns
 
     def payload(columns: dict) -> dict:
-        return {**_shoot_result(result), "comparison": report(columns)._asdict()}
+        totals = {"max_abs_err": reports[0].max_abs_err, "l2_err": reports[0].l2_err}
+        return {**_shoot_result(result), "comparison": {**columns, **totals}}
 
-    return result, report(_emit_table(config, rows, ComparisonReport._fields[:4], payload))
+    _emit_table(config, rows, ComparisonReport._fields[:4], payload)
+    return result, reports[0]
 
 
 def _run_compare(config: RunConfig) -> int:

@@ -25,18 +25,23 @@ leaves it, so a sorted or V-shaped grid costs a bisection per step entered,
 not per point, and gets ``_dense``'s bits.
 
 A trial step of length h is accepted when its error norm err is at most 1,
-and either way the next is h * min(10, max(0.2, 0.9 * err**(-1/5))), with no
-cap (Hairer, Norsett & Wanner 1993, *Solving ODEs I*, II.4).  Each accepted
-step is scanned for a sign change of u or of v between its ends, located to
-1e-10 in rho by bisecting the interpolant; an exact zero, at a midpoint or
-at the step's end, is bisected like any other sign change.  The scan
-assumes at most one of each per step: the inward run's v changes sign once,
-at its end, and near the centre the error control keeps a step under 0.81
-of a half-period on orbits 1e-10 or more from (1, 0).  The first event
-ends every run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with
-u > 0 (``TURNED``), a maximum above u = 1 or a minimum below it.  No cap on
-u is needed: H is conserved, so an orbit from (a, 0) never rises above the
-larger of a and the spike height.
+and either way the next is h * min(10, max(0.2, 0.9 * err**(-1/5))) (Hairer,
+Norsett & Wanner 1993, *Solving ODEs I*, II.4).  After an accepted step the
+next is also held to a quarter turn, (pi/2) / omega, wherever the local
+frequency omega**2 = p * u**(p - 1) - 1 is positive; it reads u**p as u - v'
+from the step's last stage, so it takes no power and no division by u.  Each
+accepted step is scanned for a sign change of u or of v between its ends,
+located to 1e-10 in rho by bisecting the interpolant; an exact zero, at a
+midpoint or at the step's end, is bisected like any other sign change.  The
+scan assumes at most one of each per step: the inward run's v changes sign
+once, at its end, and near the centre (1, 0) the quarter-turn bound keeps a
+step to half a half-period pi / sqrt(p - 1), however close the orbit.
+Within about 1e-14 of the centre at p = 1.01 the field rounds to 0, and a
+run goes to its end without a turn.  The first event ends every run: u
+crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0 (``TURNED``), a
+maximum above u = 1 or a minimum below it.  No cap on u is needed: H is
+conserved, so an orbit from (a, 0) never rises above the larger of a and the
+spike height.
 
 The spike problem lives on u >= 0 with 0 < p < inf, and so does this
 module: :func:`integrate` and :func:`hamiltonian` refuse anything else.
@@ -312,11 +317,12 @@ def integrate(
 
     Adaptive Dormand-Prince 5(4): a step is accepted when err, the RMS of its
     local error over rel_tol * |state| + abs_tol, is at most 1, and either way
-    the next is h * min(10, max(0.2, 0.9 * err**(-1/5))), floored at h_min
-    after an accepted step.  Returns early with the matching terminal event
-    when u crosses 0, at the first v crossing with u > 0 (an exact zero is
-    bisected like any other sign change), or when a rejected step would
-    shrink below h_min; otherwise runs to ``rho_end`` exactly.
+    the next is h * min(10, max(0.2, 0.9 * err**(-1/5))); after an accepted
+    step it is floored at h_min and held to a quarter turn of the local
+    frequency.  Returns early with the matching terminal event when u crosses
+    0, at the first v crossing with u > 0 (an exact zero is bisected like any
+    other sign change), or when a rejected step would shrink below h_min;
+    otherwise runs to ``rho_end`` exactly.
     """
     if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
         raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
@@ -337,6 +343,7 @@ def integrate(
     b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
     e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    quarter_turn = 0.5 * math.pi
     sqrt = math.sqrt
     steps: list[tuple[float, ...]] = []
     append = steps.append
@@ -434,5 +441,9 @@ def integrate(
 
         h = h_step * factor
         h = h if h > h_min else h_min
+        # excess = omega**2 * u, since u**p = u - k1v (module docstring): at most a quarter turn.
+        excess = p * (u - k1v) - u
+        if excess > 0.0 and h * h * excess > quarter_turn * quarter_turn * u:
+            h = quarter_turn * sqrt(u / excess)
 
     return Trajectory(steps, (rho, State(u, v)), rejected, event)

@@ -29,14 +29,21 @@ __all__ = [
 
 
 class ComparisonReport(NamedTuple):
-    """Grid-wise agreement between analytic and shooting profiles."""
+    """Grid-wise agreement between analytic and shooting profiles: the columns
+    of this report's points, and the totals over every point compared so far."""
 
     grid: list[float]
     analytic: list[float]
     numeric: list[float]
     numeric_v: list[float]
+    abs_err: list[float]
     max_abs_err: float
-    l2_err: float
+    sum_sq_err: float
+    points: int
+
+    @property
+    def l2_err(self) -> float:
+        return math.sqrt(self.sum_sq_err / self.points)
 
 
 def ode_residual(
@@ -57,24 +64,27 @@ def ode_residual(
     return [upp - u + power(u, p) for u, upp in zip(us, upps)]
 
 
-def compare(result: ShootingResult, rho_grid) -> ComparisonReport:
+def compare(result: ShootingResult, rho_grid, before=None) -> ComparisonReport:
     """Evaluate both routes for ``result.params`` on a grid; report max and rms errors.
 
     The numeric values come from the integrator's dense output through
     :func:`gmspike.shooting.eval_profile_grid`.  Requires a grid, in any
-    order, inside the integrated span.
+    order, inside the integrated span.  ``before``, the report of the points
+    compared before these, carries its totals on: a grid compared a block at
+    a time, each report the next one's ``before``, ends with the whole grid's.
     """
     grid = list(map(float, rho_grid))
     if not grid:
         raise ValueError("rho_grid must not be empty")
-    params = result.params
     numeric, numeric_v = eval_profile_grid(result, grid)
-    analytic = eval_spike_rho(params, grid)
-    abs_errs = list(map(abs, map(sub, analytic, numeric)))
-    max_abs_err = max(abs_errs)
+    analytic = eval_spike_rho(result.params, grid)
+    abs_err = list(map(abs, map(sub, analytic, numeric)))
+    before = before or ComparisonReport([], [], [], [], [], 0.0, 0.0, 0)
     # Added left to right: sum() of floats is compensated from Python 3.12 on.
-    l2_err = math.sqrt(reduce(add, map(mul, abs_errs, abs_errs), 0.0) / len(abs_errs))
-    return ComparisonReport(grid, analytic, numeric, numeric_v, max_abs_err, l2_err)
+    sum_sq_err = reduce(add, map(mul, abs_err, abs_err), before.sum_sq_err)
+    max_abs_err = max(before.max_abs_err, max(abs_err))
+    return ComparisonReport(grid, analytic, numeric, numeric_v, abs_err, max_abs_err,
+                            sum_sq_err, before.points + len(grid))
 
 
 def check_first_integral(trajectory: Trajectory, p: float) -> float:

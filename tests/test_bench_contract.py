@@ -17,7 +17,9 @@ check: the six ``shoot_range`` shoots, p = 1.01 included, the six
 ``sweep_cli`` spikes and the four ``dense_grid`` artifacts.  The closed
 form's spans must be opened: ``dense_grid`` reaches both closed-form
 evaluators and ``sweep_cli`` the profile's, so their per-layer figures are
-measured, not 0.
+measured, not 0.  ``verify.compare.us_per_point`` divides the time spent in
+``cli.compare`` by the points of the reports it returns, so a grid command
+must call it once per block, with that block's points.
 """
 
 import json
@@ -29,6 +31,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from gmspike import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 # An error that names an exception class is a crash, not a checked failure.
@@ -57,3 +61,23 @@ def test_traced_bench_op_runs(workload, tmp_path):
         assert layers["analytic.eval_spike_rho.calls"] > 0
     if workload == "dense_grid":
         assert layers["analytic.second_derivative.us_per_call"] > 0
+
+
+def test_a_compare_calls_cli_compare_once_per_block(tmp_path, monkeypatch):
+    # The tracer divides the time spent in cli.compare by the points of the
+    # reports it returns, so a grid of 2,049 points must reach it as its
+    # three blocks of 1,024, 1,024 and 1 points, each point once.
+    grids, real = [], cli.compare
+
+    def traced(result, rho_grid, *args, **kwargs):
+        report = real(result, rho_grid, *args, **kwargs)
+        grids.append((list(rho_grid), report.grid))
+        return report
+
+    monkeypatch.setattr(cli, "compare", traced)
+    bounds = (-10.0, 10.0, 2049)
+    argv = ["compare", "--p", "2", "--grid=-10:10:2049", "--out", str(tmp_path / "c.csv")]
+    assert cli.main(argv) == 0
+    blocks = list(cli._grid_blocks(bounds))
+    assert [len(block) for block in blocks] == [1024, 1024, 1]
+    assert [given for given, _ in grids] == [reported for _, reported in grids] == blocks

@@ -4,9 +4,10 @@
 ``cli._BLOCK_ROWS`` points and evaluate each block with the library's
 whole-grid calls, so the bytes they write must be those that the same calls
 on the full point list render, whatever the count: counts on each side of a
-block seam are checked here.  A grid the run does not reach is refused before
-the first byte is written, and the traced memory of a command does not grow
-with its grid, except for the columns JSON gathers at 8 B per value.
+block seam are checked here, and so are the totals ``compare`` carries from
+block to block.  A grid the run does not reach is refused before the first
+byte is written, and the traced memory of a command does not grow with its
+grid, except for the columns JSON gathers at 8 B per value.
 """
 
 import functools
@@ -69,7 +70,9 @@ def _reference(command, params, grid, fmt, echo):
         report = compare(run, grid)
         errors = [abs(a - n) for a, n in zip(report.analytic, report.numeric)]
         csv = (report.grid, report.analytic, report.numeric, report.numeric_v, errors)
-        result = {**cli._shoot_result(run), "comparison": report._asdict()}
+        names = ("grid", "analytic", "numeric", "numeric_v", "max_abs_err", "l2_err")
+        comparison = {name: getattr(report, name) for name in names}
+        result = {**cli._shoot_result(run), "comparison": comparison}
     if fmt == "csv":
         return _csv(csv)
     return json.dumps({"config": echo, "result": result}, indent=2) + "\n"
@@ -95,6 +98,25 @@ def test_blocks_write_the_whole_grid_bytes(count, case, fmt, tmp_path, capsys):
         comparison = json.loads(expected)["result"]["comparison"]
         for name in ("max_abs_err", "l2_err"):
             assert f"{name} = {comparison[name]:.17g}" in err
+
+
+@pytest.mark.parametrize("case", ["compare_inner", "compare_boundary"])
+@pytest.mark.parametrize("count", SEAM_COUNTS)
+def test_compare_carries_the_whole_grids_totals_across_blocks(count, case):
+    # Each block's report is the next one's ``before``: the last one holds
+    # the whole grid's max and l2 bits, and the error columns are its column.
+    _, p, kind = CASES[case]
+    run = shoot(ProblemParams(p, kind=kind))
+    bounds = (*SPANS[kind], count)
+    whole = compare(run, _points(*bounds))
+    report, abs_err = None, []
+    for block in cli._grid_blocks(bounds):
+        report = compare(run, block, report)
+        abs_err += report.abs_err
+    assert report.points == whole.points == count
+    assert report.max_abs_err == whole.max_abs_err
+    assert report.l2_err == whole.l2_err
+    assert abs_err == whole.abs_err
 
 
 class TestReachBeforeTheFirstByte:

@@ -103,7 +103,8 @@ class TestConfig:
         assert list(IntegratorConfig._fields) == ["rel_tol", "abs_tol"]
         config = IntegratorConfig()
         assert (config.h_init, config.h_min) == (1e-3, 1e-12)
-        # No cap: a step grows as far as the error control allows.
+        # No length cap: a step grows as far as the error control, and near
+        # the centre a quarter turn of the local frequency, allow.
         assert not hasattr(IntegratorConfig, "h_max")
         with pytest.raises(TypeError):
             IntegratorConfig(h_min=1.0)
@@ -335,8 +336,9 @@ class TestEvents:
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
     @pytest.mark.parametrize("offset", ("1e-9", "1e-3", "0.5", "0.999"))
     def test_no_step_passes_two_turns(self, p, offset):
-        # Steps have no cap, so only the error control keeps a step from
-        # passing a minimum and the next maximum, both sign changes of v.
+        # Steps have no length cap, so only the error control and the
+        # quarter-turn bound keep a step from passing a minimum and the next
+        # maximum, both sign changes of v.
         # From a maximum at (a, 0) inside the loop, 1 < a < amp, the run
         # must stop at its first minimum: v < 0 and u falling until then.
         amp = spike_amplitude(p)
@@ -382,37 +384,37 @@ class TestEvents:
         assert end == State(0.0, -0.1)
 
     @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 4.0, 10.0, 100.0))
-    @pytest.mark.parametrize("delta", (1e-10, 1e-8, 1e-4))
+    @pytest.mark.parametrize("delta", (1e-13, 1e-12, 1e-10, 1e-8, 1e-4))
     def test_steps_stay_under_a_half_period_near_the_centre(self, p, delta):
-        # The event scan assumes one sign change of v per step, with no cap
-        # on the step.  Near the centre (1, 0) the orbit is a small ellipse
-        # of half-period pi / sqrt(p - 1): from a maximum delta above it,
-        # the run must stop at the first minimum, half a period on, and the
-        # error control must keep each step short of that.  The longest
-        # step is 0.808 of a half-period (p = 1.01, delta = 1e-10).
+        # The event scan assumes one sign change of v per step.  Near the
+        # centre (1, 0) the orbit is a small ellipse of half-period
+        # pi / sqrt(p - 1): from a maximum delta above it, the run must stop
+        # at the first minimum, half a period on, and each step must stay
+        # short of that.  Closer than about 1e-11, the error control alone
+        # let a step pass the turn (p = 1.01 from 1e-12 ended at rho = 61.83,
+        # not 31.42); the quarter-turn bound holds a step to half a
+        # half-period, and each run ends within 1.2% of it.
         half_period = math.pi / math.sqrt(p - 1.0)
         trajectory = integrate(State(1.0 + delta, 0.0), 0.0, 400.0, p)
         assert trajectory.terminal_event is TerminalEvent.TURNED
         rho, end = trajectory.end
         assert end.u < 1.0
         assert rho == pytest.approx(half_period, rel=0.02)
-        assert max(step[1] for step in trajectory.steps) < 0.81 * half_period
+        assert max(step[1] for step in trajectory.steps) < 0.51 * half_period
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="closer than about 1e-11 to the centre, the error control alone lets a step "
-        "pass the first turn; a step bound from the local frequency would stop it there",
-    )
-    def test_a_start_1e_12_from_the_centre_stops_at_its_first_minimum(self):
-        # The run takes 6 steps and ends TURNED at rho = 61.83, past its
-        # first minimum at 31.42.  Strict: once a fix passes this, the
-        # marker must go.
-        half_period = math.pi / math.sqrt(1.01 - 1.0)
-        trajectory = integrate(State(1.0 + 1e-12, 0.0), 0.0, 400.0, 1.01)
-        assert trajectory.terminal_event is TerminalEvent.TURNED
-        rho, end = trajectory.end
-        assert end.u < 1.0
-        assert abs(rho - half_period) < 0.1
+    def test_a_start_1e_14_from_the_centre_sees_no_field(self):
+        # The floor of the bound: at p = 1.01, u - u**p rounds to 0 at every
+        # stage of a run from 1 + 1e-14, so nothing turns and the run goes
+        # to its end.  A forward run from near the centre must start above it.
+        trajectory = integrate(State(1.0 + 1e-14, 0.0), 0.0, 400.0, 1.01)
+        assert trajectory.terminal_event is TerminalEvent.REACHED_END
+        assert trajectory.end == (400.0, State(1.0 + 1e-14, 0.0))
+
+    def test_a_start_at_the_saddle_runs_to_its_end(self):
+        # The bound divides by no u: at (0, 0) the field and excess are 0.
+        trajectory = integrate(State(0.0, 0.0), 0.0, 1.0, 2.0)
+        assert trajectory.terminal_event is TerminalEvent.REACHED_END
+        assert trajectory.end == (1.0, State(0.0, 0.0))
 
     def test_overflowing_trial_step_is_rejected(self):
         # Far above the p = 100 spike, u**100 overflows inside the stages of

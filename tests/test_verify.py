@@ -106,7 +106,9 @@ class TestCompare:
         assert report.max_abs_err < 1e-6
         assert 0.0 < report.l2_err <= report.max_abs_err
         diffs = [abs(a - n) for a, n in zip(report.analytic, report.numeric)]
+        assert report.abs_err == diffs
         assert report.max_abs_err == max(diffs)
+        assert report.points == 201
 
     def test_l2_err_adds_the_squares_left_to_right(self, default_shoots):
         # On the sweep's p = 2 inner grid, 401 points over [-10, 10], a
