@@ -344,6 +344,7 @@ def integrate(
     e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     quarter_turn = 0.5 * math.pi
+    quarter_turn_sq = quarter_turn * quarter_turn
     sqrt = math.sqrt
     steps: list[tuple[float, ...]] = []
     append = steps.append
@@ -443,7 +444,7 @@ def integrate(
         h = h if h > h_min else h_min
         # excess = omega**2 * u, since u**p = u - k1v (module docstring): at most a quarter turn.
         excess = p * (u - k1v) - u
-        if excess > 0.0 and h * h * excess > quarter_turn * quarter_turn * u:
+        if excess > 0.0 and h * h * excess > quarter_turn_sq * u:
             h = quarter_turn * sqrt(u / excess)
 
     return Trajectory(steps, (rho, State(u, v)), rejected, event)

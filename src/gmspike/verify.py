@@ -30,20 +30,18 @@ __all__ = [
 
 class ComparisonReport(NamedTuple):
     """Grid-wise agreement between analytic and shooting profiles: the columns
-    of this report's points, and the totals over every point compared so far."""
+    of this report's points, and the totals over every point compared so far,
+    l2_err being sqrt(sum_sq_err / points)."""
 
     grid: list[float]
     analytic: list[float]
     numeric: list[float]
     numeric_v: list[float]
-    abs_err: list[float]
     max_abs_err: float
+    l2_err: float
+    abs_err: list[float]
     sum_sq_err: float
     points: int
-
-    @property
-    def l2_err(self) -> float:
-        return math.sqrt(self.sum_sq_err / self.points)
 
 
 def ode_residual(
@@ -79,12 +77,13 @@ def compare(result: ShootingResult, rho_grid, before=None) -> ComparisonReport:
     numeric, numeric_v = eval_profile_grid(result, grid)
     analytic = eval_spike_rho(result.params, grid)
     abs_err = list(map(abs, map(sub, analytic, numeric)))
-    before = before or ComparisonReport([], [], [], [], [], 0.0, 0.0, 0)
+    before = before or ComparisonReport([], [], [], [], 0.0, 0.0, [], 0.0, 0)
     # Added left to right: sum() of floats is compensated from Python 3.12 on.
     sum_sq_err = reduce(add, map(mul, abs_err, abs_err), before.sum_sq_err)
     max_abs_err = max(before.max_abs_err, max(abs_err))
-    return ComparisonReport(grid, analytic, numeric, numeric_v, abs_err, max_abs_err,
-                            sum_sq_err, before.points + len(grid))
+    points = before.points + len(grid)
+    return ComparisonReport(grid, analytic, numeric, numeric_v, max_abs_err,
+                            math.sqrt(sum_sq_err / points), abs_err, sum_sq_err, points)
 
 
 def check_first_integral(trajectory: Trajectory, p: float) -> float:

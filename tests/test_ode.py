@@ -391,16 +391,27 @@ class TestEvents:
         # pi / sqrt(p - 1): from a maximum delta above it, the run must stop
         # at the first minimum, half a period on, and each step must stay
         # short of that.  Closer than about 1e-11, the error control alone
-        # let a step pass the turn (p = 1.01 from 1e-12 ended at rho = 61.83,
-        # not 31.42); the quarter-turn bound holds a step to half a
-        # half-period, and each run ends within 1.2% of it.
+        # lets a step pass the turn; the quarter-turn bound holds a step to
+        # half a half-period, and each run ends within 1.2% of it (the
+        # widest is p = 1.01 from 1e-13, at 31.05).
         half_period = math.pi / math.sqrt(p - 1.0)
         trajectory = integrate(State(1.0 + delta, 0.0), 0.0, 400.0, p)
         assert trajectory.terminal_event is TerminalEvent.TURNED
         rho, end = trajectory.end
         assert end.u < 1.0
-        assert rho == pytest.approx(half_period, rel=0.02)
+        assert rho == pytest.approx(half_period, rel=0.012)
         assert max(step[1] for step in trajectory.steps) < 0.51 * half_period
+
+    def test_a_start_1e_12_from_the_centre_stops_at_its_first_minimum(self):
+        # From here the error control alone lets a step pass the first
+        # minimum, at 31.42 (the run then ends TURNED at 61.83); the
+        # quarter-turn bound must stop it within 0.1 of that minimum.
+        half_period = math.pi / math.sqrt(1.01 - 1.0)
+        trajectory = integrate(State(1.0 + 1e-12, 0.0), 0.0, 400.0, 1.01)
+        assert trajectory.terminal_event is TerminalEvent.TURNED
+        rho, end = trajectory.end
+        assert end.u < 1.0
+        assert abs(rho - half_period) < 0.1
 
     def test_a_start_1e_14_from_the_centre_sees_no_field(self):
         # The floor of the bound: at p = 1.01, u - u**p rounds to 0 at every

@@ -153,8 +153,8 @@ class TestRecords:
         assert ProblemParams._fields == ("p", "epsilon", "half_length", "kind")
         assert RunConfig._fields == ("command", "params", "integrator", "grid", "out", "fmt")
         assert ComparisonReport._fields == (
-            "grid", "analytic", "numeric", "numeric_v", "abs_err", "max_abs_err", "sum_sq_err",
-            "points",
+            "grid", "analytic", "numeric", "numeric_v", "max_abs_err", "l2_err", "abs_err",
+            "sum_sq_err", "points",
         )
         assert ShootingResult._fields == ("trajectory", "classifications", "params", "config")
         assert IntegratorConfig()._asdict() == {"rel_tol": 1e-10, "abs_tol": 1e-12}
