@@ -32,7 +32,6 @@ import math
 import os
 import sys
 from array import array
-from bisect import bisect_left
 from functools import partial
 from itertools import chain
 from operator import index, sub
@@ -149,16 +148,14 @@ def _check_grid(bounds: tuple[float, float, int], name: str = "grid") -> None:
         raise ValueError(f"{name} points repeat at its magnitude; widen it or take fewer points")
 
 
-def _grid_blocks(
-    bounds: tuple[float, float, int], first: int = 0, size: int = _BLOCK_ROWS
-) -> Iterator[list[float]]:
-    """A grid's points from point ``first`` on, in lists of ``size``: point i
-    is start + i * step, and the last one exactly end."""
+def _grid_blocks(bounds: tuple[float, float, int]) -> Iterator[list[float]]:
+    """A grid's points in lists of ``_BLOCK_ROWS``: point i is start + i * step,
+    and the last one exactly end."""
     start, end, count = bounds
     step = (end - start) / (count - 1)
-    for first in range(first, count, size):
-        block = [start + i * step for i in range(first, min(first + size, count))]
-        yield block if first + size < count else [*block[:-1], end]
+    for first in range(0, count, _BLOCK_ROWS):
+        block = [start + i * step for i in range(first, min(first + _BLOCK_ROWS, count))]
+        yield block if first + _BLOCK_ROWS < count else [*block[:-1], end]
 
 
 def _csv_lines(parts: Iterable[Sequence]) -> Iterator[str]:
@@ -329,20 +326,14 @@ def _default_grid(params: ProblemParams) -> tuple[float, float, int]:
 
 
 def _check_reach(result: ShootingResult, bounds: tuple[float, float, int]) -> None:
-    """Raise what :func:`eval_profile_grid` raises on the whole grid, from a few
-    points: the distance from the peak falls, then rises along the grid, so
-    past a first point the run reaches, the points it misses are a tail."""
-
-    def missed(i: int) -> bool:
-        try:
-            eval_profile_grid(result, next(_grid_blocks(bounds, i, 1)))
-        except ValueError:
-            return True
-        return False
-
-    if missed(0) or missed(bounds[2] - 1):
-        first = 0 if missed(0) else bisect_left(range(bounds[2]), True, key=missed)
-        eval_profile_grid(result, next(_grid_blocks(bounds, first, 1)))
+    """Raise what :func:`eval_profile_grid` raises on the whole grid.  The run
+    reaches an interval about the peak, so a grid whose two ends it reaches is
+    reached in full; on a miss, the grid's blocks are read in order."""
+    try:
+        eval_profile_grid(result, bounds[:2])
+    except ValueError:
+        for block in _grid_blocks(bounds):
+            eval_profile_grid(result, block)
 
 
 def _run_comparison(config: RunConfig) -> tuple[ShootingResult, ComparisonReport]:

@@ -5,8 +5,11 @@ inputs must give identical bytes, and a refactor must not move a single one.
 ``golden_sha256.json`` holds the sha256 of every artifact below under
 ``"digests"``, as written when the file was last regenerated, and under
 ``"platform"`` the Python, libc and OS they were computed on: the closed
-form's bits follow the libm's rounding of exp and log1p.  The artifacts
+form's bits follow the libm's rounding of exp, log1p and log.  The artifacts
 embed no paths, so their digests do not depend on the output directory.
+One test reruns the sweep on a correctly rounded ``exp``, ``log1p`` and
+``log``, as another libm may round them, and bounds what moves: 2 ulps of
+``u_analytic``, and no byte of any other column.
 
 The ``integrate/`` keys pin the integrator itself, below the artifacts: the
 digest of the repr of everything a run returns (every accepted step's raw
@@ -30,15 +33,20 @@ under any Python the package supports.
 
 import argparse
 import contextlib
+import csv
+import decimal
 import hashlib
 import io
 import json
+import math
 import platform
+import struct
 import sys
 import tempfile
+import types
 from pathlib import Path
 
-from gmspike import ProblemParams, State, cli, integrate, shoot, spike_amplitude
+from gmspike import ProblemParams, State, analytic, cli, integrate, shoot, spike_amplitude
 
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 
@@ -157,6 +165,63 @@ def test_sweep_json_matches_golden(tmp_path):
     golden = _golden()
     digests = _json_sweep_digests(tmp_path)
     assert digests == {k: v for k, v in golden.items() if k.startswith("sweep_json/")}
+
+
+# Ulps by which a correctly rounded libm may move a u_analytic cell; no other column moves.
+LIBM_ULPS = 2
+
+
+def _correctly_rounded(function, calls):
+    """``function`` of a Decimal, evaluated to 40 significant digits and
+    rounded once to a float; each call is counted in ``calls``."""
+
+    def rounded(x: float) -> float:
+        calls.append(x)
+        x = decimal.Decimal(x)
+        with decimal.localcontext() as context:
+            # 1 + x keeps 40 digits of x however small x is.
+            context.prec = 40 + max(0, -x.adjusted())
+            return float(function(x))
+
+    return rounded
+
+
+def _ordered_bits(x: float) -> int:
+    """An integer that counts ulps: adjacent floats differ in it by 1."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _case_rows(directory: Path) -> dict:
+    """The rows of each case file of a sweep, by file name."""
+    return {
+        path.name: list(csv.DictReader(path.read_text().splitlines()))
+        for path in sorted(directory.iterdir()) if path.name != "summary.csv"
+    }
+
+
+def test_another_libm_moves_only_u_analytic_by_at_most_2_ulps(sweep_dirs, tmp_path, monkeypatch):
+    # exp, log1p and log are the closed form's libm calls: here they round
+    # correctly, as a libm other than this one may where this one does not.
+    calls = []
+    libm = {
+        "exp": _correctly_rounded(decimal.Decimal.exp, calls),
+        "log1p": _correctly_rounded(lambda x: (1 + x).ln(), calls),
+        "log": _correctly_rounded(decimal.Decimal.ln, calls),
+    }
+    monkeypatch.setattr(analytic, "math", types.SimpleNamespace(**{**vars(math), **libm}))
+    assert cli.main(["sweep", "--out", str(tmp_path)]) == 0
+    assert calls
+    native, swapped = _case_rows(sweep_dirs[0]), _case_rows(tmp_path)
+    assert native.keys() == swapped.keys() and len(native) == 6
+    for name, rows in native.items():
+        assert len(swapped[name]) == len(rows), name
+        for row, other in zip(rows, swapped[name]):
+            for column in ("rho", "u_numeric", "v_numeric"):
+                assert other[column] == row[column], (name, row["rho"], column)
+            ulps = abs(_ordered_bits(float(other["u_analytic"]))
+                       - _ordered_bits(float(row["u_analytic"])))
+            assert ulps <= LIBM_ULPS, (name, row["rho"], ulps)
 
 
 def test_single_commands_match_golden(tmp_path):

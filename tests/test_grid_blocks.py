@@ -120,9 +120,39 @@ def test_compare_carries_the_whole_grids_totals_across_blocks(count, case):
 
 
 class TestReachBeforeTheFirstByte:
-    """The grid's reach is checked from its ends and a bisection, before
-    anything is written; the error names the first point the run misses,
-    as the whole-grid library call names it."""
+    """The grid's reach is checked before anything is written: both ends in
+    one call, and on a miss the grid's blocks in order, so the error names
+    the first point the run misses, as the whole-grid library call names it."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The point lists each ``cli.eval_profile_grid`` call receives."""
+        calls = []
+
+        def recorder(result, rhos):
+            calls.append(list(rhos))
+            return shooting.eval_profile_grid(result, rhos)
+
+        monkeypatch.setattr(cli, "eval_profile_grid", recorder)
+        return calls
+
+    def test_a_reached_grid_is_read_at_its_ends_in_one_call(self, monkeypatch):
+        result = shoot(ProblemParams.inner(2.0))
+        bounds = (-10.0, 10.0, 2 * BLOCK + 1)
+        calls = self._recorded(monkeypatch)
+        cli._check_reach(result, bounds)
+        assert calls == [[-10.0, 10.0]]
+
+    def test_a_miss_reads_the_grid_a_block_at_a_time(self, monkeypatch):
+        result = shoot(ProblemParams.inner(2.0))
+        bounds = (-10.0, result.sigma_pk + 1.0, 2 * BLOCK + 1)
+        with pytest.raises(ValueError) as excinfo:
+            compare(result, _points(*bounds))
+        calls = self._recorded(monkeypatch)
+        with pytest.raises(ValueError) as reach_info:
+            cli._check_reach(result, bounds)
+        assert str(reach_info.value) == str(excinfo.value)
+        assert max(map(len, calls)) <= BLOCK
 
     def test_a_miss_in_the_second_block_writes_nothing(self, tmp_path, capsys):
         params = ProblemParams.inner(2.0)
