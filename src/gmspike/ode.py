@@ -60,10 +60,12 @@ of ``tests/test_golden.py`` pin every stage.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import sys
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "TerminalEvent",
@@ -279,9 +281,7 @@ class Trajectory:
 
 def _check_domain(u: float, p: float) -> None:
     """Raise ValueError unless u >= 0 and 0 < p < inf, the spike problem's domain."""
-    # p < 0 makes u**p singular at u = 0; a non-finite p leaves no step acceptable.
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"p must be positive and finite, got {p!r}")
+    _check_exponent(p)
     if not u >= 0.0:
         raise ValueError(f"u must be nonnegative, got {u!r}")
 
@@ -306,6 +306,216 @@ def _bisect_theta(c: tuple[float, ...], component: int, sign_lo: float) -> float
     return 0.5 * (lo + hi)
 
 
+def _check_exponent(p: float) -> None:
+    """Raise ValueError unless 0 < p < inf."""
+    # p < 0 makes u**p singular at u = 0; a non-finite p leaves no step acceptable.
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p!r}")
+
+
+def _check_run(initial: tuple[float, float], rho_start: float, rho_end: float):
+    """The finite start ``initial``, or ValueError unless rho_start < rho_end are finite."""
+    if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
+        raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
+    a, b = initial
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"initial state must be finite, got {initial!r}")
+    return a, b
+
+
+class Field(NamedTuple):
+    """A vector field as the text :func:`kernel` writes into the template.
+
+    The template names the state's two components u and v; each field
+    below is one line of Python over them and the template's locals.
+    ``rhs`` is the two components of the derivative, with ``{u}`` and
+    ``{v}`` where a stage's point goes; ``scale_u`` and ``scale_v`` divide
+    a step's error estimates; ``bound`` is three statements that may lower
+    h, the next step after an accepted one.  A step that ends with ``left``
+    true leaves the field's domain: the run ends ``exit`` at the fraction
+    ``locate`` of that step, after ``clamp``, unless v changed sign first
+    at a point where ``turn`` holds, which ends it ``TURNED``.
+    """
+
+    name: str
+    state: str
+    check: str
+    rhs: str
+    scale_u: str
+    scale_v: str
+    bound: tuple[str, str, str]
+    left: str
+    locate: str
+    turn: str
+    clamp: str
+    exit: str
+
+
+# One Dormand-Prince run, as text: :func:`kernel` fills in a Field and
+# compiles it under this file's name, with each line at its line here.
+_TEMPLATE_LINE, _TEMPLATE = sys._getframe().f_lineno + 1, """\
+def integrate_{name}(initial, rho_start, rho_end, p, config):
+    u, v = _check_run(initial, rho_start, rho_end)
+    # With a float exponent, ** returns a float for any real base, as math.pow does.
+    p = float(p)
+    {check}
+
+    rel, ab = config.rel_tol, config.abs_tol
+    h_min = config.h_min
+
+    # The stage loop reads each of these every step: locals, not globals.
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    quarter_turn = 0.5 * math.pi
+    quarter_turn_sq = quarter_turn * quarter_turn
+    sqrt, exp, pm1 = math.sqrt, math.exp, p - 1.0
+    steps = []
+    append = steps.append
+
+    rho = rho_start
+    # Each stage k = (ku, kv) below is the one field, written out (module docstring).
+    k1u, k1v = {rhs_start}
+    h = min(config.h_init, rho_end - rho_start)
+    rejected = 0
+    event = TerminalEvent.REACHED_END
+
+    while True:
+        last = rho + h >= rho_end
+        h_step = rho_end - rho if last else h
+
+        try:
+            yu = u + h_step * (a21 * k1u)
+            yv = v + h_step * (a21 * k1v)
+            k2u, k2v = {rhs_stage}
+            yu = u + h_step * (a31 * k1u + a32 * k2u)
+            yv = v + h_step * (a31 * k1v + a32 * k2v)
+            k3u, k3v = {rhs_stage}
+            yu = u + h_step * (a41 * k1u + a42 * k2u + a43 * k3u)
+            yv = v + h_step * (a41 * k1v + a42 * k2v + a43 * k3v)
+            k4u, k4v = {rhs_stage}
+            yu = u + h_step * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u)
+            yv = v + h_step * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
+            k5u, k5v = {rhs_stage}
+            yu = u + h_step * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+            yv = v + h_step * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+            k6u, k6v = {rhs_stage}
+            u_new = u + h_step * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+            v_new = v + h_step * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            k7u, k7v = {rhs_end}
+        except OverflowError:
+            # The field overflowed at a trial stage: the step is far too long.
+            err_norm = math.inf
+        else:
+            err_u = h_step * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
+            err_v = h_step * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
+            # In the scales, x if x > y else y is max(y, x), NaN included:
+            # the first argument wins unless the comparison holds.
+            ratio_u = err_u / ({scale_u})
+            ratio_v = err_v / ({scale_v})
+            err_norm = sqrt(0.5 * (ratio_u * ratio_u + ratio_v * ratio_v))
+
+        # One step-size factor for accepted and rejected steps alike, clamped
+        # to [min_factor, max_factor]: a NaN estimate gets min_factor.  x if
+        # x < y else y is min(y, x), NaN included.
+        factor = max_factor if err_norm == 0.0 else safety * err_norm ** -0.2
+        factor = factor if factor > min_factor else min_factor
+        factor = factor if factor < max_factor else max_factor
+        if not err_norm <= 1.0:
+            rejected += 1
+            h = h_step * factor
+            if h < h_min:
+                event = TerminalEvent.STEP_FAILURE
+                break
+            continue
+
+        append((rho, h_step, u, v, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v))
+
+        left = {left}
+        v_changed = (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0)
+        if left or v_changed:
+            c = _interpolant(steps[-1])
+            theta_end = {locate} if left else 1.0
+            if v_changed:
+                theta_v = _bisect_theta(c, 1, v)
+                if theta_v <= theta_end:
+                    uc, vc = _dense(c, theta_v)
+                    if {turn}:
+                        rho, u, v = rho + theta_v * h_step, uc, vc
+                        event = TerminalEvent.TURNED
+                        break
+            if left:
+                rho = rho + theta_end * h_step
+                u, v = _dense(c, theta_end)
+                {clamp}
+                event = TerminalEvent.{exit}
+                break
+
+        rho = rho_end if last else rho + h_step
+        u, v = u_new, v_new
+        k1u, k1v = k7u, k7v
+
+        if last:
+            break
+
+        h = h_step * factor
+        h = h if h > h_min else h_min
+        {bound[0]}
+        {bound[1]}
+        {bound[2]}
+
+    return Trajectory(steps, (rho, {state}(u, v)), rejected, event)
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def kernel(field: Field) -> Callable[..., Trajectory]:
+    """The template's run with ``field`` written in, compiled once per field:
+    a function (initial, rho_start, rho_end, p, config) -> Trajectory."""
+    if any("\n" in part for part in (*field.bound, *(x for x in field if isinstance(x, str)))):
+        raise ValueError(f"each part of field {field.name!r} must be one line")
+    rhs = field.rhs.format
+    source = _TEMPLATE.format(
+        name=field.name, state=field.state, check=field.check,
+        rhs_start=rhs(u="u", v="v"), rhs_stage=rhs(u="yu", v="yv"),
+        rhs_end=rhs(u="u_new", v="v_new"),
+        scale_u=field.scale_u, scale_v=field.scale_v, bound=field.bound,
+        left=field.left, locate=field.locate, turn=field.turn, clamp=field.clamp,
+        exit=field.exit,
+    )
+    namespace: dict = {}
+    # Blank lines put each line of the template at its line in this file.
+    exec(compile("\n" * (_TEMPLATE_LINE - 1) + source, __file__, "exec"), globals(), namespace)
+    return namespace[f"integrate_{field.name}"]
+
+
+# The spike system u' = v, v' = u - u**p (module docstring).  Every stage,
+# for every p, uses the odd extension u * |u|**(p - 1).  After an accepted
+# step, excess = omega**2 * u, since u**p = u - k1v: at most a quarter turn.
+_SPIKE = Field(
+    name="spike",
+    state="State",
+    check="_check_domain(u, p)",
+    rhs="{v}, {u} - ({u} ** p if {u} >= 0.0 else -((-{u}) ** p))",
+    scale_u="ab + rel * (new if (new := abs(u_new)) > (scale := abs(u)) else scale)",
+    scale_v="ab + rel * (new if (new := abs(v_new)) > (scale := abs(v)) else scale)",
+    bound=(
+        "excess = p * (u - k1v) - u",
+        "if excess > 0.0 and h * h * excess > quarter_turn_sq * u:",
+        "    h = quarter_turn * sqrt(u / excess)",
+    ),
+    # u >= 0 at every step's start: a run from u = 0 with v < 0 ends on its first.
+    left="u_new < 0.0 or u_new == 0.0 < u",
+    locate="_bisect_theta(c, 0, 1.0)",
+    turn="0.0 < uc",
+    clamp="u = 0.0 if u < 0.0 else u",
+    exit="U_CROSSED_ZERO",
+)
+
+
 def integrate(
     initial: State,
     rho_start: float,
@@ -324,127 +534,4 @@ def integrate(
     other sign change), or when a rejected step would shrink below h_min;
     otherwise runs to ``rho_end`` exactly.
     """
-    if not (math.isfinite(rho_start) and math.isfinite(rho_end) and rho_start < rho_end):
-        raise ValueError(f"need rho_start < rho_end, got [{rho_start!r}, {rho_end!r}]")
-    u, v = initial.u, initial.v
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError(f"initial state must be finite, got {initial!r}")
-    # With a float exponent, ** returns a float for any real base, as math.pow does.
-    p = float(p)
-    _check_domain(u, p)
-
-    rel, ab = config.rel_tol, config.abs_tol
-    h_min = config.h_min
-
-    # The stage loop reads each of these every step: locals, not globals.
-    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
-    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-    quarter_turn = 0.5 * math.pi
-    quarter_turn_sq = quarter_turn * quarter_turn
-    sqrt = math.sqrt
-    steps: list[tuple[float, ...]] = []
-    append = steps.append
-
-    rho = rho_start
-    # Each stage k = (ku, kv) below is the one field, written out (module docstring).
-    k1u, k1v = v, u - (u ** p if u >= 0.0 else -((-u) ** p))
-    h = min(config.h_init, rho_end - rho_start)
-    rejected = 0
-    event = TerminalEvent.REACHED_END
-
-    while True:
-        last = rho + h >= rho_end
-        h_step = rho_end - rho if last else h
-
-        try:
-            yu = u + h_step * (a21 * k1u)
-            yv = v + h_step * (a21 * k1v)
-            k2u, k2v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
-            yu = u + h_step * (a31 * k1u + a32 * k2u)
-            yv = v + h_step * (a31 * k1v + a32 * k2v)
-            k3u, k3v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
-            yu = u + h_step * (a41 * k1u + a42 * k2u + a43 * k3u)
-            yv = v + h_step * (a41 * k1v + a42 * k2v + a43 * k3v)
-            k4u, k4v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
-            yu = u + h_step * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u)
-            yv = v + h_step * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
-            k5u, k5v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
-            yu = u + h_step * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
-            yv = v + h_step * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-            k6u, k6v = yv, yu - (yu ** p if yu >= 0.0 else -((-yu) ** p))
-            u_new = u + h_step * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
-            v_new = v + h_step * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-            k7u, k7v = v_new, u_new - (u_new ** p if u_new >= 0.0 else -((-u_new) ** p))
-        except OverflowError:
-            # u**p overflowed at a trial stage: the step is far too long.
-            err_norm = math.inf
-        else:
-            err_u = h_step * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
-            err_v = h_step * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
-            # x if x > y else y is max(y, x), and x if x < y else y is
-            # min(y, x), NaN included: the first argument wins unless the
-            # comparison holds.
-            scale = abs(u)
-            new = abs(u_new)
-            ratio_u = err_u / (ab + rel * (new if new > scale else scale))
-            scale = abs(v)
-            new = abs(v_new)
-            ratio_v = err_v / (ab + rel * (new if new > scale else scale))
-            err_norm = sqrt(0.5 * (ratio_u * ratio_u + ratio_v * ratio_v))
-
-        # One step-size factor for accepted and rejected steps alike, clamped
-        # to [min_factor, max_factor] as above: a NaN estimate gets min_factor.
-        factor = max_factor if err_norm == 0.0 else safety * err_norm ** -0.2
-        factor = factor if factor > min_factor else min_factor
-        factor = factor if factor < max_factor else max_factor
-        if not err_norm <= 1.0:
-            rejected += 1
-            h = h_step * factor
-            if h < h_min:
-                event = TerminalEvent.STEP_FAILURE
-                break
-            continue
-
-        append((rho, h_step, u, v, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v))
-
-        # u >= 0 at every step's start: a run from u = 0 with v < 0 ends on its first.
-        crossed_zero = u_new < 0.0 or u_new == 0.0 < u
-        v_changed = (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0)
-        if crossed_zero or v_changed:
-            c = _interpolant(steps[-1])
-            theta_end = _bisect_theta(c, 0, 1.0) if crossed_zero else 1.0
-            if v_changed:
-                theta_v = _bisect_theta(c, 1, v)
-                if theta_v <= theta_end:
-                    uc, vc = _dense(c, theta_v)
-                    if 0.0 < uc:
-                        rho, u, v = rho + theta_v * h_step, uc, vc
-                        event = TerminalEvent.TURNED
-                        break
-            if crossed_zero:
-                rho = rho + theta_end * h_step
-                u, v = _dense(c, theta_end)
-                if u < 0.0:
-                    u = 0.0
-                event = TerminalEvent.U_CROSSED_ZERO
-                break
-
-        rho = rho_end if last else rho + h_step
-        u, v = u_new, v_new
-        k1u, k1v = k7u, k7v
-
-        if last:
-            break
-
-        h = h_step * factor
-        h = h if h > h_min else h_min
-        # excess = omega**2 * u, since u**p = u - k1v (module docstring): at most a quarter turn.
-        excess = p * (u - k1v) - u
-        if excess > 0.0 and h * h * excess > quarter_turn_sq * u:
-            h = quarter_turn * sqrt(u / excess)
-
-    return Trajectory(steps, (rho, State(u, v)), rejected, event)
+    return kernel(_SPIKE)(initial, rho_start, rho_end, p, config)
