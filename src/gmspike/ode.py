@@ -31,17 +31,18 @@ next is also held to a quarter turn, (pi/2) / omega, wherever the local
 frequency omega**2 = p * u**(p - 1) - 1 is positive; it reads u**p as u - v'
 from the step's last stage, so it takes no power and no division by u.  Each
 accepted step is scanned for a sign change of u or of v between its ends,
-located to 1e-10 in rho by bisecting the interpolant; an exact zero, at a
-midpoint or at the step's end, is bisected like any other sign change.  The
-scan assumes at most one of each per step: the inward run's v changes sign
-once, at its end, and near the centre (1, 0) the quarter-turn bound keeps a
-step to half a half-period pi / sqrt(p - 1), however close the orbit.
-Within about 1e-14 of the centre at p = 1.01 the field rounds to 0, and a
-run goes to its end without a turn.  The first event ends every run: u
-crossing 0 (``U_CROSSED_ZERO``), or v crossing 0 with u > 0 (``TURNED``), a
-maximum above u = 1 or a minimum below it.  No cap on u is needed: H is
-conserved, so an orbit from (a, 0) never rises above the larger of a and the
-spike height.
+located by bisecting the interpolant until no float lies between the ends of
+the bracket, at the far end: a run restarted there does not see the event
+again.  An exact zero, at a midpoint or at the step's end, is bisected like
+any other sign change.  The scan assumes at most one of each per step: the
+inward run's v changes sign once, at its end, and near the centre (1, 0)
+the quarter-turn bound keeps a step to half a half-period pi / sqrt(p - 1),
+however close the orbit.  Within about 1e-14 of the centre at p = 1.01 the
+field rounds to 0, and a run goes to its end without a turn.  The first
+event ends every run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0
+with u > 0 (``TURNED``), a maximum above u = 1 or a minimum below it.  No
+cap on u is needed: H is conserved, so an orbit from (a, 0) never rises
+above the larger of a and the spike height.
 
 The spike problem lives on u >= 0 with 0 < p < inf, and so does this
 module: :func:`integrate` and :func:`hamiltonian` refuse anything else.
@@ -49,12 +50,20 @@ u < 0 is reached only by stages of a step that crosses u = 0 (or leaves it
 downwards), which the run discards past its event, and by rejected trial
 steps.  Every stage, for every p, uses the odd extension u * |u|**(p - 1).
 
-The field is written out at each stage point of :func:`integrate`, not
-called: the shooting solver spends nearly all its time in that loop, where
-a Python call per stage, plus one for the power, cost more than the stage's
-own arithmetic.  ``u ** p`` with a float exponent gives the same bits and
-raises the same OverflowError as ``math.pow``; the ``integrate/`` digests
-of ``tests/test_golden.py`` pin every stage.
+One template holds the run: the stages, the controller, the stored stages,
+the h_min floor, the rule that an overflow at a stage rejects the step, and
+the event scan.  A :class:`Field` gives it, as lines of Python text, the two
+components of the derivative, the error scales, the bound on the next step
+and the events; :func:`kernel` writes them in and compiles the result once
+per field, under this file's name and with each line at its line here, so
+that a traceback or a profile points into this file.  The field is written
+out at each stage point, not called: the shooting solver spends nearly all
+its time in that loop, where a Python call per stage cost more than the
+stage's own arithmetic.  :func:`integrate` runs the spike field above, and
+compiles it on its first call; ``shooting`` runs the same system in log
+coordinates.  ``u ** p`` with a float exponent gives the same bits and
+raises the same OverflowError as ``math.pow``; the ``integrate/`` digests of
+``tests/test_golden.py`` pin every stage.
 """
 
 from __future__ import annotations
@@ -70,16 +79,16 @@ from typing import Callable, Iterable, NamedTuple
 __all__ = [
     "TerminalEvent",
     "State",
+    "LogState",
+    "Field",
+    "kernel",
     "IntegratorConfig",
     "Trajectory",
     "hamiltonian",
     "integrate",
-    "EVENT_LOCATION_TOL",
     "SPAN_SLACK",
 ]
 
-# Spatial resolution of event bisection on the dense interpolant.
-EVENT_LOCATION_TOL = 1e-10
 # How far past a run's span :meth:`Trajectory.eval` still reads a point,
 # clamped onto the span: room for the rounding of a mapped coordinate.
 SPAN_SLACK = 1e-9
@@ -120,6 +129,7 @@ _P72, _P73, _P74 = _P7[1:]
 class TerminalEvent(Enum):
     REACHED_END = "reached_end"
     U_CROSSED_ZERO = "u_crossed_zero"
+    LEFT_LOOP = "left_loop"
     TURNED = "turned"
     STEP_FAILURE = "step_failure"
 
@@ -151,6 +161,21 @@ class State(NamedTuple):
 
     u: float
     v: float
+
+    def uv(self) -> State:
+        return self
+
+
+class LogState(NamedTuple):
+    """Phase-plane point in log coordinates: w = ln u and z = u'/u."""
+
+    w: float
+    z: float
+
+    def uv(self) -> State:
+        """The point as (u, v) = (e**w, z * e**w)."""
+        u = math.exp(self.w)
+        return State(u, self.z * u)
 
 
 @checked
@@ -221,8 +246,10 @@ class Trajectory:
     @property
     def samples(self) -> list[tuple[float, State]]:
         """(rho, state) at the start point and after every accepted step,
-        with strictly increasing rho; ``[end]`` when no step was accepted."""
-        return [(step[0], State(step[2], step[3])) for step in self.steps] + [self.end]
+        with strictly increasing rho; ``[end]`` when no step was accepted.
+        Each state is of the type of the end's."""
+        state = type(self.end[1])
+        return [(step[0], state(step[2], step[3])) for step in self.steps] + [self.end]
 
     @property
     def accepted_steps(self) -> int:
@@ -294,16 +321,17 @@ def hamiltonian(state: State, p: float) -> float:
 
 
 def _bisect_theta(c: tuple[float, ...], component: int, sign_lo: float) -> float:
-    """Locate, in [0, 1], a zero of one component of interpolant ``c``
-    whose sign at theta = 0 is that of ``sign_lo``."""
-    span, lo, hi = c[1], 0.0, 1.0
-    while (hi - lo) * span > EVENT_LOCATION_TOL:
-        mid = 0.5 * (lo + hi)
+    """Locate, in (0, 1], a zero of one component of interpolant ``c``
+    whose sign at theta = 0 is that of ``sign_lo``: halve [lo, hi] until
+    no float lies strictly between them, and return ``hi``, the far side
+    of the sign change, so that a run restarted there does not see it again."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if (_dense(c, mid)[component] > 0.0) == (sign_lo > 0.0):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def _check_exponent(p: float) -> None:
@@ -354,7 +382,7 @@ class Field(NamedTuple):
 # One Dormand-Prince run, as text: :func:`kernel` fills in a Field and
 # compiles it under this file's name, with each line at its line here.
 _TEMPLATE_LINE, _TEMPLATE = sys._getframe().f_lineno + 1, """\
-def integrate_{name}(initial, rho_start, rho_end, p, config):
+def integrate_{name}(initial, rho_start, rho_end, p, config=IntegratorConfig()):
     u, v = _check_run(initial, rho_start, rho_end)
     # With a float exponent, ** returns a float for any real base, as math.pow does.
     p = float(p)

@@ -87,10 +87,7 @@ def compare(result: ShootingResult, rho_grid, before=None) -> ComparisonReport:
 
 
 def check_first_integral(trajectory: Trajectory, p: float) -> float:
-    """Maximum drift of the conserved energy over the trajectory samples."""
-    samples = trajectory.samples
-    first = hamiltonian(samples[0][1], p)
-    drift = 0.0
-    for _, state in samples:
-        drift = max(drift, abs(hamiltonian(state, p) - first))
-    return drift
+    """Maximum drift of the conserved energy over the trajectory samples,
+    each read as (u, v)."""
+    energies = [hamiltonian(state.uv(), p) for _, state in trajectory.samples]
+    return max(abs(energy - energies[0]) for energy in energies)

@@ -6,7 +6,7 @@ reused by the unit tests and the acceptance checks alike.
 
 import pytest
 
-from gmspike import ProblemParams, State, cli, shoot, shooting
+from gmspike import LogState, ProblemParams, cli, shoot, shooting
 
 
 @pytest.fixture(autouse=True)
@@ -20,12 +20,16 @@ def _fresh_inward_run():
 @pytest.fixture(scope="session")
 def default_shoots():
     """Converged shooting results at default settings, keyed by exponent."""
+    # A session fixture is set up before the autouse one above clears the
+    # kept run, which a test with a patched integrate may have left.
+    shooting._inward_run.cache_clear()
     return {p: shoot(ProblemParams.inner(p)) for p in (2.0, 3.0, 4.0)}
 
 
 @pytest.fixture(scope="session")
 def sweep_dirs(tmp_path_factory):
     """Two independent sweep runs, for content checks and byte determinism."""
+    shooting._inward_run.cache_clear()
     dirs = []
     for name in ("sweep_a", "sweep_b"):
         out = tmp_path_factory.mktemp(name)
@@ -47,11 +51,12 @@ def short_horizon(monkeypatch):
 
 
 def _start_with_scaled_v(monkeypatch, scale):
-    """Start every shoot's run at (u0, scale * v0) instead of (u0, v0)."""
+    """Start every shoot's run at (u0, scale * v0) instead of (u0, v0): the
+    run is in log coordinates, so at (w0, scale * z0), with z0 = v0 / u0."""
     real_integrate = shooting.integrate
 
     def scaled(initial, *args, **kwargs):
-        return real_integrate(State(initial.u, scale * initial.v), *args, **kwargs)
+        return real_integrate(LogState(initial.w, scale * initial.z), *args, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", scaled)
 
@@ -60,16 +65,16 @@ def _start_with_scaled_v(monkeypatch, scale):
 def mirrored_start(monkeypatch):
     """Start every shoot's run at (u0, -v0), on the branch of H = 0 that runs
     into the saddle instead of out of it.  Rounding then carries the run off
-    that branch: at p = 1.01, 1.2 and 2 it turns at a minimum (u = 1.0e-10,
-    3.7e-11 and 1.1e-13), at p = 3 it crosses u = 0, at p >= 4 it reaches
-    its horizon."""
+    that branch: at p = 1.01, 1.2, 2 and 3 it turns at a minimum (u =
+    7.4e-13, 8.0e-13, 7.0e-14 and 1.4e-15); at p >= 4, z0 = -1 to the bit,
+    z stays there, and the run reaches its horizon."""
     _start_with_scaled_v(monkeypatch, -1.0)
 
 
 # Near the saddle, where u**p is negligible beside u and v0 = u0 (p >= 2),
 # a run from (u0, -k * u0) is u0 * ((1 + k) * exp(-s) + (1 - k) * exp(s)) / 2.
-# For k = 1/2 and 2 its event lies at s = artanh(1/2) = 0.5493, whatever
-# the steps; p = 1.2 moves it to 0.56 and p = 1.01 to 1.4.
+# For k = 1/2 and 2 it turns or crosses u = 0 at s = artanh(1/2) = 0.5493,
+# whatever the steps; p = 1.2 moves it to 0.56 and p = 1.01 to 1.4.
 
 
 @pytest.fixture
@@ -82,5 +87,7 @@ def inside_loop_start(monkeypatch):
 @pytest.fixture
 def outside_loop_start(monkeypatch):
     """Start every shoot's run at (u0, -2 * v0), outside the homoclinic loop
-    (H > 0): it crosses u = 0 at sigma = 0.5493."""
+    (H > 0): its orbit crosses u = 0 at sigma = 0.5493.  The run, in log
+    coordinates, ends ``LEFT_LOOP`` as soon as z < -1: for p >= 1.2, z0 <
+    -1 already, and the run ends after its first step, at sigma = 0.001."""
     _start_with_scaled_v(monkeypatch, -2.0)

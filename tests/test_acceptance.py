@@ -5,13 +5,13 @@ single PASS line with the measured figure once its assertions hold.
 """
 
 import filecmp
+import math
 import time
 
 import numpy as np
 from ansatz_reference import derive_ansatz_constants, eval_ansatz
 
 from gmspike import (
-    EVENT_LOCATION_TOL,
     IntegratorConfig,
     ProblemParams,
     State,
@@ -158,9 +158,12 @@ def test_sides_of_the_peak_and_bracket_halving(monkeypatch):
     halvings = thetas[:-1]
     for k, (before, after) in enumerate(zip(halvings, halvings[1:])):
         assert abs(after - before) == 0.5 ** (k + 2)
+    # Halved until no float lies inside the bracket: its width is one ulp
+    # of the located theta, the last probe.
+    width = 0.5 ** len(halvings)
+    assert width <= math.ulp(thetas[-1])
     h = result.trajectory.steps[-1][1]
-    final = 0.5 ** len(halvings) * h
-    assert final <= EVENT_LOCATION_TOL
+    final = width * h
     print(
         f"PASS verdicts cross/turn at 1.6/1.4, run ends at the peak 1.5; peak "
         f"bracket halved {len(halvings)} times from {h:.2e} to {final:.2e}"
@@ -179,7 +182,7 @@ def test_one_inward_run_goes_from_the_spike_orbit_to_the_peak(monkeypatch):
     worst_energy = 0.0
     for p in (1.01, 1.2, 2.0, 4.0, 10.0, 100.0):
         result = shoot(ProblemParams.inner(p))
-        start = result.trajectory.samples[0][1]
+        start = result.trajectory.samples[0][1].uv()
         worst_energy = max(worst_energy, abs(hamiltonian(start, p)) / start.u**2)
         assert result.trajectory.terminal_event is TerminalEvent.TURNED
     assert worst_energy <= 1e-13

@@ -71,13 +71,14 @@ OPTION_CASES = [(command, option) for command in OPTIONS_TAKEN for option in OPT
 
 # Each way a shoot can end short of its peak: the options or the fixture
 # that bring it about, and the words the diagnostic names it by.  No step
-# meets tolerances of 1e-300, so step-size control underflows.  The starts
-# outside and inside the homoclinic loop end at sigma = artanh(1/2), the
-# one at its minimum u = u0 * sqrt(3) / 2 (see tests/conftest.py).
+# meets tolerances of 1e-300, so step-size control underflows.  The start
+# outside the homoclinic loop ends after its first step, where z < -1; the
+# one inside it turns at sigma = artanh(1/2), at its minimum u = u0 *
+# sqrt(3) / 2 (see tests/conftest.py).
 FAILURES = {
     "step_failure": (("--rel-tol", "1e-300", "--abs-tol", "1e-300"), None, "step size underflow"),
     "reached_end": ((), "short_horizon", "ended reached_end at sigma=5.0,"),
-    "u_crossed_zero": ((), "outside_loop_start", "ended u_crossed_zero at sigma=0.5493"),
+    "left_loop": ((), "outside_loop_start", "ended left_loop at sigma=0.001,"),
     "turned_at_minimum": ((), "inside_loop_start", "turned at a minimum, u=8.6602"),
 }
 
@@ -781,8 +782,12 @@ class TestShootCommand:
         assert header == CSV_HEADER
         assert rows[0][0] == "0"
         assert rows[0][3] == "0"
-        # The run reaches 17.9 from the peak; the table stops at the wall L/epsilon = 10.
-        assert 9.9 < float(rows[-1][0]) <= 10.0
+        # The run reaches 17.9 from the peak; the table stops at the wall
+        # L/epsilon = 10: its last row is the run's last sample inside it.
+        result = cli.shoot(ProblemParams.inner(2.0))
+        ds = [result.sigma_pk - sigma for sigma, _ in result.trajectory.samples]
+        assert float(rows[-1][0]) <= 10.0 < max(d for d in ds if d > float(rows[-1][0]))
+        assert len(rows) == sum(d <= 10.0 for d in ds)
         rhos = [float(row[0]) for row in rows]
         assert rhos == sorted(rhos)
         assert all(float(row[3]) <= 0.0 for row in rows)
@@ -822,7 +827,9 @@ class TestShootCommand:
         rhos = [float(row[0]) for row in rows]
         assert rhos[0] == 5.0
         assert all(-5.0 <= rho <= 5.0 for rho in rhos)
-        assert rhos[-1] < -4.9
+        result = cli.shoot(ProblemParams.boundary(3.0, 0.2))
+        ds = [result.sigma_pk - sigma for sigma, _ in result.trajectory.samples]
+        assert len(rows) == sum(d <= 10.0 for d in ds) < len(ds)
 
     def test_stdout_carries_only_the_csv(self, capsys):
         assert cli.main(["shoot", "--p", "3"]) == 0

@@ -2,8 +2,13 @@
 
 import ast
 import bisect
+import linecache
 import math
+import os
 import random
+import subprocess
+import sys
+import traceback
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +17,6 @@ import pytest
 
 from gmspike import ode
 from gmspike import (
-    EVENT_LOCATION_TOL,
     SPAN_SLACK,
     IntegratorConfig,
     ProblemParams,
@@ -376,11 +380,12 @@ class TestEvents:
     @pytest.mark.parametrize("p", (2.5, 2.0, 3.0))
     def test_start_at_zero_heading_below_ends_there(self, p):
         # u >= 0 at every accepted point: a run from u = 0 with v < 0 leaves
-        # the domain at once, so it ends at its start, not below it.
+        # the domain at once, so it ends at its start, not below it.  The
+        # crossing's far side is the least theta above 0, which is 0 in rho.
         trajectory = integrate(State(0.0, -0.1), 0.0, 1.0, p)
         assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
         rho, end = trajectory.end
-        assert 0.0 <= rho <= EVENT_LOCATION_TOL
+        assert rho == 0.0
         assert end == State(0.0, -0.1)
 
     @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 4.0, 10.0, 100.0))
@@ -401,6 +406,22 @@ class TestEvents:
         assert end.u < 1.0
         assert rho == pytest.approx(half_period, rel=0.012)
         assert max(step[1] for step in trajectory.steps) < 0.51 * half_period
+
+    @pytest.mark.parametrize("p", (1.2, 2.0, 100.0))
+    def test_a_run_restarted_at_its_turn_does_not_turn_again_at_once(self, p):
+        # A turn is located on the far side of the sign change of v, so a
+        # run restarted there sees none: from a maximum inside the loop it
+        # turns at the minimum, and restarted there, at the next maximum,
+        # about a period of small oscillation on.
+        first = integrate(State(0.9 * spike_amplitude(p) + 0.1, 0.0), 0.0, 200.0, p)
+        rho, turn = first.end
+        assert first.terminal_event is TerminalEvent.TURNED and turn.u < 1.0
+        assert turn.v >= 0.0
+        again = integrate(turn, rho, rho + 200.0, p)
+        assert again.terminal_event is TerminalEvent.TURNED
+        assert again.accepted_steps > 10
+        assert again.end[1].u > 1.0
+        assert again.end[0] - rho == pytest.approx(rho, rel=0.01)
 
     def test_a_start_1e_12_from_the_centre_stops_at_its_first_minimum(self):
         # From here the error control alone lets a step pass the first
@@ -446,7 +467,8 @@ def _line_interpolant(h, c0, c1, component):
 
 
 class TestEventBisection:
-    """Every event is located by one bisection, an exact zero included."""
+    """Every event is located by one bisection, an exact zero included, to
+    rounding: it returns the far end of a bracket with no float inside."""
 
     @pytest.mark.parametrize("component", (0, 1))
     @pytest.mark.parametrize("sign", (1.0, -1.0))
@@ -457,7 +479,7 @@ class TestEventBisection:
         c = _line_interpolant(h, -sign * zero, sign, component)
         assert ode._dense(c, zero)[component] == 0.0
         theta = ode._bisect_theta(c, component, c[2 + component])
-        assert abs(theta - zero) <= EVENT_LOCATION_TOL / h
+        assert 0.0 <= theta - zero <= math.ulp(zero)
 
 
 class TestStepControl:
@@ -527,7 +549,6 @@ class TestNoRunaway:
 
 class TestOrder:
     def test_constants(self):
-        assert EVENT_LOCATION_TOL == 1e-10
         assert SPAN_SLACK == 1e-9
 
     def test_fixed_step_convergence_rate(self):
@@ -543,3 +564,104 @@ class TestOrder:
         # Dormand-Prince advances its fifth-order solution.
         assert all(5 - 0.5 < s < 5 + 0.5 for s in slopes)
         assert errors[-1] < 1e-8
+
+
+# u'' = -u from the template: every line of the spike field's run, with none
+# of its bounds or domain, and its turn wherever v changes sign.
+OSCILLATOR = ode.Field(
+    name="oscillator",
+    state="State",
+    check="pass",
+    rhs="{v}, -{u}",
+    scale_u="ab + rel * (new if (new := abs(u_new)) > (scale := abs(u)) else scale)",
+    scale_v="ab + rel * (new if (new := abs(v_new)) > (scale := abs(v)) else scale)",
+    bound=("pass", "pass", "pass"),
+    left="False",
+    locate="1.0",
+    turn="True",
+    clamp="pass",
+    exit="REACHED_END",
+)
+
+
+class TestKernel:
+    """One template of the Dormand-Prince run, compiled once per field."""
+
+    def test_a_second_field_matches_its_exact_solution(self):
+        run = ode.kernel(OSCILLATOR)(State(1.0, 0.0), 0.0, 3.0, 1.0)
+        assert run.terminal_event is TerminalEvent.REACHED_END
+        assert run.end[0] == 3.0
+        for rho, state in run.samples:
+            assert state.u == pytest.approx(math.cos(rho), abs=1e-9)
+            assert state.v == pytest.approx(-math.sin(rho), abs=1e-9)
+        grid = [3.0 * k / 100 for k in range(101)]
+        us, vs = run.eval(grid)
+        assert max(abs(u - math.cos(rho)) for rho, u in zip(grid, us)) < 1e-9
+        assert max(abs(v + math.sin(rho)) for rho, v in zip(grid, vs)) < 1e-9
+
+    def test_a_second_field_turns_at_pi(self):
+        run = ode.kernel(OSCILLATOR)(State(1.0, 0.0), 0.0, 5.0, 1.0)
+        assert run.terminal_event is TerminalEvent.TURNED
+        rho, end = run.end
+        assert rho == pytest.approx(math.pi, abs=1e-9)
+        assert end.u == pytest.approx(-1.0, abs=1e-9)
+
+    def test_a_field_is_compiled_once(self):
+        assert ode.kernel(OSCILLATOR) is ode.kernel(OSCILLATOR)
+        assert ode.kernel(ode._SPIKE) is ode.kernel(ode._SPIKE)
+
+    def test_each_part_of_a_field_is_one_line(self):
+        with pytest.raises(ValueError, match="must be one line"):
+            ode.kernel(OSCILLATOR._replace(name="two_lines", rhs="{v},\\\n-{u}"))
+        with pytest.raises(ValueError, match="must be one line"):
+            ode.kernel(OSCILLATOR._replace(name="two_lines", bound=("pass", "pass", "x = 1\ny = 2")))
+
+    @pytest.mark.parametrize("run", ("integrate", "shooting.integrate"))
+    def test_a_traceback_points_at_the_template_line_in_ode_py(self, run, monkeypatch):
+        # The kernel is compiled under ode.py's name with each line at its
+        # line there, so a traceback quotes the line that ran.
+        def broken(step):
+            raise RuntimeError("no interpolant")
+
+        monkeypatch.setattr(ode, "_interpolant", broken)
+        if run == "integrate":
+            call = lambda: integrate(State(1.6, 0.0), 0.0, 12.0, 2.0)  # noqa: E731
+        else:
+            from gmspike import shooting
+
+            call = lambda: shoot(ProblemParams.inner(2.0))  # noqa: E731
+            assert shooting.integrate.__code__.co_filename == ode.__file__
+        with pytest.raises(RuntimeError) as failure:
+            call()
+        frames = [f for f in traceback.extract_tb(failure.value.__traceback__)
+                  if f.filename == ode.__file__ and f.name.startswith("integrate_")]
+        assert len(frames) == 1
+        assert frames[0].line == "c = _interpolant(steps[-1])"
+        code = (ode.kernel(ode._SPIKE) if run == "integrate" else shooting.integrate).__code__
+        first = linecache.getline(ode.__file__, code.co_firstlineno)
+        assert first.startswith("def integrate_{name}(")
+
+    def test_import_compiles_one_kernel_and_a_shoot_none(self):
+        # Without site packages, importing the CLI loads neither inspect nor
+        # ast, compiles the log field's kernel alone, and a shoot compiles
+        # nothing.
+        script = (
+            "import builtins, sys\n"
+            "import gmspike.cli\n"
+            "from gmspike import ProblemParams, ode, shoot\n"
+            "assert 'inspect' not in sys.modules and 'ast' not in sys.modules\n"
+            "assert ode.kernel.cache_info().currsize == 1\n"
+            "calls = []\n"
+            "real = builtins.compile\n"
+            "builtins.compile = lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)\n"
+            "for p in (1.01, 2.0, 100.0):\n"
+            "    shoot(ProblemParams.inner(p))\n"
+            "print(len(calls), ode.kernel.cache_info().currsize)\n"
+        )
+        src = str(Path(ode.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-s", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from gmspike import (
-    EVENT_LOCATION_TOL,
     IntegratorConfig,
     InwardRun,
+    LogState,
     ProblemParams,
     ShootingConfig,
     ShootingError,
@@ -37,7 +37,7 @@ P_RANGE = (1.01, 1.2, 2.0, 4.0, 10.0, 100.0)
 
 def _start(result):
     """(u, v) where the reported run starts."""
-    return result.trajectory.samples[0][1]
+    return result.trajectory.samples[0][1].uv()
 
 
 def _record_peak_bisection(monkeypatch):
@@ -57,9 +57,9 @@ def _record_peak_bisection(monkeypatch):
 
 
 def _assert_halves_until_tolerance(result, probes):
-    """The peak bisection's probes halve the bracket until it is shorter
-    than EVENT_LOCATION_TOL in sigma, and the located point is its middle.
-    Returns the number of halvings."""
+    """The peak bisection's probes halve the bracket until no float lies
+    strictly inside it, and the located point is its far end, past the
+    turn.  Returns the number of halvings."""
     rho, h = result.trajectory.steps[-1][:2]
     assert {span for span, _ in probes} == {h}
     *halvings, located = [theta for _, theta in probes]
@@ -67,10 +67,24 @@ def _assert_halves_until_tolerance(result, probes):
     for k, (before, after) in enumerate(zip(halvings, halvings[1:])):
         assert abs(after - before) == 0.5 ** (k + 2)
     width = 0.5 ** len(halvings)
-    assert width * h <= EVENT_LOCATION_TOL < 2.0 * width * h
-    assert abs(located - halvings[-1]) == 0.5 * width
+    assert located - halvings[-1] in (0.0, width)
+    assert math.nextafter(located - width, 1.0) == located
+    assert result.trajectory.end[1].z <= 0.0
     assert result.sigma_pk == rho + located * h
     return len(halvings)
+
+
+def _max_rel_error(result):
+    """Max |u - u_closed| / u_closed over the whole run: at each step's
+    start and quarter points, and at the peak."""
+    trajectory, sigma_pk = result.trajectory, result.sigma_pk
+    sigmas = [
+        sigma for step in trajectory.steps for k in range(4)
+        if (sigma := step[0] + 0.25 * k * step[1]) < sigma_pk
+    ] + [sigma_pk]
+    ws, _ = trajectory.eval(sigmas)
+    exact = eval_spike_rho(result.params, [sigma_pk - sigma for sigma in sigmas])
+    return max(abs(math.exp(w) - e) / e for w, e in zip(ws, exact))
 
 
 def _minimum_named_by(error):
@@ -149,9 +163,9 @@ class TestSingleRun:
         # and the amplitude lies between its two ends.
         result = default_shoots[2.0]
         assert result.classifications[:result.config.scan_points] == ()
-        rho, h, u, v = result.trajectory.steps[-1][:4]
+        rho, h, w, z = result.trajectory.steps[-1][:4]
         assert rho < result.sigma_pk <= rho + h
-        assert u < 1.5 and v > 0.0
+        assert math.exp(w) < 1.5 and z > 0.0
         assert abs(result.a_star - 1.5) < 1e-10
 
     def test_residuals_are_nonnegative(self, default_shoots):
@@ -176,9 +190,14 @@ class TestSingleRun:
 class TestInwardRun:
     @pytest.mark.parametrize("p", P_RANGE)
     def test_start_lies_on_the_spike_orbit(self, p):
-        # H = 0 on the spike, and the start's H is zero to rounding.
-        start = _start(shoot(ProblemParams.inner(p)))
-        assert start.u == shooting_mod.U0 == 1e-7
+        # H = 0 on the spike, and the start's H is zero to rounding.  The
+        # run starts at (ln u0, v0 / u0), and is read back as (u0, v0).
+        result = shoot(ProblemParams.inner(p))
+        w0, z0 = result.trajectory.samples[0][1]
+        assert w0 == math.log(shooting_mod.U0) and shooting_mod.U0 == 1e-7
+        assert 0.0 < z0 <= 1.0
+        start = _start(result)
+        assert start.u == pytest.approx(shooting_mod.U0, rel=1e-15)
         assert 0.0 < start.v <= start.u
         assert abs(hamiltonian(start, p)) <= 1e-13 * start.u**2
 
@@ -188,7 +207,7 @@ class TestInwardRun:
         trajectory = result.trajectory
         assert trajectory.terminal_event is TerminalEvent.TURNED
         assert result.converged
-        assert (result.sigma_pk, result.a_star) == (trajectory.end[0], trajectory.end[1].u)
+        assert (result.sigma_pk, result.a_star) == (trajectory.end[0], trajectory.end[1].uv().u)
         # The run reaches farther than the old far-field truncation at rho = 12.
         assert 16.1 < result.sigma_pk < 83.0
 
@@ -200,15 +219,26 @@ class TestInwardRun:
         (exact,) = eval_spike_rho(result.params, [10.0])
         assert abs(u - exact) / exact < 1e-8
 
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_the_whole_run_is_relatively_accurate(self, p):
+        # In (w, z) the error scale is relative to u along the whole run, so
+        # the far tail, at u = 1e-7, is as accurate as the peak: at most
+        # 1.8e-10 (p = 1.2).  The run in (u, v) reached 2.45e-6 there, where
+        # abs_tol = 1e-12 was 1e-5 of u.
+        assert _max_rel_error(shoot(ProblemParams.inner(p))) <= 1e-9
+
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
     def test_errors_fall_as_the_tolerance_tightens(self, p):
+        # The relative error falls from 1.8e-5, 1.5e-6 and 8.6e-9 at rel_tol
+        # 1e-6 to 1.0e-11, 4.3e-13 and 4.5e-13 at 1e-12 (p = 1.01, 2, 100).
         amp = spike_amplitude(p)
-        gaps, drifts = [], []
+        gaps, drifts, relative = [], [], []
         for rel_tol in (1e-6, 1e-8, 1e-10, 1e-12):
             result = shoot(ProblemParams.inner(p), integrator_config=IntegratorConfig(rel_tol))
             gaps.append(abs(result.a_star - amp))
             drifts.append(check_first_integral(result.trajectory, p))
-        for errors in (gaps, drifts):
+            relative.append(_max_rel_error(result))
+        for errors in (gaps, drifts, relative):
             assert all(tight <= loose for loose, tight in zip(errors, errors[1:])), errors
             assert errors[-1] * 1e3 <= errors[0], errors
 
@@ -217,9 +247,8 @@ class TestInwardRun:
         [
             # Cut at sigma = 5, the run stops without its peak event.
             pytest.param("short_horizon", 100.0, "reached_end at sigma=5.0,", id="reached_end"),
-            pytest.param(
-                "outside_loop_start", 2.0, "u_crossed_zero at sigma=0.5493", id="u_crossed_zero"
-            ),
+            # From outside the homoclinic loop, z < -1 after the first step.
+            pytest.param("outside_loop_start", 2.0, "left_loop at sigma=0.001,", id="left_loop"),
         ],
     )
     def test_run_that_misses_its_peak_raises(self, request, patch, p, end):
@@ -232,12 +261,25 @@ class TestInwardRun:
 
     @pytest.mark.parametrize("p", (2.0, 3.0, 4.0, 10.0, 100.0))
     def test_a_start_outside_the_loop_crosses_zero_at_artanh_half(self, p, outside_loop_start):
+        # The orbit from (u0, -2 v0) crosses u = 0 at sigma = artanh(1/2),
+        # as the run in (u, v) shows.  The shoot's run, in (w, z), cannot
+        # reach u = 0; it ends LEFT_LOOP once z < -1, well before.
+        u0 = shooting_mod.U0
+        z0 = math.sqrt(1.0 - 2.0 * u0 ** (p - 1.0) / (p + 1.0))
+        # The fixture's run, from the start it rewrites.
+        run = shooting_mod.integrate(LogState(math.log(u0), z0), 0.0, 1.0, p)
+        u0, v0 = run.samples[0][1].uv()
+        assert v0 == pytest.approx(-2.0 * u0 * z0, rel=1e-15)
+        crossing = integrate(State(u0, v0), 0.0, 1.0, p)
+        assert crossing.terminal_event is TerminalEvent.U_CROSSED_ZERO
+        assert abs(crossing.end[0] - math.atanh(0.5)) < 1e-5
+        assert hamiltonian(State(u0, v0), p) > 0.0
         with pytest.raises(ShootingError) as failure:
             shoot(ProblemParams.inner(p))
         message = str(failure.value)
-        match = re.search(r" ended u_crossed_zero at sigma=(\S+), before its peak$", message)
+        match = re.search(r" ended left_loop at sigma=(\S+), before its peak$", message)
         assert match is not None, message
-        assert abs(float(match.group(1)) - math.atanh(0.5)) < 1e-5
+        assert 0.0 < float(match.group(1)) < math.atanh(0.5)
 
     @pytest.mark.parametrize("p", P_RANGE)
     def test_a_turn_at_a_minimum_raises(self, p, inside_loop_start):
@@ -293,7 +335,7 @@ class TestShoot:
     def test_run_log_ends_at_the_answer(self, default_shoots):
         result = default_shoots[2.0]
         end_rho, end = result.trajectory.end
-        assert result.classifications == (InwardRun(shooting_mod.U0, end.u, end_rho),)
+        assert result.classifications == (InwardRun(shooting_mod.U0, end.uv().u, end_rho),)
         assert (result.u0, result.a_star, result.sigma_pk) == result.classifications[-1]
 
     @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 3.0, 4.0, 10.0, 100.0))
@@ -311,8 +353,8 @@ class TestShoot:
         monkeypatch.setattr(shooting_mod, "integrate", recording_integrate)
         inner = shoot(ProblemParams.inner(p))
         assert len(starts) == 1
-        assert [entry.u0 for entry in inner.classifications] == [starts[0].u]
-        assert starts[0] == _start(inner)
+        assert [math.log(entry.u0) for entry in inner.classifications] == [starts[0].w]
+        assert starts[0] == inner.trajectory.samples[0][1]
         boundary = shoot(ProblemParams.boundary(p))
         assert len(starts) == 1
         assert boundary.trajectory is inner.trajectory
@@ -365,13 +407,13 @@ class TestShoot:
         real_integrate = shooting_mod.integrate
 
         def counting_integrate(initial, *args, **kwargs):
-            calls.append(initial.u)
+            calls.append(initial.w)
             return real_integrate(initial, *args, **kwargs)
 
         monkeypatch.setattr(shooting_mod, "integrate", counting_integrate)
         result = shoot(ProblemParams.inner(2.0))
         assert len(calls) == ShootingConfig.scan_points + 1 == 1
-        assert calls == [entry.u0 for entry in result.classifications]
+        assert calls == [math.log(entry.u0) for entry in result.classifications]
 
     def test_integrator_config_passthrough(self):
         # The tighter tolerance reaches the run: it takes more steps than the default.
@@ -412,12 +454,38 @@ class TestStopAtTurn:
         # Read outward from the peak, as the profile is, the run only
         # descends: it climbs from its start to its peak and stops there.
         samples = shoot(ProblemParams.inner(p)).trajectory.samples
-        assert all(state.v > 0.0 for _, state in samples[:-1])
-        assert all(a[1].u < b[1].u for a, b in zip(samples, samples[1:]))
-        # The turn is located to EVENT_LOCATION_TOL in sigma, so v there is
-        # 0 only to within |v'| * EVENT_LOCATION_TOL, with v' = u - u**p.
+        assert all(state.z > 0.0 for _, state in samples[:-1])
+        assert all(a[1].w < b[1].w for a, b in zip(samples, samples[1:]))
+        # The turn is located to rounding, on its far side: z there is 0 or
+        # just below it, within the interpolant's own rounding.
         end = samples[-1][1]
-        assert abs(end.v) <= EVENT_LOCATION_TOL * abs(end.u - end.u**p)
+        assert -1e-15 <= end.z <= 0.0
+
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_the_run_restarted_at_its_peak_runs_on_down(self, p):
+        # The peak is located on the far side of the turn, z <= 0, so a run
+        # restarted there does not see the turn again: it descends.  Down
+        # the far side z tends to -1, and once it is -1 to within the run's
+        # error the run may end LEFT_LOOP: from 0.27 past the peak at p = 100
+        # to 9.6 at p = 2; at p = 1.01 and 1.2 it reaches its end.
+        sigma, peak = shoot(ProblemParams.inner(p)).trajectory.end
+        on = shooting_mod.integrate(peak, sigma, sigma + 10.0, p)
+        assert on.terminal_event in (TerminalEvent.REACHED_END, TerminalEvent.LEFT_LOOP)
+        assert on.accepted_steps > 20 and on.end[0] - sigma > 0.2
+        assert all(state.z < 0.0 for _, state in on.samples[1:])
+        assert all(a[1].w > b[1].w for a, b in zip(on.samples, on.samples[1:]))
+
+    def test_a_run_outside_the_loop_ends_once_z_passes_minus_one(self):
+        # At p = 1.01 the start outside the loop, (w0, -2 z0), has z0 > -1:
+        # the run ends at its first step with z < -1, not by grinding
+        # towards u = 0, which it would reach at sigma = 1.4.
+        u0 = shooting_mod.U0
+        z0 = -2.0 * math.sqrt(1.0 - 2.0 * u0 ** 0.01 / 2.01)
+        run = shooting_mod.integrate(LogState(math.log(u0), z0), 0.0, 200.0, 1.01)
+        assert -1.0 < z0
+        assert run.terminal_event is TerminalEvent.LEFT_LOOP
+        assert run.end[1].z < -1.0 <= run.samples[-2][1].z
+        assert run.accepted_steps < 20 and run.end[0] < 0.5
 
     def test_a_start_below_the_centre_stops_at_its_maximum(self):
         # Run on past its maximum, the orbit would circle the centre to

@@ -23,12 +23,12 @@ from gmspike import (
 # p -> (integrations, accepted steps, rejected steps) of
 # shoot(ProblemParams.inner(p)) at default settings.
 PINNED_WORK = {
-    1.01: (1, 231, 0),
-    1.2: (1, 253, 0),
-    2.0: (1, 274, 0),
-    4.0: (1, 287, 0),
-    10.0: (1, 296, 1),
-    100.0: (1, 309, 14),
+    1.01: (1, 230, 0),
+    1.2: (1, 247, 0),
+    2.0: (1, 173, 0),
+    4.0: (1, 140, 0),
+    10.0: (1, 131, 0),
+    100.0: (1, 131, 3),
 }
 
 # Integrations made by a default sweep: it shoots the inner, then the
@@ -39,8 +39,8 @@ PINNED_SWEEP_INTEGRATIONS = 3
 # Interpolants built (calls of ode._interpolant) by a command at default
 # settings: one per step its grids read, plus one at each shoot's peak event.
 PINNED_BUILDS = {
-    "sweep": 679,
-    "compare_p2_50001": 224,
+    "sweep": 391,
+    "compare_p2_50001": 149,
 }
 
 
