@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gmspike import ode
+from gmspike import ode, shooting
 from gmspike import (
     SPAN_SLACK,
     IntegratorConfig,
@@ -624,20 +624,17 @@ class TestKernel:
             raise RuntimeError("no interpolant")
 
         monkeypatch.setattr(ode, "_interpolant", broken)
-        if run == "integrate":
-            call = lambda: integrate(State(1.6, 0.0), 0.0, 12.0, 2.0)  # noqa: E731
-        else:
-            from gmspike import shooting
-
-            call = lambda: shoot(ProblemParams.inner(2.0))  # noqa: E731
-            assert shooting.integrate.__code__.co_filename == ode.__file__
         with pytest.raises(RuntimeError) as failure:
-            call()
+            if run == "integrate":
+                integrate(State(1.6, 0.0), 0.0, 12.0, 2.0)
+            else:
+                shoot(ProblemParams.inner(2.0))
         frames = [f for f in traceback.extract_tb(failure.value.__traceback__)
                   if f.filename == ode.__file__ and f.name.startswith("integrate_")]
         assert len(frames) == 1
         assert frames[0].line == "c = _interpolant(steps[-1])"
         code = (ode.kernel(ode._SPIKE) if run == "integrate" else shooting.integrate).__code__
+        assert code.co_filename == ode.__file__
         first = linecache.getline(ode.__file__, code.co_firstlineno)
         assert first.startswith("def integrate_{name}(")
 
