@@ -163,6 +163,7 @@ class State(NamedTuple):
     v: float
 
     def uv(self) -> State:
+        """The point itself, as :meth:`LogState.uv` gives a point in log coordinates."""
         return self
 
 
@@ -354,9 +355,10 @@ def _check_run(initial: tuple[float, float], rho_start: float, rho_end: float):
 class Field(NamedTuple):
     """A vector field as the text :func:`kernel` writes into the template.
 
-    The template names the state's two components u and v; each field
-    below is one line of Python over them and the template's locals.
-    ``rhs`` is the two components of the derivative, with ``{u}`` and
+    The template names the state's two components u and v; each part
+    below is one line of Python over them and the template's locals.  The
+    run is compiled as ``integrate_<name>`` and returns states of class
+    ``state``; ``check`` refuses a bad p or start.  ``rhs`` is the two components of the derivative, with ``{u}`` and
     ``{v}`` where a stage's point goes; ``scale_u`` and ``scale_v`` divide
     a step's error estimates; ``bound`` is three statements that may lower
     h, the next step after an accepted one.  A step that ends with ``left``

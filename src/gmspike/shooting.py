@@ -83,9 +83,10 @@ _HORIZON = 200.0
 # start; z's is relative to 1 + |z|.  After an accepted step the next is
 # held to (a) a quarter turn of the local frequency, omega**2 = p * N - 1,
 # with N = 1 - z**2 - z' from the last stage; (b) h * |z| <= 1/2, as
-# dz'/dz = -2 z; and (c) h * (p - 1) * |z| <= max(-23 - (p - 1) * w, 1/2):
+# dz'/dz = -2 z; and (c) h * (p - 1) * z <= max(-23 - (p - 1) * w, 1/2):
 # N, which exp forms at every stage, rises freely to e**-23 and then by at
-# most e**(1/2) a step.  u = e**w > 0, so the run cannot cross u = 0; an
+# most e**(1/2) a step.  (c) bounds only a rise of N; on the inward run z >
+# 0 until its last step.  u = e**w > 0, so the run cannot cross u = 0; an
 # orbit outside the homoclinic loop shows once z < -1, from where
 # z' < 1 - z**2 < 0 takes it to u = 0 in finite sigma, and the run ends
 # LEFT_LOOP.  The peak is the sign change of z.

@@ -229,8 +229,9 @@ class TestInwardRun:
 
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
     def test_errors_fall_as_the_tolerance_tightens(self, p):
-        # The relative error falls from 1.8e-5, 1.5e-6 and 8.6e-9 at rel_tol
-        # 1e-6 to 1.0e-11, 4.3e-13 and 4.5e-13 at 1e-12 (p = 1.01, 2, 100).
+        # The relative error over the run falls from 1.8e-5, 1.5e-6 and
+        # 1.4e-8 at rel_tol 1e-6 to 1.0e-11, 1.3e-12 and 1.2e-12 at 1e-12
+        # (p = 1.01, 2, 100).
         amp = spike_amplitude(p)
         gaps, drifts, relative = [], [], []
         for rel_tol in (1e-6, 1e-8, 1e-10, 1e-12):
