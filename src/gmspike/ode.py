@@ -33,13 +33,15 @@ from the step's last stage, so it takes no power and no division by u.  Each
 accepted step is scanned for a sign change of u or of v between its ends,
 located by bisecting the interpolant until no float lies between the ends of
 the bracket, at the far end: a run restarted there does not see the event
-again.  An exact zero, at a midpoint or at the step's end, is bisected like
-any other sign change.  The scan assumes at most one of each per step: the
-inward run's v changes sign once, at its end, and near the centre (1, 0)
-the quarter-turn bound keeps a step to half a half-period pi / sqrt(p - 1),
-however close the orbit.  Within about 1e-14 of the centre at p = 1.01 the
-field rounds to 0, and a run goes to its end without a turn.  The first
-event ends every run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0
+again.  The bisection evaluates only the component it locates.  An exact
+zero, at a midpoint or at the step's end, is bisected like any other sign
+change; one at the step's start is located at the least theta above 0, the
+bisection's answer, without halving down to it.  The scan assumes at most
+one of each per step: the inward run's v changes sign once, at its end, and
+near the centre (1, 0) the quarter-turn bound keeps a step to half a
+half-period pi / sqrt(p - 1), however close the orbit.  Within about 1e-14
+of the centre at p = 1.01 the field rounds to 0, and a run goes to its end
+without a turn.  The first event ends every run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0
 with u > 0 (``TURNED``), a maximum above u = 1 or a minimum below it.  No
 cap on u is needed: H is conserved, so an orbit from (a, 0) never rises
 above the larger of a and the spike height.
@@ -321,14 +323,35 @@ def hamiltonian(state: State, p: float) -> float:
     return 0.5 * v * v - 0.5 * u * u + math.pow(u, p + 1.0) / (p + 1.0)
 
 
+def _quartic(q: tuple[float, ...], theta: float) -> float:
+    """One component of an interpolant at ``theta``, from q = (x0, h, c1..c4)
+    of that component: :func:`_dense`'s expression, so its bits."""
+    x0, h, c1, c2, c3, c4 = q
+    return x0 + h * theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
+
+
+# The least float above 0: a sign change at theta = 0 is located here.
+_THETA_MIN = 5e-324
+
+
 def _bisect_theta(c: tuple[float, ...], component: int, sign_lo: float) -> float:
     """Locate, in (0, 1], a zero of one component of interpolant ``c``
     whose sign at theta = 0 is that of ``sign_lo``: halve [lo, hi] until
     no float lies strictly between them, and return ``hi``, the far side
-    of the sign change, so that a run restarted there does not see it again."""
+    of the sign change, so that a run restarted there does not see it again.
+
+    Only that component is evaluated, by :func:`_quartic`.  A sign that has
+    already changed at the least theta above 0 returns that theta at once:
+    with one change per step, the halving would reach it, after about 1,075
+    halvings into the subnormals."""
+    i = 4 + 4 * component
+    q = (c[2 + component], c[1], *c[i:i + 4])
+    positive = sign_lo > 0.0
+    if (_quartic(q, _THETA_MIN) > 0.0) != positive:
+        return _THETA_MIN
     lo, hi = 0.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if (_dense(c, mid)[component] > 0.0) == (sign_lo > 0.0):
+        if (_quartic(q, mid) > 0.0) == positive:
             lo = mid
         else:
             hi = mid

@@ -19,7 +19,7 @@ The run is made in log coordinates, w = ln u and z = u'/u (the field
 U0).  There a tolerance is relative to u along the whole run: u is within
 2e-10 of the closed form, relatively, from the far end to the peak, where
 the run in (u, v) was 1.7e-6 off in the tail; over p in {1.01, 1.2, 2, 4,
-10, 100} it takes 36% fewer steps, and half as many for p >= 2.  The peak
+10, 100} it takes 39% fewer steps, and under half as many for p >= 2.  The peak
 is the sign change of z.  The run's
 :class:`Trajectory` holds (w, z); :func:`eval_profile_grid`,
 :func:`profile_samples` and ``bc_residual`` read each point back as (u, v) =
@@ -82,8 +82,10 @@ _HORIZON = 200.0
 # w's error scale has no |w| term, which would be 16 times rel_tol at the
 # start; z's is relative to 1 + |z|.  After an accepted step the next is
 # held to (a) a quarter turn of the local frequency, omega**2 = p * N - 1,
-# with N = 1 - z**2 - z' from the last stage; (b) h * |z| <= 1/2, as
-# dz'/dz = -2 z; and (c) h * (p - 1) * z <= max(-23 - (p - 1) * w, 1/2):
+# with N = 1 - z**2 - z' from the last stage; (b) h * |z| <= 3/2: as
+# dz'/dz = -2 z, |h * lambda| <= 3, inside the Dormand-Prince pair's real
+# stability interval, which ends near 3.3 (Hairer & Wanner 1996, *Solving
+# ODEs II*, IV.2); and (c) h * (p - 1) * z <= max(-23 - (p - 1) * w, 1/2):
 # N, which exp forms at every stage, rises freely to e**-23 and then by at
 # most e**(1/2) a step.  (c) bounds only a rise of N; on the inward run z >
 # 0 until its last step.  u = e**w > 0, so the run cannot cross u = 0; an
@@ -100,7 +102,7 @@ _LOG_SPIKE = Field(
     bound=(
         "h = quarter_turn / sqrt(omega_sq) if h * h * "
         "(omega_sq := p * (1.0 - v * v - k1v) - 1.0) > quarter_turn_sq else h",
-        "h = 0.5 / z_abs if 2.0 * h * (z_abs := v if v > 0.0 else -v) > 1.0 else h",
+        "h = 1.5 / z_abs if h * (z_abs := v if v > 0.0 else -v) > 1.5 else h",
         "h = room / (pm1 * v) if h * pm1 * v > "
         "(room := -23.0 - pm1 * u if pm1 * u < -23.5 else 0.5) else h",
     ),

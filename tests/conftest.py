@@ -65,9 +65,10 @@ def _start_with_scaled_v(monkeypatch, scale):
 def mirrored_start(monkeypatch):
     """Start every shoot's run at (u0, -v0), on the branch of H = 0 that runs
     into the saddle instead of out of it.  Rounding then carries the run off
-    that branch: at p = 1.01, 1.2, 2 and 3 it turns at a minimum (u =
-    7.4e-13, 8.0e-13, 7.0e-14 and 1.4e-15); at p >= 4, z0 = -1 to the bit,
-    z stays there, and the run reaches its horizon."""
+    that branch: at p = 1.01, 1.2 and 3 it turns at a minimum (u = 7.4e-13,
+    8.0e-13 and 9.6e-16); at p = 2 it falls below z = -1 and ends
+    ``LEFT_LOOP`` at sigma = 3.65; at p >= 4, z0 = -1 to the bit, z stays
+    there, and the run reaches its horizon."""
     _start_with_scaled_v(monkeypatch, -1.0)
 
 

@@ -143,19 +143,27 @@ def test_sides_of_the_peak_and_bracket_halving(monkeypatch):
     )
     assert integrate(State(1.4, 0.0), 0.0, 12.0, 2.0).terminal_event is TerminalEvent.TURNED
     # Halving: the peak is bisected on the last step's dense interpolant,
-    # which a shoot reads for nothing else.
+    # which a shoot reads for nothing else, in its v component alone.
     thetas = []
-    real_dense = ode._dense
+    real_quartic, real_dense = ode._quartic, ode._dense
+
+    def recording_quartic(q, theta):
+        thetas.append(theta)
+        return real_quartic(q, theta)
 
     def recording_dense(c, theta):
         thetas.append(theta)
         return real_dense(c, theta)
 
+    monkeypatch.setattr(ode, "_quartic", recording_quartic)
     monkeypatch.setattr(ode, "_dense", recording_dense)
     result = shoot(ProblemParams.inner(2.0))
     assert result.trajectory.terminal_event is TerminalEvent.TURNED
     assert abs(result.a_star - 1.5) < 1e-10
-    halvings = thetas[:-1]
+    # The first probe looks for a sign change at theta = 0; the last reads
+    # the located point.
+    assert thetas[0] == 5e-324
+    halvings = thetas[1:-1]
     for k, (before, after) in enumerate(zip(halvings, halvings[1:])):
         assert abs(after - before) == 0.5 ** (k + 2)
     # Halved until no float lies inside the bracket: its width is one ulp

@@ -388,6 +388,27 @@ class TestEvents:
         assert rho == 0.0
         assert end == State(0.0, -0.1)
 
+    def test_a_crossing_at_the_start_is_located_in_two_evaluations(self, monkeypatch):
+        # The least theta above 0 already has u <= 0: the bisection returns
+        # it without halving into the subnormals, and the end is read once.
+        thetas = []
+        real_quartic, real_dense = ode._quartic, ode._dense
+
+        def recording_quartic(q, theta):
+            thetas.append(theta)
+            return real_quartic(q, theta)
+
+        def recording_dense(c, theta):
+            thetas.append(theta)
+            return real_dense(c, theta)
+
+        monkeypatch.setattr(ode, "_quartic", recording_quartic)
+        monkeypatch.setattr(ode, "_dense", recording_dense)
+        trajectory = integrate(State(0.0, -0.1), 0.0, 1.0, 2.0)
+        assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
+        assert trajectory.end == (0.0, State(0.0, -0.1))
+        assert thetas == [5e-324, 5e-324]
+
     @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 4.0, 10.0, 100.0))
     @pytest.mark.parametrize("delta", (1e-13, 1e-12, 1e-10, 1e-8, 1e-4))
     def test_steps_stay_under_a_half_period_near_the_centre(self, p, delta):
@@ -480,6 +501,23 @@ class TestEventBisection:
         assert ode._dense(c, zero)[component] == 0.0
         theta = ode._bisect_theta(c, component, c[2 + component])
         assert 0.0 <= theta - zero <= math.ulp(zero)
+
+    @pytest.mark.parametrize("component", (0, 1))
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("start", (0.0, -0.0))
+    def test_a_zero_at_the_start_is_the_least_theta_above_it(self, component, sign, start):
+        # The halving would reach the same theta, 1,075 halvings on.
+        c = _line_interpolant(1.0, start, -sign, component)
+        assert ode._bisect_theta(c, component, sign) == 5e-324 == math.nextafter(0.0, 1.0)
+
+    @pytest.mark.parametrize("component", (0, 1))
+    def test_the_one_component_quartic_has_the_dense_bits(self, component):
+        rng = random.Random(component)
+        c = tuple(rng.uniform(-2.0, 2.0) for _ in range(12))
+        i = 4 + 4 * component
+        q = (c[2 + component], c[1], *c[i:i + 4])
+        for theta in [rng.random() for _ in range(200)] + [0.0, 5e-324, 1.0]:
+            assert ode._quartic(q, theta).hex() == ode._dense(c, theta)[component].hex()
 
 
 class TestStepControl:

@@ -44,14 +44,20 @@ def _record_peak_bisection(monkeypatch):
     """List (span, theta) of every dense-output probe of the runs that follow.
 
     A shoot reads its dense interpolant only to locate the peak event: the
-    probes of the bisection, then the located point."""
+    bisection's probes of the one component it locates, then the located
+    point, both components."""
     probes = []
-    real_dense = ode_mod._dense
+    real_quartic, real_dense = ode_mod._quartic, ode_mod._dense
+
+    def recording_quartic(q, theta):
+        probes.append((q[1], theta))
+        return real_quartic(q, theta)
 
     def recording_dense(c, theta):
         probes.append((c[1], theta))
         return real_dense(c, theta)
 
+    monkeypatch.setattr(ode_mod, "_quartic", recording_quartic)
     monkeypatch.setattr(ode_mod, "_dense", recording_dense)
     return probes
 
@@ -62,7 +68,9 @@ def _assert_halves_until_tolerance(result, probes):
     turn.  Returns the number of halvings."""
     rho, h = result.trajectory.steps[-1][:2]
     assert {span for span, _ in probes} == {h}
-    *halvings, located = [theta for _, theta in probes]
+    # The first probe looks for a sign change at theta = 0, and finds none.
+    least, *halvings, located = [theta for _, theta in probes]
+    assert least == 5e-324
     assert halvings[0] == 0.5
     for k, (before, after) in enumerate(zip(halvings, halvings[1:])):
         assert abs(after - before) == 0.5 ** (k + 2)
@@ -299,14 +307,21 @@ class TestInwardRun:
             assert u == pytest.approx(u0 * math.sqrt(3.0) / 2.0, rel=1e-5)
             assert abs(sigma - math.atanh(0.5)) < 1e-5
 
-    @pytest.mark.parametrize("p", (1.01, 1.2, 2.0))
+    @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 3.0))
     def test_a_mirrored_start_that_turns_at_a_minimum_raises(self, p, mirrored_start):
         # Rounding carries the run from (u0, -v0) off the orbit into the
-        # saddle and back out, to a turn within 1e-9 of u = 0.
+        # saddle and back out, to a turn within 1e-9 of u = 0.  At p = 2 the
+        # run's steps carry it the other way, out of the loop (z < -1).
         with pytest.raises(ShootingError) as failure:
             shoot(ProblemParams.inner(p))
-        u, sigma = _minimum_named_by(failure.value)
-        assert 0.0 < u < 1e-9
+        if p == 2.0:
+            message = str(failure.value)
+            match = re.search(r" ended left_loop at sigma=(\S+), before its peak$", message)
+            assert match is not None, message
+            sigma = float(match.group(1))
+        else:
+            u, sigma = _minimum_named_by(failure.value)
+            assert 0.0 < u < 1e-9
         assert 0.0 < sigma < shooting_mod._HORIZON
 
     def test_imports_nothing_from_analytic_but_the_problem(self):
