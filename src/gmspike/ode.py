@@ -41,10 +41,11 @@ one of each per step: the inward run's v changes sign once, at its end, and
 near the centre (1, 0) the quarter-turn bound keeps a step to half a
 half-period pi / sqrt(p - 1), however close the orbit.  Within about 1e-14
 of the centre at p = 1.01 the field rounds to 0, and a run goes to its end
-without a turn.  The first event ends every run: u crossing 0 (``U_CROSSED_ZERO``), or v crossing 0
-with u > 0 (``TURNED``), a maximum above u = 1 or a minimum below it.  No
-cap on u is needed: H is conserved, so an orbit from (a, 0) never rises
-above the larger of a and the spike height.
+without a turn.  The first event ends every run: u crossing 0
+(``U_CROSSED_ZERO``), or v crossing 0 with u > 0 (``TURNED``), a maximum
+above u = 1 or a minimum below it.  No cap on u is needed: H is conserved,
+so an orbit from (a, 0) never rises above the larger of a and the spike
+height.
 
 The spike problem lives on u >= 0 with 0 < p < inf, and so does this
 module: :func:`integrate` and :func:`hamiltonian` refuse anything else.

@@ -19,11 +19,10 @@ The run is made in log coordinates, w = ln u and z = u'/u (the field
 U0).  There a tolerance is relative to u along the whole run: u is within
 2e-10 of the closed form, relatively, from the far end to the peak, where
 the run in (u, v) was 1.7e-6 off in the tail; over p in {1.01, 1.2, 2, 4,
-10, 100} it takes 39% fewer steps, and under half as many for p >= 2.  The peak
-is the sign change of z.  The run's
-:class:`Trajectory` holds (w, z); :func:`eval_profile_grid`,
-:func:`profile_samples` and ``bc_residual`` read each point back as (u, v) =
-(e**w, z * e**w).
+10, 100} it takes 39% fewer steps, and under half as many for p >= 2.  The
+peak is the sign change of z.  The run's :class:`Trajectory` holds (w, z);
+:func:`eval_profile_grid`, :func:`profile_samples` and ``bc_residual`` read
+each point back as (u, v) = (e**w, z * e**w).
 
 The run leaves the saddle, so an error off the orbit decays along it instead
 of growing, as it would on a run from the peak towards the saddle: this is

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from ansatz_reference import derive_ansatz_constants, eval_ansatz
+from test_shooting import _record_peak_bisection
 
 from gmspike import (
     IntegratorConfig,
@@ -20,7 +21,6 @@ from gmspike import (
     eval_spike_rho,
     hamiltonian,
     integrate,
-    ode,
     ode_residual,
     shoot,
     shooting,
@@ -144,20 +144,9 @@ def test_sides_of_the_peak_and_bracket_halving(monkeypatch):
     assert integrate(State(1.4, 0.0), 0.0, 12.0, 2.0).terminal_event is TerminalEvent.TURNED
     # Halving: the peak is bisected on the last step's dense interpolant,
     # which a shoot reads for nothing else, in its v component alone.
-    thetas = []
-    real_quartic, real_dense = ode._quartic, ode._dense
-
-    def recording_quartic(q, theta):
-        thetas.append(theta)
-        return real_quartic(q, theta)
-
-    def recording_dense(c, theta):
-        thetas.append(theta)
-        return real_dense(c, theta)
-
-    monkeypatch.setattr(ode, "_quartic", recording_quartic)
-    monkeypatch.setattr(ode, "_dense", recording_dense)
+    probes = _record_peak_bisection(monkeypatch)
     result = shoot(ProblemParams.inner(2.0))
+    thetas = [theta for _, theta in probes]
     assert result.trajectory.terminal_event is TerminalEvent.TURNED
     assert abs(result.a_star - 1.5) < 1e-10
     # The first probe looks for a sign change at theta = 0; the last reads

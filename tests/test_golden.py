@@ -570,8 +570,8 @@ def test_cell_diff_names_the_moved_cells_of_a_csv():
 
 
 def test_cell_diff_shows_text_as_a_line_diff():
-    old = json.dumps({"config": {"grid": None}, "result": {"a": 1.5, "steps": 149}}, indent=2)
-    new = json.dumps({"config": {"grid": [0.0, 1.0]}, "result": {"a": 1.5, "steps": 144}}, indent=2)
+    old = json.dumps({"config": {"grid": None}, "result": {"a": 1.5, "steps": 149}})
+    new = json.dumps({"config": {"grid": [0.0, 1.0]}, "result": {"a": 1.5, "steps": 144}})
     assert _cell_diff("b.json", old, new) == [
         "b.json: 0 of 1 float cells moved",
         "  2 lines removed, 3 added:",

@@ -30,6 +30,7 @@ from gmspike import (
     spike_amplitude,
 )
 from test_golden import _integrate_runs
+from test_shooting import _record_peak_bisection
 
 AMP2 = spike_amplitude(2.0)
 PARAMS2 = ProblemParams.inner(2.0)
@@ -391,23 +392,11 @@ class TestEvents:
     def test_a_crossing_at_the_start_is_located_in_two_evaluations(self, monkeypatch):
         # The least theta above 0 already has u <= 0: the bisection returns
         # it without halving into the subnormals, and the end is read once.
-        thetas = []
-        real_quartic, real_dense = ode._quartic, ode._dense
-
-        def recording_quartic(q, theta):
-            thetas.append(theta)
-            return real_quartic(q, theta)
-
-        def recording_dense(c, theta):
-            thetas.append(theta)
-            return real_dense(c, theta)
-
-        monkeypatch.setattr(ode, "_quartic", recording_quartic)
-        monkeypatch.setattr(ode, "_dense", recording_dense)
+        probes = _record_peak_bisection(monkeypatch)
         trajectory = integrate(State(0.0, -0.1), 0.0, 1.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
         assert trajectory.end == (0.0, State(0.0, -0.1))
-        assert thetas == [5e-324, 5e-324]
+        assert [theta for _, theta in probes] == [5e-324, 5e-324]
 
     @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 4.0, 10.0, 100.0))
     @pytest.mark.parametrize("delta", (1e-13, 1e-12, 1e-10, 1e-8, 1e-4))

@@ -41,11 +41,11 @@ def _start(result):
 
 
 def _record_peak_bisection(monkeypatch):
-    """List (span, theta) of every dense-output probe of the runs that follow.
+    """List (span, theta) of every dense-output probe of the runs that follow:
+    an event's bisection probes the one component it locates, then the
+    located point is read, both components.
 
-    A shoot reads its dense interpolant only to locate the peak event: the
-    bisection's probes of the one component it locates, then the located
-    point, both components."""
+    A shoot reads its dense interpolant only to locate the peak event."""
     probes = []
     real_quartic, real_dense = ode_mod._quartic, ode_mod._dense
 
