@@ -9,64 +9,47 @@ with equilibria (0, 0) (saddle) and (1, 0) (centre) and the conserved energy
     H(u, v) = v**2 / 2 - u**2 / 2 + u**(p + 1) / (p + 1),
 
 which is exactly 0 on the spike orbit and is used as a drift diagnostic.
+``shooting`` integrates the system in log coordinates, w = ln u and z = v / u
+(:class:`LogState`); :func:`hamiltonian` reads a point as (u, v).
 
 Integration uses the Dormand-Prince 5(4) embedded pair with the standard
 quartic dense-output interpolant.  Each accepted step is kept as its raw
 stages; its interpolant is built from them only where it is read: on a step
-that changes the sign of u or of v, and, on a returned trajectory, when a
-dense evaluation first enters that step, which keeps it for later ones.  A
-grid that reads only part of a run builds only that part.  An interpolant is
-one flat tuple (rho0, h, u0, v0, cu1..cu4, cv1..cv4), built in one flat
-expression by :func:`_interpolant`, and :func:`_dense` evaluates its
-quartic.  :meth:`Trajectory.eval` turns a sequence of points into u and v
-columns by walking them: it unpacks a step once, writes ``_dense`` out for
-as long as the points stay in that step, and bisects only for a point that
-leaves it, so a sorted or V-shaped grid costs a bisection per step entered,
-not per point, and gets ``_dense``'s bits.
+that ends the run, and, on a returned trajectory, when a dense evaluation
+first enters that step, which keeps it for later ones.  A grid that reads
+only part of a run builds only that part.  An interpolant is one flat tuple
+(rho0, h, u0, v0, cu1..cu4, cv1..cv4), built in one flat expression by
+:func:`_interpolant`, and :func:`_dense` evaluates its quartic.
+:meth:`Trajectory.eval` turns a sequence of points into columns of the two
+components by walking them: it unpacks a step once, writes ``_dense`` out
+for as long as the points stay in that step, and bisects only for a point
+that leaves it, so a sorted or V-shaped grid costs a bisection per step
+entered, not per point, and gets ``_dense``'s bits.
 
 A trial step of length h is accepted when its error norm err is at most 1,
 and either way the next is h * min(10, max(0.2, 0.9 * err**(-1/5))) (Hairer,
-Norsett & Wanner 1993, *Solving ODEs I*, II.4).  After an accepted step the
-next is also held to a quarter turn, (pi/2) / omega, wherever the local
-frequency omega**2 = p * u**(p - 1) - 1 is positive; it reads u**p as u - v'
-from the step's last stage, so it takes no power and no division by u.  Each
-accepted step is scanned for a sign change of u or of v between its ends,
-located by bisecting the interpolant until no float lies between the ends of
-the bracket, at the far end: a run restarted there does not see the event
-again.  The bisection evaluates only the component it locates.  An exact
-zero, at a midpoint or at the step's end, is bisected like any other sign
-change; one at the step's start is located at the least theta above 0, the
-bisection's answer, without halving down to it.  The scan assumes at most
-one of each per step: the inward run's v changes sign once, at its end, and
-near the centre (1, 0) the quarter-turn bound keeps a step to half a
-half-period pi / sqrt(p - 1), however close the orbit.  Within about 1e-14
-of the centre at p = 1.01 the field rounds to 0, and a run goes to its end
-without a turn.  The first event ends every run: u crossing 0
-(``U_CROSSED_ZERO``), or v crossing 0 with u > 0 (``TURNED``), a maximum
-above u = 1 or a minimum below it.  No cap on u is needed: H is conserved,
-so an orbit from (a, 0) never rises above the larger of a and the spike
-height.
-
-The spike problem lives on u >= 0 with 0 < p < inf, and so does this
-module: :func:`integrate` and :func:`hamiltonian` refuse anything else.
-u < 0 is reached only by stages of a step that crosses u = 0 (or leaves it
-downwards), which the run discards past its event, and by rejected trial
-steps.  Every stage, for every p, uses the odd extension u * |u|**(p - 1).
+Norsett & Wanner 1993, *Solving ODEs I*, II.4).  Each accepted step is
+scanned for a sign change of the second component between its ends, located
+by bisecting the interpolant until no float lies between the ends of the
+bracket, at the far end: a run restarted there does not see the event again.
+The bisection evaluates only that component.  An exact zero, at a midpoint
+or at the step's end, is bisected like any other sign change; one at the
+step's start is located at the least theta above 0, the bisection's answer,
+without halving down to it.  The scan assumes at most one sign change per
+step, which the field's bound on the next step must keep.  The first event
+ends every run: that sign change (``TURNED``), or else a step that ends
+where the field says the orbit has left its domain (``LEFT_LOOP``).
 
 One template holds the run: the stages, the controller, the stored stages,
 the h_min floor, the rule that an overflow at a stage rejects the step, and
 the event scan.  A :class:`Field` gives it, as lines of Python text, the two
 components of the derivative, the error scales, the bound on the next step
-and the events; :func:`kernel` writes them in and compiles the result once
-per field, under this file's name and with each line at its line here, so
-that a traceback or a profile points into this file.  The field is written
-out at each stage point, not called: the shooting solver spends nearly all
-its time in that loop, where a Python call per stage cost more than the
-stage's own arithmetic.  :func:`integrate` runs the spike field above, and
-compiles it on its first call; ``shooting`` runs the same system in log
-coordinates.  ``u ** p`` with a float exponent gives the same bits and
-raises the same OverflowError as ``math.pow``; the ``integrate/`` digests of
-``tests/test_golden.py`` pin every stage.
+and the test that the orbit has left; :func:`kernel` writes them in and
+compiles the result once per field, under this file's name and with each
+line at its line here, so that a traceback or a profile points into this
+file.  The field is written out at each stage point, not called: the
+shooting solver spends nearly all its time in that loop, where a Python call
+per stage cost more than the stage's own arithmetic.
 """
 
 from __future__ import annotations
@@ -88,7 +71,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "hamiltonian",
-    "integrate",
     "SPAN_SLACK",
 ]
 
@@ -131,7 +113,6 @@ _P72, _P73, _P74 = _P7[1:]
 
 class TerminalEvent(Enum):
     REACHED_END = "reached_end"
-    U_CROSSED_ZERO = "u_crossed_zero"
     LEFT_LOOP = "left_loop"
     TURNED = "turned"
     STEP_FAILURE = "step_failure"
@@ -164,10 +145,6 @@ class State(NamedTuple):
 
     u: float
     v: float
-
-    def uv(self) -> State:
-        """The point itself, as :meth:`LogState.uv` gives a point in log coordinates."""
-        return self
 
 
 class LogState(NamedTuple):
@@ -264,7 +241,7 @@ class Trajectory:
         return self.steps[0][0] if self.steps else self.end[0]
 
     def eval(self, rhos: Iterable[float]) -> tuple[list[float], list[float]]:
-        """Dense-output u and v columns at the points ``rhos``, in their order.
+        """Dense-output columns of the two components at the points ``rhos``, in their order.
 
         Points within :data:`SPAN_SLACK` of the integrated span are clamped
         onto it; a point farther out, or NaN, raises ValueError, wherever it
@@ -282,8 +259,9 @@ class Trajectory:
                     raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
                 rho = min(max(rho, lo), hi)
             if not interpolants:
-                add_u(self.end[1].u)
-                add_v(self.end[1].v)
+                # The end state's two components, whatever its class names them.
+                add_u(self.end[1][0])
+                add_v(self.end[1][1])
                 continue
             if not start <= rho < stop:
                 # rho >= starts[0] here, so the index is never negative.
@@ -310,17 +288,14 @@ class Trajectory:
         return [step[0] for step in self.steps] + [math.inf]
 
 
-def _check_domain(u: float, p: float) -> None:
-    """Raise ValueError unless u >= 0 and 0 < p < inf, the spike problem's domain."""
+def hamiltonian(state: State, p: float) -> float:
+    """Conserved energy v**2/2 - u**2/2 + u**(p+1)/(p+1); 0 on the spike.
+
+    Raises ValueError unless u >= 0 and 0 < p < inf, the spike problem's domain."""
+    u, v = state.u, state.v
     _check_exponent(p)
     if not u >= 0.0:
         raise ValueError(f"u must be nonnegative, got {u!r}")
-
-
-def hamiltonian(state: State, p: float) -> float:
-    """Conserved energy v**2/2 - u**2/2 + u**(p+1)/(p+1); 0 on the spike."""
-    u, v = state.u, state.v
-    _check_domain(u, p)
     return 0.5 * v * v - 0.5 * u * u + math.pow(u, p + 1.0) / (p + 1.0)
 
 
@@ -382,13 +357,13 @@ class Field(NamedTuple):
     The template names the state's two components u and v; each part
     below is one line of Python over them and the template's locals.  The
     run is compiled as ``integrate_<name>`` and returns states of class
-    ``state``; ``check`` refuses a bad p or start.  ``rhs`` is the two components of the derivative, with ``{u}`` and
-    ``{v}`` where a stage's point goes; ``scale_u`` and ``scale_v`` divide
-    a step's error estimates; ``bound`` is three statements that may lower
-    h, the next step after an accepted one.  A step that ends with ``left``
-    true leaves the field's domain: the run ends ``exit`` at the fraction
-    ``locate`` of that step, after ``clamp``, unless v changed sign first
-    at a point where ``turn`` holds, which ends it ``TURNED``.
+    ``state``; ``check`` refuses a bad p or start.  ``rhs`` is the two
+    components of the derivative, with ``{u}`` and ``{v}`` where a stage's
+    point goes; ``scale_u`` and ``scale_v`` divide a step's error
+    estimates; ``bound`` is three statements that may lower h, the next
+    step after an accepted one.  A step across which v changes sign ends
+    the run ``TURNED`` where it does; one that does not, and ends with
+    ``left`` true, ends it ``LEFT_LOOP`` at the step's end.
     """
 
     name: str
@@ -399,10 +374,6 @@ class Field(NamedTuple):
     scale_v: str
     bound: tuple[str, str, str]
     left: str
-    locate: str
-    turn: str
-    clamp: str
-    exit: str
 
 
 # One Dormand-Prince run, as text: :func:`kernel` fills in a Field and
@@ -410,7 +381,7 @@ class Field(NamedTuple):
 _TEMPLATE_LINE, _TEMPLATE = sys._getframe().f_lineno + 1, """\
 def integrate_{name}(initial, rho_start, rho_end, p, config=IntegratorConfig()):
     u, v = _check_run(initial, rho_start, rho_end)
-    # With a float exponent, ** returns a float for any real base, as math.pow does.
+    # The field's arithmetic is in floats, whatever number p is given as.
     p = float(p)
     {check}
 
@@ -488,25 +459,14 @@ def integrate_{name}(initial, rho_start, rho_end, p, config=IntegratorConfig()):
 
         append((rho, h_step, u, v, k1u, k3u, k4u, k5u, k6u, k7u, k1v, k3v, k4v, k5v, k6v, k7v))
 
-        left = {left}
         v_changed = (v < 0.0 < v_new) or (v_new < 0.0 < v) or (v_new == 0.0 and v != 0.0)
-        if left or v_changed:
+        if v_changed or {left}:
             c = _interpolant(steps[-1])
-            theta_end = {locate} if left else 1.0
-            if v_changed:
-                theta_v = _bisect_theta(c, 1, v)
-                if theta_v <= theta_end:
-                    uc, vc = _dense(c, theta_v)
-                    if {turn}:
-                        rho, u, v = rho + theta_v * h_step, uc, vc
-                        event = TerminalEvent.TURNED
-                        break
-            if left:
-                rho = rho + theta_end * h_step
-                u, v = _dense(c, theta_end)
-                {clamp}
-                event = TerminalEvent.{exit}
-                break
+            # theta * h_step is h_step itself at theta = 1.
+            theta = _bisect_theta(c, 1, v) if v_changed else 1.0
+            rho, (u, v) = rho + theta * h_step, _dense(c, theta)
+            event = TerminalEvent.TURNED if v_changed else TerminalEvent.LEFT_LOOP
+            break
 
         rho = rho_end if last else rho + h_step
         u, v = u_new, v_new
@@ -536,56 +496,10 @@ def kernel(field: Field) -> Callable[..., Trajectory]:
         name=field.name, state=field.state, check=field.check,
         rhs_start=rhs(u="u", v="v"), rhs_stage=rhs(u="yu", v="yv"),
         rhs_end=rhs(u="u_new", v="v_new"),
-        scale_u=field.scale_u, scale_v=field.scale_v, bound=field.bound,
-        left=field.left, locate=field.locate, turn=field.turn, clamp=field.clamp,
-        exit=field.exit,
+        scale_u=field.scale_u, scale_v=field.scale_v, bound=field.bound, left=field.left,
     )
     namespace: dict = {}
     # Blank lines put each line of the template at its line in this file.
     exec(compile("\n" * (_TEMPLATE_LINE - 1) + source, __file__, "exec"), globals(), namespace)
     return namespace[f"integrate_{field.name}"]
 
-
-# The spike system u' = v, v' = u - u**p (module docstring).  Every stage,
-# for every p, uses the odd extension u * |u|**(p - 1).  After an accepted
-# step, excess = omega**2 * u, since u**p = u - k1v: at most a quarter turn.
-_SPIKE = Field(
-    name="spike",
-    state="State",
-    check="_check_domain(u, p)",
-    rhs="{v}, {u} - ({u} ** p if {u} >= 0.0 else -((-{u}) ** p))",
-    scale_u="ab + rel * (new if (new := abs(u_new)) > (scale := abs(u)) else scale)",
-    scale_v="ab + rel * (new if (new := abs(v_new)) > (scale := abs(v)) else scale)",
-    bound=(
-        "excess = p * (u - k1v) - u",
-        "if excess > 0.0 and h * h * excess > quarter_turn_sq * u:",
-        "    h = quarter_turn * sqrt(u / excess)",
-    ),
-    # u >= 0 at every step's start: a run from u = 0 with v < 0 ends on its first.
-    left="u_new < 0.0 or u_new == 0.0 < u",
-    locate="_bisect_theta(c, 0, 1.0)",
-    turn="0.0 < uc",
-    clamp="u = 0.0 if u < 0.0 else u",
-    exit="U_CROSSED_ZERO",
-)
-
-
-def integrate(
-    initial: State,
-    rho_start: float,
-    rho_end: float,
-    p: float,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> Trajectory:
-    """Integrate the spike system from ``rho_start`` to ``rho_end``.
-
-    Adaptive Dormand-Prince 5(4): a step is accepted when err, the RMS of its
-    local error over rel_tol * |state| + abs_tol, is at most 1, and either way
-    the next is h * min(10, max(0.2, 0.9 * err**(-1/5))); after an accepted
-    step it is floored at h_min and held to a quarter turn of the local
-    frequency.  Returns early with the matching terminal event when u crosses
-    0, at the first v crossing with u > 0 (an exact zero is bisected like any
-    other sign change), or when a rejected step would shrink below h_min;
-    otherwise runs to ``rho_end`` exactly.
-    """
-    return kernel(_SPIKE)(initial, rho_start, rho_end, p, config)

@@ -106,10 +106,6 @@ _LOG_SPIKE = Field(
         "(room := -23.0 - pm1 * u if pm1 * u < -23.5 else 0.5) else h",
     ),
     left="v_new < -1.0",
-    locate="1.0",
-    turn="True",
-    clamp="pass",
-    exit="LEFT_LOOP",
 )
 # Compiled here, on import, so that no shoot compiles.  Tests and the
 # benchmark patch this name.

@@ -14,13 +14,12 @@ from test_shooting import _record_peak_bisection
 
 from gmspike import (
     IntegratorConfig,
+    LogState,
     ProblemParams,
-    State,
     TerminalEvent,
     check_first_integral,
     eval_spike_rho,
     hamiltonian,
-    integrate,
     ode_residual,
     shoot,
     shooting,
@@ -135,13 +134,14 @@ def test_first_integral_drift_is_bounded_and_tolerance_driven(default_shoots):
 
 
 def test_sides_of_the_peak_and_bracket_halving(monkeypatch):
-    # Sides of the peak: from rest above the spike height a run crosses
-    # u = 0, from below it turns, and the shoot's one run ends at the peak
-    # between them.
-    assert integrate(State(1.6, 0.0), 0.0, 12.0, 2.0).terminal_event is (
-        TerminalEvent.U_CROSSED_ZERO
-    )
-    assert integrate(State(1.4, 0.0), 0.0, 12.0, 2.0).terminal_event is TerminalEvent.TURNED
+    # Sides of the peak: from rest above the spike height a run leaves the
+    # homoclinic loop, from below it turns, and the shoot's one run ends at
+    # the peak between them.
+    def from_rest(a):
+        return shooting.integrate(LogState(math.log(a), 0.0), 0.0, 12.0, 2.0).terminal_event
+
+    assert from_rest(1.6) is TerminalEvent.LEFT_LOOP
+    assert from_rest(1.4) is TerminalEvent.TURNED
     # Halving: the peak is bisected on the last step's dense interpolant,
     # which a shoot reads for nothing else, in its v component alone.
     probes = _record_peak_bisection(monkeypatch)
@@ -162,7 +162,7 @@ def test_sides_of_the_peak_and_bracket_halving(monkeypatch):
     h = result.trajectory.steps[-1][1]
     final = width * h
     print(
-        f"PASS verdicts cross/turn at 1.6/1.4, run ends at the peak 1.5; peak "
+        f"PASS verdicts leave/turn at 1.6/1.4, run ends at the peak 1.5; peak "
         f"bracket halved {len(halvings)} times from {h:.2e} to {final:.2e}"
     )
 

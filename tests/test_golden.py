@@ -1,4 +1,4 @@
-"""Byte-level golden check of the CLI artifacts and of raw integrations.
+"""Byte-level golden check of the CLI artifacts and of the shooting solver's runs.
 
 The CSV and JSON files the CLI writes are the project's contract: identical
 inputs must give identical bytes, and a refactor must not move a single one.
@@ -11,12 +11,12 @@ One test reruns the sweep on a correctly rounded ``exp``, ``log1p`` and
 ``log``, as another libm may round them, and bounds what moves: 2 ulps of
 ``u_analytic``, and no byte of any other column.
 
-The ``integrate/`` keys pin the integrator itself, below the artifacts: the
-digest of the repr of everything a run returns (every accepted step's raw
-stages, the end point, the step counts and the terminal event).  repr round-trips floats exactly, so one changed bit in one stage of
-one step changes the digest.  The ``shoot/`` keys pin the shooting solver
-the same way, one shoot per exponent of the benchmark's range: the
-amplitude, the boundary residual, the run log and the inward run itself.
+The ``shoot/`` keys pin the shooting solver and its integrator, below the
+artifacts, one shoot per exponent of the benchmark's range: the digest of
+the repr of the amplitude, the boundary residual, the run log and the
+inward run itself (every accepted step's raw stages, the end point, the
+rejected steps and the terminal event).  repr round-trips floats exactly,
+so one changed bit in one stage of one step changes the digest.
 
 A deliberate change of the numbers or of the configuration echo
 regenerates the file with
@@ -31,8 +31,8 @@ the file was recorded on.  It needs no pytest, so it checks the artifacts
 under any Python the package supports.
 
 A digest says only that something moved.  To see what, write every
-artifact, and each ``integrate/`` and ``shoot/`` record as text (one item a
-line, one step a line), from the parent's source with this file:
+artifact, and each ``shoot/`` record as text (one item a line, one step a
+line), from the parent's source with this file:
 
     PYTHONPATH=<parent>/src python tests/test_golden.py --keep DIR
 
@@ -43,8 +43,9 @@ then compare the change's with them:
 It prints, per artifact that moved, how many float cells moved, the
 largest move in ulps and relative terms, the rows and columns they sit in
 and the first one; text that is not a float cell (headers, integers, the
-configuration echo, added or removed lines) is shown as a line diff.  It
-exits 0 whatever moved: it reports, and ``--check`` is the gate.
+configuration echo, added or removed lines) is shown as a line diff; a
+file that only one side has is named "added" or "removed".  It exits 0
+whatever moved: it reports, and ``--check`` is the gate.
 """
 
 import argparse
@@ -65,7 +66,7 @@ import types
 from pathlib import Path
 from typing import NamedTuple
 
-from gmspike import ProblemParams, State, analytic, cli, integrate, shoot, spike_amplitude
+from gmspike import ProblemParams, analytic, cli, shoot
 
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 
@@ -109,43 +110,12 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())["digests"]
 
 
-def _integrate_runs() -> dict:
-    """Digest key -> integrate arguments (initial, rho_start, rho_end, p)."""
-    runs = {}
-    # Below, at and above the spike amplitude: undershoots that turn or
-    # reach the end, the spike, and overshoots whose crossing step probes
-    # u < 0, where every p uses the odd extension u * |u|**(p - 1).
-    for p in (1.01, 1.2, 2.5, 3.0, 100.0):
-        amp = spike_amplitude(p)
-        for scale in (0.9, 1.0, 1.1):
-            runs[f"integrate/p{p:g}_a{scale:g}"] = (State(scale * amp, 0.0), 0.0, 12.0, p)
-    # u**100 overflows inside the stages of the first trial steps.
-    runs["integrate/p100_overflow"] = (State(1.5, 0.0), 0.0, 2.0, 100.0)
-    # A fractional-p overshoot: the crossing step's stages probe u < 0.
-    runs["integrate/p2.5_overshoot"] = (
-        State(spike_amplitude(2.5) + 0.1, 0.0), 0.0, 12.0, 2.5,
-    )
-    return runs
-
-
 # The items of a raw step, as ``Trajectory.steps`` holds them: a moved
 # cell of a record's step is named by its stage.
 STEP_FIELDS = (
     "rho", "h", "u", "v", "k1u", "k3u", "k4u", "k5u", "k6u", "k7u",
     "k1v", "k3v", "k4v", "k5v", "k6v", "k7v",
 )
-
-
-def _integrate_records() -> dict:
-    """Digest key -> record of each ``integrate/`` run, its items by name."""
-    records = {}
-    for key, args in _integrate_runs().items():
-        t = integrate(*args)
-        records[key] = {
-            "steps": t.steps, "end": t.end, "accepted_steps": t.accepted_steps,
-            "rejected_steps": t.rejected_steps, "terminal_event": t.terminal_event,
-        }
-    return records
 
 
 def _shoot_records() -> dict:
@@ -179,10 +149,6 @@ def _record_text(record: dict) -> str:
         else:
             lines.append(f"{name} = {value!r}")
     return "\n".join(lines) + "\n"
-
-
-def _integrate_digests() -> dict:
-    return _record_digests(_integrate_records())
 
 
 def _shoot_digests() -> dict:
@@ -286,12 +252,6 @@ def test_single_commands_match_golden(tmp_path):
     assert digests == {k: golden[k] for k in SINGLE_COMMANDS}
 
 
-def test_integrate_runs_match_golden():
-    golden = _golden()
-    digests = _integrate_digests()
-    assert digests == {k: v for k, v in golden.items() if k.startswith("integrate/")}
-
-
 def test_shoots_match_golden():
     golden = _golden()
     digests = _shoot_digests()
@@ -320,7 +280,6 @@ def _write_artifacts(root: Path) -> dict:
 def _all_digests() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         digests = _write_artifacts(Path(tmp))
-    digests.update(_integrate_digests())
     digests.update(_shoot_digests())
     return digests
 
@@ -329,7 +288,7 @@ def _keep(root: Path) -> None:
     """Write every artifact and record under ``root``: an artifact at its
     digest key, a record at its key plus ".txt"."""
     _write_artifacts(root)
-    for key, record in {**_integrate_records(), **_shoot_records()}.items():
+    for key, record in _shoot_records().items():
         path = root / f"{key}.txt"
         path.parent.mkdir(exist_ok=True)
         path.write_text(_record_text(record))
@@ -532,11 +491,23 @@ def _against(kept: Path) -> list[str]:
 def test_against_its_own_kept_artifacts_nothing_moves(tmp_path, capsys):
     assert main(["--keep", str(tmp_path)]) == 0
     kept = {path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*.*")}
-    record = ("integrate/", "shoot/")
-    assert kept == {key + ".txt" if key.startswith(record) else key for key in _golden()}
+    assert kept == {key + ".txt" if key.startswith("shoot/") else key for key in _golden()}
     capsys.readouterr()
     assert main(["--against", str(tmp_path)]) == 0
     assert capsys.readouterr().out == f"0 of {len(_golden())} artifacts and records moved\n"
+
+
+def test_against_names_a_record_only_the_kept_side_has_as_removed(tmp_path, capsys):
+    # As a parent's integrate/ records are, once the run they recorded is gone.
+    assert main(["--keep", str(tmp_path)]) == 0
+    (tmp_path / "integrate").mkdir()
+    (tmp_path / "integrate" / "p2_a1.txt").write_text("steps[0] = (0.0, 0.1)\n")
+    capsys.readouterr()
+    assert main(["--against", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "integrate/p2_a1.txt: removed",
+        f"1 of {len(_golden()) + 1} artifacts and records moved",
+    ]
 
 
 def test_a_record_is_its_repr_one_step_a_line():
@@ -588,8 +559,8 @@ def test_cell_diff_names_a_step_cell_by_its_stage():
     moved = (*step[:12], _next_float(12.0), *step[13:])
     old = _record_text({"steps": [step, step], "rejected_steps": 0})
     new = _record_text({"steps": [step, moved], "rejected_steps": 0})
-    report = _cell_diff("integrate/x.txt", old, new)
-    assert report[0] == f"integrate/x.txt: 1 of {2 * len(STEP_FIELDS)} float cells moved"
+    report = _cell_diff("shoot/x.txt", old, new)
+    assert report[0] == f"shoot/x.txt: 1 of {2 * len(STEP_FIELDS)} float cells moved"
     assert report[1].endswith("relative; 1 rows, columns k4v")
     assert report[2] == f"  first at steps[1], k4v: 12.0 -> {_next_float(12.0)!r}"
 
@@ -616,7 +587,7 @@ def main(argv=None) -> int:
     )
     mode.add_argument(
         "--keep", type=Path, metavar="DIR",
-        help="write every artifact and integrate/shoot record into DIR, and no digest",
+        help="write every artifact and shoot record into DIR, and no digest",
     )
     mode.add_argument(
         "--against", type=Path, metavar="DIR",

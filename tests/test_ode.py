@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import traceback
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -19,18 +20,20 @@ from gmspike import ode, shooting
 from gmspike import (
     SPAN_SLACK,
     IntegratorConfig,
+    LogState,
     ProblemParams,
     State,
     TerminalEvent,
     eval_spike_derivative,
     eval_spike_rho,
     hamiltonian,
-    integrate,
     shoot,
     spike_amplitude,
 )
-from test_golden import _integrate_runs
 from test_shooting import _record_peak_bisection
+
+# The spike field's run, in log coordinates: w = ln u and z = u'/u.
+integrate = shooting.integrate
 
 AMP2 = spike_amplitude(2.0)
 PARAMS2 = ProblemParams.inner(2.0)
@@ -40,15 +43,34 @@ UNSATISFIABLE = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
 # Tolerances that every step meets.
 LOOSE = IntegratorConfig(rel_tol=1.0, abs_tol=1e6)
 
+# u'' = -u from the template: every line of the spike field's run, with none
+# of its bounds, and its turn wherever v changes sign.  Its exact solution
+# from (1, 0) is (cos, -sin).
+OSCILLATOR = ode.Field(
+    name="oscillator",
+    state="State",
+    check="pass",
+    rhs="{v}, -{u}",
+    scale_u="ab + rel * (new if (new := abs(u_new)) > (scale := abs(u)) else scale)",
+    scale_v="ab + rel * (new if (new := abs(v_new)) > (scale := abs(v)) else scale)",
+    bound=("pass", "pass", "pass"),
+    left="False",
+)
 
-def fixed_step_run(h, config, *args):
-    """``integrate(*args, config)`` with the class's step sizes set to ``h``
-    and no growth allowed: every step is h long, and the first one the
-    tolerances reject ends the run."""
+
+def at_rest(u):
+    """The point (u, 0) in log coordinates."""
+    return LogState(math.log(u), 0.0)
+
+
+def fixed_step_run(h, config, *args, run=integrate):
+    """``run(*args, config)`` with the class's step sizes set to ``h`` and no
+    growth allowed: every step is h long, and the first one the tolerances
+    reject ends the run."""
     with mock.patch.multiple(IntegratorConfig, h_init=h, h_min=h), mock.patch.object(
         ode, "_MAX_FACTOR", 1.0
     ):
-        return integrate(*args, config)
+        return run(*args, config)
 
 
 class TestHamiltonian:
@@ -75,7 +97,7 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="u must be nonnegative"):
             hamiltonian(State(-0.1, 0.0), p)
 
-    # The p that integrate refuses; at p = -1 the energy would divide by 0.
+    # The p that the run refuses; at p = -1 the energy would divide by 0.
     @pytest.mark.parametrize("p", (-1.0, 0.0, -0.5, math.nan, math.inf))
     def test_rejects_nonpositive_or_nonfinite_p(self, p):
         with pytest.raises(ValueError, match="p must be positive and finite"):
@@ -117,40 +139,41 @@ class TestConfig:
 
 class TestIntegrateBasics:
     def test_equilibrium_stays_put(self):
-        # Every stage derivative vanishes at u=1, so the state is preserved
-        # bit for bit and no step is ever rejected.
-        trajectory = integrate(State(1.0, 0.0), 0.0, 5.0, 2.0)
+        # Every stage derivative vanishes at the centre, w = 0 (u = 1), so the
+        # state is preserved bit for bit and no step is ever rejected.
+        trajectory = integrate(LogState(0.0, 0.0), 0.0, 5.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.REACHED_END
-        assert all(s.u == 1.0 and s.v == 0.0 for _, s in trajectory.samples)
+        assert all(s.w == 0.0 and s.z == 0.0 for _, s in trajectory.samples)
         assert trajectory.rejected_steps == 0
 
     def test_tracks_closed_form(self):
-        trajectory = integrate(State(AMP2, 0.0), 0.0, 10.0, 2.0)
+        # Down from the peak; the end is 2.8e-9 off in u and in u'.
+        trajectory = integrate(at_rest(AMP2), 0.0, 10.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.REACHED_END
         assert trajectory.samples[-1][0] == 10.0
-        end = trajectory.samples[-1][1]
-        assert end.u == pytest.approx(eval_spike_rho(PARAMS2, [10.0])[0], abs=5e-7)
-        assert end.v == pytest.approx(eval_spike_derivative(PARAMS2, [10.0])[0], abs=5e-7)
+        end = trajectory.samples[-1][1].uv()
+        assert end.u == pytest.approx(eval_spike_rho(PARAMS2, [10.0])[0], abs=1e-8)
+        assert end.v == pytest.approx(eval_spike_derivative(PARAMS2, [10.0])[0], abs=1e-8)
         assert trajectory.rejected_steps <= 2
 
     def test_dense_output_matches_samples(self):
-        trajectory = integrate(State(AMP2, 0.0), 0.0, 6.0, 2.0)
+        trajectory = integrate(at_rest(AMP2), 0.0, 6.0, 2.0)
         samples = trajectory.samples
-        us, vs = trajectory.eval(rho for rho, _ in samples)
-        assert len(us) == len(vs) == len(samples)
-        for (_, state), u, v in zip(samples, us, vs):
-            assert u == pytest.approx(state.u, rel=1e-12, abs=1e-14)
-            assert v == pytest.approx(state.v, rel=1e-12, abs=1e-14)
+        ws, zs = trajectory.eval(rho for rho, _ in samples)
+        assert len(ws) == len(zs) == len(samples)
+        for (_, state), w, z in zip(samples, ws, zs):
+            assert w == pytest.approx(state.w, rel=1e-12, abs=1e-14)
+            assert z == pytest.approx(state.z, rel=1e-12, abs=1e-14)
 
     def test_dense_output_matches_closed_form(self):
-        trajectory = integrate(State(AMP2, 0.0), 0.0, 10.0, 2.0)
+        trajectory = integrate(at_rest(AMP2), 0.0, 10.0, 2.0)
         grid = [float(rho) for rho in np.linspace(0.0, 10.0, 1001)]
-        us, _ = trajectory.eval(grid)
-        for u, exact in zip(us, eval_spike_rho(PARAMS2, grid)):
-            assert u == pytest.approx(exact, abs=1e-7)
+        ws, _ = trajectory.eval(grid)
+        for w, exact in zip(ws, eval_spike_rho(PARAMS2, grid)):
+            assert math.exp(w) == pytest.approx(exact, abs=1e-8)
 
     def test_eval_allows_round_off_slack(self):
-        trajectory = integrate(State(AMP2, 0.0), 0.0, 5.0, 2.0)
+        trajectory = integrate(at_rest(AMP2), 0.0, 5.0, 2.0)
         us, vs = trajectory.eval([5.0 + 5e-10, -5e-10])
         assert (us, vs) == trajectory.eval([5.0, 0.0])
         with pytest.raises(ValueError):
@@ -167,7 +190,7 @@ class TestIntegrateBasics:
             trajectory.eval([4.9, 4.8, -0.1])
 
     def test_eval_refuses_nan(self):
-        trajectory = integrate(State(AMP2, 0.0), 0.0, 5.0, 2.0)
+        trajectory = integrate(at_rest(AMP2), 0.0, 5.0, 2.0)
         with pytest.raises(ValueError, match="rho=nan"):
             trajectory.eval([1.0, math.nan])
         with pytest.raises(ValueError, match="rho=nan"):
@@ -176,39 +199,36 @@ class TestIntegrateBasics:
     def test_reversible_through_mirrored_start(self):
         # u is even and v odd about the peak, so the run from the mirrored
         # endpoint turns at the peak, and continuing it for the same span
-        # again must reproduce the endpoint.
-        forward = integrate(State(AMP2, 0.0), 0.0, 8.0, 2.0)
+        # again must reproduce the endpoint.  Each run down from the peak
+        # stays short of 9.6, where one from a shoot's peak may end
+        # LEFT_LOOP by rounding.
+        forward = integrate(at_rest(AMP2), 0.0, 8.0, 2.0)
         end = forward.end[1]
-        back = integrate(State(end.u, -end.v), 0.0, 16.0, 2.0)
+        back = integrate(LogState(end.w, -end.z), 0.0, 16.0, 2.0)
         assert back.terminal_event is TerminalEvent.TURNED
         rho_turn, turn = back.end
         assert rho_turn == pytest.approx(8.0, abs=1e-8)
-        assert turn.u == pytest.approx(AMP2, abs=1e-8)
-        final = integrate(turn, rho_turn, 16.0, 2.0).end[1]
-        assert final.u == pytest.approx(end.u, abs=1e-8)
-        assert final.v == pytest.approx(end.v, abs=1e-8)
+        assert turn.uv().u == pytest.approx(AMP2, abs=1e-8)
+        final = integrate(turn, rho_turn, 16.0, 2.0).end[1].uv()
+        assert final.u == pytest.approx(end.uv().u, abs=1e-8)
+        assert final.v == pytest.approx(end.uv().v, abs=1e-8)
 
     @pytest.mark.parametrize(
         "initial, span",
         [
-            (State(1.0, 0.0), (0.0, 0.0)),
-            (State(1.0, 0.0), (2.0, 1.0)),
-            (State(math.nan, 0.0), (0.0, 1.0)),
+            (LogState(0.0, 0.0), (0.0, 0.0)),
+            (LogState(0.0, 0.0), (2.0, 1.0)),
+            (LogState(math.nan, 0.0), (0.0, 1.0)),
         ],
     )
     def test_rejects_invalid_setup(self, initial, span):
         with pytest.raises(ValueError):
             integrate(initial, span[0], span[1], 2.0)
 
-    @pytest.mark.parametrize("p", (2.5, 2.0, 3.0))
-    def test_rejects_negative_start_for_every_p(self, p):
-        with pytest.raises(ValueError, match="u must be nonnegative"):
-            integrate(State(-0.5, 0.0), 0.0, 1.0, p)
-
     @pytest.mark.parametrize("p", (-1.0, 0.0, math.nan, math.inf))
     def test_rejects_nonpositive_or_nonfinite_p(self, p):
         with pytest.raises(ValueError):
-            integrate(State(AMP2, 0.0), 0.0, 1.0, p)
+            integrate(at_rest(AMP2), 0.0, 1.0, p)
 
 
 def _eval_by_bisection(trajectory, rhos):
@@ -224,7 +244,7 @@ def _eval_by_bisection(trajectory, rhos):
             c = interpolants[bisect.bisect_right(starts, rho) - 1]
             u, v = ode._dense(c, (rho - c[0]) / c[1])
         else:
-            u, v = trajectory.end[1].u, trajectory.end[1].v
+            u, v = trajectory.end[1]
         us.append(u)
         vs.append(v)
     return us, vs
@@ -238,10 +258,10 @@ class TestDenseWalk:
     """Trajectory.eval walks the points through the steps; it gives the
     bits of a bisection and a ``_dense`` call per point, in any order."""
 
-    SPIKE = integrate(State(AMP2, 0.0), 0.0, 10.0, 2.0)
+    SPIKE = integrate(at_rest(AMP2), 0.0, 10.0, 2.0)
     # One step: the span is shorter than the first step.
-    ONE_STEP = fixed_step_run(0.1, LOOSE, State(AMP2, 0.0), 0.0, 0.05, 2.0)
-    NO_STEP = fixed_step_run(0.1, UNSATISFIABLE, State(AMP2, 0.0), 0.0, 4.0, 2.0)
+    ONE_STEP = fixed_step_run(0.1, LOOSE, at_rest(AMP2), 0.0, 0.05, 2.0)
+    NO_STEP = fixed_step_run(0.1, UNSATISFIABLE, at_rest(AMP2), 0.0, 4.0, 2.0)
 
     @staticmethod
     def grids(trajectory):
@@ -277,23 +297,22 @@ class TestDenseWalk:
         assert _bits(self.SPIKE.eval(iter(grid))) == _bits(self.SPIKE.eval(grid))
 
 
+def _energies(trajectory, p):
+    """H at each sample of a run, read as (u, v)."""
+    return [hamiltonian(state.uv(), p) for _, state in trajectory.samples]
+
+
 class TestConservation:
     def test_first_integral_drift_small(self):
-        trajectory = integrate(State(AMP2, 0.0), 0.0, 12.0, 2.0)
-        h0 = hamiltonian(trajectory.samples[0][1], 2.0)
-        drift = max(
-            abs(hamiltonian(state, 2.0) - h0) for _, state in trajectory.samples
-        )
+        energies = _energies(integrate(at_rest(AMP2), 0.0, 10.0, 2.0), 2.0)
+        drift = max(abs(energy - energies[0]) for energy in energies)
         assert drift < 1e-8
 
     def test_drift_shrinks_with_tolerance(self):
         def drift_at(rel_tol, abs_tol):
             config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)
-            trajectory = integrate(State(AMP2, 0.0), 0.0, 12.0, 2.0, config)
-            h0 = hamiltonian(trajectory.samples[0][1], 2.0)
-            return max(
-                abs(hamiltonian(state, 2.0) - h0) for _, state in trajectory.samples
-            )
+            energies = _energies(integrate(at_rest(AMP2), 0.0, 10.0, 2.0, config), 2.0)
+            return max(abs(energy - energies[0]) for energy in energies)
 
         loose = drift_at(1e-10, 1e-12)
         tight = drift_at(5e-11, 5e-13)
@@ -301,170 +320,170 @@ class TestConservation:
 
 
 class TestEvents:
-    def test_overshoot_stops_at_zero_crossing(self):
-        trajectory = integrate(State(1.6, 0.0), 0.0, 12.0, 2.0)
-        assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
-        rho_end, end = trajectory.samples[-1]
-        assert rho_end == pytest.approx(3.0900841000136845, rel=1e-9)
-        assert end.u == 0.0
-        assert end.v == pytest.approx(-0.41311822354789757, rel=1e-9)
-        # Crossing with v < 0 at u = 0 means positive first-integral level.
-        assert hamiltonian(end, 2.0) == pytest.approx(
-            hamiltonian(State(1.6, 0.0), 2.0), abs=1e-9
-        )
+    @pytest.mark.parametrize("p", (2.0, 2.5))
+    def test_overshoot_leaves_the_loop(self, p):
+        # From rest 0.1 above the spike height the orbit lies outside the
+        # homoclinic loop (H > 0): the run ends at its first step with
+        # z < -1, on its way to u = 0, and u = e**w stays positive and finite.
+        a = spike_amplitude(p) + 0.1
+        trajectory = integrate(at_rest(a), 0.0, 12.0, p)
+        assert trajectory.terminal_event is TerminalEvent.LEFT_LOOP
+        end = trajectory.end[1]
+        assert end.z < -1.0 <= trajectory.samples[-2][1].z
+        assert all(math.isfinite(state.w) for _, state in trajectory.samples)
+        # H is conserved to the tolerances: 3.0e-11 off at the end.
+        energy = hamiltonian(State(a, 0.0), p)
+        assert hamiltonian(end.uv(), p) == pytest.approx(energy, abs=1e-9)
 
     def test_undershoot_records_turning_points(self):
         # The first turn of an undershoot is recorded as the run's end.
-        trajectory = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0)
+        trajectory = integrate(at_rest(1.4), 0.0, 30.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.TURNED
         rho_end, end = trajectory.end
         assert rho_end == pytest.approx(3.5622832910823736, rel=1e-8)
-        assert end.u == pytest.approx(0.42749172182100076, rel=1e-7)
-        assert abs(end.v) < 1e-9
-        assert all(0.0 < state.u <= 1.4 for _, state in trajectory.samples)
+        assert end.uv().u == pytest.approx(0.42749172182100076, rel=1e-7)
+        assert abs(end.uv().v) < 1e-9
+        assert all(state.w <= math.log(1.4) for _, state in trajectory.samples)
 
     def test_turn_ends_a_run_that_asks_for_it(self):
         # Every run asks for it: the first turn ends the run well before the
         # end of its span, whichever side of the centre it starts.
-        stopped = integrate(State(1.4, 0.0), 0.0, 30.0, 2.0)
+        stopped = integrate(at_rest(1.4), 0.0, 30.0, 2.0)
         assert stopped.terminal_event is TerminalEvent.TURNED
         assert stopped.end[0] < 30.0
-        assert 0.0 < stopped.end[1].u < 1.4
+        assert stopped.end[1].w < math.log(1.4)
         # Started below the centre, the first turn is a maximum above the
         # start, and it ends the run too.
-        inside = integrate(State(0.5, 0.0), 0.0, 30.0, 2.0)
+        inside = integrate(at_rest(0.5), 0.0, 30.0, 2.0)
         assert inside.terminal_event is TerminalEvent.TURNED
         assert inside.end[0] < 30.0
-        assert abs(inside.end[1].v) < 1e-9
-        assert inside.end[1].u > 0.5
+        assert abs(inside.end[1].z) < 1e-9
+        assert inside.end[1].w > math.log(0.5)
 
     @pytest.mark.parametrize("p", (1.01, 2.0, 100.0))
     @pytest.mark.parametrize("offset", ("1e-9", "1e-3", "0.5", "0.999"))
     def test_no_step_passes_two_turns(self, p, offset):
         # Steps have no length cap, so only the error control and the
         # quarter-turn bound keep a step from passing a minimum and the next
-        # maximum, both sign changes of v.
+        # maximum, both sign changes of z.
         # From a maximum at (a, 0) inside the loop, 1 < a < amp, the run
-        # must stop at its first minimum: v < 0 and u falling until then.
+        # must stop at its first minimum: z < 0 and w falling until then.
         amp = spike_amplitude(p)
         a = 1.0 + float(offset) * (amp - 1.0)
-        trajectory = integrate(State(a, 0.0), 0.0, 200.0, p)
+        trajectory = integrate(at_rest(a), 0.0, 200.0, p)
         assert trajectory.terminal_event is TerminalEvent.TURNED
         samples = trajectory.samples
-        assert all(state.v < 0.0 for _, state in samples[1:-1])
-        assert all(x[1].u >= y[1].u for x, y in zip(samples, samples[1:]))
-        end = trajectory.end[1]
+        assert all(state.z < 0.0 for _, state in samples[1:-1])
+        assert all(x[1].w >= y[1].w for x, y in zip(samples, samples[1:]))
+        end = trajectory.end[1].uv()
         assert end.u < 1.0
         # H is conserved to the tolerances, so the minimum is this orbit's;
-        # the drift is 1.2e-10 at most (p = 100, offset 0.999).
+        # the drift is 1.7e-10 at most (p = 100, offset 0.999).
         energy = hamiltonian(State(a, 0.0), p)
         assert hamiltonian(State(end.u, 0.0), p) == pytest.approx(energy, abs=1e-9)
 
     def test_step_failure_reported(self):
-        trajectory = fixed_step_run(0.1, UNSATISFIABLE, State(AMP2, 0.0), 0.0, 4.0, 2.0)
+        trajectory = fixed_step_run(0.1, UNSATISFIABLE, at_rest(AMP2), 0.0, 4.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.STEP_FAILURE
         assert trajectory.rejected_steps >= 1
         # No step was accepted: the dense output is the start point alone.
         assert trajectory.steps == []
-        assert trajectory.eval([0.0, 5e-10]) == ([AMP2, AMP2], [0.0, 0.0])
+        assert trajectory.eval([0.0, 5e-10]) == ([math.log(AMP2)] * 2, [0.0, 0.0])
         with pytest.raises(ValueError):
             trajectory.eval([1e-3])
 
-    def test_fractional_p_crosses_zero_cleanly(self):
-        amp = spike_amplitude(2.5)
-        trajectory = integrate(State(amp + 0.1, 0.0), 0.0, 12.0, 2.5)
-        assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
-        end = trajectory.samples[-1][1]
-        assert 0.0 <= end.u <= 1e-9
-        assert all(math.isfinite(state.u) for _, state in trajectory.samples)
-
-    @pytest.mark.parametrize("p", (2.5, 2.0, 3.0))
-    def test_start_at_zero_heading_below_ends_there(self, p):
-        # u >= 0 at every accepted point: a run from u = 0 with v < 0 leaves
-        # the domain at once, so it ends at its start, not below it.  The
-        # crossing's far side is the least theta above 0, which is 0 in rho.
-        trajectory = integrate(State(0.0, -0.1), 0.0, 1.0, p)
-        assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
-        rho, end = trajectory.end
-        assert rho == 0.0
-        assert end == State(0.0, -0.1)
-
     def test_a_crossing_at_the_start_is_located_in_two_evaluations(self, monkeypatch):
-        # The least theta above 0 already has u <= 0: the bisection returns
-        # it without halving into the subnormals, and the end is read once.
+        # v = 5e-324 and v' = -1: one step of 1 already has v <= 0 at the
+        # least theta above 0.  The bisection returns that theta without
+        # halving into the subnormals, and the end is read once.
         probes = _record_peak_bisection(monkeypatch)
-        trajectory = integrate(State(0.0, -0.1), 0.0, 1.0, 2.0)
-        assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
-        assert trajectory.end == (0.0, State(0.0, -0.1))
+        run = ode.kernel(OSCILLATOR)
+        trajectory = fixed_step_run(1.0, LOOSE, State(1.0, 5e-324), 0.0, 2.0, 1.0, run=run)
+        assert trajectory.terminal_event is TerminalEvent.TURNED
+        assert trajectory.end == (5e-324, State(1.0, 0.0))
         assert [theta for _, theta in probes] == [5e-324, 5e-324]
 
     @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 4.0, 10.0, 100.0))
     @pytest.mark.parametrize("delta", (1e-13, 1e-12, 1e-10, 1e-8, 1e-4))
     def test_steps_stay_under_a_half_period_near_the_centre(self, p, delta):
-        # The event scan assumes one sign change of v per step.  Near the
+        # The event scan assumes one sign change of z per step.  Near the
         # centre (1, 0) the orbit is a small ellipse of half-period
         # pi / sqrt(p - 1): from a maximum delta above it, the run must stop
         # at the first minimum, half a period on, and each step must stay
-        # short of that.  Closer than about 1e-11, the error control alone
-        # lets a step pass the turn; the quarter-turn bound holds a step to
-        # half a half-period, and each run ends within 1.2% of it (the
-        # widest is p = 1.01 from 1e-13, at 31.05).
+        # short of that.  Close to the centre the error control alone would
+        # let a step pass the turn; the quarter-turn bound holds a step to
+        # half a half-period (0.5 of it to within 3e-9 from 1e-10 in), and each run
+        # ends within 0.6% of it (the widest is p = 1.01 from 1e-13, 0.51%
+        # short).
         half_period = math.pi / math.sqrt(p - 1.0)
-        trajectory = integrate(State(1.0 + delta, 0.0), 0.0, 400.0, p)
+        trajectory = integrate(LogState(math.log1p(delta), 0.0), 0.0, 400.0, p)
         assert trajectory.terminal_event is TerminalEvent.TURNED
         rho, end = trajectory.end
-        assert end.u < 1.0
-        assert rho == pytest.approx(half_period, rel=0.012)
-        assert max(step[1] for step in trajectory.steps) < 0.51 * half_period
+        assert end.w < 0.0
+        assert rho == pytest.approx(half_period, rel=0.006)
+        assert max(step[1] for step in trajectory.steps) < 0.501 * half_period
 
     @pytest.mark.parametrize("p", (1.2, 2.0, 100.0))
     def test_a_run_restarted_at_its_turn_does_not_turn_again_at_once(self, p):
-        # A turn is located on the far side of the sign change of v, so a
+        # A turn is located on the far side of the sign change of z, so a
         # run restarted there sees none: from a maximum inside the loop it
         # turns at the minimum, and restarted there, at the next maximum,
         # about a period of small oscillation on.
-        first = integrate(State(0.9 * spike_amplitude(p) + 0.1, 0.0), 0.0, 200.0, p)
+        first = integrate(at_rest(0.9 * spike_amplitude(p) + 0.1), 0.0, 200.0, p)
         rho, turn = first.end
-        assert first.terminal_event is TerminalEvent.TURNED and turn.u < 1.0
-        assert turn.v >= 0.0
+        assert first.terminal_event is TerminalEvent.TURNED and turn.w < 0.0
+        assert turn.z >= 0.0
         again = integrate(turn, rho, rho + 200.0, p)
         assert again.terminal_event is TerminalEvent.TURNED
         assert again.accepted_steps > 10
-        assert again.end[1].u > 1.0
+        assert again.end[1].w > 0.0
         assert again.end[0] - rho == pytest.approx(rho, rel=0.01)
 
     def test_a_start_1e_12_from_the_centre_stops_at_its_first_minimum(self):
         # From here the error control alone lets a step pass the first
-        # minimum, at 31.42 (the run then ends TURNED at 61.83); the
-        # quarter-turn bound must stop it within 0.1 of that minimum.
+        # minimum, at 31.42; the quarter-turn bound must stop the run within
+        # 0.1 of it.
         half_period = math.pi / math.sqrt(1.01 - 1.0)
-        trajectory = integrate(State(1.0 + 1e-12, 0.0), 0.0, 400.0, 1.01)
+        trajectory = integrate(LogState(math.log1p(1e-12), 0.0), 0.0, 400.0, 1.01)
         assert trajectory.terminal_event is TerminalEvent.TURNED
         rho, end = trajectory.end
-        assert end.u < 1.0
+        assert end.w < 0.0
         assert abs(rho - half_period) < 0.1
 
     def test_a_start_1e_14_from_the_centre_sees_no_field(self):
-        # The floor of the bound: at p = 1.01, u - u**p rounds to 0 at every
-        # stage of a run from 1 + 1e-14, so nothing turns and the run goes
-        # to its end.  A forward run from near the centre must start above it.
-        trajectory = integrate(State(1.0 + 1e-14, 0.0), 0.0, 400.0, 1.01)
+        # The floor of the bound: at p = 1.01, 1 - e**((p - 1) w) rounds to 0
+        # at every stage of a run from w = log1p(1e-14), so nothing turns and
+        # the run goes to its end.  A forward run from near the centre must
+        # start above it.
+        start = LogState(math.log1p(1e-14), 0.0)
+        trajectory = integrate(start, 0.0, 400.0, 1.01)
         assert trajectory.terminal_event is TerminalEvent.REACHED_END
-        assert trajectory.end == (400.0, State(1.0 + 1e-14, 0.0))
+        assert trajectory.end == (400.0, start)
 
-    def test_a_start_at_the_saddle_runs_to_its_end(self):
-        # The bound divides by no u: at (0, 0) the field and excess are 0.
-        trajectory = integrate(State(0.0, 0.0), 0.0, 1.0, 2.0)
-        assert trajectory.terminal_event is TerminalEvent.REACHED_END
-        assert trajectory.end == (1.0, State(0.0, 0.0))
+    def test_overflowing_trial_step_is_rejected(self, monkeypatch):
+        # A first trial step of 100 from the shoot's start at p = 100 takes
+        # e**((p - 1) w) past the largest float at a stage, where exp raises
+        # OverflowError; those steps must shrink, not raise, and the run
+        # still ends at its peak.
+        overflows = []
+        real_exp = math.exp
 
-    def test_overflowing_trial_step_is_rejected(self):
-        # Far above the p = 100 spike, u**100 overflows inside the stages of
-        # the first trial steps; those steps must shrink, not raise.
-        trajectory = integrate(State(1.5, 0.0), 0.0, 2.0, 100.0, IntegratorConfig())
-        assert trajectory.terminal_event is TerminalEvent.U_CROSSED_ZERO
-        assert trajectory.rejected_steps >= 1
-        assert trajectory.end[1].u == 0.0
+        def exp(x):
+            try:
+                return real_exp(x)
+            except OverflowError:
+                overflows.append(x)
+                raise
+
+        p, u0 = 100.0, shooting.U0
+        start = LogState(math.log(u0), math.sqrt(1.0 - 2.0 * u0 ** (p - 1.0) / (p + 1.0)))
+        monkeypatch.setattr(ode, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+        monkeypatch.setattr(IntegratorConfig, "h_init", 100.0)
+        trajectory = integrate(start, 0.0, 200.0, p)
+        assert overflows
+        assert trajectory.terminal_event is TerminalEvent.TURNED
+        assert trajectory.rejected_steps >= len(overflows)
+        assert real_exp(trajectory.end[1].w) == pytest.approx(spike_amplitude(p), abs=1e-10)
 
 
 def _line_interpolant(h, c0, c1, component):
@@ -511,7 +530,8 @@ class TestEventBisection:
 
 class TestStepControl:
     """The controller's clamps, on the inward runs of the benchmark's
-    ``shoot_range`` and the ``integrate/`` golden runs."""
+    ``shoot_range`` and on runs from rest below, at and above the spike
+    height."""
 
     @pytest.fixture(scope="class")
     def runs(self):
@@ -519,11 +539,14 @@ class TestStepControl:
             f"shoot/p{p:g}": shoot(ProblemParams.inner(p)).trajectory
             for p in (1.01, 1.2, 2.0, 4.0, 10.0, 100.0)
         }
-        runs.update((key, integrate(*args)) for key, args in _integrate_runs().items())
+        for p in (1.01, 1.2, 2.5, 3.0, 100.0):
+            for scale in (0.9, 1.0, 1.1):
+                start = at_rest(scale * spike_amplitude(p))
+                runs[f"rest/p{p:g}_a{scale:g}"] = integrate(start, 0.0, 12.0, p)
         return runs
 
     def test_the_runs_are_there(self, runs):
-        assert len(runs) == 6 + 17
+        assert len(runs) == 6 + 15
         assert sum(t.rejected_steps for t in runs.values()) > 0
 
     def test_a_step_grows_at_most_max_factor(self, runs):
@@ -537,12 +560,12 @@ class TestStepControl:
             assert all(h >= IntegratorConfig.h_min for h in hs[:-1]), key
 
     def test_an_accepted_step_is_floored_at_h_min(self):
-        # Every step of 0.1 meets rel_tol = 3e-7 here, but some only with
+        # Every step of 0.1 meets rel_tol = 1.2e-8 here, but some only with
         # err above 0.9**5, where the factor is below 1: h_min = 0.1 alone
-        # keeps the next step 0.1 long.  2.2e-7 fails the first step, and
-        # from 3.8e-7 up no factor falls below 1.
-        config = IntegratorConfig(rel_tol=3e-7)
-        trajectory = fixed_step_run(0.1, config, State(AMP2, 0.0), 0.0, 4.0, 2.0)
+        # keeps the next step 0.1 long.  9e-9 fails the first step, and
+        # from 1.6e-8 up no factor falls below 1.
+        config = IntegratorConfig(rel_tol=1.2e-8)
+        trajectory = fixed_step_run(0.1, config, at_rest(AMP2), 0.0, 4.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.REACHED_END
         assert trajectory.rejected_steps == 0
         assert [step[1] for step in trajectory.steps[:-1]] == [0.1] * 39
@@ -558,8 +581,8 @@ class TestNoRunaway:
         # a lies 0.1 below, at or 0.1 above the spike height.
         amp = spike_amplitude(p)
         a = amp + offset * 0.1
-        trajectory = integrate(State(a, 0.0), 0.0, 12.0, p)
-        assert max(state.u for _, state in trajectory.samples) <= max(a, amp)
+        trajectory = integrate(at_rest(a), 0.0, 12.0, p)
+        assert max(state.w for _, state in trajectory.samples) <= math.log(max(a, amp))
 
     def test_ode_imports_nothing_from_analytic(self):
         source = Path(__file__).parents[1] / "src" / "gmspike" / "ode.py"
@@ -579,36 +602,18 @@ class TestOrder:
         assert SPAN_SLACK == 1e-9
 
     def test_fixed_step_convergence_rate(self):
+        # On the oscillator, whose exact solution is known everywhere.
         def endpoint_error(h):
-            trajectory = fixed_step_run(h, LOOSE, State(AMP2, 0.0), 0.0, 4.0, 2.0)
+            run = ode.kernel(OSCILLATOR)
+            trajectory = fixed_step_run(h, LOOSE, State(1.0, 0.0), 0.0, 3.0, 1.0, run=run)
             end = trajectory.samples[-1][1]
-            return abs(end.u - eval_spike_rho(PARAMS2, [4.0])[0]) + abs(
-                end.v - eval_spike_derivative(PARAMS2, [4.0])[0]
-            )
+            return abs(end.u - math.cos(3.0)) + abs(end.v + math.sin(3.0))
 
         errors = [endpoint_error(h) for h in (0.4, 0.2, 0.1, 0.05)]
         slopes = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         # Dormand-Prince advances its fifth-order solution.
         assert all(5 - 0.5 < s < 5 + 0.5 for s in slopes)
         assert errors[-1] < 1e-8
-
-
-# u'' = -u from the template: every line of the spike field's run, with none
-# of its bounds or domain, and its turn wherever v changes sign.
-OSCILLATOR = ode.Field(
-    name="oscillator",
-    state="State",
-    check="pass",
-    rhs="{v}, -{u}",
-    scale_u="ab + rel * (new if (new := abs(u_new)) > (scale := abs(u)) else scale)",
-    scale_v="ab + rel * (new if (new := abs(v_new)) > (scale := abs(v)) else scale)",
-    bound=("pass", "pass", "pass"),
-    left="False",
-    locate="1.0",
-    turn="True",
-    clamp="pass",
-    exit="REACHED_END",
-)
 
 
 class TestKernel:
@@ -635,7 +640,7 @@ class TestKernel:
 
     def test_a_field_is_compiled_once(self):
         assert ode.kernel(OSCILLATOR) is ode.kernel(OSCILLATOR)
-        assert ode.kernel(ode._SPIKE) is ode.kernel(ode._SPIKE)
+        assert ode.kernel(shooting._LOG_SPIKE) is shooting.integrate
 
     def test_each_part_of_a_field_is_one_line(self):
         with pytest.raises(ValueError, match="must be one line"):
@@ -653,14 +658,15 @@ class TestKernel:
         monkeypatch.setattr(ode, "_interpolant", broken)
         with pytest.raises(RuntimeError) as failure:
             if run == "integrate":
-                integrate(State(1.6, 0.0), 0.0, 12.0, 2.0)
+                # A run of the test's own field, which turns at pi.
+                ode.kernel(OSCILLATOR)(State(1.0, 0.0), 0.0, 5.0, 1.0)
             else:
                 shoot(ProblemParams.inner(2.0))
         frames = [f for f in traceback.extract_tb(failure.value.__traceback__)
                   if f.filename == ode.__file__ and f.name.startswith("integrate_")]
         assert len(frames) == 1
         assert frames[0].line == "c = _interpolant(steps[-1])"
-        code = (ode.kernel(ode._SPIKE) if run == "integrate" else shooting.integrate).__code__
+        code = (ode.kernel(OSCILLATOR) if run == "integrate" else shooting.integrate).__code__
         assert code.co_filename == ode.__file__
         first = linecache.getline(ode.__file__, code.co_firstlineno)
         assert first.startswith("def integrate_{name}(")

@@ -8,6 +8,7 @@ are plain NamedTuples.  ``IntegratorConfig``, ``ProblemParams`` and
 is a plain object, since it caches its interpolants on itself.
 """
 
+import math
 import os
 import pickle
 import subprocess
@@ -21,12 +22,13 @@ from gmspike import (
     ComparisonReport,
     IntegratorConfig,
     InwardRun,
+    LogState,
     ProblemParams,
     ShootingConfig,
     ShootingResult,
     SpikeKind,
     State,
-    integrate,
+    shooting,
 )
 from gmspike.cli import RunConfig
 
@@ -52,9 +54,11 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 class TestRepr:
-    # The integrate/ and shoot/ golden digests hash these reprs.
+    # The shoot/ golden digests hash the reprs of a run's end, a LogState,
+    # and of its log's InwardRun entries.
     def test_state(self):
         assert repr(State(1.0, 0.0)) == "State(u=1.0, v=0.0)"
+        assert repr(LogState(0.0, 1.0)) == "LogState(w=0.0, z=1.0)"
 
     def test_inward_run(self):
         assert repr(InwardRun(1e-7, 1.5, 17.9)) == "InwardRun(u0=1e-07, a_star=1.5, sigma_pk=17.9)"
@@ -199,7 +203,7 @@ class TestRecords:
         assert not hasattr(record, "__dict__")
 
     def test_trajectory_is_a_plain_object(self):
-        trajectory = integrate(State(1.4, 0.0), 0.0, 1.0, 2.0)
+        trajectory = shooting.integrate(LogState(math.log(1.4), 0.0), 0.0, 1.0, 2.0)
         assert not isinstance(trajectory, tuple)
         trajectory.eval([0.5])
         # eval cached the interpolant of the step it read on the object.

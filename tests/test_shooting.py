@@ -21,7 +21,6 @@ from gmspike import (
     eval_profile_grid,
     eval_spike_rho,
     hamiltonian,
-    integrate,
     profile_samples,
     shoot,
     spike_amplitude,
@@ -33,6 +32,11 @@ from gmspike import shooting as shooting_mod
 UNSATISFIABLE = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
 
 P_RANGE = (1.01, 1.2, 2.0, 4.0, 10.0, 100.0)
+
+
+def _from_rest(a, span, p):
+    """A run of the shoot's field from (a, 0), the point (ln a, 0) in log coordinates."""
+    return shooting_mod.integrate(LogState(math.log(a), 0.0), 0.0, span, p)
 
 
 def _start(result):
@@ -111,47 +115,42 @@ class TestClassify:
 
     @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
     def test_sides_of_the_connecting_amplitude(self, p):
-        # Started at rest above the shot's peak a run overshoots through
-        # u = 0; started below, it undershoots and turns at u > 0.
+        # Started at rest above the shot's peak a run overshoots and leaves
+        # the homoclinic loop (z < -1); started below, it undershoots and
+        # turns at u > 0.
         result = shoot(ProblemParams.inner(p))
         a = result.a_star
         assert result.converged
-        assert integrate(State(a + 0.1, 0.0), 0.0, 12.0, p).terminal_event is (
-            TerminalEvent.U_CROSSED_ZERO
-        )
-        assert integrate(State(a - 0.1, 0.0), 0.0, 12.0, p).terminal_event is (
-            TerminalEvent.TURNED
-        )
+        assert _from_rest(a + 0.1, 12.0, p).terminal_event is TerminalEvent.LEFT_LOOP
+        assert _from_rest(a - 0.1, 12.0, p).terminal_event is TerminalEvent.TURNED
         assert abs(hamiltonian(State(a, 0.0), p)) <= 1e-10 * a * a
 
     def test_reference_amplitudes_p2(self):
         result = shoot(ProblemParams.inner(2.0))
         assert result.converged
         assert abs(result.a_star - 1.5) < 1e-10
-        assert integrate(State(1.6, 0.0), 0.0, 12.0, 2.0).terminal_event is (
-            TerminalEvent.U_CROSSED_ZERO
-        )
-        assert integrate(State(1.4, 0.0), 0.0, 12.0, 2.0).terminal_event is (
-            TerminalEvent.TURNED
-        )
+        assert _from_rest(1.6, 12.0, 2.0).terminal_event is TerminalEvent.LEFT_LOOP
+        assert _from_rest(1.4, 12.0, 2.0).terminal_event is TerminalEvent.TURNED
 
     def test_energy_sign_resolves_short_horizons(self):
-        # Cut at sigma = 5, no run from the far end reaches an event, so only
+        # Cut at sigma = 4, no run from the far end reaches an event, so only
         # the sign of H tells the sides of the spike orbit apart.  Moving the
-        # shoot's start off H = 0 by a relative 1e-6 in v gives each sign,
-        # and the run keeps it; the start itself stays on H = 0.
+        # shoot's start off H = 0 by a relative 1e-6 in z gives each sign,
+        # and the run keeps it; the start itself stays on H = 0.  The error
+        # control is relative to u, so H's own error grows like u**2 along
+        # the run: at sigma = 5 the run from 1 + 1e-6 has lost its sign.
         p, u0 = 2.0, shooting_mod.U0
-        v0 = _start(shoot(ProblemParams.inner(p))).v
+        w0, z0 = shoot(ProblemParams.inner(p)).trajectory.samples[0][1]
         for scale, sign in ((1.0 + 1e-6, 1.0), (1.0 - 1e-6, -1.0), (1.0, 0.0)):
-            start = State(u0, v0 * scale)
-            run = integrate(start, 0.0, 5.0, p)
+            start = LogState(w0, z0 * scale)
+            run = shooting_mod.integrate(start, 0.0, 4.0, p)
             assert run.terminal_event is TerminalEvent.REACHED_END
             end = run.end[1]
             if sign == 0.0:
-                assert abs(hamiltonian(start, p)) <= 1e-13 * u0**2
+                assert abs(hamiltonian(start.uv(), p)) <= 1e-13 * u0**2
             else:
-                assert math.copysign(1.0, hamiltonian(start, p)) == sign
-                assert math.copysign(1.0, hamiltonian(end, p)) == sign
+                assert math.copysign(1.0, hamiltonian(start.uv(), p)) == sign
+                assert math.copysign(1.0, hamiltonian(end.uv(), p)) == sign
 
     def test_integrator_breakdown_is_an_error(self, monkeypatch):
         # Every step is 0.1 long, so the first rejection ends the run.
@@ -251,6 +250,20 @@ class TestInwardRun:
             assert all(tight <= loose for loose, tight in zip(errors, errors[1:])), errors
             assert errors[-1] * 1e3 <= errors[0], errors
 
+    def test_the_quarter_turn_bound_holds_a_loose_run_to_its_peak(self, monkeypatch):
+        # Bound (a), a quarter turn of the local frequency, binds only from
+        # rel_tol = 1e-2 up.  At rel_tol = 1, abs_tol = 1e-2 and p = 1.2 the
+        # run's peak is 1.688, against amp = 1.6105; without the bound a step
+        # passes the turn, and the run's peak is 6.018.
+        params, loose = ProblemParams.inner(1.2), IntegratorConfig(1.0, 1e-2)
+        amp = spike_amplitude(1.2)
+        assert abs(shoot(params, loose).a_star - amp) < 0.1
+        field = shooting_mod._LOG_SPIKE
+        unbounded = field._replace(name="no_quarter_turn", bound=("pass", *field.bound[1:]))
+        monkeypatch.setattr(shooting_mod, "integrate", ode_mod.kernel(unbounded))
+        shooting_mod._inward_run.cache_clear()
+        assert abs(shoot(params, loose).a_star - amp) > 1.0
+
     @pytest.mark.parametrize(
         "patch, p, end",
         [
@@ -267,28 +280,6 @@ class TestInwardRun:
         message = str(failure.value)
         assert message.startswith("shooting did not converge: ")
         assert f" ended {end}" in message
-
-    @pytest.mark.parametrize("p", (2.0, 3.0, 4.0, 10.0, 100.0))
-    def test_a_start_outside_the_loop_crosses_zero_at_artanh_half(self, p, outside_loop_start):
-        # The orbit from (u0, -2 v0) crosses u = 0 at sigma = artanh(1/2),
-        # as the run in (u, v) shows.  The shoot's run, in (w, z), cannot
-        # reach u = 0; it ends LEFT_LOOP once z < -1, well before.
-        u0 = shooting_mod.U0
-        z0 = math.sqrt(1.0 - 2.0 * u0 ** (p - 1.0) / (p + 1.0))
-        # The fixture's run, from the start it rewrites.
-        run = shooting_mod.integrate(LogState(math.log(u0), z0), 0.0, 1.0, p)
-        u0, v0 = run.samples[0][1].uv()
-        assert v0 == pytest.approx(-2.0 * u0 * z0, rel=1e-15)
-        crossing = integrate(State(u0, v0), 0.0, 1.0, p)
-        assert crossing.terminal_event is TerminalEvent.U_CROSSED_ZERO
-        assert abs(crossing.end[0] - math.atanh(0.5)) < 1e-5
-        assert hamiltonian(State(u0, v0), p) > 0.0
-        with pytest.raises(ShootingError) as failure:
-            shoot(ProblemParams.inner(p))
-        message = str(failure.value)
-        match = re.search(r" ended left_loop at sigma=(\S+), before its peak$", message)
-        assert match is not None, message
-        assert 0.0 < float(match.group(1)) < math.atanh(0.5)
 
     @pytest.mark.parametrize("p", P_RANGE)
     def test_a_turn_at_a_minimum_raises(self, p, inside_loop_start):
@@ -449,8 +440,9 @@ class TestStopAtTurn:
     def test_verdict_matches_the_full_run(self, p):
         # H is conserved, so the energy of the start decides where the full
         # orbit goes: inside the homoclinic loop (H < 0) it turns at u > 0,
-        # outside it (H > 0) it crosses u = 0.  The spike itself, the
-        # window's centre, has H = 0 to rounding and is skipped.
+        # outside it (H > 0) it leaves the loop, z < -1, on its way to u = 0.
+        # The spike itself, the window's centre, has H = 0 to rounding and is
+        # skipped.
         amp = spike_amplitude(p)
         window = [amp - 0.1 + i * 0.005 for i in range(41)]
         far = [0.5 * amp, 0.8 * amp, 1.1 * amp, 1.2 * amp]
@@ -460,10 +452,24 @@ class TestStopAtTurn:
             if abs(energy) <= 1e-12:
                 continue
             checked += 1
-            event = integrate(State(a, 0.0), 0.0, 12.0, p).terminal_event
-            expected = TerminalEvent.TURNED if energy < 0.0 else TerminalEvent.U_CROSSED_ZERO
+            event = _from_rest(a, 12.0, p).terminal_event
+            expected = TerminalEvent.TURNED if energy < 0.0 else TerminalEvent.LEFT_LOOP
             assert event is expected, a
         assert checked == len(window) + len(far) - 1
+
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_runs_either_side_of_the_shot_peak_end_on_their_own_side(self, p):
+        # The bracket of a root-find on the peak height: a run from rest a
+        # relative delta below a_star turns at a minimum, and one delta above
+        # leaves the loop, down to delta = 1e-8.  At a_star itself the run
+        # may end LEFT_LOOP by rounding (test_the_run_restarted_at_its_peak_runs_on_down).
+        a_star = shoot(ProblemParams.inner(p)).a_star
+        for delta in (1e-2, 1e-4, 1e-6, 1e-8):
+            below = _from_rest(a_star * (1.0 - delta), 400.0, p)
+            assert below.terminal_event is TerminalEvent.TURNED, delta
+            assert below.end[1].w < 0.0, delta
+            above = _from_rest(a_star * (1.0 + delta), 400.0, p)
+            assert above.terminal_event is TerminalEvent.LEFT_LOOP, delta
 
     @pytest.mark.parametrize("p", P_RANGE)
     def test_the_reported_run_never_climbs(self, p):
@@ -505,10 +511,10 @@ class TestStopAtTurn:
 
     def test_a_start_below_the_centre_stops_at_its_maximum(self):
         # Run on past its maximum, the orbit would circle the centre to
-        # rho = 12 (2,808 steps).
-        trajectory = integrate(State(0.98, 0.0), 0.0, 12.0, 100.0)
+        # rho = 12.
+        trajectory = _from_rest(0.98, 12.0, 100.0)
         assert trajectory.terminal_event is TerminalEvent.TURNED
-        assert trajectory.end[1].u > 0.98
+        assert trajectory.end[1].w > math.log(0.98)
         assert trajectory.accepted_steps < 400
 
 

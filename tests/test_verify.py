@@ -7,16 +7,16 @@ import pytest
 
 from gmspike import (
     IntegratorConfig,
+    LogState,
     ProblemParams,
-    State,
     check_first_integral,
     compare,
     eval_spike_rho,
     eval_spike_second_derivative,
     hamiltonian,
-    integrate,
     ode_residual,
     shoot,
+    shooting,
     spike_amplitude,
 )
 
@@ -176,29 +176,31 @@ class TestCompare:
             compare(default_shoots[2.0], [])
 
 
+def _from_rest(a, span, config=IntegratorConfig()):
+    """The shoot's field run at p = 2 from (a, 0), (ln a, 0) in log coordinates."""
+    return shooting.integrate(LogState(math.log(a), 0.0), 0.0, span, 2.0, config)
+
+
 class TestFirstIntegral:
     def test_equilibrium_has_zero_drift(self):
-        trajectory = integrate(State(1.0, 0.0), 0.0, 5.0, 2.0)
-        assert check_first_integral(trajectory, 2.0) == 0.0
+        assert check_first_integral(_from_rest(1.0, 5.0), 2.0) == 0.0
 
     def test_matches_direct_evaluation(self):
-        trajectory = integrate(State(spike_amplitude(2.0), 0.0), 0.0, 6.0, 2.0)
+        trajectory = _from_rest(spike_amplitude(2.0), 6.0)
         reported = check_first_integral(trajectory, 2.0)
-        h0 = hamiltonian(trajectory.samples[0][1], 2.0)
+        h0 = hamiltonian(trajectory.samples[0][1].uv(), 2.0)
         manual = max(
-            abs(hamiltonian(state, 2.0) - h0) for _, state in trajectory.samples
+            abs(hamiltonian(state.uv(), 2.0) - h0) for _, state in trajectory.samples
         )
         assert reported == manual
         assert reported < 1e-8
 
     def test_drift_responds_to_tolerances(self):
-        initial = State(spike_amplitude(2.0), 0.0)
-        loose = integrate(initial, 0.0, 12.0, 2.0, IntegratorConfig())
-        tight = integrate(
-            initial, 0.0, 12.0, 2.0, IntegratorConfig(rel_tol=5e-11, abs_tol=5e-13)
-        )
+        amp = spike_amplitude(2.0)
+        loose = _from_rest(amp, 10.0)
+        tight = _from_rest(amp, 10.0, IntegratorConfig(rel_tol=5e-11, abs_tol=5e-13))
         assert check_first_integral(tight, 2.0) < check_first_integral(loose, 2.0)
 
     def test_off_level_orbit_also_conserves(self):
-        trajectory = integrate(State(1.4, 0.0), 0.0, 20.0, 2.0)
+        trajectory = _from_rest(1.4, 20.0)
         assert check_first_integral(trajectory, 2.0) < 1e-8
