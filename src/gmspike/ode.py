@@ -1,16 +1,12 @@
-"""First-order spike system and an adaptive embedded Runge-Kutta integrator.
+"""The spike system in log coordinates, and an adaptive Runge-Kutta integrator.
 
-The second-order equation u'' - u + u**p = 0 becomes
+With w = ln u and z = u'/u, the equation u'' - u + u**p = 0 becomes
 
-    u' = v,    v' = u - u**p,
+    w' = z,    z' = 1 - e**((p - 1) * w) - z**2,
 
-with equilibria (0, 0) (saddle) and (1, 0) (centre) and the conserved energy
-
-    H(u, v) = v**2 / 2 - u**2 / 2 + u**(p + 1) / (p + 1),
-
-which is exactly 0 on the spike orbit and is used as a drift diagnostic.
-``shooting`` integrates the system in log coordinates, w = ln u and z = v / u
-(:class:`LogState`); :func:`hamiltonian` reads a point as (u, v).
+whose points are :class:`LogState` (w, z).  The centre u = 1 is (0, 0), and
+the saddle u = 0 lies at w = -inf, which no run reaches.  ``shooting``
+writes this field into the template below.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with the standard
 quartic dense-output interpolant.  Each accepted step is kept as its raw
@@ -29,16 +25,16 @@ entered, not per point, and gets ``_dense``'s bits.
 A trial step of length h is accepted when its error norm err is at most 1,
 and either way the next is h * min(10, max(0.2, 0.9 * err**(-1/5))) (Hairer,
 Norsett & Wanner 1993, *Solving ODEs I*, II.4).  Each accepted step is
-scanned for a sign change of the second component between its ends, located
-by bisecting the interpolant until no float lies between the ends of the
-bracket, at the far end: a run restarted there does not see the event again.
-The bisection evaluates only that component.  An exact zero, at a midpoint
-or at the step's end, is bisected like any other sign change; one at the
-step's start is located at the least theta above 0, the bisection's answer,
-without halving down to it.  The scan assumes at most one sign change per
-step, which the field's bound on the next step must keep.  The first event
-ends every run: that sign change (``TURNED``), or else a step that ends
-where the field says the orbit has left its domain (``LEFT_LOOP``).
+scanned for a sign change of z between its ends, located by bisecting the
+interpolant until no float lies between the ends of the bracket, at the far
+end: a run restarted there does not see the event again.  The bisection
+evaluates z alone.  An exact zero, at a midpoint or at the step's end, is
+bisected like any other sign change; one at the step's start is located at
+the least theta above 0, the bisection's answer, without halving down to
+it.  The scan assumes at most one sign change per step, which the field's
+bound on the next step must keep.  The first event ends every run: that
+sign change (``TURNED``), or else a step that ends where the field says
+the orbit has left its domain (``LEFT_LOOP``).
 
 One template holds the run: the stages, the controller, the stored stages,
 the h_min floor, the rule that an overflow at a stage rejects the step, and
@@ -64,13 +60,11 @@ from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "TerminalEvent",
-    "State",
     "LogState",
     "Field",
     "kernel",
     "IntegratorConfig",
     "Trajectory",
-    "hamiltonian",
     "SPAN_SLACK",
 ]
 
@@ -140,23 +134,11 @@ def checked(cls):
     return cls
 
 
-class State(NamedTuple):
-    """Phase-plane point (u, v) with v = du/drho."""
-
-    u: float
-    v: float
-
-
 class LogState(NamedTuple):
     """Phase-plane point in log coordinates: w = ln u and z = u'/u."""
 
     w: float
     z: float
-
-    def uv(self) -> State:
-        """The point as (u, v) = (e**w, z * e**w)."""
-        u = math.exp(self.w)
-        return State(u, self.z * u)
 
 
 @checked
@@ -198,7 +180,7 @@ def _interpolant(step: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def _dense(c: tuple[float, ...], theta: float) -> tuple[float, float]:
-    """(u, v) of interpolant ``c`` at the fraction ``theta`` of its step."""
+    """(w, z) of interpolant ``c`` at the fraction ``theta`` of its step."""
     _, h, u0, v0, cu1, cu2, cu3, cu4, cv1, cv2, cv3, cv4 = c
     return (
         u0 + h * theta * (cu1 + theta * (cu2 + theta * (cu3 + theta * cu4))),
@@ -213,24 +195,22 @@ class Trajectory:
     (rho, h, u, v, k1, k3..k7 of u, then of v); the last one reaches past
     ``end`` when a terminal event cut it short.  :meth:`eval` builds a
     step's dense interpolant when a point first enters that step, and keeps
-    it in ``_interpolants``.  ``end`` is the final (rho, state): the event
+    it in ``_interpolants``.  ``end`` is the final (rho, LogState): the event
     location, ``rho_end``, or the last accepted point after a step failure.
     """
 
     def __init__(
-        self, steps: list[tuple[float, ...]], end: tuple[float, State], rejected_steps: int,
+        self, steps: list[tuple[float, ...]], end: tuple[float, LogState], rejected_steps: int,
         terminal_event: TerminalEvent,
     ) -> None:
         self.steps, self.end = steps, end
         self.rejected_steps, self.terminal_event = rejected_steps, terminal_event
 
     @property
-    def samples(self) -> list[tuple[float, State]]:
-        """(rho, state) at the start point and after every accepted step,
-        with strictly increasing rho; ``[end]`` when no step was accepted.
-        Each state is of the type of the end's."""
-        state = type(self.end[1])
-        return [(step[0], state(step[2], step[3])) for step in self.steps] + [self.end]
+    def samples(self) -> list[tuple[float, LogState]]:
+        """(rho, LogState) at the start point and after every accepted step,
+        with strictly increasing rho; ``[end]`` when no step was accepted."""
+        return [(step[0], LogState(step[2], step[3])) for step in self.steps] + [self.end]
 
     @property
     def accepted_steps(self) -> int:
@@ -241,7 +221,7 @@ class Trajectory:
         return self.steps[0][0] if self.steps else self.end[0]
 
     def eval(self, rhos: Iterable[float]) -> tuple[list[float], list[float]]:
-        """Dense-output columns of the two components at the points ``rhos``, in their order.
+        """Dense-output columns of w and z at the points ``rhos``, in their order.
 
         Points within :data:`SPAN_SLACK` of the integrated span are clamped
         onto it; a point farther out, or NaN, raises ValueError, wherever it
@@ -259,9 +239,9 @@ class Trajectory:
                     raise ValueError(f"rho={rho!r} outside the integrated span [{lo}, {hi}]")
                 rho = min(max(rho, lo), hi)
             if not interpolants:
-                # The end state's two components, whatever its class names them.
-                add_u(self.end[1][0])
-                add_v(self.end[1][1])
+                # The end state's w and z.
+                add_u(self.end[1].w)
+                add_v(self.end[1].z)
                 continue
             if not start <= rho < stop:
                 # rho >= starts[0] here, so the index is never negative.
@@ -288,17 +268,6 @@ class Trajectory:
         return [step[0] for step in self.steps] + [math.inf]
 
 
-def hamiltonian(state: State, p: float) -> float:
-    """Conserved energy v**2/2 - u**2/2 + u**(p+1)/(p+1); 0 on the spike.
-
-    Raises ValueError unless u >= 0 and 0 < p < inf, the spike problem's domain."""
-    u, v = state.u, state.v
-    _check_exponent(p)
-    if not u >= 0.0:
-        raise ValueError(f"u must be nonnegative, got {u!r}")
-    return 0.5 * v * v - 0.5 * u * u + math.pow(u, p + 1.0) / (p + 1.0)
-
-
 def _quartic(q: tuple[float, ...], theta: float) -> float:
     """One component of an interpolant at ``theta``, from q = (x0, h, c1..c4)
     of that component: :func:`_dense`'s expression, so its bits."""
@@ -310,18 +279,17 @@ def _quartic(q: tuple[float, ...], theta: float) -> float:
 _THETA_MIN = 5e-324
 
 
-def _bisect_theta(c: tuple[float, ...], component: int, sign_lo: float) -> float:
-    """Locate, in (0, 1], a zero of one component of interpolant ``c``
-    whose sign at theta = 0 is that of ``sign_lo``: halve [lo, hi] until
-    no float lies strictly between them, and return ``hi``, the far side
-    of the sign change, so that a run restarted there does not see it again.
+def _bisect_theta(c: tuple[float, ...], sign_lo: float) -> float:
+    """Locate, in (0, 1], a zero of z on interpolant ``c`` whose sign at
+    theta = 0 is that of ``sign_lo``: halve [lo, hi] until no float lies
+    strictly between them, and return ``hi``, the far side of the sign
+    change, so that a run restarted there does not see it again.
 
-    Only that component is evaluated, by :func:`_quartic`.  A sign that has
-    already changed at the least theta above 0 returns that theta at once:
-    with one change per step, the halving would reach it, after about 1,075
-    halvings into the subnormals."""
-    i = 4 + 4 * component
-    q = (c[2 + component], c[1], *c[i:i + 4])
+    Only z is evaluated, by :func:`_quartic`.  A sign that has already
+    changed at the least theta above 0 returns that theta at once: with one
+    change per step, the halving would reach it, after about 1,075 halvings
+    into the subnormals."""
+    q = (c[3], c[1], *c[8:12])
     positive = sign_lo > 0.0
     if (_quartic(q, _THETA_MIN) > 0.0) != positive:
         return _THETA_MIN
@@ -354,12 +322,11 @@ def _check_run(initial: tuple[float, float], rho_start: float, rho_end: float):
 class Field(NamedTuple):
     """A vector field as the text :func:`kernel` writes into the template.
 
-    The template names the state's two components u and v; each part
-    below is one line of Python over them and the template's locals.  The
-    run is compiled as ``integrate_<name>`` and returns states of class
-    ``state``; ``check`` refuses a bad p or start.  ``rhs`` is the two
-    components of the derivative, with ``{u}`` and ``{v}`` where a stage's
-    point goes; ``scale_u`` and ``scale_v`` divide a step's error
+    The template names the state's two slots u and v, which hold w and z;
+    each part below is one line of Python over them and the template's
+    locals.  The run is compiled as ``integrate_<name>``, and ``check``
+    refuses a bad p or start.  ``rhs`` is the two components of the
+    derivative, with ``{u}`` and ``{v}`` where a stage's point goes; ``scale_u`` and ``scale_v`` divide a step's error
     estimates; ``bound`` is three statements that may lower h, the next
     step after an accepted one.  A step across which v changes sign ends
     the run ``TURNED`` where it does; one that does not, and ends with
@@ -367,7 +334,6 @@ class Field(NamedTuple):
     """
 
     name: str
-    state: str
     check: str
     rhs: str
     scale_u: str
@@ -463,7 +429,7 @@ def integrate_{name}(initial, rho_start, rho_end, p, config=IntegratorConfig()):
         if v_changed or {left}:
             c = _interpolant(steps[-1])
             # theta * h_step is h_step itself at theta = 1.
-            theta = _bisect_theta(c, 1, v) if v_changed else 1.0
+            theta = _bisect_theta(c, v) if v_changed else 1.0
             rho, (u, v) = rho + theta * h_step, _dense(c, theta)
             event = TerminalEvent.TURNED if v_changed else TerminalEvent.LEFT_LOOP
             break
@@ -481,7 +447,7 @@ def integrate_{name}(initial, rho_start, rho_end, p, config=IntegratorConfig()):
         {bound[1]}
         {bound[2]}
 
-    return Trajectory(steps, (rho, {state}(u, v)), rejected, event)
+    return Trajectory(steps, (rho, LogState(u, v)), rejected, event)
 """
 
 
@@ -493,7 +459,7 @@ def kernel(field: Field) -> Callable[..., Trajectory]:
         raise ValueError(f"each part of field {field.name!r} must be one line")
     rhs = field.rhs.format
     source = _TEMPLATE.format(
-        name=field.name, state=field.state, check=field.check,
+        name=field.name, check=field.check,
         rhs_start=rhs(u="u", v="v"), rhs_stage=rhs(u="yu", v="yv"),
         rhs_end=rhs(u="u_new", v="v_new"),
         scale_u=field.scale_u, scale_v=field.scale_v, bound=field.bound, left=field.left,

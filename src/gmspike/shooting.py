@@ -1,28 +1,22 @@
 """Shooting solver: one run inward from the saddle traces the spike.
 
-The spike system u' = v, v' = u - u**p is reversible (rho -> -rho,
-v -> -v) and conserves H(u, v) = v**2/2 - u**2/2 + u**(p+1)/(p+1), so the
-far half of the spike is the branch of the level set H = 0 that leaves the
-saddle (0, 0) into u > 0.  :func:`shoot` starts on that branch at
+The spike equation u'' = u - u**p is reversible (rho -> -rho) and conserves
+H = u'**2/2 - u**2/2 + u**(p+1)/(p+1), so the far half of the spike is the
+branch of the level set H = 0 that leaves the saddle u = 0 into u > 0.
+:func:`shoot` starts on that branch at u = U0, where
 
-    (U0, U0 * sqrt(1 - 2 * U0**(p - 1) / (p + 1))),
+    (w, z) = (ln U0, sqrt(1 - 2 * U0**(p - 1) / (p + 1)))
 
-where H = 0 to rounding, and makes one integration in sigma, the distance
-from that far end, until v turns through 0.  A turn at u > 1 is the peak,
+in log coordinates, w = ln u and z = u'/u (the field ``_LOG_SPIKE`` below),
+with H = 0 to rounding, and makes one integration in sigma, the distance
+from that far end, until z turns through 0.  A turn at u > 1 is the peak,
 as every amplitude ((p + 1) / 2)**(1 / (p - 1)) exceeds 1, and one below a
 minimum: the peak's u is the amplitude a_star and its sigma is sigma_pk,
 so u at distance d from the peak is the run at sigma_pk - d.  Nothing here
-reads the closed form; the run knows only p.
-
-The run is made in log coordinates, w = ln u and z = u'/u (the field
-``_LOG_SPIKE`` below), from the same start divided through, (ln U0, v0 /
-U0).  There a tolerance is relative to u along the whole run: u is within
-2e-10 of the closed form, relatively, from the far end to the peak, where
-the run in (u, v) was 1.7e-6 off in the tail; over p in {1.01, 1.2, 2, 4,
-10, 100} it takes 39% fewer steps, and under half as many for p >= 2.  The
-peak is the sign change of z.  The run's :class:`Trajectory` holds (w, z);
-:func:`eval_profile_grid`, :func:`profile_samples` and ``bc_residual`` read
-each point back as (u, v) = (e**w, z * e**w).
+reads the closed form; the run knows only p.  Its tolerance is relative to
+u along the whole run, which is within 2e-10 of the closed form,
+relatively, from the far end to the peak.  The readers below form each
+point back as (u, u') = (e**w, z * e**w).
 
 The run leaves the saddle, so an error off the orbit decays along it instead
 of growing, as it would on a run from the peak towards the saddle: this is
@@ -33,14 +27,15 @@ manifold itself, not on its linearisation (Beyn 1990, *IMA J. Numer. Anal.*
 runs from 16.2 (p = 100) to 82.7 (p = 1.01), which bounds how far from the
 peak the profile can be read.
 
-The profile is even about the peak (u even, v odd).  Boundary spikes reuse
-the same run: the system is autonomous, so the profile peaking at the right
-endpoint rho = L / epsilon is the inner one shifted there.  :func:`shoot`
-keeps its last run, so results for one (p, integrator config) share a
-:class:`Trajectory`, and the JSON ``integrations`` (1) counts the run behind
-a profile, not the integrations this process made.  Two maps place the
-run in the domain: :func:`eval_profile_grid` reads it at domain points, and
-:func:`profile_samples` gives its own samples their domain points.
+The profile is even about the peak (u even, its slope v odd).  Boundary
+spikes reuse the same run: the system is autonomous, so the profile peaking
+at the right endpoint rho = L / epsilon is the inner one shifted there.
+:func:`shoot` keeps its last run, so results for one (p, integrator
+config) share a :class:`Trajectory`, and the JSON ``integrations`` (1)
+counts the run behind a profile, not the integrations this process made.
+Two maps place the run in the domain: :func:`eval_profile_grid` reads it at
+domain points, and :func:`profile_samples` gives its own samples their
+domain points.
 """
 
 from __future__ import annotations
@@ -93,7 +88,6 @@ _HORIZON = 200.0
 # LEFT_LOOP.  The peak is the sign change of z.
 _LOG_SPIKE = Field(
     name="log_spike",
-    state="LogState",
     check="_check_exponent(p)",
     rhs="{v}, 1.0 - exp(pm1 * {u}) - {v} * {v}",
     scale_u="ab + rel",
@@ -146,7 +140,7 @@ class ShootingResult(NamedTuple):
     integration; a shoot makes one, and ``u0``, ``a_star`` and ``sigma_pk``
     read its entry.  ``converged`` is true on every result, since
     :func:`shoot` raises for a run that misses its peak.  ``bc_residual``
-    is |u| + |v| at the far end of the profile, which is the run's start.
+    is |u| + |u'| at the far end of the profile, which is the run's start.
     ``config`` is always ``ShootingConfig()``; it stays because
     ``bench/child.py`` reads its ``scan_points``.
     """
@@ -174,13 +168,14 @@ class ShootingResult(NamedTuple):
 
     @property
     def bc_residual(self) -> float:
-        u, v = LogState(*self.trajectory.steps[0][2:4]).uv()
-        return abs(u) + abs(v)
+        w, z = self.trajectory.steps[0][2:4]
+        u = math.exp(w)
+        return abs(u) + abs(z * u)
 
 
 @functools.lru_cache(maxsize=1)
 def _inward_run(p: float, integrator_config: IntegratorConfig) -> Trajectory:
-    # (U0, v0) with H = 0, divided through by U0.
+    # u = U0 on H = 0: z0 is u'/u there.
     z0 = math.sqrt(1.0 - 2.0 * U0 ** (p - 1.0) / (p + 1.0))
     return integrate(LogState(math.log(U0), z0), 0.0, _HORIZON, p, integrator_config)
 
@@ -190,9 +185,9 @@ def shoot(
 ) -> ShootingResult:
     """Integrate once from the far end of the spike to its peak.
 
-    The run starts at (U0, v0) with H(U0, v0) = 0 and ends at its first
-    event, which on the spike is the peak; ``integrator_config`` sets its
-    tolerances; a shoot of the last shoot's p and config reads its run.
+    The run starts at u = U0 on H = 0 and ends at its first event, which
+    on the spike is the peak; ``integrator_config`` sets its tolerances; a
+    shoot of the last shoot's p and config reads its run.
     Raises :class:`ShootingError`, on every shoot of that run, if it ends
     any other way: step-size control underflows, or the run leaves the
     homoclinic loop, turns at a minimum (u <= 1) or reaches its horizon.
@@ -285,6 +280,7 @@ def profile_samples(result: ShootingResult) -> tuple[list[float], ...]:
         d = sigma_pk - sigma
         if d > to_far_wall:
             break
-        u, v = state.uv()
+        u = math.exp(state.w)
+        v = state.z * u
         rows.append((peak + side * d, d, u, -side * v if d else 0.0))
     return tuple(map(list, zip(*rows)))

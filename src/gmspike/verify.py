@@ -17,7 +17,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .analytic import ProblemParams, eval_spike_rho, eval_spike_second_derivative
-from .ode import Trajectory, hamiltonian
+from .ode import Trajectory
 from .shooting import ShootingResult, eval_profile_grid
 
 __all__ = [
@@ -87,7 +87,12 @@ def compare(result: ShootingResult, rho_grid, before=None) -> ComparisonReport:
 
 
 def check_first_integral(trajectory: Trajectory, p: float) -> float:
-    """Maximum drift of the conserved energy over the trajectory samples,
-    each read as (u, v)."""
-    energies = [hamiltonian(state.uv(), p) for _, state in trajectory.samples]
+    """Maximum drift of the energy H = v**2/2 - u**2/2 + u**(p+1)/(p+1),
+    which is conserved and 0 on the spike, over the trajectory's samples,
+    each read as (u, v) = (e**w, z * e**w)."""
+    energies = []
+    for _, state in trajectory.samples:
+        u = math.exp(state.w)
+        v = state.z * u
+        energies.append(0.5 * v * v - 0.5 * u * u + math.pow(u, p + 1.0) / (p + 1.0))
     return max(abs(energy - energies[0]) for energy in energies)

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from ansatz_reference import derive_ansatz_constants, eval_ansatz
+from phase_plane import energy, uv
 from test_shooting import _record_peak_bisection
 
 from gmspike import (
@@ -19,7 +20,6 @@ from gmspike import (
     TerminalEvent,
     check_first_integral,
     eval_spike_rho,
-    hamiltonian,
     ode_residual,
     shoot,
     shooting,
@@ -143,7 +143,7 @@ def test_sides_of_the_peak_and_bracket_halving(monkeypatch):
     assert from_rest(1.6) is TerminalEvent.LEFT_LOOP
     assert from_rest(1.4) is TerminalEvent.TURNED
     # Halving: the peak is bisected on the last step's dense interpolant,
-    # which a shoot reads for nothing else, in its v component alone.
+    # which a shoot reads for nothing else, in its z component alone.
     probes = _record_peak_bisection(monkeypatch)
     result = shoot(ProblemParams.inner(2.0))
     thetas = [theta for _, theta in probes]
@@ -179,8 +179,8 @@ def test_one_inward_run_goes_from_the_spike_orbit_to_the_peak(monkeypatch):
     worst_energy = 0.0
     for p in (1.01, 1.2, 2.0, 4.0, 10.0, 100.0):
         result = shoot(ProblemParams.inner(p))
-        start = result.trajectory.samples[0][1].uv()
-        worst_energy = max(worst_energy, abs(hamiltonian(start, p)) / start.u**2)
+        start = uv(result.trajectory.samples[0][1])
+        worst_energy = max(worst_energy, abs(energy(*start, p)) / start.u**2)
         assert result.trajectory.terminal_event is TerminalEvent.TURNED
     assert worst_energy <= 1e-13
     assert len(calls) == 6

@@ -32,9 +32,10 @@ under any Python the package supports.
 
 A digest says only that something moved.  To see what, write every
 artifact, and each ``shoot/`` record as text (one item a line, one step a
-line), from the parent's source with this file:
+line), from the parent's source with the parent's copy of this file, so
+that a record kind the change stops writing is kept:
 
-    PYTHONPATH=<parent>/src python tests/test_golden.py --keep DIR
+    PYTHONPATH=<parent>/src python <parent>/tests/test_golden.py --keep DIR
 
 then compare the change's with them:
 

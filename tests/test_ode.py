@@ -22,14 +22,13 @@ from gmspike import (
     IntegratorConfig,
     LogState,
     ProblemParams,
-    State,
     TerminalEvent,
     eval_spike_derivative,
     eval_spike_rho,
-    hamiltonian,
     shoot,
     spike_amplitude,
 )
+from phase_plane import energy, uv
 from test_shooting import _record_peak_bisection
 
 # The spike field's run, in log coordinates: w = ln u and z = u'/u.
@@ -45,10 +44,10 @@ LOOSE = IntegratorConfig(rel_tol=1.0, abs_tol=1e6)
 
 # u'' = -u from the template: every line of the spike field's run, with none
 # of its bounds, and its turn wherever v changes sign.  Its exact solution
-# from (1, 0) is (cos, -sin).
+# from (1, 0) is (cos, -sin).  The template returns each point (u, v) as a
+# LogState, so the tests read its components by index.
 OSCILLATOR = ode.Field(
     name="oscillator",
-    state="State",
     check="pass",
     rhs="{v}, -{u}",
     scale_u="ab + rel * (new if (new := abs(u_new)) > (scale := abs(u)) else scale)",
@@ -84,24 +83,12 @@ class TestHamiltonian:
         ],
     )
     def test_frozen_values_p2(self, u, expected):
-        assert hamiltonian(State(u, 0.0), 2.0) == pytest.approx(expected, abs=1e-15)
+        assert energy(u, 0.0, 2.0) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("p", (2.0, 2.5, 3.0, 4.0, 10.0))
     def test_vanishes_on_spike_states(self, p):
-        value = hamiltonian(State(spike_amplitude(p), 0.0), p)
+        value = energy(spike_amplitude(p), 0.0, p)
         assert abs(value) < 1e-14
-
-    # u < 0 lies outside the spike problem for every p, integer or not.
-    @pytest.mark.parametrize("p", (2.5, 2.0, 3.0))
-    def test_negative_u_rejected_for_every_p(self, p):
-        with pytest.raises(ValueError, match="u must be nonnegative"):
-            hamiltonian(State(-0.1, 0.0), p)
-
-    # The p that the run refuses; at p = -1 the energy would divide by 0.
-    @pytest.mark.parametrize("p", (-1.0, 0.0, -0.5, math.nan, math.inf))
-    def test_rejects_nonpositive_or_nonfinite_p(self, p):
-        with pytest.raises(ValueError, match="p must be positive and finite"):
-            hamiltonian(State(0.5, 0.0), p)
 
 
 class TestConfig:
@@ -151,7 +138,7 @@ class TestIntegrateBasics:
         trajectory = integrate(at_rest(AMP2), 0.0, 10.0, 2.0)
         assert trajectory.terminal_event is TerminalEvent.REACHED_END
         assert trajectory.samples[-1][0] == 10.0
-        end = trajectory.samples[-1][1].uv()
+        end = uv(trajectory.samples[-1][1])
         assert end.u == pytest.approx(eval_spike_rho(PARAMS2, [10.0])[0], abs=1e-8)
         assert end.v == pytest.approx(eval_spike_derivative(PARAMS2, [10.0])[0], abs=1e-8)
         assert trajectory.rejected_steps <= 2
@@ -208,10 +195,10 @@ class TestIntegrateBasics:
         assert back.terminal_event is TerminalEvent.TURNED
         rho_turn, turn = back.end
         assert rho_turn == pytest.approx(8.0, abs=1e-8)
-        assert turn.uv().u == pytest.approx(AMP2, abs=1e-8)
-        final = integrate(turn, rho_turn, 16.0, 2.0).end[1].uv()
-        assert final.u == pytest.approx(end.uv().u, abs=1e-8)
-        assert final.v == pytest.approx(end.uv().v, abs=1e-8)
+        assert uv(turn).u == pytest.approx(AMP2, abs=1e-8)
+        final = uv(integrate(turn, rho_turn, 16.0, 2.0).end[1])
+        assert final.u == pytest.approx(uv(end).u, abs=1e-8)
+        assert final.v == pytest.approx(uv(end).v, abs=1e-8)
 
     @pytest.mark.parametrize(
         "initial, span",
@@ -299,7 +286,7 @@ class TestDenseWalk:
 
 def _energies(trajectory, p):
     """H at each sample of a run, read as (u, v)."""
-    return [hamiltonian(state.uv(), p) for _, state in trajectory.samples]
+    return [energy(*uv(state), p) for _, state in trajectory.samples]
 
 
 class TestConservation:
@@ -332,8 +319,7 @@ class TestEvents:
         assert end.z < -1.0 <= trajectory.samples[-2][1].z
         assert all(math.isfinite(state.w) for _, state in trajectory.samples)
         # H is conserved to the tolerances: 3.0e-11 off at the end.
-        energy = hamiltonian(State(a, 0.0), p)
-        assert hamiltonian(end.uv(), p) == pytest.approx(energy, abs=1e-9)
+        assert energy(*uv(end), p) == pytest.approx(energy(a, 0.0, p), abs=1e-9)
 
     def test_undershoot_records_turning_points(self):
         # The first turn of an undershoot is recorded as the run's end.
@@ -341,8 +327,8 @@ class TestEvents:
         assert trajectory.terminal_event is TerminalEvent.TURNED
         rho_end, end = trajectory.end
         assert rho_end == pytest.approx(3.5622832910823736, rel=1e-8)
-        assert end.uv().u == pytest.approx(0.42749172182100076, rel=1e-7)
-        assert abs(end.uv().v) < 1e-9
+        assert uv(end).u == pytest.approx(0.42749172182100076, rel=1e-7)
+        assert abs(uv(end).v) < 1e-9
         assert all(state.w <= math.log(1.4) for _, state in trajectory.samples)
 
     def test_turn_ends_a_run_that_asks_for_it(self):
@@ -375,12 +361,11 @@ class TestEvents:
         samples = trajectory.samples
         assert all(state.z < 0.0 for _, state in samples[1:-1])
         assert all(x[1].w >= y[1].w for x, y in zip(samples, samples[1:]))
-        end = trajectory.end[1].uv()
+        end = uv(trajectory.end[1])
         assert end.u < 1.0
         # H is conserved to the tolerances, so the minimum is this orbit's;
         # the drift is 1.7e-10 at most (p = 100, offset 0.999).
-        energy = hamiltonian(State(a, 0.0), p)
-        assert hamiltonian(State(end.u, 0.0), p) == pytest.approx(energy, abs=1e-9)
+        assert energy(end.u, 0.0, p) == pytest.approx(energy(a, 0.0, p), abs=1e-9)
 
     def test_step_failure_reported(self):
         trajectory = fixed_step_run(0.1, UNSATISFIABLE, at_rest(AMP2), 0.0, 4.0, 2.0)
@@ -398,9 +383,9 @@ class TestEvents:
         # halving into the subnormals, and the end is read once.
         probes = _record_peak_bisection(monkeypatch)
         run = ode.kernel(OSCILLATOR)
-        trajectory = fixed_step_run(1.0, LOOSE, State(1.0, 5e-324), 0.0, 2.0, 1.0, run=run)
+        trajectory = fixed_step_run(1.0, LOOSE, (1.0, 5e-324), 0.0, 2.0, 1.0, run=run)
         assert trajectory.terminal_event is TerminalEvent.TURNED
-        assert trajectory.end == (5e-324, State(1.0, 0.0))
+        assert trajectory.end == (5e-324, (1.0, 0.0))
         assert [theta for _, theta in probes] == [5e-324, 5e-324]
 
     @pytest.mark.parametrize("p", (1.01, 1.2, 2.0, 4.0, 10.0, 100.0))
@@ -486,44 +471,43 @@ class TestEvents:
         assert real_exp(trajectory.end[1].w) == pytest.approx(spike_amplitude(p), abs=1e-10)
 
 
-def _line_interpolant(h, c0, c1, component):
-    """Interpolant of one step of length ``h`` whose ``component`` is
-    c0 + c1 * theta exactly, for c1 * h and h powers of two, and whose
-    other component is 1."""
-    line, flat = (c0, c1 / h, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0)
-    u, v = (line, flat) if component == 0 else (flat, line)
-    return (0.0, h, u[0], v[0], *u[1:], *v[1:])
+def _line_interpolant(h, c0, c1):
+    """Interpolant of one step of length ``h`` whose z is c0 + c1 * theta
+    exactly, for c1 * h and h powers of two, and whose w is 1."""
+    return (0.0, h, 1.0, c0, 0.0, 0.0, 0.0, 0.0, c1 / h, 0.0, 0.0, 0.0)
 
 
 class TestEventBisection:
-    """Every event is located by one bisection, an exact zero included, to
-    rounding: it returns the far end of a bracket with no float inside."""
+    """Every event is located by one bisection of z, an exact zero
+    included, to rounding: it returns the far end of a bracket with no
+    float inside.  ``component`` is z's index in ``_dense``'s (w, z)."""
 
-    @pytest.mark.parametrize("component", (0, 1))
+    @pytest.mark.parametrize("component", (1,))
     @pytest.mark.parametrize("sign", (1.0, -1.0))
     @pytest.mark.parametrize("h", (1.0, 0.25, 2.0**-20))
     # theta - 1/2 is exactly 0 at the first midpoint; theta - 1 at the step's end.
     @pytest.mark.parametrize("zero", (0.5, 1.0))
     def test_locates_an_exact_zero_to_the_tolerance(self, component, sign, h, zero):
-        c = _line_interpolant(h, -sign * zero, sign, component)
+        c = _line_interpolant(h, -sign * zero, sign)
         assert ode._dense(c, zero)[component] == 0.0
-        theta = ode._bisect_theta(c, component, c[2 + component])
+        theta = ode._bisect_theta(c, c[3])
         assert 0.0 <= theta - zero <= math.ulp(zero)
 
-    @pytest.mark.parametrize("component", (0, 1))
+    @pytest.mark.parametrize("component", (1,))
     @pytest.mark.parametrize("sign", (1.0, -1.0))
     @pytest.mark.parametrize("start", (0.0, -0.0))
     def test_a_zero_at_the_start_is_the_least_theta_above_it(self, component, sign, start):
         # The halving would reach the same theta, 1,075 halvings on.
-        c = _line_interpolant(1.0, start, -sign, component)
-        assert ode._bisect_theta(c, component, sign) == 5e-324 == math.nextafter(0.0, 1.0)
+        c = _line_interpolant(1.0, start, -sign)
+        assert ode._dense(c, 0.0)[component] == start
+        assert ode._bisect_theta(c, sign) == 5e-324 == math.nextafter(0.0, 1.0)
 
-    @pytest.mark.parametrize("component", (0, 1))
+    @pytest.mark.parametrize("component", (1,))
     def test_the_one_component_quartic_has_the_dense_bits(self, component):
+        # _bisect_theta's q: z's start, the step and z's coefficients.
         rng = random.Random(component)
         c = tuple(rng.uniform(-2.0, 2.0) for _ in range(12))
-        i = 4 + 4 * component
-        q = (c[2 + component], c[1], *c[i:i + 4])
+        q = (c[3], c[1], *c[8:12])
         for theta in [rng.random() for _ in range(200)] + [0.0, 5e-324, 1.0]:
             assert ode._quartic(q, theta).hex() == ode._dense(c, theta)[component].hex()
 
@@ -605,9 +589,9 @@ class TestOrder:
         # On the oscillator, whose exact solution is known everywhere.
         def endpoint_error(h):
             run = ode.kernel(OSCILLATOR)
-            trajectory = fixed_step_run(h, LOOSE, State(1.0, 0.0), 0.0, 3.0, 1.0, run=run)
-            end = trajectory.samples[-1][1]
-            return abs(end.u - math.cos(3.0)) + abs(end.v + math.sin(3.0))
+            trajectory = fixed_step_run(h, LOOSE, (1.0, 0.0), 0.0, 3.0, 1.0, run=run)
+            u, v = trajectory.samples[-1][1]
+            return abs(u - math.cos(3.0)) + abs(v + math.sin(3.0))
 
         errors = [endpoint_error(h) for h in (0.4, 0.2, 0.1, 0.05)]
         slopes = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
@@ -620,23 +604,24 @@ class TestKernel:
     """One template of the Dormand-Prince run, compiled once per field."""
 
     def test_a_second_field_matches_its_exact_solution(self):
-        run = ode.kernel(OSCILLATOR)(State(1.0, 0.0), 0.0, 3.0, 1.0)
+        run = ode.kernel(OSCILLATOR)((1.0, 0.0), 0.0, 3.0, 1.0)
         assert run.terminal_event is TerminalEvent.REACHED_END
         assert run.end[0] == 3.0
-        for rho, state in run.samples:
-            assert state.u == pytest.approx(math.cos(rho), abs=1e-9)
-            assert state.v == pytest.approx(-math.sin(rho), abs=1e-9)
+        for rho, (u, v) in run.samples:
+            assert u == pytest.approx(math.cos(rho), abs=1e-9)
+            assert v == pytest.approx(-math.sin(rho), abs=1e-9)
         grid = [3.0 * k / 100 for k in range(101)]
         us, vs = run.eval(grid)
         assert max(abs(u - math.cos(rho)) for rho, u in zip(grid, us)) < 1e-9
         assert max(abs(v + math.sin(rho)) for rho, v in zip(grid, vs)) < 1e-9
 
     def test_a_second_field_turns_at_pi(self):
-        run = ode.kernel(OSCILLATOR)(State(1.0, 0.0), 0.0, 5.0, 1.0)
+        run = ode.kernel(OSCILLATOR)((1.0, 0.0), 0.0, 5.0, 1.0)
         assert run.terminal_event is TerminalEvent.TURNED
         rho, end = run.end
+        assert type(end) is LogState
         assert rho == pytest.approx(math.pi, abs=1e-9)
-        assert end.u == pytest.approx(-1.0, abs=1e-9)
+        assert end[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_a_field_is_compiled_once(self):
         assert ode.kernel(OSCILLATOR) is ode.kernel(OSCILLATOR)
@@ -659,7 +644,7 @@ class TestKernel:
         with pytest.raises(RuntimeError) as failure:
             if run == "integrate":
                 # A run of the test's own field, which turns at pi.
-                ode.kernel(OSCILLATOR)(State(1.0, 0.0), 0.0, 5.0, 1.0)
+                ode.kernel(OSCILLATOR)((1.0, 0.0), 0.0, 5.0, 1.0)
             else:
                 shoot(ProblemParams.inner(2.0))
         frames = [f for f in traceback.extract_tb(failure.value.__traceback__)

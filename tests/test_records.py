@@ -1,7 +1,7 @@
 """The records are NamedTuples: immutable, checked however they are built,
 and cheap to import.
 
-``State``, ``ShootingResult``, ``ComparisonReport`` and ``ShootingConfig``
+``LogState``, ``ShootingResult``, ``ComparisonReport`` and ``ShootingConfig``
 are plain NamedTuples.  ``IntegratorConfig``, ``ProblemParams`` and
 ``RunConfig`` check their fields on every construction, ``_make``,
 ``_replace`` and unpickling included; each is one class.  ``Trajectory``
@@ -27,7 +27,6 @@ from gmspike import (
     ShootingConfig,
     ShootingResult,
     SpikeKind,
-    State,
     shooting,
 )
 from gmspike.cli import RunConfig
@@ -57,7 +56,6 @@ class TestRepr:
     # The shoot/ golden digests hash the reprs of a run's end, a LogState,
     # and of its log's InwardRun entries.
     def test_state(self):
-        assert repr(State(1.0, 0.0)) == "State(u=1.0, v=0.0)"
         assert repr(LogState(0.0, 1.0)) == "LogState(w=0.0, z=1.0)"
 
     def test_inward_run(self):
@@ -182,14 +180,14 @@ class TestRecords:
             assert copy == record
 
     def test_records_equal_plain_tuples(self):
-        assert State(1.0, 0.0) == (1.0, 0.0)
+        assert LogState(0.0, 1.0) == (0.0, 1.0)
         assert IntegratorConfig() == (1e-10, 1e-12)
         assert ShootingConfig() == ()
 
     @pytest.mark.parametrize(
         "record, name",
         [
-            (State(1.0, 0.0), "u"),
+            (LogState(0.0, 1.0), "w"),
             (IntegratorConfig(), "rel_tol"),
             (ProblemParams.inner(2.0), "p"),
             (RunConfig("shoot", ProblemParams.inner(2.0), IntegratorConfig()), "fmt"),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from phase_plane import energy, uv
 
 from gmspike import (
     IntegratorConfig,
@@ -13,7 +14,6 @@ from gmspike import (
     compare,
     eval_spike_rho,
     eval_spike_second_derivative,
-    hamiltonian,
     ode_residual,
     shoot,
     shooting,
@@ -188,10 +188,8 @@ class TestFirstIntegral:
     def test_matches_direct_evaluation(self):
         trajectory = _from_rest(spike_amplitude(2.0), 6.0)
         reported = check_first_integral(trajectory, 2.0)
-        h0 = hamiltonian(trajectory.samples[0][1].uv(), 2.0)
-        manual = max(
-            abs(hamiltonian(state.uv(), 2.0) - h0) for _, state in trajectory.samples
-        )
+        h0 = energy(*uv(trajectory.samples[0][1]), 2.0)
+        manual = max(abs(energy(*uv(state), 2.0) - h0) for _, state in trajectory.samples)
         assert reported == manual
         assert reported < 1e-8
 
